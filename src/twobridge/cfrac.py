@@ -136,7 +136,10 @@ class TypeSeq:
 
 
 def eval_cf(entries) -> Rat:
-    """Evaluate [c_1, ..., c_k] exactly, right to left.
+    """Evaluate [c_1, ..., c_k] exactly, right to left, on integers.
+
+    A suffix value num/den becomes (c * num + den)/num when c is prepended;
+    the pair stays coprime, so only the final Fraction is built.
 
     Raises :class:`ZeroTail` if the last entry is zero or some proper suffix
     evaluates to zero (the nesting would divide by it).  Valid
@@ -147,12 +150,12 @@ def eval_cf(entries) -> Rat:
         raise ZeroTail("empty continued fraction has no value")
     if entries[-1] == 0:
         raise ZeroTail("last entry is zero")
-    acc = Fraction(entries[-1])
+    num, den = entries[-1], 1  # the suffix value num/den
     for c in reversed(entries[:-1]):
-        if acc == 0:
+        if num == 0:
             raise ZeroTail("suffix evaluates to zero")
-        acc = c + 1 / acc
-    return acc
+        num, den = c * num + den, num
+    return Fraction(num, den)
 
 
 def positive_cf(r: Rat) -> PositiveCF:

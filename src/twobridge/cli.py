@@ -116,13 +116,13 @@ def parse_input(s: str, hint: str = None):
                      "continued fraction", offset)
 
 
-def _exp_str(e) -> str:
-    e = Fraction(e)
-    return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/2"
+def _exp_str(units: int) -> str:
+    """An exponent given in half units, as ``3`` or ``-7/2``."""
+    return str(units // 2) if units % 2 == 0 else f"{units}/2"
 
 
 def _poly_payload(p: HLPoly):
-    return [[_exp_str(Fraction(u, 2)), c] for u, c in p.items()]
+    return [[_exp_str(u), c] for u, c in p.items()]
 
 
 def poly_from_payload(pairs) -> HLPoly:
@@ -145,27 +145,17 @@ def _as_rat(obj) -> Rat:
     return obj.value()
 
 
-def _oriented_even(obj):
-    """The orientation-carrying even CF for any accepted input kind."""
-    if isinstance(obj, EvenCF):
-        return obj
-    return oriented_even_cf(_as_rat(obj))
-
-
-def _jones_engine(obj, engine: str) -> JonesResult:
+def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
+                  ev: EvenCF) -> JonesResult:
+    """One engine, given the input's value r, a positive cf of |r| and the
+    orientation-carrying even cf."""
     if engine == "recursive":
-        return jones_recursive(_oriented_even(obj))
+        return jones_recursive(ev)
     if engine == "fpoly":
-        return jones_via_f(_oriented_even(obj))
+        return jones_via_f(ev)
     if engine == "direct":
-        if isinstance(obj, PositiveCF):
-            return jones_direct(obj)
-        if isinstance(obj, EvenCF):
-            r = obj.value()
-            if r > 0:
-                return jones_direct(positive_cf(r))
-            return mirror(jones_direct(positive_cf(-r)))
-        return jones_direct(positive_cf(obj))
+        res = jones_direct(pos)
+        return res if r > 0 else mirror(res)  # negative even cfs are mirrors
     raise UsageError(f"unknown engine {engine!r}")
 
 
@@ -237,7 +227,11 @@ def run(req: Request) -> dict:
     if req.command == "jones":
         engines = ((["recursive", "direct", "fpoly"]) if req.engine == "all"
                    else [req.engine])
-        results = {name: _jones_engine(obj, name) for name in engines}
+        r = _as_rat(obj)
+        ev = obj if isinstance(obj, EvenCF) else oriented_even_cf(r)
+        canonical = positive_cf(abs(r))
+        pos = obj if isinstance(obj, PositiveCF) else canonical
+        results = {name: _jones_engine(name, r, pos, ev) for name in engines}
         polys = {name: res.poly for name, res in results.items()}
         if len(set(polys.values())) > 1:
             raise CrossCheckMismatch(
@@ -245,12 +239,12 @@ def run(req: Request) -> dict:
                 + "; ".join(f"{n}: {p}" for n, p in polys.items()),
                 engines=tuple(polys), value=req.input)
         res = next(iter(results.values()))
-        report["value"] = _rat_payload(abs(_as_rat(obj)))
-        report["positive_cf"] = list(positive_cf(abs(_as_rat(obj))).entries)
-        report["even_cf"] = list(_oriented_even(obj).entries)
-        report["degree"] = _exp_str(res.degree)
+        report["value"] = _rat_payload(abs(r))
+        report["positive_cf"] = list(canonical.entries)
+        report["even_cf"] = list(ev.entries)
+        report["degree"] = _exp_str(int(2 * res.degree))
         report["leading_sign"] = res.leading_sign
-        report["width"] = _exp_str(res.poly.width())
+        report["width"] = _exp_str(int(2 * res.poly.width()))
         report["coefficients"] = _poly_payload(res.poly)
         report["engine"] = req.engine
         report["checks"] = {name: "ok" for name in engines}

@@ -34,6 +34,10 @@ class MixedGrid(TwoBridgeError):
     """Exponents mix integers and half-integers."""
 
 
+class SlotOverflow(TwoBridgeError):
+    """A packed polynomial outgrew the bound its slots were sized for."""
+
+
 class TooManyTiles(TwoBridgeError):
     """Tile index beyond the supported bitset width (63 tiles)."""
 

@@ -10,7 +10,10 @@ t^(1/2).  The engines:
 * ``jones_via_f`` - normalization data (degree and leading sign) combined
   with the specialized matching generating function.
 
-All three agree exactly; the cross-check is part of the test suite.
+All three agree exactly; the cross-check is part of the test suite.  The
+skein recursion, the direct formula's numerator and the two-term recursion
+``f_recursive`` are each one call of :func:`laurent.continuant`; they differ
+only in their step factors.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input.  A
@@ -29,7 +32,7 @@ from fractions import Fraction
 from .cfrac import (EvenCF, PositiveCF, Rat, _sgn, eval_cf, even_cf_for_link,
                     numerator_rec, positive_cf, tau, type_sequence)
 from .errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
-from .laurent import HLPoly, q_integer, q_power
+from .laurent import HLPoly, _units, continuant, q_power, t_power
 
 #: smallest hyperbolic volume bound per twist region, and the volume of a
 #: regular ideal tetrahedron (for the upper bound 30*v3 per region)
@@ -61,27 +64,32 @@ class JonesResult:
     engine: str
 
 
-def _half_units(j) -> int:
-    j = Fraction(j)
-    return j.numerator * (2 // j.denominator)  # denominator is 1 or 2
-
-
 def _result(poly: HLPoly, engine: str) -> JonesResult:
     j, c = poly.leading_term()
     if c not in (1, -1):
         raise ZeroPolynomial(f"leading coefficient {c} is not a unit")
-    normalized = poly * HLPoly.monomial(c, -_half_units(j))
+    normalized = poly * HLPoly.monomial(c, -_units(j))
     return JonesResult(poly=poly, degree=j, leading_sign=c,
                        normalized=normalized, engine=engine)
 
 
-def _t_pow(j: Fraction) -> HLPoly:
-    return HLPoly.monomial(1, _half_units(j))
-
-
 def _assemble(j, delta, normalized, engine) -> JonesResult:
-    return JonesResult(poly=delta * _t_pow(j) * normalized, degree=Fraction(j),
+    return JonesResult(poly=delta * t_power(j) * normalized, degree=Fraction(j),
                        leading_sign=delta, normalized=normalized, engine=engine)
+
+
+# Step factors of :func:`continuant`: (c, u, b) is c * t^(u/2) * [b]_q.
+_ONE = (1, 0, 1)
+
+
+def _q(e: int, b: int):
+    """The factor q^e [b]_q, with q^e = (-1)^e t^(-e)."""
+    return (-1 if e % 2 else 1), -2 * e, b
+
+
+def _first_step(b1: int):
+    """Step taking x_(-1) = x_0 = 1 to [b_1 + 1]_q - q = 1 + q^2 [b_1 - 1]_q."""
+    return _ONE, _q(2, b1 - 1)
 
 
 def jones_recursive(cf: EvenCF) -> JonesResult:
@@ -97,18 +105,16 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     with the conventions V(empty) = 1 (unknot) and V at index -1 equal to
     the two-unknot value -t^(-1/2) - t^(1/2).
     """
-    v_prev2, v_prev1 = _TWO_UNKNOTS, HLPoly.one()
+    steps = []
     for k, b in enumerate(cf.entries, start=1):
-        braid_sign = _sgn(b) * (-1) ** (k + 1)
         ab = abs(b)
-        if braid_sign < 0:
-            v = (HLPoly.monomial(1, -2 * ab) * v_prev2
-                 - HLPoly.monomial(1, -1) * q_integer(ab) * v_prev1)
-        else:
-            v = (HLPoly.monomial(1, 2 * ab) * v_prev2
-                 - HLPoly.monomial(1, 1) * q_integer(ab, barred=True) * v_prev1)
-        v_prev2, v_prev1 = v_prev1, v
-    return _result(v_prev1, "recursive")
+        if _sgn(b) * (-1) ** (k + 1) < 0:
+            steps.append(((1, -2 * ab, 1), (-1, -1, ab)))
+        else:  # [b]_qbar = (-1)^(b-1) t^(b-1) [b]_q
+            steps.append(((1, 2 * ab, 1), ((-1) ** ab, 2 * ab - 1, ab)))
+    poly = continuant(steps, _TWO_UNKNOTS, HLPoly.one(),
+                      abs(numerator_rec(cf.entries)))
+    return _result(poly, "recursive")
 
 
 def degree_and_sign(cf: EvenCF):
@@ -118,14 +124,13 @@ def degree_and_sign(cf: EvenCF):
     the convention sign(b_0) = 1; the leading sign is (-1)^(m - tau) where
     tau counts the (+, +) pairs in the type sequence.
     """
-    j = Fraction(0)
+    units = 0  # 2j
     prev = 1
     for i, b in enumerate(cf.entries, start=1):
-        term = Fraction((-1) ** (i + 1) * b) + Fraction(_sgn(b * prev), 2)
-        j += max(term, Fraction(-1, 2))
+        units += max(2 * (b if i % 2 else -b) + _sgn(b * prev), -1)
         prev = b
     delta = (-1) ** (cf.m - tau(type_sequence(cf)))
-    return j, delta
+    return Fraction(units, 2), delta
 
 
 def specialized_f_positive(cf: PositiveCF) -> HLPoly:
@@ -143,13 +148,11 @@ def specialized_f_positive(cf: PositiveCF) -> HLPoly:
     """
     a = cf.entries
     ell = cf.partial_sums()
-    terms = [q_integer(a[0] + 1) - q_power(1)]
+    steps = [_first_step(a[0])]
     for i in range(2, cf.n + 1):
-        if i % 2 == 0:
-            terms.append(q_integer(a[i - 1]) * q_power(-ell[i - 1]))
-        else:
-            terms.append(q_integer(a[i - 1]) * q_power(ell[i - 2] + 1))
-    result = numerator_rec(terms)
+        e = -ell[i - 1] if i % 2 == 0 else ell[i - 2] + 1
+        steps.append((_ONE, _q(e, a[i - 1])))
+    result = continuant(steps, 1, 1, numerator_rec(a))
     if cf.n % 2 == 0:
         result = q_power(ell[-1]) * result
     return result
@@ -190,26 +193,23 @@ def f_recursive(cf: EvenCF) -> HLPoly:
     if bs[0] < 0:
         raise WrongOrientation("recursion requires b_1 > 0; mirror first")
     types = [-1, *type_sequence(cf).types]  # sentinel at index 0
-    f_prev2 = HLPoly.one()
-    f_prev1 = q_integer(bs[0] + 1) - q_power(1)
+    steps = [_first_step(bs[0])]
     for k in range(2, cf.m + 1):
         t2, t1, t0 = types[k - 2], types[k - 1], types[k]
         ab, ab1 = abs(bs[k - 1]), abs(bs[k - 2])
-        nu = HLPoly.one()
+        nu = (1, 0, ab)
         if (t1, t0) == (-1, -1):
-            mu = HLPoly.monomial(1, 2 * (1 - ab))
+            mu = (1, 2 * (1 - ab), 1)
         elif (t1, t0) == (1, -1):
-            mu = (HLPoly.monomial(1, -2 * (ab + ab1)) if t2 == -1
-                  else HLPoly.monomial(-1, 2 * (1 - ab - ab1)))
+            mu = ((1, -2 * (ab + ab1), 1) if t2 == -1
+                  else (-1, 2 * (1 - ab - ab1), 1))
         elif (t1, t0) == (-1, 1):
-            nu = HLPoly.monomial(-1, -2)
-            mu = HLPoly.one()
+            nu = (-1, -2, ab)
+            mu = _ONE
         else:
-            mu = (HLPoly.monomial(-1, -2 * ab1) if t2 == -1
-                  else HLPoly.monomial(1, 2 * (1 - ab1)))
-        f = mu * f_prev2 + nu * q_integer(ab) * f_prev1
-        f_prev2, f_prev1 = f_prev1, f
-    return f_prev1
+            mu = (-1, -2 * ab1, 1) if t2 == -1 else (1, 2 * (1 - ab1), 1)
+        steps.append((mu, nu))
+    return continuant(steps, 1, 1, abs(numerator_rec(bs)))
 
 
 def jones_via_f(cf: EvenCF) -> JonesResult:

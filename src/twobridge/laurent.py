@@ -8,6 +8,9 @@ share one type; the grid parity stays queryable.
 :class:`YPoly` holds multilinear polynomials in tile variables y_1..y_d, the
 shape taken by snake-graph matching generating functions.  Subsets of tiles
 are stored as bitsets, so at most 63 tiles are supported.
+
+:func:`continuant` is the two-term recurrence that the Jones engines share,
+run on polynomials packed into integers.
 """
 
 from __future__ import annotations
@@ -15,17 +18,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import MixedGrid, TooManyTiles, ZeroPolynomial
+from .errors import MixedGrid, SlotOverflow, TooManyTiles, ZeroPolynomial
 
 
 def _units(exponent) -> int:
-    """Exponent of t as an integer number of half units."""
+    """Exponent of t, an int or a half-integer Fraction, in half units."""
+    if isinstance(exponent, int):
+        return 2 * exponent
     f = Fraction(exponent)
-    if f.denominator == 1:
-        return 2 * f.numerator
-    if f.denominator == 2:
-        return f.numerator
-    raise ValueError(f"exponent {exponent} is not a half integer")
+    if f.denominator > 2:
+        raise ValueError(f"exponent {exponent} is not a half integer")
+    return f.numerator * (2 // f.denominator)
 
 
 class HLPoly:
@@ -313,6 +316,108 @@ def q_integer(b: int, barred: bool = False) -> HLPoly:
         raise ValueError(f"need b >= 1, got {b}")
     step = 2 if barred else -2
     return HLPoly({k * step: -1 if k % 2 else 1 for k in range(b)})
+
+
+def continuant(steps, x_before, x_start, bound) -> HLPoly:
+    """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1).
+
+    ``steps`` holds one pair (mu_k, nu_k) per step.  Each factor is a triple
+    (c, u, b) standing for c * t^(u/2) * [b]_q with q = -1/t, c = +-1 and
+    b >= 0, so (c, u, 1) is the monomial c * t^(u/2) and b = 0 the zero
+    factor.  ``x_before`` and ``x_start`` are the two terms before the first
+    step; with no steps the result is ``x_start``.  ``bound`` must bound the
+    sum of the absolute values of the result's coefficients.
+
+    The recurrence runs on packed integers (Kronecker substitution; Harvey
+    2009, *Faster polynomial multiplication via multipoint Kronecker
+    substitution*).  A term whose exponents share one grid is stored as a
+    pair (n, h): the polynomial is t^(h/2) * N(t) and n = N(2^s).  Monomials
+    only move h; [b]_q = (-1)^(b-1) t^(1-b) (1 - (-t)^b) / (1 + t), so a
+    product with it is one shift, one add and one exact division by 1 + 2^s,
+    whatever b is.  Packing is a ring homomorphism, so intermediate terms may
+    overflow their slots; only the result is decoded, once, and it fits when
+    s >= bound.bit_length() + 2, since every coefficient then lies well inside
+    the balanced digit range [-2^(s-1), 2^(s-1)).  s is rounded up to whole
+    bytes, so the decode slices bytes.
+
+    A result whose decoded coefficients exceed ``bound`` raises
+    :class:`SlotOverflow`.  The decode is exact while every true coefficient
+    is below 2^(s-1), more than twice ``bound``, so that check catches an
+    understated bound up to that margin; beyond it the digits are wrong, so
+    ``bound`` must be proven, not guessed.
+    """
+    s = -(-(bound.bit_length() + 2) // 8) * 8
+    one_plus_x = (1 << s) + 1
+
+    def times(factor, term):
+        c, u, b = factor
+        n, h = term
+        if b == 2:  # (X^2 - 1) / (1 + X) = X - 1: no division needed
+            n = (n << s) - n
+            u -= 2
+        elif b != 1:
+            shifted = n << (s * b)
+            n = (shifted - n if b % 2 == 0 else shifted + n) // one_plus_x
+            u -= 2 * (b - 1)
+        return (n if c > 0 else -n), h + u
+
+    x2 = _pack(HLPoly._coerce(x_before), s)
+    x1 = _pack(HLPoly._coerce(x_start), s)
+    for mu, nu in steps:
+        (na, ha), (nb, hb) = times(mu, x2), times(nu, x1)
+        if not na:
+            x = nb, hb
+        elif not nb:
+            x = na, ha
+        elif (ha - hb) & 1:
+            raise MixedGrid("recurrence terms lie on different grids")
+        elif ha > hb:
+            x = (na << s * ((ha - hb) >> 1)) + nb, hb
+        else:
+            x = na + (nb << s * ((hb - ha) >> 1)), ha
+        x2, x1 = x1, x
+    return _unpack(x1, s, bound)
+
+
+def _pack(p: HLPoly, s: int):
+    """(n, h) with p = t^(h/2) * N(t) and n = N(2^s); see :func:`continuant`."""
+    if not p:
+        return 0, 0
+    h = min(p._terms)
+    n = 0
+    for u, c in p._terms.items():
+        if (u - h) & 1:
+            raise MixedGrid("exponents mix integers and half integers")
+        n += c << (s * ((u - h) >> 1))
+    return n, h
+
+
+def _unpack(term, s: int, bound: int) -> HLPoly:
+    """Decode a packed term into its balanced base-2^s digits.
+
+    Adding 2^(s-1) to every slot makes each digit nonnegative, so the digits
+    are byte slices; the decoded coefficients must sum in absolute value to
+    at most ``bound``.
+    """
+    n, h = term
+    width = s // 8
+    half = 1 << (s - 1)
+    slots = n.bit_length() // s + 2
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (n + bias).to_bytes(slots * width, "little")
+    terms = {}
+    total = 0
+    for i in range(slots):
+        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        if c:
+            terms[h + 2 * i] = c
+            total += abs(c)
+    if total > bound:
+        raise SlotOverflow(f"coefficients sum to {total} in absolute value, "
+                           f"beyond the bound {bound} the slots were sized for")
+    out = HLPoly.__new__(HLPoly)
+    out._terms = terms
+    return out
 
 
 class YPoly:

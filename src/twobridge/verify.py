@@ -14,9 +14,9 @@ from math import gcd
 from .cfrac import (EvenCF, PositiveCF, eval_cf, even_cf, euler_minding,
                     numerator_rec, positive_cf)
 from .errors import CrossCheckMismatch
-from .jones import (_t_pow, degree_and_sign, f_recursive, jones_recursive,
-                    jones_via_f, specialized_f_even)
-from .laurent import specialize_y
+from .jones import (degree_and_sign, f_recursive, jones_recursive, jones_via_f,
+                    specialized_f_even)
+from .laurent import specialize_y, t_power
 from .snake import (count_matchings, f_polynomial, isomorphic,
                     snake_from_even, snake_from_positive)
 
@@ -65,7 +65,7 @@ def check_engines(cf: EvenCF):
             engines=("recursive", "fpoly"), value=cf.entries)
     if cf.entries[0] > 0:
         j, delta = degree_and_sign(cf)
-        lead = delta * _t_pow(j)
+        lead = delta * t_power(j)
         assembled = lead * f_recursive(cf)
         if assembled != ref.poly:
             raise CrossCheckMismatch(

@@ -15,11 +15,11 @@ import pytest
 from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
                              euler_minding, numerator_rec, positive_cf)
 from twobridge.errors import HypothesisViolated
-from twobridge.jones import (_t_pow, boundary_coefficients, degree_and_sign,
+from twobridge.jones import (boundary_coefficients, degree_and_sign,
                              f_recursive, jones_direct, jones_recursive,
                              jones_via_f, mirror, specialized_f_even,
                              specialized_f_positive, volume_bounds)
-from twobridge.laurent import HLPoly, q_power, specialize_y
+from twobridge.laurent import HLPoly, q_power, specialize_y, t_power
 from twobridge.snake import (count_matchings, f_polynomial, isomorphic,
                              snake_from_even, snake_from_positive)
 from twobridge.verify import coprime_fractions, even_lists, positive_lists
@@ -128,7 +128,7 @@ def criterion_5():
         assert jones_via_f(cf).poly == res.poly, cf.entries
         if cf.entries[0] > 0:
             j, delta = degree_and_sign(cf)
-            lead = delta * _t_pow(j)
+            lead = delta * t_power(j)
             assert lead * f_recursive(cf) == res.poly, cf.entries
             g = snake_from_even(cf)
             assert lead * specialize_y(f_polynomial(g), g.d) == res.poly, \

@@ -33,6 +33,25 @@ class TestEvalCF:
         with pytest.raises(ZeroTail):
             eval_cf([])
 
+    @given(st.lists(st.integers(-3, 3), max_size=8))
+    def test_matches_fraction_steps(self, entries):
+        """Same value, or the same ZeroTail, as nesting Fraction steps."""
+        def nested(xs):
+            if not xs or xs[-1] == 0:
+                return ZeroTail
+            acc = Fraction(xs[-1])
+            for c in reversed(xs[:-1]):
+                if acc == 0:
+                    return ZeroTail
+                acc = c + 1 / acc
+            return acc
+
+        try:
+            got = eval_cf(entries)
+        except ZeroTail:
+            got = ZeroTail
+        assert got == nested(entries)
+
 
 class TestPositiveCF:
     def test_euclidean_expansion(self):

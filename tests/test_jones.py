@@ -4,7 +4,7 @@ import pytest
 
 from twobridge.cfrac import EvenCF, PositiveCF, eval_cf, positive_cf, tau, type_sequence
 from twobridge.errors import HypothesisViolated, WrongOrientation
-from twobridge.jones import (_t_pow, boundary_coefficients, degree_and_sign,
+from twobridge.jones import (boundary_coefficients, degree_and_sign,
                              f_recursive, jones_direct, jones_recursive,
                              jones_via_f, mirror, oriented_even_cf,
                              skein_constants, specialized_f_even,
@@ -56,7 +56,7 @@ class TestRecursiveEngine:
     def test_normalization_invariant(self):
         for entries in [(2,), (-2, 2), (2, 2, -2, 4), (4, -2), (-6, 4, -2)]:
             res = jones_recursive(EvenCF(entries))
-            rebuilt = res.leading_sign * _t_pow(res.degree) * res.normalized
+            rebuilt = res.leading_sign * t_power(res.degree) * res.normalized
             assert rebuilt == res.poly
             assert res.normalized.coeff(0) == 1
             assert res.normalized.degree() == 0
