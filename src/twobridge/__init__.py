@@ -8,8 +8,8 @@ of the associated snake graph), together with the continued-fraction and
 snake-graph machinery they rest on.
 """
 
-from .cfrac import (EvenCF, PositiveCF, Rat, SignSeq, TypeSeq, eval_cf,
-                    even_cf, even_cf_for_link, even_division, euler_minding,
+from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf,
+                    even_cf_for_link, even_division, euler_minding,
                     numerator_rec, positive_cf, sign_sequence, tau,
                     type_sequence)
 from .errors import (AmbiguousCF, BothOdd, BudgetExceeded, CrossCheckMismatch,

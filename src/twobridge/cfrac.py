@@ -99,42 +99,6 @@ class EvenCF:
         return EvenCF(tuple(-b for b in self.entries))
 
 
-@dataclass(frozen=True)
-class SignSeq:
-    """Crossing signs: |b_i| copies of (-1)^(i+1) sgn(b_i), concatenated.
-
-    ``block_lengths`` records where the blocks of the source even continued
-    fraction start, since adjacent blocks may carry the same sign.
-    """
-
-    signs: tuple
-    block_lengths: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(self.signs))
-        object.__setattr__(self, "block_lengths", tuple(self.block_lengths))
-        if sum(self.block_lengths) != len(self.signs):
-            raise ValueError("block lengths do not add up to the sign count")
-
-    def __len__(self):
-        return len(self.signs)
-
-
-@dataclass(frozen=True)
-class TypeSeq:
-    """Braid signs ((-1)^(i+1) sgn(b_i)) for i = 1..m."""
-
-    types: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "types", tuple(self.types))
-        if any(t not in (1, -1) for t in self.types):
-            raise ValueError("type entries must be +1 or -1")
-
-    def __len__(self):
-        return len(self.types)
-
-
 def eval_cf(entries) -> Rat:
     """Evaluate [c_1, ..., c_k] exactly, right to left, on integers.
 
@@ -277,23 +241,18 @@ def euler_minding(entries):
     return total
 
 
-def sign_sequence(cf: EvenCF) -> SignSeq:
+def sign_sequence(cf: EvenCF) -> tuple:
     """|b_1| copies of sgn(b_1), then |b_2| copies of -sgn(b_2), and so on."""
-    signs = []
-    lengths = []
-    for i, b in enumerate(cf.entries, start=1):
-        s = _sgn(b) * (-1) ** (i + 1)
-        signs.extend([s] * abs(b))
-        lengths.append(abs(b))
-    return SignSeq(tuple(signs), tuple(lengths))
+    return tuple(t for t, b in zip(type_sequence(cf), cf.entries)
+                 for _ in range(abs(b)))
 
 
-def type_sequence(cf: EvenCF) -> TypeSeq:
+def type_sequence(cf: EvenCF) -> tuple:
     """(sgn(b_1), -sgn(b_2), ..., (-1)^(m+1) sgn(b_m))."""
-    return TypeSeq(tuple(_sgn(b) * (-1) ** (i + 1)
-                         for i, b in enumerate(cf.entries, start=1)))
+    return tuple(_sgn(b) * (-1) ** (i + 1)
+                 for i, b in enumerate(cf.entries, start=1))
 
 
-def tau(ts: TypeSeq) -> int:
+def tau(types) -> int:
     """Number of (+, +) pairs of consecutive entries, counted overlapping."""
-    return sum(1 for a, b in zip(ts.types, ts.types[1:]) if a == 1 and b == 1)
+    return sum(1 for a, b in zip(types, types[1:]) if a == 1 and b == 1)

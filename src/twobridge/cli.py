@@ -46,7 +46,6 @@ class Request:
     command: str
     input: str
     engine: str = "all"
-    format: str = "text"
     hint: str = None
     max_sum: int = 10
     full: bool = False
@@ -186,8 +185,8 @@ def run(req: Request) -> dict:
         report["even_cf"] = list(ev.entries)
         report["even_cf_value"] = _rat_payload(ev.value())
         report["substituted"] = substituted
-        report["sign_sequence"] = list(sign_sequence(ev).signs)
-        report["type_sequence"] = list(type_sequence(ev).types)
+        report["sign_sequence"] = list(sign_sequence(ev))
+        report["type_sequence"] = list(type_sequence(ev))
         report["classification"] = ("knot" if r.numerator % 2 else
                                     "2-component link")
         return report
@@ -351,7 +350,7 @@ def main(argv=None) -> int:
         if hint is None and args.command != "verify":
             hint = "positive" if _is_ambiguous(args.input) else None
         req = Request(command=args.command, input=args.input,
-                      engine=args.engine, format=args.format, hint=hint,
+                      engine=args.engine, hint=hint,
                       max_sum=args.max_sum, full=args.full)
         report = run(req)
         print(emit(report, args.format))

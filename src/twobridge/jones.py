@@ -192,7 +192,7 @@ def f_recursive(cf: EvenCF) -> HLPoly:
     bs = cf.entries
     if bs[0] < 0:
         raise WrongOrientation("recursion requires b_1 > 0; mirror first")
-    types = [-1, *type_sequence(cf).types]  # sentinel at index 0
+    types = [-1, *type_sequence(cf)]  # sentinel at index 0
     steps = [_first_step(bs[0])]
     for k in range(2, cf.m + 1):
         t2, t1, t0 = types[k - 2], types[k - 1], types[k]

@@ -200,10 +200,7 @@ class HLPoly:
         mixing the two grids raise :class:`MixedGrid`.  Zero coefficients are
         allowed anywhere, and the zero polynomial counts as alternating.
         """
-        parities = {u & 1 for u in self._terms}
-        if len(parities) > 1:
-            raise MixedGrid("exponents mix integers and half integers")
-        offset = parities.pop() if parities else 0
+        offset = 0 if self.grid_is_integer() else 1
         pattern = set()
         for u, c in self._terms.items():
             k = (u - offset) // 2

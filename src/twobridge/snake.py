@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .cfrac import EvenCF, PositiveCF, _sgn, type_sequence
-from .errors import BudgetExceeded, TooManyTiles
+from .errors import BudgetExceeded, CrossCheckMismatch, TooManyTiles
 from .laurent import YPoly
 
 RIGHT = "R"
@@ -124,14 +124,16 @@ def snake_from_positive(cf: PositiveCF) -> SnakeGraph:
     for length in runs:
         signs.extend([sign] * length)
         sign = -sign
-    assert len(signs) == d - 1
+    if len(signs) != d - 1:
+        raise CrossCheckMismatch(f"{len(signs)} interior signs for {d} tiles",
+                                 engines=("sign word", "tile count"), value=a)
     return _graph_from_signs(signs, first_sign=1, d=d)
 
 
 def snake_from_even(cf: EvenCF) -> SnakeGraph:
     """Snake graph of an even continued fraction via block gluing."""
     bs = cf.entries
-    ts = type_sequence(cf).types
+    ts = type_sequence(cf)
     signs = []
     for i, b in enumerate(bs):
         signs.extend([ts[i]] * (abs(b) - 2))
@@ -141,7 +143,9 @@ def snake_from_even(cf: EvenCF) -> SnakeGraph:
             else:
                 signs.append(-ts[i])
     d = len(signs) + 1
-    assert d == tile_count_even(cf)
+    if d != tile_count_even(cf):
+        raise CrossCheckMismatch(f"gluing gives {d} tiles for {list(bs)}",
+                                 engines=("gluing", "tile_count_even"), value=bs)
     return _graph_from_signs(signs, first_sign=_sgn(bs[0]), d=d)
 
 
@@ -281,13 +285,12 @@ def _matching_masks(g: SnakeGraph, budget):
     A flip applies at a tile whose two horizontal or two vertical edges are
     both matched; it swaps them for the opposite pair and toggles the tile in
     the height set.  Breadth-first search from the minimal matching reaches
-    every matching; the transfer count certifies completeness.
+    every matching; the transfer count certifies completeness.  Needs
+    d >= 1; both callers answer d = 0 themselves.
     """
     total = count_matchings(g)
     if total > budget:
         raise BudgetExceeded(f"{total} matchings exceed budget {budget}")
-    if g.d == 0:
-        return [(1, 0)], [frozenset(((0, 0), (0, 1)))]
     edges, pairs = _edge_index(g)
     start = _minimal_matching_mask(g, edges, pairs)
     heights = {start: 0}
@@ -299,12 +302,17 @@ def _matching_masks(g: SnakeGraph, budget):
             if m & ns == ns or m & ew == ew:
                 m2 = m ^ ns ^ ew
                 h2 = h ^ (1 << tile)
-                if m2 in heights:
-                    assert heights[m2] == h2, "height function is path dependent"
-                else:
+                if m2 not in heights:
                     heights[m2] = h2
                     queue.append(m2)
-    assert len(heights) == total, "flip search missed matchings"
+                elif heights[m2] != h2:
+                    raise CrossCheckMismatch(
+                        "height function is path dependent",
+                        engines=("flip search",), value=g.steps)
+    if len(heights) != total:
+        raise CrossCheckMismatch(
+            f"flip search missed matchings: {len(heights)} of {total}",
+            engines=("flip search", "count_matchings"), value=g.steps)
     return sorted(heights.items()), edges
 
 

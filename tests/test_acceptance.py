@@ -1,8 +1,11 @@
 """Acceptance suite: ten numbered criteria, all exact-arithmetic.
 
-Each criterion is a function that raises AssertionError on failure; pytest
-wrappers run them individually, and ``python tests/test_acceptance.py`` runs
-the lot, printing one PASS/FAIL line per criterion.
+Each criterion is a function that raises AssertionError, or a
+TwoBridgeError such as the CrossCheckMismatch of a verify sweep, on failure;
+pytest wrappers run them individually, and ``python tests/test_acceptance.py``
+runs the lot, printing one PASS/FAIL line per criterion.  Criteria 4, 5 and 9
+are the verify sweeps themselves, with their input counts pinned so that none
+can pass vacuously.
 """
 
 import sys
@@ -12,17 +15,18 @@ from functools import lru_cache
 
 import pytest
 
-from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
-                             euler_minding, numerator_rec, positive_cf)
-from twobridge.errors import HypothesisViolated
+from twobridge.cfrac import EvenCF, PositiveCF, eval_cf, even_cf, positive_cf
+from twobridge.errors import (CrossCheckMismatch, HypothesisViolated,
+                              TwoBridgeError)
 from twobridge.jones import (boundary_coefficients, degree_and_sign,
-                             f_recursive, jones_direct, jones_recursive,
-                             jones_via_f, mirror, specialized_f_even,
+                             jones_direct, jones_recursive, jones_via_f,
+                             mirror, specialized_f_even,
                              specialized_f_positive, volume_bounds)
-from twobridge.laurent import HLPoly, q_power, specialize_y, t_power
-from twobridge.snake import (count_matchings, f_polynomial, isomorphic,
-                             snake_from_even, snake_from_positive)
-from twobridge.verify import coprime_fractions, even_lists, positive_lists
+from twobridge.laurent import HLPoly, q_power
+from twobridge.snake import (count_matchings, isomorphic, snake_from_even,
+                             snake_from_positive)
+from twobridge.verify import (cfrac_sweep, engine_sweep, even_graph_sweep,
+                              even_lists, matching_sweep, positive_lists)
 
 P = HLPoly.parse
 
@@ -34,7 +38,7 @@ CFRAC_SWEEP_MAX = 500     # p bound for continued-fraction laws
 
 @lru_cache(maxsize=None)
 def engine_sweep_records():
-    """One pass over the even-cf sweep, shared by criteria 5, 6 and 8."""
+    """One pass over the even-cf sweep, shared by criteria 6 and 8."""
     records = []
     for entries in even_lists(ENGINE_SWEEP_MAX, max_abs=6):
         cf = EvenCF(entries)
@@ -109,30 +113,13 @@ def criterion_3():
 
 def criterion_4():
     """Matching counts equal continued-fraction numerators."""
-    for entries in positive_lists(MATCHING_SWEEP_MAX, max_entry=9):
-        m = count_matchings(snake_from_positive(PositiveCF(entries)))
-        assert m == numerator_rec(entries) == euler_minding(entries), entries
-    for r in coprime_fractions(FRACTION_SWEEP_MAX):
-        if (r.numerator * r.denominator) % 2:
-            continue
-        pos = snake_from_positive(positive_cf(r))
-        ev = snake_from_even(even_cf(r))
-        assert ev.d == pos.d, r
-        assert isomorphic(pos, ev), r
-        assert count_matchings(ev) == r.numerator, r
+    assert matching_sweep(MATCHING_SWEEP_MAX) == 16303
+    assert even_graph_sweep(FRACTION_SWEEP_MAX) == 18281
 
 
 def criterion_5():
     """Engine equivalence on the full even-cf sweep."""
-    for cf, res in engine_sweep_records():
-        assert jones_via_f(cf).poly == res.poly, cf.entries
-        if cf.entries[0] > 0:
-            j, delta = degree_and_sign(cf)
-            lead = delta * t_power(j)
-            assert lead * f_recursive(cf) == res.poly, cf.entries
-            g = snake_from_even(cf)
-            assert lead * specialize_y(f_polynomial(g), g.d) == res.poly, \
-                cf.entries
+    assert engine_sweep(ENGINE_SWEEP_MAX) == 5754
 
 
 def criterion_6():
@@ -205,26 +192,7 @@ def criterion_9():
     """Continued-fraction layer laws over all reduced p/q up to the bound."""
     assert even_cf(Fraction(27, 10)).entries == (2, 2, -2, 4)
     assert even_cf(Fraction(5, 4)).entries == (2, -2, 2, -2)
-    for r in coprime_fractions(CFRAC_SWEEP_MAX):
-        pos = positive_cf(r)
-        assert eval_cf(pos.entries) == r, r
-        if pos.n >= 2:
-            assert eval_cf(pos.long_form().entries) == r, r
-        if (r.numerator * r.denominator) % 2:
-            continue
-        ev = even_cf(r)
-        assert eval_cf(ev.entries) == r, r
-        assert even_cf(eval_cf(ev.entries)) == ev, r
-        assert (r.numerator % 2 == 1) == (ev.m % 2 == 0), r
-        if ev.m >= 2 and pos.n >= 2:
-            a1 = pos.entries[0]
-            tail = eval_cf(pos.entries[1:])
-            if a1 % 2 == 0:
-                partner = tail
-            else:
-                q, rr = tail.numerator, tail.denominator
-                partner = Fraction(-q, q - rr)
-            assert EvenCF(ev.entries[1:]) == even_cf(partner), r
+    assert cfrac_sweep(CFRAC_SWEEP_MAX) == 76115
 
 
 def criterion_10():
@@ -259,13 +227,31 @@ def test_criterion(func, label):
     func()
 
 
+def test_main_reports_raising_criteria(monkeypatch, capsys):
+    """A failed assertion and a raised mismatch both count as failures."""
+    def failing():
+        raise AssertionError("forced failure")
+
+    def mismatch():
+        raise CrossCheckMismatch("forced mismatch")
+
+    monkeypatch.setattr(sys.modules[__name__], "CRITERIA",
+                        [(failing, "asserts"), (mismatch, "raises"),
+                         (criterion_10, "passes")])
+    assert main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "criterion  1: FAIL - asserts: forced failure"
+    assert out[1] == "criterion  2: FAIL - raises: forced mismatch"
+    assert out[2].startswith("criterion  3: PASS - passes")
+
+
 def main() -> int:
     failures = 0
     for i, (func, label) in enumerate(CRITERIA, start=1):
         start = time.perf_counter()
         try:
             func()
-        except AssertionError as exc:
+        except (AssertionError, TwoBridgeError) as exc:
             failures += 1
             print(f"criterion {i:2d}: FAIL - {label}: {exc}")
         else:

@@ -4,10 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge.cfrac import (EvenCF, PositiveCF, SignSeq, TypeSeq, eval_cf,
-                             even_cf, even_cf_for_link, even_division,
-                             euler_minding, numerator_rec, positive_cf,
-                             sign_sequence, tau, type_sequence)
+from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
+                             even_cf_for_link, even_division, euler_minding,
+                             numerator_rec, positive_cf, sign_sequence, tau,
+                             type_sequence)
 from twobridge.errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
 from twobridge.laurent import HLPoly
 
@@ -208,22 +208,21 @@ class TestEulerMinding:
 
 class TestSignAndType:
     def test_sign_sequence(self):
-        assert sign_sequence(EvenCF((2, 4, 2))).signs == (
+        assert sign_sequence(EvenCF((2, 4, 2))) == (
             1, 1, -1, -1, -1, -1, 1, 1)
-        seq = sign_sequence(EvenCF((2, 2, -2, 4)))
-        assert seq.signs == (1, 1, -1, -1, -1, -1, -1, -1, -1, -1)
-        assert seq.block_lengths == (2, 2, 2, 4)
-        assert sign_sequence(EvenCF((2,))).signs == (1, 1)
+        assert sign_sequence(EvenCF((2, 2, -2, 4))) == (
+            1, 1, -1, -1, -1, -1, -1, -1, -1, -1)
+        assert sign_sequence(EvenCF((2,))) == (1, 1)
 
     def test_type_sequence(self):
-        assert type_sequence(EvenCF((2, 4, 2))).types == (1, -1, 1)
-        assert type_sequence(EvenCF((2, 2, -2, 4))).types == (1, -1, -1, -1)
-        assert type_sequence(EvenCF((-2, 2))).types == (-1, -1)
+        assert type_sequence(EvenCF((2, 4, 2))) == (1, -1, 1)
+        assert type_sequence(EvenCF((2, 2, -2, 4))) == (1, -1, -1, -1)
+        assert type_sequence(EvenCF((-2, 2))) == (-1, -1)
 
     def test_tau(self):
-        assert tau(TypeSeq((1, -1, -1, -1))) == 0
+        assert tau((1, -1, -1, -1)) == 0
         assert tau(type_sequence(EvenCF((2, -2)))) == 1
-        assert tau(TypeSeq((1, 1, 1))) == 2
+        assert tau((1, 1, 1)) == 2
 
 
 @st.composite

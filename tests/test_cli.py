@@ -6,7 +6,8 @@ import pytest
 from twobridge.cfrac import EvenCF, PositiveCF
 from twobridge.cli import (Request, build_parser, emit, main, parse_input,
                            poly_from_payload, run)
-from twobridge.errors import (AmbiguousCF, CrossCheckMismatch, ParseError)
+from twobridge.errors import (AmbiguousCF, CrossCheckMismatch, ParseError,
+                              TooManyTiles)
 from twobridge.laurent import HLPoly
 
 
@@ -195,6 +196,14 @@ class TestMainExitCodes:
             assert cli_main(["jones", "[2]"]) == 3
         finally:
             cli_mod.run = original
+
+    def test_full_fpoly_tile_cap(self, capsys):
+        # [a] is a zigzag of a - 1 tiles with only a matchings, so the
+        # matching budget would let the quadratic flip search run for hours
+        with pytest.raises(TooManyTiles):
+            run(Request("fpoly", "[100000]", hint="positive", full=True))
+        assert main(["fpoly", "[100000]", "--full"]) == 2
+        assert "99999 tiles exceed 63" in capsys.readouterr().err
 
     def test_latex_unavailable(self, capsys):
         assert main(["convert", "27/10", "--format", "latex"]) == 1

@@ -1,11 +1,15 @@
 """Golden CLI outputs: exit code and standard output of fixed commands.
 
 The expected outputs in ``golden_cli.json`` were recorded before the engines
-moved onto the shared continuant kernel; every refactoring must leave them
-byte-identical.  The cases cover ``jones`` in every format with every engine
+moved onto the shared continuant kernel, and the ``snake``, ``volume``,
+``verify`` and negative-input cases before the sign and type sequences became
+plain tuples; every refactoring must leave them byte-identical.  The cases cover ``jones`` in every format with every engine
 on fractions (knots, links, both-odd values), positive and even continued
 fractions (including negative even ones, which take the mirror paths), long
-and wide inputs, plus ``fpoly``, ``convert`` and a few failing commands.
+and wide inputs, plus ``fpoly``, ``convert``, ``snake``, ``volume``, a small
+``verify`` sweep and a few failing commands.  Negative inputs go through
+every command: ``snake``, ``fpoly`` and ``volume`` expand the signed value,
+while ``jones`` and ``convert`` expand its absolute value.
 
 Regenerate the file (only for an intended output change) with
 
@@ -49,11 +53,22 @@ FORMATS = ("text", "json", "latex")
 FPOLY_INPUTS = (
     ["27/10"], ["7/3"], ["10/3"], ["[2,1,2,3]"], ["[2,2,-2,4]"], ["[-2,2]"],
     ["[-4,2,-2]"], ["[2,4]", "--even"], ["[97,58]"], ["[-40,6,-2,30]"],
+    ["-27/10"],
 )
 FULL_INPUTS = (["[3]"], ["[2,-2]"], ["27/10"], ["[2,4]", "--even"])
 CONVERT_INPUTS = (
     ["27/10"], ["7/3"], ["3/1"], ["10/3"], ["[2,1,2,3]"], ["[3,1,1]"],
     ["[2,2,-2,4]"], ["[-2,2]"], ["[2,4]", "--even"], ["[-40,6,-2,30]"],
+    ["-27/10"],
+)
+SNAKE_INPUTS = (
+    ["27/10"], ["7/3"], ["10/3"], ["1"], ["[2]"], ["[2,1,2,3]"], ["[3,1,1]"],
+    ["[2,2,-2,4]"], ["[-4,2,-2]"], ["[2,4]", "--even"], ["[97,58]"],
+    ["-27/10"], ["[-2,2]"], ["[-40,6,-2,30]"],
+)
+VOLUME_INPUTS = (
+    ["10/3"], ["[3,3,3]"], ["[3,4,5,3]"], ["[9,8,7,6,5]"], ["27/10"],
+    ["-27/10"], ["[-2,2]"], ["[-40,6,-2,30]"],
 )
 FAILING = (
     ["jones", "1/2"],
@@ -65,6 +80,14 @@ FAILING = (
 )
 
 
+def _argv(command, inp, fmt):
+    """CLI argv; a leading minus sign would read as an option, so such an
+    input goes after ``--`` with the options first."""
+    if inp[0].startswith("-"):
+        return ["--format", fmt, command, "--", *inp]
+    return [command, *inp, "--format", fmt]
+
+
 def cases():
     out = []
     for inp in JONES_INPUTS:
@@ -73,13 +96,19 @@ def cases():
                 out.append(["jones", *inp, "--engine", engine, "--format", fmt])
     for inp in FPOLY_INPUTS:
         for fmt in FORMATS:
-            out.append(["fpoly", *inp, "--format", fmt])
+            out.append(_argv("fpoly", inp, fmt))
     for inp in FULL_INPUTS:
         for fmt in ("text", "json"):
             out.append(["fpoly", *inp, "--full", "--format", fmt])
     for inp in CONVERT_INPUTS:
         for fmt in ("text", "json"):
-            out.append(["convert", *inp, "--format", fmt])
+            out.append(_argv("convert", inp, fmt))
+    for command, inputs in (("snake", SNAKE_INPUTS), ("volume", VOLUME_INPUTS)):
+        for inp in inputs:
+            for fmt in ("text", "json"):
+                out.append(_argv(command, inp, fmt))
+    for fmt in ("text", "json"):
+        out.append(["verify", "--max-sum", "4", "--format", fmt])
     out.extend(FAILING)
     return out
 

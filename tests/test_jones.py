@@ -92,7 +92,7 @@ class TestRecursionBookkeeping:
 
     def test_degree_steps(self):
         for entries in even_lists(10, max_abs=4):
-            ts = [-1, *type_sequence(EvenCF(entries)).types]
+            ts = [-1, *type_sequence(EvenCF(entries))]
             (j0, d0), (j1, d1), (j2, d2) = (_prefix_data(entries, i)
                                             for i in range(3))
             bm = abs(entries[-1])
@@ -133,7 +133,7 @@ class TestRecursionBookkeeping:
 
     def test_sign_steps(self):
         for entries in even_lists(10, max_abs=4):
-            ts = [-1, *type_sequence(EvenCF(entries)).types]
+            ts = [-1, *type_sequence(EvenCF(entries))]
             (_, d0), (_, d1), (_, d2) = (_prefix_data(entries, i)
                                          for i in range(3))
             if ts[-1] == -1:

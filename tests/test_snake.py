@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -13,6 +17,8 @@ from twobridge.snake import (RIGHT, UP, SnakeGraph, count_matchings,
                              enumerate_matchings, f_polynomial, isomorphic,
                              render_ascii, snake_from_even,
                              snake_from_positive, tile_count_even)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def zigzag(g):
@@ -192,6 +198,29 @@ class TestEnumeration:
             signs.append(signs[-1] if a != b else -signs[-1])
         g = SnakeGraph(len(steps) + 1, steps, tuple(signs), 1)
         assert len(enumerate_matchings(g)) == count_matchings(g)
+
+
+def test_missed_matchings_raise_under_optimize():
+    """The flip-search checks are if/raise, so they survive ``python -O``."""
+    script = (
+        "import twobridge.snake as snake\n"
+        "from twobridge.cfrac import PositiveCF\n"
+        "from twobridge.errors import CrossCheckMismatch\n"
+        "count = snake.count_matchings\n"
+        "snake.count_matchings = lambda g: count(g) + 1\n"
+        "g = snake.snake_from_positive(PositiveCF((2, 1, 2, 3)))\n"
+        "for search in (snake.enumerate_matchings, snake.f_polynomial):\n"
+        "    try:\n"
+        "        search(g)\n"
+        "    except CrossCheckMismatch as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "flip search missed matchings: 27 of 28"] * 2
 
 
 class TestFPolynomial:
