@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import verify as verify_mod
 from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
                     sign_sequence, type_sequence)
-from .errors import (AmbiguousCF, CrossCheckMismatch, ParseError,
+from .errors import (AmbiguousCF, CrossCheckMismatch, OutOfRange, ParseError,
                      TwoBridgeError)
 from .jones import (JonesResult, boundary_coefficients, jones_direct,
                     jones_recursive, jones_via_f, mirror, oriented_even_cf,
@@ -161,6 +163,8 @@ def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
 def run(req: Request) -> dict:
     """Execute a request; returns a report dict ready for :func:`emit`."""
     if req.command == "verify":
+        if req.max_sum < 1:
+            raise OutOfRange(f"--max-sum must be at least 1, got {req.max_sum}")
         counts = verify_mod.run_verify(max_sum=req.max_sum,
                                        max_p=max(4 * req.max_sum, 20))
         return {"command": "verify", "max_sum": req.max_sum,
@@ -232,7 +236,8 @@ def run(req: Request) -> dict:
         pos = obj if isinstance(obj, PositiveCF) else canonical
         results = {name: _jones_engine(name, r, pos, ev) for name in engines}
         polys = {name: res.poly for name, res in results.items()}
-        if len(set(polys.values())) > 1:
+        first, *others = polys.values()
+        if any(p != first for p in others):
             raise CrossCheckMismatch(
                 f"engines disagree on {req.input}: "
                 + "; ".join(f"{n}: {p}" for n, p in polys.items()),
@@ -263,10 +268,48 @@ def run(req: Request) -> dict:
     raise UsageError(f"unknown command {req.command!r}")
 
 
+def _json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` without its pure-Python encoder.
+
+    With ``indent`` set, the standard library encodes in Python; here strings
+    go through its C string encoder and ints through ``int.__repr__``, and
+    every other scalar through ``json.dumps`` itself.  Dict keys must be
+    strings, as in every report; others raise ``TypeError``.  ``indent`` is
+    the prefix of the lines that hold ``obj``.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        # ints and strings inline: most items are coefficient pairs
+        return ("[\n" + inner
+                + (",\n" + inner).join([
+                    int.__repr__(x) if type(x) is int
+                    else _encode_str(x) if type(x) is str
+                    else _json(x, inner) for x in obj])
+                + "\n" + indent + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return ("{\n" + inner
+                + (",\n" + inner).join([_encode_str(k) + ": " + _json(v, inner)
+                                        for k, v in obj.items()])
+                + "\n" + indent + "}")
+    return json.dumps(obj)
+
+
 def emit(report: dict, fmt: str) -> str:
-    """Render a report as text, json, or latex (deterministic per input)."""
+    """Render a report as text, json, or latex (deterministic per input).
+
+    JSON output is byte-identical to ``json.dumps(report, indent=2)``.
+    """
     if fmt == "json":
-        return json.dumps(report, indent=2)
+        return _json(report)
     if fmt == "latex":
         if "latex" not in report:
             raise UsageError(f"no latex form for {report['command']!r} output")
@@ -309,15 +352,24 @@ def emit(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+_NEGATIVE_INPUT = re.compile(r"^-\d+(/-?\d+|(,-?\d+)*)$")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a fixed usage line also spares parse_intermixed_args from formatting
+    # one on every call
     parser = _Parser(prog="twobridge",
+                     usage=f"%(prog)s {{{','.join(COMMANDS)}}} [input] "
+                           "[options]",
                      description="Exact Jones polynomials of 2-bridge links "
                                  "from continued fractions.")
+    # read negative inputs such as -27/10 and -2,2 as positionals, not options
+    parser._negative_number_matcher = _NEGATIVE_INPUT
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("input", nargs="?", default="",
                         help="fraction p/q, bracketed list [c1,c2,...], or "
@@ -342,7 +394,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     where = ""
     try:
-        args = parser.parse_args(argv)
+        # options may come after the input, and the input after ``--``
+        args = parser.parse_intermixed_args(argv)
         where = f" [{args.command}]"
         if args.command != "verify" and not args.input:
             raise UsageError(f"command {args.command!r} needs an input")
@@ -374,3 +427,7 @@ def _is_ambiguous(s: str) -> bool:
     except TwoBridgeError:
         pass
     return False
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ run on polynomials packed into integers.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 
 from .errors import MixedGrid, SlotOverflow, TooManyTiles, ZeroPolynomial
@@ -109,15 +110,24 @@ class HLPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
-        for u1, c1 in self._terms.items():
-            for u2, c2 in other._terms.items():
-                u = u1 + u2
-                c = terms.get(u, 0) + c1 * c2
-                if c:
-                    terms[u] = c
-                elif u in terms:
-                    del terms[u]
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a shift by one monomial: exponents stay distinct, and no
+            # coefficient can vanish
+            (u0, c0), = b.items()
+            terms = {u + u0: c * c0 for u, c in a.items()}
+        else:
+            terms = {}
+            for u1, c1 in a.items():
+                for u2, c2 in b.items():
+                    u = u1 + u2
+                    c = terms.get(u, 0) + c1 * c2
+                    if c:
+                        terms[u] = c
+                    elif u in terms:
+                        del terms[u]
         out = HLPoly.__new__(HLPoly)
         out._terms = terms
         return out
@@ -334,8 +344,9 @@ def continuant(steps, x_before, x_start, bound) -> HLPoly:
     whatever b is.  Packing is a ring homomorphism, so intermediate terms may
     overflow their slots; only the result is decoded, once, and it fits when
     s >= bound.bit_length() + 2, since every coefficient then lies well inside
-    the balanced digit range [-2^(s-1), 2^(s-1)).  s is rounded up to whole
-    bytes, so the decode slices bytes.
+    the balanced digit range [-2^(s-1), 2^(s-1)).  Up to 64 bits s is rounded
+    up to 8, 16, 32 or 64, so one ``struct.unpack`` call reads every digit;
+    wider slots are rounded up to whole bytes and decoded slice by slice.
 
     A result whose decoded coefficients exceed ``bound`` raises
     :class:`SlotOverflow`.  The decode is exact while every true coefficient
@@ -343,7 +354,7 @@ def continuant(steps, x_before, x_start, bound) -> HLPoly:
     understated bound up to that margin; beyond it the digits are wrong, so
     ``bound`` must be proven, not guessed.
     """
-    s = -(-(bound.bit_length() + 2) // 8) * 8
+    s = _slot_width(bound)
     one_plus_x = (1 << s) + 1
 
     def times(factor, term):
@@ -389,26 +400,41 @@ def _pack(p: HLPoly, s: int):
     return n, h
 
 
+def _slot_width(bound: int) -> int:
+    """Bits per packed coefficient for results bounded by ``bound``.
+
+    At least bound.bit_length() + 2 (see :func:`continuant`), rounded up to a
+    struct field of 8, 16, 32 or 64 bits, or beyond 64 bits to whole bytes.
+    """
+    bits = bound.bit_length() + 2
+    if bits <= 64:
+        return max(8, 1 << (bits - 1).bit_length())
+    return -(-bits // 8) * 8
+
+
+_FIELD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
 def _unpack(term, s: int, bound: int) -> HLPoly:
     """Decode a packed term into its balanced base-2^s digits.
 
-    Adding 2^(s-1) to every slot makes each digit nonnegative, so the digits
-    are byte slices; the decoded coefficients must sum in absolute value to
-    at most ``bound``.
+    Adding 2^(s-1) to every slot makes each slot hold its digit plus 2^(s-1)
+    without borrows; flipping the top bit of every slot back turns that into
+    the digit in two's complement, so each slot reads as a signed field.  The
+    decoded coefficients must sum in absolute value to at most ``bound``.
     """
     n, h = term
     width = s // 8
-    half = 1 << (s - 1)
     slots = n.bit_length() // s + 2
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    raw = (n + bias).to_bytes(slots * width, "little")
-    terms = {}
-    total = 0
-    for i in range(slots):
-        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
-        if c:
-            terms[h + 2 * i] = c
-            total += abs(c)
+    top_bits = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = ((n + top_bits) ^ top_bits).to_bytes(slots * width, "little")
+    if s <= 64:
+        digits = struct.unpack(f"<{slots}{_FIELD_CODES[s]}", raw)
+    else:
+        digits = [int.from_bytes(raw[i:i + width], "little", signed=True)
+                  for i in range(0, len(raw), width)]
+    terms = {u: c for u, c in zip(range(h, h + 2 * slots, 2), digits) if c}
+    total = sum(map(abs, terms.values()))
     if total > bound:
         raise SlotOverflow(f"coefficients sum to {total} in absolute value, "
                            f"beyond the bound {bound} the slots were sized for")

@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twobridge.cfrac import EvenCF, PositiveCF
-from twobridge.cli import (Request, build_parser, emit, main, parse_input,
-                           poly_from_payload, run)
-from twobridge.errors import (AmbiguousCF, CrossCheckMismatch, ParseError,
-                              TooManyTiles)
+from twobridge.cli import (Request, _json, build_parser, emit, main,
+                           parse_input, poly_from_payload, run)
+from twobridge.errors import (AmbiguousCF, CrossCheckMismatch, OutOfRange,
+                              ParseError, TooManyTiles)
 from twobridge.laurent import HLPoly
 
 
@@ -156,6 +161,49 @@ class TestJsonFormat:
         assert a == b
 
 
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-10 ** 400, 10 ** 400)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([-0.0, 0.0, 1e300, 5e-324])
+                | st.text()
+                | st.sampled_from(["", "\"quoted\"", "back\\slash",
+                                   "\x00\x1f\x7f\n\t", "\u00e9\u2603\U0001f600"]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonEmitter:
+    """``emit(report, "json")`` must be ``json.dumps(report, indent=2)``."""
+
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers(self):
+        for value in ({}, [], (), {"a": {}, "b": [[]]}, [{}, ()]):
+            assert _json(value) == json.dumps(value, indent=2)
+
+    def test_unencodable_values_raise(self):
+        for value in ({"a": {1, 2}}, [object()], {(1, 2): 3}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                _json(value)
+        with pytest.raises(TypeError):  # reports have string keys only
+            _json({1: 2})
+
+    def test_reports(self):
+        for req in (Request("jones", "[97,58]", hint="positive"),
+                    Request("volume", "[3,4,5]", hint="positive"),
+                    Request("convert", "7/3"), Request("verify", "", max_sum=3)):
+            report = run(req)
+            assert emit(report, "json") == json.dumps(report, indent=2)
+
+
 class TestMainExitCodes:
     def test_success(self, capsys):
         assert main(["jones", "[-2,2]"]) == 0
@@ -216,3 +264,70 @@ class TestParser:
         from twobridge.cli import UsageError
         with pytest.raises(UsageError):
             parser.parse_args(["frobnicate", "1/2"])
+
+
+def _main_output(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestNegativeInputs:
+    """A leading minus sign reads as an input, not an option, wherever the
+    input stands; every spelling answers like ``--format F CMD -- INPUT``."""
+
+    @pytest.mark.parametrize("command", ["snake", "fpoly", "convert", "volume",
+                                         "jones"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("value", ["-27/10", "-2,2", "-40,6,-2,30"])
+    def test_spellings_agree(self, capsys, command, fmt, value):
+        want = _main_output(["--format", fmt, command, "--", value], capsys)
+        assert want[0] != 1, want  # the reference spelling reaches run
+        for argv in ([command, value, "--format", fmt],
+                     [command, "--format", fmt, "--", value],
+                     [command, "--format", fmt, value]):
+            assert _main_output(argv, capsys) == want, argv
+
+    def test_text_format_spelling(self, capsys):
+        want = _main_output(["--format", "text", "snake", "--", "-27/10"],
+                            capsys)
+        assert _main_output(["snake", "-27/10"], capsys) == want
+        assert want[0] == 2 and "need a rational >= 1" in want[2]
+
+    def test_options_still_parse(self, capsys):
+        assert main(["jones", "-2,2", "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+class TestVerifyBound:
+    @pytest.mark.parametrize("max_sum", [0, -3])
+    def test_nonpositive_bound_fails_before_any_sweep(self, capsys, monkeypatch,
+                                                      max_sum):
+        import twobridge.cli as cli_mod
+
+        def no_sweep(**kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli_mod.verify_mod, "run_verify", no_sweep)
+        with pytest.raises(OutOfRange):
+            run(Request("verify", "", max_sum=max_sum))
+        assert main(["verify", "--max-sum", str(max_sum)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error [verify]: --max-sum must be at least "
+                                f"1, got {max_sum}\n")
+
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("module", ["twobridge", "twobridge.cli"])
+def test_python_m_runs_the_cli(module):
+    golden = {tuple(c["argv"]): c for c in json.loads(GOLDEN.read_text())}
+    want = golden[("jones", "27/10", "--engine", "all", "--format", "text")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", module, "jones", "27/10"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (want["exit"],
+                                                        want["stdout"], "")

@@ -3,7 +3,9 @@
 The expected outputs in ``golden_cli.json`` were recorded before the engines
 moved onto the shared continuant kernel, and the ``snake``, ``volume``,
 ``verify`` and negative-input cases before the sign and type sequences became
-plain tuples; every refactoring must leave them byte-identical.  The cases cover ``jones`` in every format with every engine
+plain tuples, and the three ``JSON_CASES`` before the slot decode and the
+JSON emitter moved to C; every refactoring must leave them byte-identical.
+The cases cover ``jones`` in every format with every engine
 on fractions (knots, links, both-odd values), positive and even continued
 fractions (including negative even ones, which take the mirror paths), long
 and wide inputs, plus ``fpoly``, ``convert``, ``snake``, ``volume``, a small
@@ -78,6 +80,14 @@ FAILING = (
     ["fpoly", "1/2"],
     ["convert", "27/10", "--format", "latex"],
 )
+# JSON reports whose numbers take distinct paths: a jones result decoded
+# from 32-bit slots, one decoded from slots wider than 64 bits, and floats
+JSON_CASES = (
+    ["jones", "[237,45,120,201]", "--positive", "--format", "json"],
+    ["jones", "[" + ",".join(["3"] * 60) + "]", "--positive", "--format",
+     "json"],
+    ["volume", "[3,4,5]", "--format", "json"],
+)
 
 
 def _argv(command, inp, fmt):
@@ -110,6 +120,7 @@ def cases():
     for fmt in ("text", "json"):
         out.append(["verify", "--max-sum", "4", "--format", fmt])
     out.extend(FAILING)
+    out.extend(JSON_CASES)
     return out
 
 

@@ -12,15 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twobridge.cfrac import PositiveCF, eval_cf, numerator_rec
 from twobridge.errors import MixedGrid
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
-from twobridge.laurent import (HLPoly, continuant, q_integer, q_power,
-                               specialize_y, t_power)
+from twobridge.laurent import (HLPoly, _slot_width, continuant, q_integer,
+                               q_power, specialize_y, t_power)
 from twobridge.snake import f_polynomial, snake_from_positive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,23 +107,80 @@ class TestFactor:
             continuant([], HLPoly({0: 1, 1: 1}), 1, 1)
 
 
-def test_understated_bound_raises_under_optimize():
-    """The decode check is an if/raise, so it survives ``python -O``."""
-    script = (
-        "from twobridge.errors import SlotOverflow\n"
-        "from twobridge.laurent import continuant\n"
-        "steps = [((1, 0, 1), (1, -4, 3)), ((1, 0, 1), (-1, 6, 5)),\n"
-        "         ((-1, 2, 1), (1, -8, 2)), ((1, 0, 1), (1, 8, 4))]\n"
-        "poly = continuant(steps, 1, 1, 10 ** 6)\n"
-        "total = sum(abs(c) for _, c in poly.items())\n"
-        "print('exact', continuant(steps, 1, 1, total) == poly)\n"
-        "try:\n"
-        "    continuant(steps, 1, 1, total - 1)\n"
-        "except SlotOverflow as exc:\n"
-        "    print('raised', type(exc).__mro__[1].__name__)\n"
-    )
+# bit lengths of the bound on both sides of each slot width: 8, 16, 32 and
+# 64 bits decode through struct, 72 bits and up byte by byte
+BOUND_BITS = (6, 7, 14, 15, 30, 31, 62, 63, 70)
+factors = st.tuples(st.sampled_from([1, -1]), st.integers(-6, 6).map(
+    lambda k: 2 * k), st.integers(0, 4))
+
+
+def factor_poly(c, u, b) -> HLPoly:
+    return c * HLPoly.monomial(1, u) * q_integer(b) if b else HLPoly.zero()
+
+
+class TestSlotWidths:
+    def test_width_keeps_two_spare_bits(self):
+        for k in range(1, 130):
+            for bound in (1 << (k - 1), (1 << k) - 1):
+                s = _slot_width(bound)
+                if k + 2 <= 64:
+                    assert s == min(w for w in (8, 16, 32, 64) if w >= k + 2)
+                else:
+                    assert s == -(-(k + 2) // 8) * 8
+
+    @pytest.mark.parametrize("k", BOUND_BITS)
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(factors, min_size=1, max_size=5), st.integers(0, 1))
+    def test_agrees_with_ring_continuant(self, k, nus, parity):
+        # numerator_rec is x_k = nu_k x_(k-1) + x_(k-2) from (0, 1); scaling
+        # the start by m scales the result, and m makes the bound, the sum of
+        # the result's absolute coefficients, exactly k bits long
+        ref = numerator_rec([factor_poly(*nu) for nu in nus])
+        total = sum(abs(c) for _, c in ref.items())
+        assume(0 < total <= 1 << (k - 1))
+        m = ((1 << k) - 1) // total
+        bound = m * total
+        assert bound.bit_length() == k
+        start = HLPoly.monomial(m, parity)
+        steps = [((1, 0, 1), nu) for nu in nus]
+        assert continuant(steps, 0, start, bound) == start * ref
+
+
+UNDERSTATED_BOUND = (
+    "from twobridge.errors import SlotOverflow\n"
+    "from twobridge.laurent import _slot_width, continuant\n"
+    "steps = [((1, 0, 1), (1, -4, 3)), ((1, 0, 1), (-1, 6, 5)),\n"
+    "         ((-1, 2, 1), (1, -8, 2)), ((1, 0, 1), (1, 8, 4))]\n"
+    "m = {scale}\n"
+    "poly = continuant(steps, m, m, 10 ** 6 * m)\n"
+    "total = sum(abs(c) for _, c in poly.items())\n"
+    "print('exact', continuant(steps, m, m, total) == poly)\n"
+    "print('slot', _slot_width(total - 1))\n"
+    "try:\n"
+    "    continuant(steps, m, m, total - 1)\n"
+    "except SlotOverflow as exc:\n"
+    "    print('raised', type(exc).__mro__[1].__name__)\n"
+)
+
+
+def understated_bound_output(scale):
+    """Output of :data:`UNDERSTATED_BOUND` under ``python -O``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", UNDERSTATED_BOUND.format(scale=scale)],
+        env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["exact", "True", "raised", "TwoBridgeError"]
+    return out.stdout.split()
+
+
+def test_understated_bound_raises_under_optimize():
+    """The decode check is an if/raise, so it survives ``python -O``; the
+    coefficients sum to 205, so 16-bit slots decode through struct."""
+    assert understated_bound_output(1) == [
+        "exact", "True", "slot", "16", "raised", "TwoBridgeError"]
+
+
+def test_understated_bound_raises_under_optimize_on_byte_path():
+    """The same check on slots wider than 64 bits, decoded byte by byte."""
+    assert understated_bound_output(1 << 70) == [
+        "exact", "True", "slot", "80", "raised", "TwoBridgeError"]

@@ -52,6 +52,38 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
 
 
+def reference_product(a: HLPoly, b: HLPoly) -> HLPoly:
+    """Schoolbook product over the term lists, without HLPoly.__mul__."""
+    terms = {}
+    for u1, c1 in a.items():
+        for u2, c2 in b.items():
+            terms[u1 + u2] = terms.get(u1 + u2, 0) + c1 * c2
+    return HLPoly(terms)
+
+
+class TestMonomialProduct:
+    """One-term operands take the shift-only path of HLPoly.__mul__."""
+
+    @given(st.integers(-9, 9), st.integers(-10, 10), hlpolys(max_terms=8))
+    def test_monomial_either_side(self, c, u, p):
+        m = HLPoly.monomial(c, u)
+        assert m * p == reference_product(m, p)
+        assert p * m == reference_product(p, m)
+
+    @given(st.integers(-10 ** 30, 10 ** 30), hlpolys(max_terms=8))
+    def test_int_either_side(self, k, p):
+        want = reference_product(HLPoly({0: k}), p)
+        assert k * p == want
+        assert p * k == want
+
+    @given(hlpolys(max_terms=8))
+    def test_zero_operands(self, p):
+        for zero in (0, HLPoly.zero()):
+            assert not zero * p
+            assert not p * zero
+            assert (p * zero)._terms == {}
+
+
 class TestBar:
     def test_example(self):
         p = P("-t^(1/2) + t^(3/2) - t^(5/2) - t^(9/2)")
