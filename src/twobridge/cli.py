@@ -170,7 +170,10 @@ def run(req: Request) -> dict:
         return {"command": "verify", "max_sum": req.max_sum,
                 "checks": counts, "failures": 0}
 
-    obj = parse_input(req.input, req.hint)
+    try:
+        obj = parse_input(req.input, req.hint)
+    except AmbiguousCF:  # only without a hint: read the list as positive
+        obj = parse_input(req.input, "positive")
     report = {"command": req.command, "input": req.input}
 
     if req.command == "convert":
@@ -400,8 +403,6 @@ def main(argv=None) -> int:
         if args.command != "verify" and not args.input:
             raise UsageError(f"command {args.command!r} needs an input")
         hint = "even" if args.even else ("positive" if args.positive else None)
-        if hint is None and args.command != "verify":
-            hint = "positive" if _is_ambiguous(args.input) else None
         req = Request(command=args.command, input=args.input,
                       engine=args.engine, hint=hint,
                       max_sum=args.max_sum, full=args.full)
@@ -417,16 +418,6 @@ def main(argv=None) -> int:
     except TwoBridgeError as exc:
         print(f"error{where}: {exc}", file=sys.stderr)
         return 2
-
-
-def _is_ambiguous(s: str) -> bool:
-    try:
-        parse_input(s)
-    except AmbiguousCF:
-        return True
-    except TwoBridgeError:
-        pass
-    return False
 
 
 if __name__ == "__main__":

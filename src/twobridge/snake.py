@@ -7,8 +7,9 @@ the first tile sits at (0, 0) and the first step goes RIGHT.
 The whole geometry is encoded by the signs on the interior edges.  Put a sign
 function on the tiles (north = west, south = east, north opposite south);
 then two consecutive interior edges carry *equal* signs exactly where the
-snake *turns*.  Both constructions below therefore reduce to writing down an
-interior sign word and replaying it into a step word.
+snake *turns*.  A ``SnakeGraph`` is therefore stored as its interior sign
+word and derives its step word, and both constructions below reduce to
+writing down that sign word.
 
 * From a positive continued fraction [a_1..a_n]: the interior sign word is
   runs of lengths (a_1 - 1, a_2, ..., a_(n-1), a_n - 1) with alternating
@@ -36,40 +37,38 @@ UP = "U"
 
 @dataclass(frozen=True)
 class SnakeGraph:
-    """Canonical snake graph with ``d`` tiles.
+    """Canonical snake graph with ``d`` tiles, given by its interior signs.
 
-    ``steps`` and ``edge_signs`` both have length max(d - 1, 0): step i is
-    the direction from tile i+1 to tile i+2, and edge_signs[i] is the sign of
-    the interior edge they share.  ``first_sign`` is the sign of the
-    distinguished boundary edge of the first tile; d = 0 encodes the single
-    edge on two vertices.
+    ``edge_signs`` has length max(d - 1, 0): edge_signs[i] is the sign of
+    the interior edge shared by tiles i+1 and i+2.  ``steps`` is derived from
+    it: step i is the direction from tile i+1 to tile i+2, the first step is
+    RIGHT, and equal consecutive signs mean a turn.  ``first_sign`` is the
+    sign of the distinguished boundary edge of the first tile; d = 0 encodes
+    the single edge on two vertices.
     """
 
     d: int
-    steps: tuple
     edge_signs: tuple
     first_sign: int = 1
+    steps: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "edge_signs", tuple(self.edge_signs))
+        signs = tuple(self.edge_signs)
+        object.__setattr__(self, "edge_signs", signs)
         if self.d < 0:
             raise ValueError("tile count must be >= 0")
         want = max(self.d - 1, 0)
-        if len(self.steps) != want or len(self.edge_signs) != want:
-            raise ValueError(f"need {want} steps and interior signs for d={self.d}")
-        if any(s not in (RIGHT, UP) for s in self.steps):
-            raise ValueError("steps must be RIGHT or UP")
-        if any(s not in (1, -1) for s in self.edge_signs):
+        if len(signs) != want:
+            raise ValueError(f"need {want} interior signs for d={self.d}")
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("edge signs must be +1 or -1")
         if self.first_sign not in (1, -1):
             raise ValueError("first_sign must be +1 or -1")
-        if self.steps and self.steps[0] != RIGHT:
-            raise ValueError("canonical embedding starts with a RIGHT step")
-        for i in range(len(self.steps) - 1):
-            if (self.edge_signs[i] == self.edge_signs[i + 1]) != (
-                    self.steps[i] != self.steps[i + 1]):
-                raise ValueError("equal interior signs must match turns exactly")
+        steps = [RIGHT] if signs else []
+        for a, b in zip(signs, signs[1:]):
+            steps.append((UP if steps[-1] == RIGHT else RIGHT) if a == b
+                         else steps[-1])
+        object.__setattr__(self, "steps", tuple(steps))
 
     def step_word(self) -> str:
         return "".join(self.steps)
@@ -97,24 +96,12 @@ class Matching:
     height: frozenset = field(default_factory=frozenset)
 
 
-def _graph_from_signs(signs, first_sign, d) -> SnakeGraph:
-    steps = []
-    if signs:
-        steps.append(RIGHT)
-        for a, b in zip(signs, signs[1:]):
-            turn = a == b
-            prev = steps[-1]
-            steps.append((UP if prev == RIGHT else RIGHT) if turn else prev)
-    return SnakeGraph(d=d, steps=tuple(steps), edge_signs=tuple(signs),
-                      first_sign=first_sign)
-
-
 def snake_from_positive(cf: PositiveCF) -> SnakeGraph:
     """Snake graph of a positive continued fraction; d = a_1 + ... + a_n - 1."""
     a = cf.entries
     d = sum(a) - 1
     if d == 0:
-        return SnakeGraph(0, (), (), 1)
+        return SnakeGraph(0, ())
     if len(a) == 1:
         runs = [a[0] - 2]
     else:
@@ -127,7 +114,7 @@ def snake_from_positive(cf: PositiveCF) -> SnakeGraph:
     if len(signs) != d - 1:
         raise CrossCheckMismatch(f"{len(signs)} interior signs for {d} tiles",
                                  engines=("sign word", "tile count"), value=a)
-    return _graph_from_signs(signs, first_sign=1, d=d)
+    return SnakeGraph(d, signs)
 
 
 def snake_from_even(cf: EvenCF) -> SnakeGraph:
@@ -146,7 +133,7 @@ def snake_from_even(cf: EvenCF) -> SnakeGraph:
     if d != tile_count_even(cf):
         raise CrossCheckMismatch(f"gluing gives {d} tiles for {list(bs)}",
                                  engines=("gluing", "tile_count_even"), value=bs)
-    return _graph_from_signs(signs, first_sign=_sgn(bs[0]), d=d)
+    return SnakeGraph(d, signs, _sgn(bs[0]))
 
 
 def tile_count_even(cf: EvenCF) -> int:
@@ -199,84 +186,50 @@ def count_matchings(g: SnakeGraph) -> int:
 # -- explicit embedding ----------------------------------------------------
 
 
-def _tile_edges(x, y):
-    """south, east, north, west edges of the tile at (x, y)."""
-    sw, se, nw, ne = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
-    return (frozenset((sw, se)), frozenset((se, ne)),
-            frozenset((nw, ne)), frozenset((sw, nw)))
+def _flip_data(g: SnakeGraph):
+    """Edges, per-tile opposite pairs and the minimal matching, in one pass.
 
-
-def _edge_index(g: SnakeGraph):
-    """All edges plus, per tile, the two opposite boundary pairs as bitmasks.
-
-    Returns (edges, pairs) with ``edges`` a list of frozensets of vertices
-    and ``pairs`` a list of (south|north mask, east|west mask) per tile.
+    Returns (edges, pairs, start): ``edges`` lists the edges as frozensets of
+    their corners, ``pairs`` holds per tile the (south|north, east|west)
+    bitmasks over that list, and ``start`` is the minimal matching's mask.
+    A tile shares its west edge with the tile before after a RIGHT step and
+    its south edge after an UP step.  The boundary is a lower path of south
+    and east edges and an upper path of west and north edges, both from the
+    first tile's lower-left corner to the last tile's upper-right one; the
+    cycle they close has two perfect matchings, of alternate edges.  The
+    minimal one holds the first tile's distinguished edge: its south edge,
+    which shares its sign with the first interior (east) edge, when
+    first_sign matches edge_signs[0] or d = 1, and its west edge otherwise.
     """
-    index = {}
-    pairs = []
-    for (x, y) in g.tile_positions():
-        s, e, n, w = _tile_edges(x, y)
-        bits = []
-        for edge in (s, e, n, w):
-            if edge not in index:
-                index[edge] = len(index)
-            bits.append(1 << index[edge])
-        pairs.append((bits[0] | bits[2], bits[1] | bits[3]))
-    edges = [None] * len(index)
-    for edge, i in index.items():
-        edges[i] = edge
-    return edges, pairs
+    edges, pairs, lower, upper = [], [], [], []
 
+    def edge(a, b):
+        edges.append(frozenset((a, b)))
+        return 1 << len(edges) - 1
 
-def _distinguished_edge(g: SnakeGraph):
-    """The boundary edge whose sign is ``first_sign`` on the first tile.
-
-    In the canonical embedding the first interior edge is the east edge of
-    the first tile, which shares its sign with the south edge; so the
-    distinguished edge is the south edge when first_sign matches the first
-    interior sign and the west edge otherwise.  Single-tile graphs keep the
-    south edge.
-    """
-    s, _, _, w = _tile_edges(0, 0)
+    east = north = 0
+    for (x, y), into, out in zip(g.tile_positions(), (None,) + g.steps,
+                                 g.steps + (None,)):
+        if into == UP:
+            south = north
+        else:
+            south = edge((x, y), (x + 1, y))
+            lower.append(south)
+        if into == RIGHT:
+            west = east
+        else:
+            west = edge((x, y), (x, y + 1))
+            upper.append(west)
+        east = edge((x + 1, y), (x + 1, y + 1))
+        north = edge((x, y + 1), (x + 1, y + 1))
+        if out != RIGHT:
+            lower.append(east)
+        if out != UP:
+            upper.append(north)
+        pairs.append((south | north, east | west))
     if g.d >= 2 and g.first_sign != g.edge_signs[0]:
-        return w
-    return s
-
-
-def _minimal_matching_mask(g: SnakeGraph, edges, pairs):
-    """Bitmask of the boundary matching containing the distinguished edge.
-
-    Every vertex of a snake graph lies on the boundary cycle, and the cycle
-    has exactly two perfect matchings (alternating edges); the minimal one
-    contains the distinguished first-tile edge.
-    """
-    seen = {}
-    for ns, ew in pairs:
-        for mask in (ns, ew):
-            for i in range(len(edges)):
-                if mask >> i & 1:
-                    seen[i] = seen.get(i, 0) + 1
-    boundary = {i for i, c in seen.items() if c == 1}
-    adj = {}
-    for i in boundary:
-        for v in edges[i]:
-            adj.setdefault(v, []).append(i)
-    e0 = _distinguished_edge(g)
-    start = edges.index(e0)
-    _, cur_v = sorted(e0)
-    mask = 0
-    take = True
-    cur = start
-    while True:
-        if take:
-            mask |= 1 << cur
-        nxt = next(i for i in adj[cur_v] if i != cur)
-        if nxt == start:
-            break
-        cur_v = next(v for v in edges[nxt] if v != cur_v)
-        cur = nxt
-        take = not take
-    return mask
+        lower, upper = upper, lower
+    return edges, pairs, sum(lower[0::2]) + sum(upper[1::2])
 
 
 def _matching_masks(g: SnakeGraph, budget):
@@ -291,8 +244,7 @@ def _matching_masks(g: SnakeGraph, budget):
     total = count_matchings(g)
     if total > budget:
         raise BudgetExceeded(f"{total} matchings exceed budget {budget}")
-    edges, pairs = _edge_index(g)
-    start = _minimal_matching_mask(g, edges, pairs)
+    edges, pairs, start = _flip_data(g)
     heights = {start: 0}
     queue = deque([start])
     while queue:
@@ -313,7 +265,7 @@ def _matching_masks(g: SnakeGraph, budget):
         raise CrossCheckMismatch(
             f"flip search missed matchings: {len(heights)} of {total}",
             engines=("flip search", "count_matchings"), value=g.steps)
-    return sorted(heights.items()), edges
+    return heights.items(), edges
 
 
 def enumerate_matchings(g: SnakeGraph, budget: int = 10 ** 6):

@@ -75,6 +75,11 @@ class TestRun:
                                  hint="positive"))
             assert report["text"] == "t^(-1) + t^(-3) - t^(-4)", engine
 
+    def test_ambiguous_list_runs_as_positive(self):
+        for command in ("jones", "snake", "fpoly", "convert", "volume"):
+            assert run(Request(command, "[4,6]")) == run(
+                Request(command, "[4,6]", hint="positive")), command
+
     def test_hopf_latex(self):
         report = run(Request("jones", "[2]", engine="recursive", hint="even"))
         assert emit(report, "latex") == "-t^{5/2}-t^{1/2}"

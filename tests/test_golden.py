@@ -4,7 +4,9 @@ The expected outputs in ``golden_cli.json`` were recorded before the engines
 moved onto the shared continuant kernel, and the ``snake``, ``volume``,
 ``verify`` and negative-input cases before the sign and type sequences became
 plain tuples, and the three ``JSON_CASES`` before the slot decode and the
-JSON emitter moved to C; every refactoring must leave them byte-identical.
+JSON emitter moved to C, and the ``fpoly --full`` cases of negative and
+alternating even continued fractions before snake graphs were stored as their
+sign words; every refactoring must leave them byte-identical.
 The cases cover ``jones`` in every format with every engine
 on fractions (knots, links, both-odd values), positive and even continued
 fractions (including negative even ones, which take the mirror paths), long
@@ -57,7 +59,11 @@ FPOLY_INPUTS = (
     ["[-4,2,-2]"], ["[2,4]", "--even"], ["[97,58]"], ["[-40,6,-2,30]"],
     ["-27/10"],
 )
-FULL_INPUTS = (["[3]"], ["[2,-2]"], ["27/10"], ["[2,4]", "--even"])
+# the minimal matching starts on the first tile's west edge for [2,-2],
+# [-2,2] and [2,-2,2], and on its south edge with first sign -1 for
+# [-4,2,-2] and [-6,4]
+FULL_INPUTS = (["[3]"], ["[2,-2]"], ["27/10"], ["[2,4]", "--even"],
+               ["[-2,2]"], ["[-4,2,-2]"], ["[-6,4]"], ["[2,-2,2]"])
 CONVERT_INPUTS = (
     ["27/10"], ["7/3"], ["3/1"], ["10/3"], ["[2,1,2,3]"], ["[3,1,1]"],
     ["[2,2,-2,4]"], ["[-2,2]"], ["[2,4]", "--even"], ["[-40,6,-2,30]"],

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -19,6 +20,13 @@ from twobridge.snake import (RIGHT, UP, SnakeGraph, count_matchings,
                              snake_from_positive, tile_count_even)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def steps_of(signs):
+    """Step word of a sign word, counted afresh: step k is UP exactly when an
+    odd number of the neighbouring pairs in signs[0..k] are equal."""
+    return tuple(UP if sum(signs[i] == signs[i + 1] for i in range(k)) % 2
+                 else RIGHT for k in range(len(signs)))
 
 
 def zigzag(g):
@@ -62,9 +70,17 @@ class TestConstruction:
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            SnakeGraph(3, (RIGHT, RIGHT), (1, 1))  # straight needs a sign change
+            SnakeGraph(3, (1,))  # d = 3 needs two interior signs
         with pytest.raises(ValueError):
-            SnakeGraph(3, (UP, RIGHT), (1, -1))  # must start RIGHT
+            SnakeGraph(-1, ())
+        with pytest.raises(ValueError):
+            SnakeGraph(3, (1, 0))  # signs are +1 or -1
+        with pytest.raises(ValueError):
+            SnakeGraph(3, (1, 1), first_sign=0)
+        assert SnakeGraph(3, (1, 1)).steps == (RIGHT, UP)  # equal signs turn
+        assert SnakeGraph(3, (1, -1)).steps == (RIGHT, RIGHT)  # unequal go straight
+        assert SnakeGraph(4, (-1, -1, -1)).steps == (RIGHT, UP, RIGHT)
+        assert SnakeGraph(1, ()).steps == SnakeGraph(0, ()).steps == ()
 
 
 class TestTileCount:
@@ -118,14 +134,13 @@ class TestIsomorphism:
                     G.add_edge(a, b)
             return G
 
-        graphs = [SnakeGraph(1, (), (), 1)]
+        graphs = [SnakeGraph(1, ())]
         for d in range(2, 7):
-            for word in product((RIGHT, UP), repeat=d - 2):
-                steps = (RIGHT,) + word
-                signs = [1]
-                for a, b in zip(steps, steps[1:]):
-                    signs.append(signs[-1] if a != b else -signs[-1])
-                graphs.append(SnakeGraph(d, steps, tuple(signs), 1))
+            for signs in product((1, -1), repeat=d - 1):
+                # the first sign does not change the shape
+                g = SnakeGraph(d, signs, first_sign=signs[-1])
+                assert g.steps == steps_of(signs)
+                graphs.append(g)
         for g in graphs:
             for h in graphs:
                 assert isomorphic(g, h) == nx.is_isomorphic(explicit(g),
@@ -135,7 +150,7 @@ class TestIsomorphism:
 class TestCounting:
     def test_examples(self):
         assert count_matchings(snake_from_positive(PositiveCF((2, 1, 2, 3)))) == 27
-        assert count_matchings(SnakeGraph(1, (), (), 1)) == 2
+        assert count_matchings(SnakeGraph(1, ())) == 2
         assert count_matchings(snake_from_positive(PositiveCF((2, 3, 4, 5, 6)))) == 972
 
     def test_counts_equal_numerators(self):
@@ -165,7 +180,7 @@ class TestCounting:
 
 class TestEnumeration:
     def test_single_tile(self):
-        ms = enumerate_matchings(SnakeGraph(1, (), (), 1))
+        ms = enumerate_matchings(SnakeGraph(1, ()))
         assert [m.height for m in ms] == [frozenset(), frozenset({1})]
 
     def test_staircase(self):
@@ -190,14 +205,36 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             enumerate_matchings(g, budget=20)
 
-    @given(st.lists(st.sampled_from([RIGHT, UP]), max_size=7))
-    def test_flip_search_count_matches_transfer(self, word):
-        steps = (RIGHT,) + tuple(word)
-        signs = [1]
-        for a, b in zip(steps, steps[1:]):
-            signs.append(signs[-1] if a != b else -signs[-1])
-        g = SnakeGraph(len(steps) + 1, steps, tuple(signs), 1)
+    @given(st.lists(st.sampled_from([1, -1]), max_size=8),
+           st.sampled_from([1, -1]))
+    def test_flip_search_count_matches_transfer(self, signs, first_sign):
+        g = SnakeGraph(len(signs) + 1, signs, first_sign)
+        assert g.steps == steps_of(signs)
         assert len(enumerate_matchings(g)) == count_matchings(g)
+
+    def test_minimal_and_maximal_matchings_are_the_boundary_matchings(self):
+        # every sign word with d <= 8 and both first signs; the boundary
+        # edges are the edges of exactly one tile
+        south, west = frozenset(((0, 0), (1, 0))), frozenset(((0, 0), (0, 1)))
+        for d in range(1, 9):
+            for signs in product((1, -1), repeat=d - 1):
+                for first_sign in (1, -1):
+                    g = SnakeGraph(d, signs, first_sign)
+                    tiles = Counter()
+                    for x, y in g.tile_positions():
+                        sw, se = (x, y), (x + 1, y)
+                        nw, ne = (x, y + 1), (x + 1, y + 1)
+                        tiles.update(frozenset(e) for e in
+                                     ((sw, se), (se, ne), (nw, ne), (sw, nw)))
+                    boundary = {e for e, n in tiles.items() if n == 1}
+                    ms = enumerate_matchings(g)
+                    low, high = ms[0], ms[-1]
+                    assert low.height == frozenset()
+                    assert high.height == frozenset(range(1, d + 1))
+                    assert low.edges <= boundary
+                    first = south if d == 1 or first_sign == signs[0] else west
+                    assert first in low.edges
+                    assert high.edges == boundary - low.edges
 
 
 def test_missed_matchings_raise_under_optimize():
@@ -235,7 +272,7 @@ class TestFPolynomial:
         assert F == want
 
     def test_single_tile(self):
-        assert f_polynomial(SnakeGraph(1, (), (), 1)) == (
+        assert f_polynomial(SnakeGraph(1, ())) == (
             YPoly.one() + YPoly.monomial((1,)))
 
     def test_shape(self):
@@ -267,10 +304,10 @@ class TestFPolynomial:
 
 class TestRender:
     def test_single_tile(self):
-        assert render_ascii(SnakeGraph(1, (), (), 1)) == "+--+\n|  |\n+--+"
+        assert render_ascii(SnakeGraph(1, ())) == "+--+\n|  |\n+--+"
 
     def test_single_edge(self):
-        assert render_ascii(SnakeGraph(0, (), (), 1)) == "+\n|\n+"
+        assert render_ascii(SnakeGraph(0, ())) == "+\n|\n+"
 
     def test_straight_row(self):
         art = render_ascii(snake_from_positive(PositiveCF((2, 2))))
