@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
 
@@ -35,10 +36,10 @@ class PositiveCF:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(int(a) for a in self.entries)
+        entries = tuple(map(int, self.entries))
         if not entries:
             raise ValueError("positive continued fraction needs >= 1 entry")
-        if any(a < 1 for a in entries):
+        if min(entries) < 1:
             raise ValueError(f"entries must all be >= 1, got {entries}")
         object.__setattr__(self, "entries", entries)
 
@@ -80,10 +81,11 @@ class EvenCF:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(int(b) for b in self.entries)
+        entries = tuple(map(int, self.entries))
         if not entries:
             raise ValueError("even continued fraction needs >= 1 entry")
-        if any(b == 0 or b % 2 for b in entries):
+        # the entries are all even exactly when their gcd is
+        if 0 in entries or gcd(*entries) & 1:
             raise ValueError(f"entries must all be even and nonzero, got {entries}")
         object.__setattr__(self, "entries", entries)
 
@@ -109,7 +111,7 @@ def eval_cf(entries) -> Rat:
     evaluates to zero (the nesting would divide by it).  Valid
     PositiveCF/EvenCF entry lists never trigger this.
     """
-    entries = [int(c) for c in entries]
+    entries = list(map(int, entries))
     if not entries:
         raise ZeroTail("empty continued fraction has no value")
     if entries[-1] == 0:
@@ -125,13 +127,13 @@ def eval_cf(entries) -> Rat:
 def positive_cf(r: Rat) -> PositiveCF:
     """Euclidean expansion of a rational r >= 1 into a positive CF.
 
-    Canonical form: the last entry is >= 2 whenever there are >= 2 entries
-    (this is automatic for the Euclidean algorithm).
+    ``r`` is an int or a Fraction; only its numerator and denominator are
+    read.  Canonical form: the last entry is >= 2 whenever there are >= 2
+    entries (this is automatic for the Euclidean algorithm).
     """
-    r = Fraction(r)
-    if r < 1:
-        raise OutOfRange(f"need a rational >= 1, got {r}")
     p, q = r.numerator, r.denominator
+    if p < q:
+        raise OutOfRange(f"need a rational >= 1, got {Fraction(p, q)}")
     entries = []
     while q:
         a, rem = divmod(p, q)
@@ -150,13 +152,10 @@ def even_division(p: int, q: int):
     """
     if q == 0:
         raise ZeroDivisionError("even division by zero")
-    if q > 0:
-        k = (p + q) // (2 * q)
-    else:
-        k = -((q - p) // (2 * q))
-    b = 2 * k
+    n = abs(q)
+    b = (p + n) // (2 * n) * (2 if q > 0 else -2)
     s = p - b * q
-    if not -abs(q) <= s < abs(q):  # pragma: no cover - window arithmetic
+    if not -n <= s < n:  # pragma: no cover - window arithmetic
         raise AssertionError(f"even division window broken for ({p}, {q})")
     if b == 0:
         raise NoEvenQuotient(f"no nonzero even quotient for ({p}, {q})")
@@ -166,21 +165,19 @@ def even_division(p: int, q: int):
 def even_cf(r: Rat) -> EvenCF:
     """The unique even continued fraction of r = p/q, |r| > 1, p*q even.
 
-    Raises :class:`BothOdd` when numerator and denominator are both odd
-    (no even expansion exists), :class:`OutOfRange` for |r| <= 1.
+    ``r`` is an int or a Fraction; only its numerator and denominator are
+    read.  Raises :class:`BothOdd` when numerator and denominator are both
+    odd (no even expansion exists), :class:`OutOfRange` for |r| <= 1.
     """
-    r = Fraction(r)
     p, q = r.numerator, r.denominator
-    if p % 2 and q % 2:
-        raise BothOdd(f"{r} has odd numerator and denominator")
-    if abs(r) <= 1:
-        raise OutOfRange(f"need |r| > 1, got {r}")
+    if p & q & 1:
+        raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
+    if abs(p) <= q:
+        raise OutOfRange(f"need |r| > 1, got {Fraction(p, q)}")
     entries = []
-    while True:
+    while q:
         b, s = even_division(p, q)
         entries.append(b)
-        if s == 0:
-            break
         p, q = q, s
     return EvenCF(tuple(entries))
 
@@ -191,10 +188,9 @@ def even_cf_for_link(r: Rat) -> EvenCF:
     Uses p/q itself when p*q is even; otherwise exactly one of q, p-q is
     even and the isotopic partner p/(p-q) is expanded instead.
     """
-    r = Fraction(r)
     p, q = r.numerator, r.denominator
-    if not p > q >= 1:
-        raise OutOfRange(f"need p > q >= 1, got {r}")
+    if p <= q:
+        raise OutOfRange(f"need p > q >= 1, got {Fraction(p, q)}")
     if (p * q) % 2 == 0:
         return even_cf(r)
     return even_cf(Fraction(p, p - q))
@@ -249,8 +245,9 @@ def sign_sequence(cf: EvenCF) -> tuple:
 
 def type_sequence(cf: EvenCF) -> tuple:
     """(sgn(b_1), -sgn(b_2), ..., (-1)^(m+1) sgn(b_m))."""
-    return tuple(_sgn(b) * (-1) ** (i + 1)
-                 for i, b in enumerate(cf.entries, start=1))
+    types = [1 if b > 0 else -1 for b in cf.entries]
+    types[1::2] = [-t for t in types[1::2]]
+    return tuple(types)
 
 
 def tau(types) -> int:

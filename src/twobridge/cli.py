@@ -260,7 +260,9 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "volume":
-        cf = obj if isinstance(obj, PositiveCF) else positive_cf(_as_rat(obj))
+        # the volume is mirror invariant, so a negative value reads as |value|
+        cf = (obj if isinstance(obj, PositiveCF)
+              else positive_cf(abs(_as_rat(obj))))
         lower, upper = volume_bounds(cf)
         report["positive_cf"] = list(cf.entries)
         report["lower"] = lower

@@ -20,19 +20,25 @@ writing down that sign word.
   tile whose west and east edges differ), while a junction between blocks of
   opposite entry sign contributes the single sign opposite to the left
   block's (the identified north edge of that block's last tile).
+
+The perfect matchings are the order ideals of a fence poset on the tiles
+(after Morier-Genoud and Ovsienko, and McConville, Sagan and Smyth): tile
+t+1 lies above tile t when edge_signs[t] == first_sign and below it
+otherwise.  The matching of an ideal is the minimal matching with each of
+its tiles flipped, and its height is the ideal itself.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .cfrac import EvenCF, PositiveCF, _sgn, type_sequence
+from .cfrac import EvenCF, PositiveCF, type_sequence
 from .errors import BudgetExceeded, CrossCheckMismatch, TooManyTiles
 from .laurent import YPoly
 
 RIGHT = "R"
 UP = "U"
+_SIGNS = frozenset((1, -1))
 
 
 @dataclass(frozen=True)
@@ -60,14 +66,17 @@ class SnakeGraph:
         want = max(self.d - 1, 0)
         if len(signs) != want:
             raise ValueError(f"need {want} interior signs for d={self.d}")
-        if any(s not in (1, -1) for s in signs):
+        if not _SIGNS.issuperset(signs):
             raise ValueError("edge signs must be +1 or -1")
         if self.first_sign not in (1, -1):
             raise ValueError("first_sign must be +1 or -1")
-        steps = [RIGHT] if signs else []
+        steps, step = [], RIGHT
         for a, b in zip(signs, signs[1:]):
-            steps.append((UP if steps[-1] == RIGHT else RIGHT) if a == b
-                         else steps[-1])
+            steps.append(step)
+            if a == b:
+                step = UP if step == RIGHT else RIGHT
+        if signs:
+            steps.append(step)
         object.__setattr__(self, "steps", tuple(steps))
 
     def step_word(self) -> str:
@@ -118,29 +127,30 @@ def snake_from_positive(cf: PositiveCF) -> SnakeGraph:
 
 
 def snake_from_even(cf: EvenCF) -> SnakeGraph:
-    """Snake graph of an even continued fraction via block gluing."""
+    """Snake graph of an even continued fraction via block gluing.
+
+    With types t_i = (-1)^(i+1) sgn(b_i), neighbouring entries of equal sign
+    have opposite types, so each junction reads off the types alone.
+    """
     bs = cf.entries
     ts = type_sequence(cf)
     signs = []
-    for i, b in enumerate(bs):
-        signs.extend([ts[i]] * (abs(b) - 2))
-        if i + 1 < len(bs):
-            if _sgn(b) == _sgn(bs[i + 1]):
-                signs.extend([ts[i], ts[i + 1]])
-            else:
-                signs.append(-ts[i])
+    for b, t, u in zip(bs, ts, ts[1:]):
+        signs += [t] * (abs(b) - 2)
+        signs += (t, u) if t != u else (-t,)
+    signs += [ts[-1]] * (abs(bs[-1]) - 2)
     d = len(signs) + 1
     if d != tile_count_even(cf):
         raise CrossCheckMismatch(f"gluing gives {d} tiles for {list(bs)}",
                                  engines=("gluing", "tile_count_even"), value=bs)
-    return SnakeGraph(d, signs, _sgn(bs[0]))
+    return SnakeGraph(d, signs, ts[0])
 
 
 def tile_count_even(cf: EvenCF) -> int:
     """sum |b_i| - 1 - (number of sign changes in b_1, ..., b_m)."""
     bs = cf.entries
-    changes = sum(1 for x, y in zip(bs, bs[1:]) if _sgn(x) != _sgn(y))
-    return sum(abs(b) for b in bs) - 1 - changes
+    changes = sum([x * y < 0 for x, y in zip(bs, bs[1:])])
+    return sum(map(abs, bs)) - 1 - changes
 
 
 def isomorphic(g: SnakeGraph, h: SnakeGraph) -> bool:
@@ -233,39 +243,36 @@ def _flip_data(g: SnakeGraph):
 
 
 def _matching_masks(g: SnakeGraph, budget):
-    """All perfect matchings as (edge mask, height mask) pairs via flip search.
+    """All perfect matchings as (edge mask, height mask) pairs.
 
-    A flip applies at a tile whose two horizontal or two vertical edges are
-    both matched; it swaps them for the opposite pair and toggles the tile in
-    the height set.  Breadth-first search from the minimal matching reaches
-    every matching; the transfer count certifies completeness.  Needs
-    d >= 1; both callers answer d = 0 themselves.
+    The heights are the order ideals of the fence on the tiles: tile t+1
+    lies above tile t when edge_signs[t] == first_sign, and below it
+    otherwise.  The ideals are built tile by tile in two lists, those with
+    and those without the tile added last.  The next tile may join only the
+    ideals with it when it lies above, and must join those and may join the
+    others when it lies below.  Joining XORs the tile's ``ns ^ ew`` into the
+    matching.  The transfer count certifies completeness.  Needs d >= 1;
+    both callers answer d = 0 themselves.
     """
     total = count_matchings(g)
     if total > budget:
         raise BudgetExceeded(f"{total} matchings exceed budget {budget}")
     edges, pairs, start = _flip_data(g)
-    heights = {start: 0}
-    queue = deque([start])
-    while queue:
-        m = queue.popleft()
-        h = heights[m]
-        for tile, (ns, ew) in enumerate(pairs):
-            if m & ns == ns or m & ew == ew:
-                m2 = m ^ ns ^ ew
-                h2 = h ^ (1 << tile)
-                if m2 not in heights:
-                    heights[m2] = h2
-                    queue.append(m2)
-                elif heights[m2] != h2:
-                    raise CrossCheckMismatch(
-                        "height function is path dependent",
-                        engines=("flip search",), value=g.steps)
-    if len(heights) != total:
+    ns, ew = pairs[0]
+    without, with_ = [(start, 0)], [(start ^ ns ^ ew, 1)]
+    for tile, (sign, (ns, ew)) in enumerate(zip(g.edge_signs, pairs[1:]), 1):
+        flip, bit = ns ^ ew, 1 << tile
+        if sign == g.first_sign:  # above: needs the tile before
+            without += with_
+        else:  # below: needed by the tile before
+            with_ += without
+        with_ = [(m ^ flip, h | bit) for m, h in with_]
+    masks = without + with_
+    if len(masks) != total:
         raise CrossCheckMismatch(
-            f"flip search missed matchings: {len(heights)} of {total}",
-            engines=("flip search", "count_matchings"), value=g.steps)
-    return heights.items(), edges
+            f"flip search missed matchings: {len(masks)} of {total}",
+            engines=("fence ideals", "count_matchings"), value=g.steps)
+    return masks, edges
 
 
 def enumerate_matchings(g: SnakeGraph, budget: int = 10 ** 6):

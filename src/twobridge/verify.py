@@ -137,9 +137,10 @@ def cfrac_sweep(max_p):
                 raise CrossCheckMismatch(f"long form round trip fails for {r}")
         if (r.numerator * r.denominator) % 2 == 0:
             ev = even_cf(r)
-            if eval_cf(ev.entries) != r:
+            value = eval_cf(ev.entries)
+            if value != r:
                 raise CrossCheckMismatch(f"even round trip fails for {r}")
-            if even_cf(eval_cf(ev.entries)) != ev:
+            if even_cf(value) != ev:
                 raise CrossCheckMismatch(f"even expansion unstable for {r}")
             if (r.numerator % 2 == 1) != (ev.m % 2 == 0):
                 raise CrossCheckMismatch(f"parity law fails for {r}")

@@ -248,3 +248,64 @@ class TestRoundTrips:
         assert eval_cf(cf.entries) == r
         assert even_cf(eval_cf(cf.entries)) == cf
         assert (r.numerator % 2 == 1) == (cf.m % 2 == 0)
+
+
+# entries that probe the validators: zero, odd and negative odd values,
+# evens of both signs, True and integral floats
+PROBE_ENTRIES = st.sampled_from([0, 1, 3, -1, -3, 2, -2, 4, -6, True, False,
+                                 1.0, 2.0, -2.0, 3.0, 0.0])
+
+
+def _outcome(make, arg):
+    """(stored entries, None) or (None, exception type) for make(arg)."""
+    try:
+        return make(arg).entries, None
+    except Exception as exc:
+        return None, type(exc)
+
+
+def _plain_expansion_error(fn, r):
+    """The (type, message) that the Fraction-based definitions raise on r,
+    or None when r has an expansion."""
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    if fn is positive_cf:
+        if r < 1:
+            return OutOfRange, f"need a rational >= 1, got {r}"
+    elif fn is even_cf:
+        if p % 2 == 1 and q % 2 == 1:
+            return BothOdd, f"{r} has odd numerator and denominator"
+        if abs(r) <= 1:
+            return OutOfRange, f"need |r| > 1, got {r}"
+    elif not p > q >= 1:
+        return OutOfRange, f"need p > q >= 1, got {r}"
+    return None
+
+
+class TestConstructorsMatchPlainPredicates:
+    @given(st.lists(PROBE_ENTRIES, max_size=6).map(tuple))
+    def test_positive_cf_class(self, entries):
+        ints = tuple(int(a) for a in entries)
+        ok = bool(ints) and all(a >= 1 for a in ints)
+        assert _outcome(PositiveCF, entries) == (
+            (ints, None) if ok else (None, ValueError))
+
+    @given(st.lists(PROBE_ENTRIES, max_size=6).map(tuple))
+    def test_even_cf_class(self, entries):
+        ints = tuple(int(b) for b in entries)
+        ok = bool(ints) and all(b != 0 and b % 2 == 0 for b in ints)
+        assert _outcome(EvenCF, entries) == (
+            (ints, None) if ok else (None, ValueError))
+
+    @given(st.sampled_from([positive_cf, even_cf, even_cf_for_link]),
+           st.integers(-40, 40), st.integers(1, 40), st.booleans())
+    def test_expansions_raise_alike(self, fn, p, q, as_int):
+        r = p if as_int else Fraction(p, q)
+        want = _plain_expansion_error(fn, r)
+        try:
+            got = fn(r)
+        except (OutOfRange, BothOdd) as exc:
+            assert (type(exc), str(exc)) == want
+        else:
+            assert want is None
+            assert eval_cf(got.entries) == r or fn is even_cf_for_link

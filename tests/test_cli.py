@@ -252,7 +252,8 @@ class TestMainExitCodes:
 
     def test_full_fpoly_tile_cap(self, capsys):
         # [a] is a zigzag of a - 1 tiles with only a matchings, so the
-        # matching budget would let the quadratic flip search run for hours
+        # matching budget passes it; only the tile cap stops the listing
+        # of a height masks of a - 1 bits each
         with pytest.raises(TooManyTiles):
             run(Request("fpoly", "[100000]", hint="positive", full=True))
         assert main(["fpoly", "[100000]", "--full"]) == 2
@@ -292,6 +293,14 @@ class TestNegativeInputs:
                      [command, "--format", fmt, "--", value],
                      [command, "--format", fmt, value]):
             assert _main_output(argv, capsys) == want, argv
+
+    def test_volume_reads_a_negative_value_as_its_mirror(self, capsys):
+        # -13/4 = [-4,2,-2,2] is the mirror of 13/4 = [3,4]
+        want = _main_output(["volume", "[3,4]"], capsys)
+        assert want[0] == 0
+        assert want[1].splitlines()[0] == "positive cf: [3, 4]"
+        for value in ("[-4,2,-2,2]", "-13/4"):
+            assert _main_output(["volume", value], capsys) == want, value
 
     def test_text_format_spelling(self, capsys):
         want = _main_output(["--format", "text", "snake", "--", "-27/10"],

@@ -1,20 +1,21 @@
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twobridge.cfrac import (EvenCF, PositiveCF, even_cf, numerator_rec,
                              positive_cf)
-from twobridge.errors import BudgetExceeded
+from twobridge.errors import BudgetExceeded, CrossCheckMismatch
 from twobridge.laurent import YPoly, specialize_y
-from twobridge.snake import (RIGHT, UP, SnakeGraph, count_matchings,
+from twobridge.snake import (RIGHT, UP, SnakeGraph, _flip_data,
+                             _matching_masks, count_matchings,
                              enumerate_matchings, f_polynomial, isomorphic,
                              render_ascii, snake_from_even,
                              snake_from_positive, tile_count_even)
@@ -27,6 +28,41 @@ def steps_of(signs):
     odd number of the neighbouring pairs in signs[0..k] are equal."""
     return tuple(UP if sum(signs[i] == signs[i + 1] for i in range(k)) % 2
                  else RIGHT for k in range(len(signs)))
+
+
+def flip_search(g):
+    """Reference enumeration: breadth-first flip search from the minimal
+    matching, as a set of (edge mask, height mask) pairs.
+
+    A flip applies at a tile whose two horizontal or two vertical edges are
+    both matched; it swaps them for the opposite pair and toggles the tile
+    in the height set.  Reaching one matching with two heights raises.
+    """
+    _, pairs, start = _flip_data(g)
+    heights = {start: 0}
+    queue = deque([start])
+    while queue:
+        m = queue.popleft()
+        h = heights[m]
+        for tile, (ns, ew) in enumerate(pairs):
+            if m & ns == ns or m & ew == ew:
+                m2 = m ^ ns ^ ew
+                h2 = h ^ (1 << tile)
+                if m2 not in heights:
+                    heights[m2] = h2
+                    queue.append(m2)
+                elif heights[m2] != h2:
+                    raise CrossCheckMismatch(
+                        "height function is path dependent",
+                        engines=("flip search",), value=g.steps)
+    return set(heights.items())
+
+
+def fence_ideals(g):
+    """The fence build's pairs as a set, after checking it lists each once."""
+    masks, _ = _matching_masks(g, 10 ** 6)
+    assert len(set(masks)) == len(masks) == count_matchings(g)
+    return set(masks)
 
 
 def zigzag(g):
@@ -81,6 +117,22 @@ class TestConstruction:
         assert SnakeGraph(3, (1, -1)).steps == (RIGHT, RIGHT)  # unequal go straight
         assert SnakeGraph(4, (-1, -1, -1)).steps == (RIGHT, UP, RIGHT)
         assert SnakeGraph(1, ()).steps == SnakeGraph(0, ()).steps == ()
+
+    @given(st.lists(st.sampled_from([1, -1, 0, 3, -3, 2, True, 1.0, -1.0]),
+                    max_size=5).map(tuple),
+           st.sampled_from([1, 0, 2, -1, -2]),
+           st.sampled_from([1, -1, 0, 3, -3, True, 1.0, -1.0]))
+    def test_validation_matches_plain_predicate(self, signs, extra, first_sign):
+        d = len(signs) + extra  # mostly the right count, sometimes not
+        ok = (d >= 0 and len(signs) == max(d - 1, 0)
+              and all(s in (1, -1) for s in signs) and first_sign in (1, -1))
+        try:
+            g = SnakeGraph(d, signs, first_sign)
+        except ValueError:
+            assert not ok
+        else:
+            assert ok
+            assert g.edge_signs == signs and g.steps == steps_of(signs)
 
 
 class TestTileCount:
@@ -235,6 +287,27 @@ class TestEnumeration:
                     first = south if d == 1 or first_sign == signs[0] else west
                     assert first in low.edges
                     assert high.edges == boundary - low.edges
+
+
+class TestFenceIdeals:
+    """The tile-by-tile fence build lists what the flip search reaches."""
+
+    def test_every_sign_word_up_to_twelve_tiles(self):
+        graphs = 0
+        for d in range(1, 13):
+            for signs in product((1, -1), repeat=d - 1):
+                for first_sign in (1, -1):
+                    g = SnakeGraph(d, signs, first_sign)
+                    assert fence_ideals(g) == flip_search(g), (signs, first_sign)
+                    graphs += 1
+        assert graphs == 8190
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([1, -1]), min_size=12, max_size=15),
+           st.sampled_from([1, -1]))
+    def test_long_sign_words(self, signs, first_sign):
+        g = SnakeGraph(len(signs) + 1, signs, first_sign)
+        assert fence_ideals(g) == flip_search(g)
 
 
 def test_missed_matchings_raise_under_optimize():
