@@ -14,9 +14,8 @@ from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf,
                     type_sequence)
 from .errors import (AmbiguousCF, BothOdd, BudgetExceeded, CrossCheckMismatch,
                      HypothesisViolated, MixedGrid, NoEvenQuotient,
-                     OutOfRange, ParseError, SlotOverflow, TooManyTiles,
-                     TwoBridgeError, WrongOrientation, ZeroPolynomial,
-                     ZeroTail)
+                     OutOfRange, ParseError, SlotOverflow, TwoBridgeError,
+                     WrongOrientation, ZeroPolynomial, ZeroTail)
 from .jones import (JonesResult, boundary_coefficients, degree_and_sign,
                     f_recursive, jones_direct, jones_recursive, jones_via_f,
                     mirror, oriented_even_cf, skein_constants,

@@ -38,10 +38,6 @@ class SlotOverflow(TwoBridgeError):
     """A packed polynomial outgrew the bound its slots were sized for."""
 
 
-class TooManyTiles(TwoBridgeError):
-    """Tile index beyond the supported bitset width (63 tiles)."""
-
-
 class BudgetExceeded(TwoBridgeError):
     """A matching enumeration would exceed the configured budget."""
 

@@ -7,7 +7,7 @@ share one type; the grid parity stays queryable.
 
 :class:`YPoly` holds multilinear polynomials in tile variables y_1..y_d, the
 shape taken by snake-graph matching generating functions.  Subsets of tiles
-are stored as bitsets, so at most 63 tiles are supported.
+are stored as bitsets.
 
 :func:`continuant` is the two-term recurrence that the Jones engines share,
 run on polynomials packed into integers.
@@ -19,7 +19,7 @@ import re
 import struct
 from fractions import Fraction
 
-from .errors import MixedGrid, SlotOverflow, TooManyTiles, ZeroPolynomial
+from .errors import MixedGrid, SlotOverflow, ZeroPolynomial
 
 
 def _units(exponent) -> int:
@@ -454,15 +454,13 @@ class YPoly:
 
     __slots__ = ("_terms",)
 
-    MAX_TILES = 63
-
     def __init__(self, terms=None):
         clean = {}
         if terms:
             for mask, coeff in dict(terms).items():
                 mask = int(mask)
-                if mask < 0 or mask.bit_length() > self.MAX_TILES:
-                    raise TooManyTiles(f"bitset {mask:#x} exceeds {self.MAX_TILES} tiles")
+                if mask < 0:
+                    raise ValueError(f"negative bitset {mask}")
                 if coeff:
                     clean[mask] = int(coeff)
         self._terms = clean
@@ -472,8 +470,8 @@ class YPoly:
         """coeff * prod(y_j for j in tiles), tile indices 1-based."""
         mask = 0
         for j in tiles:
-            if not 1 <= j <= cls.MAX_TILES:
-                raise TooManyTiles(f"tile index {j} outside 1..{cls.MAX_TILES}")
+            if j < 1:
+                raise ValueError(f"tile index {j} below 1")
             mask |= 1 << (j - 1)
         return cls({mask: coeff})
 
@@ -522,8 +520,6 @@ class YPoly:
 
     def complement(self, d: int) -> "YPoly":
         """Replace every tile subset S by {1..d} \\ S."""
-        if d > self.MAX_TILES:
-            raise TooManyTiles(f"{d} tiles exceed {self.MAX_TILES}")
         full = (1 << d) - 1
         if any(mask & ~full for mask in self._terms):
             raise ValueError(f"polynomial uses tiles beyond 1..{d}")
@@ -556,8 +552,6 @@ def specialize_y(F: YPoly, d: int) -> HLPoly:
 
     ``d`` is the tile count; every variable of ``F`` must lie in 1..d.
     """
-    if d > YPoly.MAX_TILES:
-        raise TooManyTiles(f"{d} tiles exceed {YPoly.MAX_TILES}")
     full = (1 << d) - 1 if d else 0
     terms = {}
     for mask, c in F._terms.items():

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cfrac import EvenCF, PositiveCF, type_sequence
-from .errors import BudgetExceeded, CrossCheckMismatch, TooManyTiles
+from .errors import BudgetExceeded, CrossCheckMismatch
 from .laurent import YPoly
 
 RIGHT = "R"
@@ -193,6 +193,39 @@ def count_matchings(g: SnakeGraph) -> int:
     return 2 * free + covered
 
 
+def _heights(g: SnakeGraph, budget):
+    """The height masks of all perfect matchings, one per matching.
+
+    The heights are the order ideals of the fence on the tiles: tile t+1
+    lies above tile t when edge_signs[t] == first_sign, and below it
+    otherwise.  The ideals are built tile by tile in two lists, those with
+    and those without the tile added last.  The next tile may join only the
+    ideals with it when it lies above, and must join those and may join the
+    others when it lies below.  The transfer count certifies completeness.
+    Raises :class:`BudgetExceeded` before building anything when the
+    listing, matchings times tiles, is beyond ``budget``.  Needs d >= 1;
+    both callers answer d = 0 themselves.
+    """
+    total = count_matchings(g)
+    if total * g.d > budget:
+        raise BudgetExceeded(f"{total} matchings x {g.d} tiles exceed "
+                             f"budget {budget}")
+    without, with_ = [0], [1]
+    for tile, sign in enumerate(g.edge_signs, 1):
+        if sign == g.first_sign:  # above: needs the tile before
+            without += with_
+        else:  # below: needed by the tile before
+            with_ += without
+        bit = 1 << tile
+        with_ = [h | bit for h in with_]
+    heights = without + with_
+    if len(heights) != total:
+        raise CrossCheckMismatch(
+            f"fence build missed matchings: {len(heights)} of {total}",
+            engines=("fence ideals", "count_matchings"), value=g.steps)
+    return heights
+
+
 # -- explicit embedding ----------------------------------------------------
 
 
@@ -242,72 +275,44 @@ def _flip_data(g: SnakeGraph):
     return edges, pairs, sum(lower[0::2]) + sum(upper[1::2])
 
 
-def _matching_masks(g: SnakeGraph, budget):
-    """All perfect matchings as (edge mask, height mask) pairs.
-
-    The heights are the order ideals of the fence on the tiles: tile t+1
-    lies above tile t when edge_signs[t] == first_sign, and below it
-    otherwise.  The ideals are built tile by tile in two lists, those with
-    and those without the tile added last.  The next tile may join only the
-    ideals with it when it lies above, and must join those and may join the
-    others when it lies below.  Joining XORs the tile's ``ns ^ ew`` into the
-    matching.  The transfer count certifies completeness.  Needs d >= 1;
-    both callers answer d = 0 themselves.
-    """
-    total = count_matchings(g)
-    if total > budget:
-        raise BudgetExceeded(f"{total} matchings exceed budget {budget}")
-    edges, pairs, start = _flip_data(g)
-    ns, ew = pairs[0]
-    without, with_ = [(start, 0)], [(start ^ ns ^ ew, 1)]
-    for tile, (sign, (ns, ew)) in enumerate(zip(g.edge_signs, pairs[1:]), 1):
-        flip, bit = ns ^ ew, 1 << tile
-        if sign == g.first_sign:  # above: needs the tile before
-            without += with_
-        else:  # below: needed by the tile before
-            with_ += without
-        with_ = [(m ^ flip, h | bit) for m, h in with_]
-    masks = without + with_
-    if len(masks) != total:
-        raise CrossCheckMismatch(
-            f"flip search missed matchings: {len(masks)} of {total}",
-            engines=("fence ideals", "count_matchings"), value=g.steps)
-    return masks, edges
-
-
-def enumerate_matchings(g: SnakeGraph, budget: int = 10 ** 6):
+def enumerate_matchings(g: SnakeGraph, budget: int = 64 * 10 ** 6):
     """All perfect matchings with their heights, minimal matching first.
 
-    Raises :class:`BudgetExceeded` when the matching count is beyond
-    ``budget``.
+    A matching is the minimal one with the flip ``ns ^ ew`` of each tile in
+    its height applied.  Raises :class:`BudgetExceeded` when the matching
+    count times the tile count is beyond ``budget``.
     """
     if g.d == 0:
         edge = frozenset(((0, 0), (0, 1)))
         return [Matching(edges=frozenset((edge,)), height=frozenset())]
-    masks, edges = _matching_masks(g, budget)
+    heights = _heights(g, budget)
+    edges, pairs, start = _flip_data(g)
+    flips = [ns ^ ew for ns, ew in pairs]
     out = []
-    for m, h in sorted(masks, key=lambda mh: (bin(mh[1]).count("1"), mh[1])):
+    for h in sorted(heights, key=lambda h: (bin(h).count("1"), h)):
+        tiles = [t for t in range(g.d) if h >> t & 1]
+        m = start
+        for t in tiles:
+            m ^= flips[t]
         chosen = frozenset(edges[i] for i in range(len(edges)) if m >> i & 1)
-        height = frozenset(t + 1 for t in range(g.d) if h >> t & 1)
-        out.append(Matching(edges=chosen, height=height))
+        out.append(Matching(edges=chosen,
+                            height=frozenset(t + 1 for t in tiles)))
     return out
 
 
-def f_polynomial(g: SnakeGraph, budget: int = 10 ** 6) -> YPoly:
+def f_polynomial(g: SnakeGraph, budget: int = 64 * 10 ** 6) -> YPoly:
     """Sum of height monomials y(P) over all perfect matchings P.
 
-    The minimal matching contributes the constant term 1 and the maximal one
-    the full product y_1 ... y_d.
+    Each height occurs once, so every coefficient is 1.  The minimal
+    matching contributes the constant term 1 and the maximal one the full
+    product y_1 ... y_d.  Raises :class:`BudgetExceeded` when the matching
+    count times the tile count is beyond ``budget``.
     """
-    if g.d > YPoly.MAX_TILES:
-        raise TooManyTiles(f"{g.d} tiles exceed {YPoly.MAX_TILES}")
     if g.d == 0:
         return YPoly.one()
-    masks, _ = _matching_masks(g, budget)
-    terms = {}
-    for _, h in masks:
-        terms[h] = terms.get(h, 0) + 1
-    return YPoly(terms)
+    F = YPoly.__new__(YPoly)
+    F._terms = dict.fromkeys(_heights(g, budget), 1)
+    return F
 
 
 def render_ascii(g: SnakeGraph) -> str:

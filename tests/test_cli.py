@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from twobridge.cfrac import EvenCF, PositiveCF
 from twobridge.cli import (Request, _json, build_parser, emit, main,
                            parse_input, poly_from_payload, run)
-from twobridge.errors import (AmbiguousCF, CrossCheckMismatch, OutOfRange,
-                              ParseError, TooManyTiles)
+from twobridge.errors import (AmbiguousCF, BudgetExceeded, CrossCheckMismatch,
+                              OutOfRange, ParseError)
 from twobridge.laurent import HLPoly
 
 
@@ -250,14 +250,20 @@ class TestMainExitCodes:
         finally:
             cli_mod.run = original
 
-    def test_full_fpoly_tile_cap(self, capsys):
-        # [a] is a zigzag of a - 1 tiles with only a matchings, so the
-        # matching budget passes it; only the tile cap stops the listing
-        # of a height masks of a - 1 bits each
-        with pytest.raises(TooManyTiles):
+    def test_full_fpoly_budget(self, capsys):
+        # [a] is a zigzag of a - 1 tiles with only a matchings; the budget
+        # bounds the listing, a height masks of a - 1 bits each
+        with pytest.raises(BudgetExceeded):
             run(Request("fpoly", "[100000]", hint="positive", full=True))
         assert main(["fpoly", "[100000]", "--full"]) == 2
-        assert "99999 tiles exceed 63" in capsys.readouterr().err
+        assert ("100000 matchings x 99999 tiles exceed budget 64000000"
+                in capsys.readouterr().err)
+
+    def test_full_fpoly_past_sixty_three_tiles(self, capsys):
+        assert main(["fpoly", "[70]", "--full", "--format", "json"]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert len(terms) == 70
+        assert terms[-1] == [list(range(1, 70)), 1]
 
     def test_latex_unavailable(self, capsys):
         assert main(["convert", "27/10", "--format", "latex"]) == 1

@@ -26,7 +26,7 @@ from twobridge.snake import f_polynomial, snake_from_positive
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # values p/q > 1 (so not [1]); long: many steps and wide coefficients;
-# wide: few steps, long q-integers; small: flip search lists every matching
+# wide: few steps, long q-integers; small: the fence build lists every matching
 long_cfs = st.lists(st.integers(1, 6), min_size=20, max_size=80)
 wide_cfs = st.lists(st.integers(1, 300), min_size=1, max_size=4).filter(
     lambda a: a != [1])

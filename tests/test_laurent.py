@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge.errors import MixedGrid, TooManyTiles, ZeroPolynomial
+from twobridge.errors import MixedGrid, ZeroPolynomial
 from twobridge.laurent import (HLPoly, YPoly, q_integer, q_power,
                                specialize_y, t_power)
 
@@ -195,8 +195,11 @@ class TestYPoly:
         assert F.subsets() == [(frozenset(), 1), (frozenset({1, 2}), 1)]
         assert F.to_text() == "1 + y1*y2"
 
-    def test_tile_limit(self):
-        with pytest.raises(TooManyTiles):
-            YPoly.monomial((64,))
-        with pytest.raises(TooManyTiles):
-            YPoly({1 << 63: 1})
+    def test_tile_indices(self):
+        # no tile cap: y64 is bit 63
+        assert YPoly.monomial((64,)) == YPoly({1 << 63: 1})
+        assert YPoly.monomial((64,)).subsets() == [(frozenset({64}), 1)]
+        with pytest.raises(ValueError):
+            YPoly.monomial((0,))
+        with pytest.raises(ValueError):
+            YPoly({-1: 1})

@@ -14,11 +14,12 @@ from twobridge.cfrac import (EvenCF, PositiveCF, even_cf, numerator_rec,
                              positive_cf)
 from twobridge.errors import BudgetExceeded, CrossCheckMismatch
 from twobridge.laurent import YPoly, specialize_y
-from twobridge.snake import (RIGHT, UP, SnakeGraph, _flip_data,
-                             _matching_masks, count_matchings,
-                             enumerate_matchings, f_polynomial, isomorphic,
-                             render_ascii, snake_from_even,
-                             snake_from_positive, tile_count_even)
+from twobridge.jones import specialized_f_even, specialized_f_positive
+from twobridge.snake import (RIGHT, UP, SnakeGraph, _flip_data, _heights,
+                             count_matchings, enumerate_matchings,
+                             f_polynomial, isomorphic, render_ascii,
+                             snake_from_even, snake_from_positive,
+                             tile_count_even)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,15 +40,17 @@ def flip_search(g):
     in the height set.  Reaching one matching with two heights raises.
     """
     _, pairs, start = _flip_data(g)
+    moves = [(ns, ew, ns ^ ew, 1 << tile)
+             for tile, (ns, ew) in enumerate(pairs)]
     heights = {start: 0}
     queue = deque([start])
     while queue:
         m = queue.popleft()
         h = heights[m]
-        for tile, (ns, ew) in enumerate(pairs):
+        for ns, ew, flip, bit in moves:
             if m & ns == ns or m & ew == ew:
-                m2 = m ^ ns ^ ew
-                h2 = h ^ (1 << tile)
+                m2 = m ^ flip
+                h2 = h ^ bit
                 if m2 not in heights:
                     heights[m2] = h2
                     queue.append(m2)
@@ -59,10 +62,22 @@ def flip_search(g):
 
 
 def fence_ideals(g):
-    """The fence build's pairs as a set, after checking it lists each once."""
-    masks, _ = _matching_masks(g, 10 ** 6)
-    assert len(set(masks)) == len(masks) == count_matchings(g)
-    return set(masks)
+    """The fence build's heights as a set, after checking it lists each
+    once."""
+    heights = _heights(g, 10 ** 6)
+    assert len(set(heights)) == len(heights) == count_matchings(g)
+    return set(heights)
+
+
+def listed_pairs(g):
+    """enumerate_matchings as (edge mask, height mask) pairs over the edge
+    list of ``_flip_data``, after checking it lists each matching once."""
+    index = {e: 1 << i for i, e in enumerate(_flip_data(g)[0])}
+    ms = enumerate_matchings(g)
+    pairs = {(sum(index[e] for e in m.edges),
+              sum(1 << t - 1 for t in m.height)) for m in ms}
+    assert len(pairs) == len(ms) == count_matchings(g)
+    return pairs
 
 
 def zigzag(g):
@@ -253,9 +268,20 @@ class TestEnumeration:
             assert sorted(covered) == sorted(vertices)
 
     def test_budget(self):
+        # the budget bounds the listing: 27 matchings x 7 tiles = 189
         g = snake_from_positive(positive_cf(Fraction(27, 10)))
         with pytest.raises(BudgetExceeded):
-            enumerate_matchings(g, budget=20)
+            enumerate_matchings(g, budget=188)
+        assert len(enumerate_matchings(g, budget=189)) == 27
+        with pytest.raises(BudgetExceeded):
+            f_polynomial(g, budget=188)
+        assert len(f_polynomial(g, budget=189)) == 27
+
+    def test_oversized_listing_fails_fast(self):
+        # [100000] has only 100000 matchings, but of 99999 tiles each
+        g = snake_from_positive(PositiveCF((100000,)))
+        with pytest.raises(BudgetExceeded):
+            enumerate_matchings(g)
 
     @given(st.lists(st.sampled_from([1, -1]), max_size=8),
            st.sampled_from([1, -1]))
@@ -290,7 +316,12 @@ class TestEnumeration:
 
 
 class TestFenceIdeals:
-    """The tile-by-tile fence build lists what the flip search reaches."""
+    """The tile-by-tile fence build lists what the flip search reaches.
+
+    Comparing heights alone is as strong as comparing (matching, height)
+    pairs: every pair the flip search reaches has the minimal matching
+    with its height's tile flips applied as its matching.
+    """
 
     def test_every_sign_word_up_to_twelve_tiles(self):
         graphs = 0
@@ -298,20 +329,30 @@ class TestFenceIdeals:
             for signs in product((1, -1), repeat=d - 1):
                 for first_sign in (1, -1):
                     g = SnakeGraph(d, signs, first_sign)
-                    assert fence_ideals(g) == flip_search(g), (signs, first_sign)
+                    assert fence_ideals(g) == {h for _, h in flip_search(g)}, (
+                        signs, first_sign)
                     graphs += 1
         assert graphs == 8190
+
+    def test_matchings_of_every_sign_word_up_to_eight_tiles(self):
+        for d in range(1, 9):
+            for signs in product((1, -1), repeat=d - 1):
+                for first_sign in (1, -1):
+                    g = SnakeGraph(d, signs, first_sign)
+                    assert listed_pairs(g) == flip_search(g), (
+                        signs, first_sign)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([1, -1]), min_size=12, max_size=15),
            st.sampled_from([1, -1]))
     def test_long_sign_words(self, signs, first_sign):
         g = SnakeGraph(len(signs) + 1, signs, first_sign)
-        assert fence_ideals(g) == flip_search(g)
+        assert listed_pairs(g) == flip_search(g)
 
 
 def test_missed_matchings_raise_under_optimize():
-    """The flip-search checks are if/raise, so they survive ``python -O``."""
+    """The fence build's count check is if/raise, so it survives
+    ``python -O``."""
     script = (
         "import twobridge.snake as snake\n"
         "from twobridge.cfrac import PositiveCF\n"
@@ -330,7 +371,7 @@ def test_missed_matchings_raise_under_optimize():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "flip search missed matchings: 27 of 28"] * 2
+        "fence build missed matchings: 27 of 28"] * 2
 
 
 class TestFPolynomial:
@@ -367,6 +408,33 @@ class TestFPolynomial:
             F = f_polynomial(snake_from_positive(cf))
             G = f_polynomial(snake_from_positive(other))
             assert F == G.complement(cf.d), entries
+
+    def test_needs_only_the_sign_word(self, monkeypatch):
+        import twobridge.snake as snake
+
+        def no_geometry(g):
+            raise AssertionError("f_polynomial built the embedding")
+        monkeypatch.setattr(snake, "_flip_data", no_geometry)
+        monkeypatch.setattr(SnakeGraph, "tile_positions", no_geometry)
+        F = f_polynomial(snake_from_positive(PositiveCF((2, 1, 2, 3))))
+        assert len(F) == 27
+
+    def test_past_sixty_three_tiles(self):
+        # long graphs with few matchings, checked against the kernel
+        for entries in [(65,), (200,), (1, 70), (62, 3), (2, 100),
+                        (100, 1, 2), (50, 2, 40)]:
+            cf = PositiveCF(entries)
+            g = snake_from_positive(cf)
+            assert 64 <= g.d <= 200
+            assert specialize_y(f_polynomial(g), g.d) == (
+                specialized_f_positive(cf)), entries
+        for entries in [(2, -2) * 32, (64, -2), (2, -66), (70, 2),
+                        (40, -2, 2, -30), (30, 30, -10)]:
+            cf = EvenCF(entries)
+            g = snake_from_even(cf)
+            assert 64 <= g.d <= 200
+            assert specialize_y(f_polynomial(g), g.d) == (
+                specialized_f_even(cf)), entries
 
     def test_specialization_route(self):
         g = snake_from_even(EvenCF((2, -2)))
