@@ -37,8 +37,9 @@ from .jones import (JonesResult, boundary_coefficients, jones_direct,
                     jones_recursive, jones_via_f, mirror, oriented_even_cf,
                     specialized_f_even, specialized_f_positive, volume_bounds)
 from .laurent import HLPoly
-from .snake import (count_matchings, f_polynomial, render_ascii,
-                    snake_from_even, snake_from_positive)
+from .snake import (check_budget, count_matchings, f_polynomial,
+                    render_ascii, snake_from_even, snake_from_positive,
+                    tile_count_even)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
 
@@ -211,10 +212,15 @@ def run(req: Request) -> dict:
 
     if req.command == "fpoly":
         if req.full:
-            g = (snake_from_even(obj) if isinstance(obj, EvenCF)
-                 else snake_from_positive(obj if isinstance(obj, PositiveCF)
-                                          else positive_cf(obj)))
-            F = f_polynomial(g)
+            if isinstance(obj, EvenCF):
+                d, build = tile_count_even(obj), snake_from_even
+            else:
+                if not isinstance(obj, PositiveCF):
+                    obj = positive_cf(obj)
+                d, build = obj.d, snake_from_positive
+            # the listing is p heights of d tiles, known before the graph is
+            check_budget(abs(_as_rat(obj).numerator), d)
+            F = f_polynomial(build(obj))
             report["full"] = True
             report["terms"] = [[sorted(tiles), c] for tiles, c in F.subsets()]
             report["text"] = F.to_text()
@@ -290,13 +296,31 @@ def _json(obj, indent: str = "") -> str:
         if not obj:
             return "[]"
         inner = indent + "  "
-        # ints and strings inline: most items are coefficient pairs
-        return ("[\n" + inner
-                + (",\n" + inner).join([
-                    int.__repr__(x) if type(x) is int
-                    else _encode_str(x) if type(x) is str
-                    else _json(x, inner) for x in obj])
-                + "\n" + indent + "]")
+        flat_sep = ",\n" + inner + "  "
+        # ints, strings and flat lists of them inline: most items are
+        # coefficient pairs
+        items = []
+        for x in obj:
+            if type(x) is int:
+                items.append(int.__repr__(x))
+            elif type(x) is str:
+                items.append(_encode_str(x))
+            elif (type(x) is list or type(x) is tuple) and x:
+                flat = []
+                for y in x:
+                    if type(y) is int:
+                        flat.append(int.__repr__(y))
+                    elif type(y) is str:
+                        flat.append(_encode_str(y))
+                    else:
+                        items.append(_json(x, inner))
+                        break
+                else:
+                    items.append("[\n" + inner + "  " + flat_sep.join(flat)
+                                 + "\n" + inner + "]")
+            else:
+                items.append(_json(x, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

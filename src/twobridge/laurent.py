@@ -338,11 +338,29 @@ def continuant(steps, x_before, x_start, bound) -> HLPoly:
     The recurrence runs on packed integers (Kronecker substitution; Harvey
     2009, *Faster polynomial multiplication via multipoint Kronecker
     substitution*).  A term whose exponents share one grid is stored as a
-    pair (n, h): the polynomial is t^(h/2) * N(t) and n = N(2^s).  Monomials
-    only move h; [b]_q = (-1)^(b-1) t^(1-b) (1 - (-t)^b) / (1 + t), so a
-    product with it is one shift, one add and one exact division by 1 + 2^s,
-    whatever b is.  Packing is a ring homomorphism, so intermediate terms may
-    overflow their slots; only the result is decoded, once, and it fits when
+    pair (n, h) and a sign c apart: the polynomial is c * t^(h/2) * N(t) and
+    n = N(2^s), so a factor's sign goes into the add or subtract that joins
+    the two products and never negates n.  Monomials only move h, and
+    [b]_q = t^(1-b) (t^b - (-1)^b) / (t + 1)
+          = t^(1-b) (t^(b-1) - t^(b-2) + ... +- 1),
+    so at t = 2^s a product with [2]_q is one shift and subtract, and for
+    3 <= b <= 6 with s >= 64 it is b - 1 Horner steps r = (r << s) -+ n.
+    Every other b takes one shift, one add and one exact division by
+    1 + 2^s.  CPython divides by long division, at a cost of dividend digits
+    times divisor digits (30-bit digits), so the chain wins only once the
+    divisor spans three digits or more.  Chain time / division time on
+    300-slot operands, median of three runs (Python 3.11, x86-64):
+
+        s = 16:  b = 3: 0.80,  b = 6: 1.75,  b = 8: 2.34,  b = 12: 3.56
+        s = 32:  b = 3: 0.35,  b = 6: 0.83,  b = 8: 1.11,  b = 12: 1.77
+        s = 64:  b = 3: 0.31,  b = 6: 0.77,  b = 8: 1.09,  b = 12: 1.71
+        s = 144: b = 3: 0.25,  b = 6: 0.61,  b = 8: 0.83,  b = 12: 1.36
+
+    On 20-slot operands the chain loses more: 1.8-5.3 at s = 16, 1.0-2.5 at
+    s = 32, and at s = 64 0.65 for b = 3 but 1.15 for b = 6.
+
+    Packing is a ring homomorphism, so intermediate terms may overflow their
+    slots; only the result is decoded, once, and it fits when
     s >= bound.bit_length() + 2, since every coefficient then lies well inside
     the balanced digit range [-2^(s-1), 2^(s-1)).  Up to 64 bits s is rounded
     up to 8, 16, 32 or 64, so one ``struct.unpack`` call reads every digit;
@@ -356,35 +374,54 @@ def continuant(steps, x_before, x_start, bound) -> HLPoly:
     """
     s = _slot_width(bound)
     one_plus_x = (1 << s) + 1
-
-    def times(factor, term):
-        c, u, b = factor
-        n, h = term
-        if b == 2:  # (X^2 - 1) / (1 + X) = X - 1: no division needed
-            n = (n << s) - n
-            u -= 2
-        elif b != 1:
-            shifted = n << (s * b)
-            n = (shifted - n if b % 2 == 0 else shifted + n) // one_plus_x
-            u -= 2 * (b - 1)
-        return (n if c > 0 else -n), h + u
-
-    x2 = _pack(HLPoly._coerce(x_before), s)
-    x1 = _pack(HLPoly._coerce(x_start), s)
-    for mu, nu in steps:
-        (na, ha), (nb, hb) = times(mu, x2), times(nu, x1)
+    # [b]_q up to b = short is a Horner chain, beyond it one exact division
+    short = 6 if s >= 64 else 2
+    n2, h2 = _pack(HLPoly._coerce(x_before), s)
+    n1, h1 = _pack(HLPoly._coerce(x_start), s)
+    c2 = c1 = 1
+    for (ca, ua, ba), (cb, ub, bb) in steps:
+        na, ha = n2, h2 + ua
+        if ba != 1:
+            if not ba:
+                na = 0
+            elif ba == 2:  # (t^2 - 1) / (t + 1) = t - 1
+                na = (na << s) - na
+            elif ba <= short:
+                for j in range(1, ba):
+                    na = (na << s) - n2 if j & 1 else (na << s) + n2
+            else:
+                shifted = na << s * ba
+                na = (shifted + na if ba & 1 else shifted - na) // one_plus_x
+            ha -= 2 * (ba - 1)
+        nb, hb = n1, h1 + ub
+        if bb != 1:
+            if not bb:
+                nb = 0
+            elif bb == 2:
+                nb = (nb << s) - nb
+            elif bb <= short:
+                for j in range(1, bb):
+                    nb = (nb << s) - n1 if j & 1 else (nb << s) + n1
+            else:
+                shifted = nb << s * bb
+                nb = (shifted + nb if bb & 1 else shifted - nb) // one_plus_x
+            hb -= 2 * (bb - 1)
+        ca *= c2
+        cb *= c1
+        n2, h2, c2 = n1, h1, c1
         if not na:
-            x = nb, hb
+            n1, h1, c1 = nb, hb, cb
         elif not nb:
-            x = na, ha
+            n1, h1, c1 = na, ha, ca
         elif (ha - hb) & 1:
             raise MixedGrid("recurrence terms lie on different grids")
         elif ha > hb:
-            x = (na << s * ((ha - hb) >> 1)) + nb, hb
+            na <<= s * ((ha - hb) >> 1)
+            n1, h1, c1 = (na + nb if ca == cb else na - nb), hb, ca
         else:
-            x = na + (nb << s * ((hb - ha) >> 1)), ha
-        x2, x1 = x1, x
-    return _unpack(x1, s, bound)
+            nb <<= s * ((hb - ha) >> 1)
+            n1, h1, c1 = (na + nb if ca == cb else na - nb), ha, ca
+    return _unpack((n1 if c1 > 0 else -n1, h1), s, bound)
 
 
 def _pack(p: HLPoly, s: int):

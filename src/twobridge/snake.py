@@ -39,6 +39,8 @@ from .laurent import YPoly
 RIGHT = "R"
 UP = "U"
 _SIGNS = frozenset((1, -1))
+# default bound on a matching listing, matchings times tiles
+LISTING_BUDGET = 64 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,14 @@ def count_matchings(g: SnakeGraph) -> int:
     return 2 * free + covered
 
 
+def check_budget(matchings: int, tiles: int, budget: int = LISTING_BUDGET):
+    """Raise :class:`BudgetExceeded` when listing ``matchings`` heights of
+    ``tiles`` tiles each is beyond ``budget``."""
+    if matchings * tiles > budget:
+        raise BudgetExceeded(f"{matchings} matchings x {tiles} tiles exceed "
+                             f"budget {budget}")
+
+
 def _heights(g: SnakeGraph, budget):
     """The height masks of all perfect matchings, one per matching.
 
@@ -207,9 +217,7 @@ def _heights(g: SnakeGraph, budget):
     both callers answer d = 0 themselves.
     """
     total = count_matchings(g)
-    if total * g.d > budget:
-        raise BudgetExceeded(f"{total} matchings x {g.d} tiles exceed "
-                             f"budget {budget}")
+    check_budget(total, g.d, budget)
     without, with_ = [0], [1]
     for tile, sign in enumerate(g.edge_signs, 1):
         if sign == g.first_sign:  # above: needs the tile before
@@ -275,7 +283,7 @@ def _flip_data(g: SnakeGraph):
     return edges, pairs, sum(lower[0::2]) + sum(upper[1::2])
 
 
-def enumerate_matchings(g: SnakeGraph, budget: int = 64 * 10 ** 6):
+def enumerate_matchings(g: SnakeGraph, budget: int = LISTING_BUDGET):
     """All perfect matchings with their heights, minimal matching first.
 
     A matching is the minimal one with the flip ``ns ^ ew`` of each tile in
@@ -300,7 +308,7 @@ def enumerate_matchings(g: SnakeGraph, budget: int = 64 * 10 ** 6):
     return out
 
 
-def f_polynomial(g: SnakeGraph, budget: int = 64 * 10 ** 6) -> YPoly:
+def f_polynomial(g: SnakeGraph, budget: int = LISTING_BUDGET) -> YPoly:
     """Sum of height monomials y(P) over all perfect matchings P.
 
     Each height occurs once, so every coefficient is 1.  The minimal

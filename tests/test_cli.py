@@ -192,6 +192,14 @@ class TestJsonEmitter:
         for value in ({}, [], (), {"a": {}, "b": [[]]}, [{}, ()]):
             assert _json(value) == json.dumps(value, indent=2)
 
+    def test_inline_lists(self):
+        # flat lists of exact ints and strings render inline; bools, floats,
+        # None, empty and nested lists keep the recursive path
+        for value in ([[True, 1]], [[1.5, "a"]], [[]], [("x", 2)],
+                      [[None, 1], ["a", [1]], (3, "b"), 4],
+                      {"c": [["-1/2", 10 ** 40], ["0", -1]]}):
+            assert _json(value) == json.dumps(value, indent=2)
+
     def test_unencodable_values_raise(self):
         for value in ({"a": {1, 2}}, [object()], {(1, 2): 3}):
             with pytest.raises(TypeError):
@@ -257,6 +265,23 @@ class TestMainExitCodes:
             run(Request("fpoly", "[100000]", hint="positive", full=True))
         assert main(["fpoly", "[100000]", "--full"]) == 2
         assert ("100000 matchings x 99999 tiles exceed budget 64000000"
+                in capsys.readouterr().err)
+
+    def test_full_fpoly_budget_before_the_graph(self, capsys, monkeypatch):
+        # p x d is checked from the continued fraction alone: a graph of
+        # 999,999,999 tiles is never built
+        import twobridge.cli as cli
+
+        def no_graph(*args):
+            raise AssertionError("graph built before the budget check")
+        for name in ("snake_from_positive", "snake_from_even"):
+            monkeypatch.setattr(cli, name, no_graph)
+        assert main(["fpoly", "1000000000", "--full"]) == 2
+        assert ("error [fpoly]: 1000000000 matchings x 999999999 tiles "
+                "exceed budget 64000000" in capsys.readouterr().err)
+        # an even cf counts its tiles without the gluing
+        assert main(["fpoly", "[2,-500000,2]", "--full"]) == 2
+        assert ("1999996 matchings x 500001 tiles exceed budget 64000000"
                 in capsys.readouterr().err)
 
     def test_full_fpoly_past_sixty_three_tiles(self, capsys):

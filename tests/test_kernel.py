@@ -19,8 +19,9 @@ from twobridge.errors import MixedGrid
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
-from twobridge.laurent import (HLPoly, _slot_width, continuant, q_integer,
-                               q_power, specialize_y, t_power)
+from twobridge.laurent import (HLPoly, _pack, _slot_width, _unpack,
+                               continuant, q_integer, q_power, specialize_y,
+                               t_power)
 from twobridge.snake import f_polynomial, snake_from_positive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -144,6 +145,82 @@ class TestSlotWidths:
         start = HLPoly.monomial(m, parity)
         steps = [((1, 0, 1), nu) for nu in nus]
         assert continuant(steps, 0, start, bound) == start * ref
+
+
+def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
+    """The kernel as it was before short q-integers became Horner chains:
+    every [b]_q with b >= 3 is one exact division by 1 + 2^s, and every
+    negative factor negates its product."""
+    s = _slot_width(bound)
+    one_plus_x = (1 << s) + 1
+
+    def times(factor, term):
+        c, u, b = factor
+        n, h = term
+        if b == 2:  # (X^2 - 1) / (1 + X) = X - 1: no division needed
+            n = (n << s) - n
+            u -= 2
+        elif b != 1:
+            shifted = n << (s * b)
+            n = (shifted - n if b % 2 == 0 else shifted + n) // one_plus_x
+            u -= 2 * (b - 1)
+        return (n if c > 0 else -n), h + u
+
+    x2 = _pack(HLPoly._coerce(x_before), s)
+    x1 = _pack(HLPoly._coerce(x_start), s)
+    for mu, nu in steps:
+        (na, ha), (nb, hb) = times(mu, x2), times(nu, x1)
+        if not na:
+            x = nb, hb
+        elif not nb:
+            x = na, ha
+        elif (ha - hb) & 1:
+            raise MixedGrid("recurrence terms lie on different grids")
+        elif ha > hb:
+            x = (na << s * ((ha - hb) >> 1)) + nb, hb
+        else:
+            x = na + (nb << s * ((hb - ha) >> 1)), ha
+        x2, x1 = x1, x
+    return _unpack(x1, s, bound)
+
+
+# general factors on the integer grid: signed, shifted, and [b]_q on both
+# sides of b = 2 and b = 6, where the kernel switches between its paths
+general_factors = st.tuples(st.sampled_from([1, -1]), st.integers(-8, 8).map(
+    lambda k: 2 * k), st.integers(0, 12))
+grid_terms = st.dictionaries(st.integers(-12, 12), st.integers(-40, 40),
+                             max_size=10)
+
+
+def ring_recurrence(steps, x_before, x_start) -> HLPoly:
+    """x_k = mu_k x_(k-2) + nu_k x_(k-1) over dict-backed HLPoly values."""
+    x2, x1 = HLPoly._coerce(x_before), HLPoly._coerce(x_start)
+    for mu, nu in steps:
+        x2, x1 = x1, factor_poly(*mu) * x2 + factor_poly(*nu) * x1
+    return x1
+
+
+class TestAgainstParentKernel:
+    @pytest.mark.parametrize("k", BOUND_BITS + (100, 140))
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(general_factors, general_factors),
+                    min_size=1, max_size=6),
+           grid_terms, grid_terms, st.integers(0, 1))
+    def test_general_steps(self, k, steps, before, start, parity):
+        # one grid per run: exponents 2k + parity in half units
+        before, start = (HLPoly({2 * e + parity: c for e, c in x.items()})
+                         for x in (before, start))
+        ref = ring_recurrence(steps, before, start)
+        total = sum(abs(c) for _, c in ref.items())
+        assume(total)
+        # scale both starting terms so that the bound is k bits long, or as
+        # long as the result needs when that is more
+        m = max(1, ((1 << k) - 1) // total)
+        bound = m * total
+        assert bound.bit_length() == max(k, total.bit_length())
+        want = m * ref
+        assert continuant(steps, m * before, m * start, bound) == want
+        assert parent_continuant(steps, m * before, m * start, bound) == want
 
 
 UNDERSTATED_BOUND = (
