@@ -36,7 +36,7 @@ from .errors import (AmbiguousCF, CrossCheckMismatch, OutOfRange, ParseError,
 from .jones import (JonesResult, boundary_coefficients, jones_direct,
                     jones_recursive, jones_via_f, mirror, oriented_even_cf,
                     specialized_f_even, specialized_f_positive, volume_bounds)
-from .laurent import HLPoly
+from .laurent import HLPoly, latex_from_text
 from .snake import (check_budget, count_matchings, f_polynomial,
                     render_ascii, snake_from_even, snake_from_positive,
                     tile_count_even)
@@ -233,7 +233,7 @@ def run(req: Request) -> dict:
         report["full"] = False
         report["coefficients"] = _poly_payload(F)
         report["text"] = F.to_text()
-        report["latex"] = F.to_latex()
+        report["latex"] = latex_from_text(report["text"])
         return report
 
     if req.command == "jones":
@@ -262,7 +262,7 @@ def run(req: Request) -> dict:
         report["engine"] = req.engine
         report["checks"] = {name: "ok" for name in engines}
         report["text"] = res.poly.to_text()
-        report["latex"] = res.poly.to_latex()
+        report["latex"] = latex_from_text(report["text"])
         return report
 
     if req.command == "volume":
@@ -298,13 +298,17 @@ def _json(obj, indent: str = "") -> str:
         inner = indent + "  "
         flat_sep = ",\n" + inner + "  "
         # ints, strings and flat lists of them inline: most items are
-        # coefficient pairs
+        # coefficient pairs, [str, int], which take one f-string
         items = []
         for x in obj:
             if type(x) is int:
                 items.append(int.__repr__(x))
             elif type(x) is str:
                 items.append(_encode_str(x))
+            elif ((type(x) is list or type(x) is tuple) and len(x) == 2
+                  and type(x[0]) is str and type(x[1]) is int):
+                items.append(f"[\n{inner}  {_encode_str(x[0])},\n"
+                             f"{inner}  {int.__repr__(x[1])}\n{inner}]")
             elif (type(x) is list or type(x) is tuple) and x:
                 flat = []
                 for y in x:

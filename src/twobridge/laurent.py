@@ -278,29 +278,25 @@ class HLPoly:
 
     def to_latex(self) -> str:
         """Compact LaTeX form, e.g. ``-t^{5/2}-t^{1/2}`` or ``t^{2}-t+1``."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for u, c in self.items():
-            mag = abs(c)
-            if u == 0:
-                body = str(mag)
-            else:
-                if u == 2:
-                    power = "t"
-                elif u % 2 == 0:
-                    power = "t^{%d}" % (u // 2)
-                else:
-                    power = "t^{%d/2}" % u
-                body = power if mag == 1 else f"{mag}{power}"
-            parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
-        return "".join(parts)
+        return latex_from_text(self.to_text())
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
         return f"HLPoly({self.to_text()!r})"
+
+
+def latex_from_text(text: str) -> str:
+    """The LaTeX form of a polynomial, rewritten from :meth:`HLPoly.to_text`.
+
+    The text grammar puts spaces only around separating signs, ``*`` only
+    between a coefficient and ``t``, and parentheses only around exponents,
+    so LaTeX differs from it in punctuation alone: ``5*t^(-1/2) - t^(1)``
+    becomes ``5t^{-1/2}-t``.
+    """
+    return (text.replace(" - ", "-").replace(" + ", "+").replace("*", "")
+            .replace("(", "{").replace(")", "}").replace("t^{1}", "t"))
 
 
 def t_power(exponent) -> HLPoly:

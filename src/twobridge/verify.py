@@ -140,8 +140,10 @@ def cfrac_sweep(max_p):
             value = eval_cf(ev.entries)
             if value != r:
                 raise CrossCheckMismatch(f"even round trip fails for {r}")
-            if even_cf(value) != ev:
-                raise CrossCheckMismatch(f"even expansion unstable for {r}")
+            if even_cf(-r) != ev.mirrored():
+                raise CrossCheckMismatch(
+                    f"mirror law fails for {r}: even_cf(-r) is not the "
+                    "entrywise negation of even_cf(r)")
             if (r.numerator % 2 == 1) != (ev.m % 2 == 0):
                 raise CrossCheckMismatch(f"parity law fails for {r}")
             _check_tail_law(r, pos, ev)

@@ -199,6 +199,10 @@ class TestJsonEmitter:
                       [[None, 1], ["a", [1]], (3, "b"), 4],
                       {"c": [["-1/2", 10 ** 40], ["0", -1]]}):
             assert _json(value) == json.dumps(value, indent=2)
+        # a [str, int] pair takes one f-string; near misses must not
+        for value in ([["a\"b", 1]], [["x", True]], [[1, "x"]], [("x", 2)],
+                      [["x", 2, 3]], [["x", 2.0]], [["é", -10 ** 40]]):
+            assert _json(value) == json.dumps(value, indent=2)
 
     def test_unencodable_values_raise(self):
         for value in ({"a": {1, 2}}, [object()], {(1, 2): 3}):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from twobridge.cfrac import PositiveCF, eval_cf, numerator_rec
 from twobridge.errors import MixedGrid
@@ -200,9 +200,28 @@ def ring_recurrence(steps, x_before, x_start) -> HLPoly:
     return x1
 
 
+def same_poly(kernel, got, want, k, steps):
+    """Fail with the first differing exponent and both coefficients.
+
+    The message replaces pytest's assertion rewriting and traceback, which
+    would print both long polynomials for every example hypothesis shrinks.
+    """
+    if got == want:
+        return
+    a, b = dict(got.items()), dict(want.items())
+    u = max(e for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
+    pytest.fail(f"{kernel} differs from the ring recurrence at k = {k} "
+                f"with {len(steps)} steps: at exponent {Fraction(u, 2)} it "
+                f"gives {a.get(u, 0)}, the recurrence {b.get(u, 0)}",
+                pytrace=False)
+
+
 class TestAgainstParentKernel:
     @pytest.mark.parametrize("k", BOUND_BITS + (100, 140))
-    @settings(max_examples=15, deadline=None)
+    # no explain phase: it only annotates a failure, and on a broken kernel
+    # it took minutes and hundreds of megabytes to do so
+    @settings(max_examples=15, deadline=None,
+              phases=tuple(p for p in Phase if p is not Phase.explain))
     @given(st.lists(st.tuples(general_factors, general_factors),
                     min_size=1, max_size=6),
            grid_terms, grid_terms, st.integers(0, 1))
@@ -219,8 +238,12 @@ class TestAgainstParentKernel:
         bound = m * total
         assert bound.bit_length() == max(k, total.bit_length())
         want = m * ref
-        assert continuant(steps, m * before, m * start, bound) == want
-        assert parent_continuant(steps, m * before, m * start, bound) == want
+        same_poly("continuant",
+                  continuant(steps, m * before, m * start, bound), want, k,
+                  steps)
+        same_poly("parent_continuant",
+                  parent_continuant(steps, m * before, m * start, bound), want,
+                  k, steps)
 
 
 UNDERSTATED_BOUND = (

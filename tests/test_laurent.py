@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twobridge.errors import MixedGrid, ZeroPolynomial
-from twobridge.laurent import (HLPoly, YPoly, q_integer, q_power,
-                               specialize_y, t_power)
+from twobridge.laurent import (HLPoly, YPoly, latex_from_text, q_integer,
+                               q_power, specialize_y, t_power)
 
 P = HLPoly.parse
 
@@ -16,6 +16,36 @@ EPS_BAR = HLPoly({3: 1, 1: -1})
 def hlpolys(max_terms=6):
     return st.dictionaries(st.integers(-10, 10), st.integers(-9, 9),
                            max_size=max_terms).map(HLPoly)
+
+
+# exponents in half units on both grids, dense at 0, +-1/2, +-1 and +-2;
+# unit, small, digit-repeating and huge coefficients of either sign
+render_units = st.one_of(st.sampled_from((-4, -2, -1, 0, 1, 2, 4)),
+                         st.integers(-80, 80))
+render_coeffs = st.one_of(
+    st.sampled_from((1, -1, 2, -2, 10, -10, 11, -11, 101, -101)),
+    st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 40, 10 ** 40))
+
+
+def parent_to_latex(p: HLPoly) -> str:
+    """``HLPoly.to_latex`` as it was before it rewrote the text form."""
+    if not p:
+        return "0"
+    parts = []
+    for u, c in p.items():
+        mag = abs(c)
+        if u == 0:
+            body = str(mag)
+        else:
+            if u == 2:
+                power = "t"
+            elif u % 2 == 0:
+                power = "t^{%d}" % (u // 2)
+            else:
+                power = "t^{%d/2}" % u
+            body = power if mag == 1 else f"{mag}{power}"
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
+    return "".join(parts)
 
 
 class TestArithmetic:
@@ -164,6 +194,16 @@ class TestTextGrammar:
     def test_latex(self):
         assert P("-t^(5/2) - t^(1/2)").to_latex() == "-t^{5/2}-t^{1/2}"
         assert P("t^(2) - t^(1) + 1").to_latex() == "t^{2}-t+1"
+        assert HLPoly.zero().to_latex() == latex_from_text("0") == "0"
+        assert (P("11*t^(1) + t^(1/2) - t^(-1)").to_latex()
+                == "11t+t^{1/2}-t^{-1}")
+
+    @given(st.dictionaries(render_units, render_coeffs, max_size=12))
+    def test_latex_matches_parent_loop(self, terms):
+        p = HLPoly(terms)
+        want = parent_to_latex(p)
+        assert p.to_latex() == want
+        assert latex_from_text(p.to_text()) == want
 
     @given(hlpolys(max_terms=8))
     def test_round_trip(self, p):
