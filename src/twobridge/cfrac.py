@@ -29,6 +29,14 @@ def _sgn(x):
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
+def _valid(cls, entries: tuple):
+    """A ``cls`` on ``entries``, a tuple of ints valid by construction,
+    without re-running the validating ``__post_init__``."""
+    cf = object.__new__(cls)
+    object.__setattr__(cf, "entries", entries)
+    return cf
+
+
 @dataclass(frozen=True)
 class PositiveCF:
     """Validated positive continued fraction [a_1, ..., a_n], all a_i >= 1."""
@@ -71,7 +79,8 @@ class PositiveCF:
         """
         if self.entries[-1] < 2:
             raise OutOfRange("last entry must be >= 2 to split off a 1")
-        return PositiveCF(self.entries[:-1] + (self.entries[-1] - 1, 1))
+        return _valid(PositiveCF,
+                      self.entries[:-1] + (self.entries[-1] - 1, 1))
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,7 @@ class EvenCF:
 
     def mirrored(self) -> "EvenCF":
         """Entrywise negation; evaluates to the negated rational."""
-        return EvenCF(tuple(-b for b in self.entries))
+        return _valid(EvenCF, tuple(-b for b in self.entries))
 
 
 def eval_cf(entries) -> Rat:
@@ -139,7 +148,7 @@ def positive_cf(r: Rat) -> PositiveCF:
         a, rem = divmod(p, q)
         entries.append(a)
         p, q = q, rem
-    return PositiveCF(tuple(entries))
+    return _valid(PositiveCF, tuple(entries))
 
 
 def even_division(p: int, q: int):
@@ -179,7 +188,7 @@ def even_cf(r: Rat) -> EvenCF:
         b, s = even_division(p, q)
         entries.append(b)
         p, q = q, s
-    return EvenCF(tuple(entries))
+    return _valid(EvenCF, tuple(entries))
 
 
 def even_cf_for_link(r: Rat) -> EvenCF:

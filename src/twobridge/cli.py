@@ -37,9 +37,9 @@ from .jones import (JonesResult, boundary_coefficients, jones_direct,
                     jones_recursive, jones_via_f, mirror, oriented_even_cf,
                     specialized_f_even, specialized_f_positive, volume_bounds)
 from .laurent import HLPoly, latex_from_text
-from .snake import (check_budget, count_matchings, f_polynomial,
-                    render_ascii, snake_from_even, snake_from_positive,
-                    tile_count_even)
+from .snake import (check_budget, check_canvas, count_matchings,
+                    f_polynomial, render_ascii, snake_from_even,
+                    snake_from_positive, tile_count_even)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
 
@@ -147,6 +147,17 @@ def _as_rat(obj) -> Rat:
     return obj.value()
 
 
+def _graph_source(obj):
+    """(cf, d, build): the continued fraction of a parsed input whose snake
+    graph is ``build(cf)``, and its tile count d, known before the graph is
+    built."""
+    if isinstance(obj, EvenCF):
+        return obj, tile_count_even(obj), snake_from_even
+    if not isinstance(obj, PositiveCF):
+        obj = positive_cf(obj)
+    return obj, obj.d, snake_from_positive
+
+
 def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
                   ev: EvenCF) -> JonesResult:
     """One engine, given the input's value r, a positive cf of |r| and the
@@ -200,9 +211,10 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "snake":
-        g = (snake_from_even(obj) if isinstance(obj, EvenCF)
-             else snake_from_positive(obj if isinstance(obj, PositiveCF)
-                                      else positive_cf(obj)))
+        cf, d, build = _graph_source(obj)
+        # a single column is the smallest drawing of d tiles
+        check_canvas(d, 1)
+        g = build(cf)
         report["value"] = _rat_payload(abs(_as_rat(obj)))
         report["tile_count"] = g.d
         report["step_word"] = g.step_word()
@@ -212,12 +224,7 @@ def run(req: Request) -> dict:
 
     if req.command == "fpoly":
         if req.full:
-            if isinstance(obj, EvenCF):
-                d, build = tile_count_even(obj), snake_from_even
-            else:
-                if not isinstance(obj, PositiveCF):
-                    obj = positive_cf(obj)
-                d, build = obj.d, snake_from_positive
+            obj, d, build = _graph_source(obj)
             # the listing is p heights of d tiles, known before the graph is
             check_budget(abs(_as_rat(obj).numerator), d)
             F = f_polynomial(build(obj))

@@ -8,8 +8,9 @@ The whole geometry is encoded by the signs on the interior edges.  Put a sign
 function on the tiles (north = west, south = east, north opposite south);
 then two consecutive interior edges carry *equal* signs exactly where the
 snake *turns*.  A ``SnakeGraph`` is therefore stored as its interior sign
-word and derives its step word, and both constructions below reduce to
-writing down that sign word.
+word alone, and both constructions below reduce to writing down that sign
+word.  Counting matchings and deciding isomorphism read the sign word too;
+the step word is derived only when drawing or listing matchings asks for it.
 
 * From a positive continued fraction [a_1..a_n]: the interior sign word is
   runs of lengths (a_1 - 1, a_2, ..., a_(n-1), a_n - 1) with alternating
@@ -39,7 +40,8 @@ from .laurent import YPoly
 RIGHT = "R"
 UP = "U"
 _SIGNS = frozenset((1, -1))
-# default bound on a matching listing, matchings times tiles
+# default bound on a matching listing, matchings times tiles, and on a
+# drawing, in characters
 LISTING_BUDGET = 64 * 10 ** 6
 
 
@@ -48,9 +50,7 @@ class SnakeGraph:
     """Canonical snake graph with ``d`` tiles, given by its interior signs.
 
     ``edge_signs`` has length max(d - 1, 0): edge_signs[i] is the sign of
-    the interior edge shared by tiles i+1 and i+2.  ``steps`` is derived from
-    it: step i is the direction from tile i+1 to tile i+2, the first step is
-    RIGHT, and equal consecutive signs mean a turn.  ``first_sign`` is the
+    the interior edge shared by tiles i+1 and i+2.  ``first_sign`` is the
     sign of the distinguished boundary edge of the first tile; d = 0 encodes
     the single edge on two vertices.
     """
@@ -58,7 +58,6 @@ class SnakeGraph:
     d: int
     edge_signs: tuple
     first_sign: int = 1
-    steps: tuple = field(init=False)
 
     def __post_init__(self):
         signs = tuple(self.edge_signs)
@@ -72,6 +71,13 @@ class SnakeGraph:
             raise ValueError("edge signs must be +1 or -1")
         if self.first_sign not in (1, -1):
             raise ValueError("first_sign must be +1 or -1")
+
+    @property
+    def steps(self) -> tuple:
+        """The step word, derived when read: step i is the direction from
+        tile i+1 to tile i+2, the first step is RIGHT, and equal consecutive
+        signs mean a turn."""
+        signs = self.edge_signs
         steps, step = [], RIGHT
         for a, b in zip(signs, signs[1:]):
             steps.append(step)
@@ -79,7 +85,7 @@ class SnakeGraph:
                 step = UP if step == RIGHT else RIGHT
         if signs:
             steps.append(step)
-        object.__setattr__(self, "steps", tuple(steps))
+        return tuple(steps)
 
     def step_word(self) -> str:
         return "".join(self.steps)
@@ -156,21 +162,24 @@ def tile_count_even(cf: EvenCF) -> int:
 
 
 def isomorphic(g: SnakeGraph, h: SnakeGraph) -> bool:
-    """Graph isomorphism, decided on step words.
+    """Graph isomorphism, decided on sign words.
 
     The plane symmetries that preserve snake graphs are generated by the
     180-degree rotation (reverses the step word) and the diagonal reflection
     (swaps RIGHT and UP), so two graphs are isomorphic exactly when their
-    step words agree up to that 4-element group.  Graphs with d <= 1 are
-    isomorphic exactly when their tile counts agree.
+    step words agree up to that 4-element group.  A step word starts with
+    RIGHT and is fixed by its turns, the equal neighbouring signs, which
+    reversing the sign word reverses and negating it keeps.  So the test is
+    equality of sign words up to reversal and negation.  Graphs with d <= 1
+    are isomorphic exactly when their tile counts agree.
     """
     if g.d != h.d:
         return False
-    if g.d <= 1:
+    s, t = g.edge_signs, h.edge_signs
+    if s == t or s == t[::-1]:
         return True
-    w = g.steps
-    swapped = tuple(UP if s == RIGHT else RIGHT for s in w)
-    return h.steps in (w, w[::-1], swapped, swapped[::-1])
+    t = tuple(-x for x in t)
+    return s == t or s == t[::-1]
 
 
 def count_matchings(g: SnakeGraph) -> int:
@@ -178,20 +187,21 @@ def count_matchings(g: SnakeGraph) -> int:
 
     State after tile i: matchings of everything before the interior edge
     e_i that leave both of its endpoints free, versus those that cover both
-    (mixed states never occur).  A straight middle tile maps (free, covered)
-    to (free + covered, free); a turn maps it to (free, free + covered); the
-    last tile closes with 2*free + covered.
+    (mixed states never occur).  A middle tile is straight where its two
+    interior edges carry unequal signs and a turn where they are equal.  A
+    straight tile maps (free, covered) to (free + covered, free); a turn
+    maps it to (free, free + covered); the last tile closes with
+    2*free + covered.
     """
-    if g.d == 0:
-        return 1
-    if g.d == 1:
-        return 2
-    free, covered = 1, 1
-    for k in range(len(g.steps) - 1):
-        if g.steps[k] == g.steps[k + 1]:
+    if g.d <= 1:
+        return g.d + 1
+    free = covered = 1
+    signs = g.edge_signs
+    for a, b in zip(signs, signs[1:]):
+        if a != b:
             free, covered = free + covered, free
         else:
-            free, covered = free, free + covered
+            covered += free
     return 2 * free + covered
 
 
@@ -259,8 +269,9 @@ def _flip_data(g: SnakeGraph):
         return 1 << len(edges) - 1
 
     east = north = 0
-    for (x, y), into, out in zip(g.tile_positions(), (None,) + g.steps,
-                                 g.steps + (None,)):
+    steps = g.steps
+    for (x, y), into, out in zip(g.tile_positions(), (None,) + steps,
+                                 steps + (None,)):
         if into == UP:
             south = north
         else:
@@ -323,13 +334,30 @@ def f_polynomial(g: SnakeGraph, budget: int = LISTING_BUDGET) -> YPoly:
     return F
 
 
+def check_canvas(rows: int, cols: int):
+    """Raise :class:`BudgetExceeded` when drawing tiles in ``rows`` rows and
+    ``cols`` columns, (2*rows + 1) * (3*cols + 1) characters, is beyond
+    :data:`LISTING_BUDGET`.  A single column, rows = d and cols = 1, is the
+    smallest drawing of d tiles."""
+    cells = (2 * rows + 1) * (3 * cols + 1)
+    if cells > LISTING_BUDGET:
+        raise BudgetExceeded(f"a drawing {rows} tiles high and {cols} wide "
+                             f"has {cells} cells, beyond budget "
+                             f"{LISTING_BUDGET}")
+
+
 def render_ascii(g: SnakeGraph) -> str:
-    """Unit-grid drawing of the tiles in the canonical embedding."""
+    """Unit-grid drawing of the tiles in the canonical embedding.
+
+    Raises :class:`BudgetExceeded` before allocating the canvas when it
+    would hold more than :data:`LISTING_BUDGET` characters.
+    """
     if g.d == 0:
         return "+\n|\n+"
     positions = g.tile_positions()
     max_x = max(x for x, _ in positions)
     max_y = max(y for _, y in positions)
+    check_canvas(max_y + 1, max_x + 1)
     rows = 2 * (max_y + 1) + 1
     cols = 3 * (max_x + 1) + 1
     canvas = [[" "] * cols for _ in range(rows)]

@@ -10,6 +10,7 @@ from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
                              type_sequence)
 from twobridge.errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
 from twobridge.laurent import HLPoly
+from twobridge.verify import coprime_fractions
 
 
 class TestEvalCF:
@@ -248,6 +249,30 @@ class TestRoundTrips:
         assert eval_cf(cf.entries) == r
         assert even_cf(eval_cf(cf.entries)) == cf
         assert (r.numerator % 2 == 1) == (cf.m % 2 == 0)
+
+
+class TestExpansionResults:
+    """The expansions build their results without the validating
+    constructor; each must equal what the constructor builds."""
+
+    def test_equal_to_constructed(self):
+        def same(x):
+            assert type(x.entries) is tuple
+            assert all(type(e) is int for e in x.entries)
+            y = type(x)(x.entries)
+            assert x == y and hash(x) == hash(y), x
+
+        checked = 0
+        for r in coprime_fractions(200):
+            pos = positive_cf(r)
+            same(pos)
+            same(pos.long_form())
+            if (r.numerator * r.denominator) % 2 == 0:
+                for ev in (even_cf(r), even_cf(-r)):
+                    same(ev)
+                    same(ev.mirrored())
+            checked += 1
+        assert checked == 12231
 
 
 # entries that probe the validators: zero, odd and negative odd values,

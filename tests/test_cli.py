@@ -288,6 +288,34 @@ class TestMainExitCodes:
         assert ("1999996 matchings x 500001 tiles exceed budget 64000000"
                 in capsys.readouterr().err)
 
+    def test_snake_drawing_budget(self, capsys, monkeypatch):
+        # a single column of d tiles, 8d + 4 cells, is the smallest drawing,
+        # so [1000000000] is refused from its tile count alone
+        import tracemalloc
+
+        import twobridge.cli as cli
+
+        def no_graph(*args):
+            raise AssertionError("graph built before the budget check")
+        with monkeypatch.context() as patched:
+            for name in ("snake_from_positive", "snake_from_even"):
+                patched.setattr(cli, name, no_graph)
+            assert main(["snake", "1000000000"]) == 2
+        assert ("error [snake]: a drawing 999999999 tiles high and 1 wide "
+                "has 7999999996 cells, beyond budget 64000000"
+                in capsys.readouterr().err)
+        # [7000] passes that bound but is a zigzag 3500 tiles high and wide;
+        # its canvas rows alone would take 7001 lists of 10501 pointers
+        tracemalloc.start()
+        try:
+            assert main(["snake", "7000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert ("3500 tiles high and 3500 wide has 73517501 cells, beyond "
+                "budget 64000000" in capsys.readouterr().err)
+
     def test_full_fpoly_past_sixty_three_tiles(self, capsys):
         assert main(["fpoly", "[70]", "--full", "--format", "json"]) == 0
         terms = json.loads(capsys.readouterr().out)["terms"]

@@ -246,6 +246,30 @@ class TestAgainstParentKernel:
                   k, steps)
 
 
+# b = 0, the b = 2 shift, 3 <= b <= 6 (a chain at s >= 64, a division
+# below) and b >= 7 (always a division); no engine's mu reaches these
+MU_SIDE_BS = (0, 2, 3, 4, 5, 6, 7, 10)
+
+
+@pytest.mark.parametrize("k, chain", [(20, False), (63, True)])
+def test_mu_side_q_integers(k, chain):
+    before = HLPoly({-2: 3, 0: -1, 4: 2})
+    start = HLPoly({0: 1, 2: -5, 6: 1})
+    for b in MU_SIDE_BS:
+        for c, u in ((1, 2), (-1, -4)):
+            # mu multiplies x_before in the first step, x_start in the second
+            steps = [((c, u, b), (1, 0, 1)), ((-c, 0, b), (-1, 2, 2))]
+            ref = ring_recurrence(steps, before, start)
+            total = sum(abs(coeff) for _, coeff in ref.items())
+            m = ((1 << k) - 1) // total
+            bound = m * total
+            assert bound.bit_length() == k
+            assert (_slot_width(bound) >= 64) == chain
+            same_poly("continuant",
+                      continuant(steps, m * before, m * start, bound),
+                      m * ref, k, steps)
+
+
 UNDERSTATED_BOUND = (
     "from twobridge.errors import SlotOverflow\n"
     "from twobridge.laurent import _slot_width, continuant\n"

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter, deque
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -16,7 +17,7 @@ from twobridge.errors import BudgetExceeded, CrossCheckMismatch
 from twobridge.laurent import YPoly, specialize_y
 from twobridge.jones import specialized_f_even, specialized_f_positive
 from twobridge.snake import (RIGHT, UP, SnakeGraph, _flip_data, _heights,
-                             count_matchings, enumerate_matchings,
+                             check_canvas, count_matchings, enumerate_matchings,
                              f_polynomial, isomorphic, render_ascii,
                              snake_from_even, snake_from_positive,
                              tile_count_even)
@@ -59,6 +60,35 @@ def flip_search(g):
                         "height function is path dependent",
                         engines=("flip search",), value=g.steps)
     return set(heights.items())
+
+
+def isomorphic_by_steps(g, h):
+    """Reference: the step-word test, the step words equal up to reversal
+    and the swap of RIGHT and UP."""
+    if g.d != h.d:
+        return False
+    if g.d <= 1:
+        return True
+    w = g.steps
+    swapped = tuple(UP if s == RIGHT else RIGHT for s in w)
+    return h.steps in (w, w[::-1], swapped, swapped[::-1])
+
+
+def count_by_steps(g):
+    """Reference: the transfer along the step word, where a tile between
+    two equal steps is straight."""
+    if g.d == 0:
+        return 1
+    if g.d == 1:
+        return 2
+    steps = g.steps
+    free, covered = 1, 1
+    for k in range(len(steps) - 1):
+        if steps[k] == steps[k + 1]:
+            free, covered = free + covered, free
+        else:
+            free, covered = free, free + covered
+    return 2 * free + covered
 
 
 def fence_ideals(g):
@@ -148,6 +178,44 @@ class TestConstruction:
         else:
             assert ok
             assert g.edge_signs == signs and g.steps == steps_of(signs)
+
+
+class TestSignWordOnly:
+    """Counting and isomorphism read the sign word, never the step word."""
+
+    def test_stores_no_step_word(self):
+        assert [f.name for f in fields(SnakeGraph)] == [
+            "d", "edge_signs", "first_sign"]
+
+    def test_count_and_isomorphism_read_no_steps(self, monkeypatch):
+        def no_steps(g):
+            raise AssertionError("the step word was derived")
+        g = snake_from_positive(PositiveCF((2, 1, 2, 3)))
+        h = snake_from_even(EvenCF((2, 2, -2, 4)))
+        monkeypatch.setattr(SnakeGraph, "steps", property(no_steps))
+        assert count_matchings(g) == 27
+        assert isomorphic(g, h)
+
+    def test_count_matches_step_transfer(self):
+        graphs = 0
+        for d in range(2, 13):
+            for signs in product((1, -1), repeat=d - 1):
+                for first_sign in (1, -1):
+                    g = SnakeGraph(d, signs, first_sign)
+                    assert count_matchings(g) == count_by_steps(g), signs
+                    graphs += 1
+        assert graphs == 8188
+        for g in (SnakeGraph(0, ()), SnakeGraph(1, ())):
+            assert count_matchings(g) == count_by_steps(g)
+
+    def test_isomorphic_matches_step_word_test(self):
+        for d in range(0, 10):
+            graphs = [SnakeGraph(d, signs)
+                      for signs in product((1, -1), repeat=max(d - 1, 0))]
+            for g in graphs:
+                for h in graphs:
+                    assert isomorphic(g, h) == isomorphic_by_steps(g, h), (
+                        g.edge_signs, h.edge_signs)
 
 
 class TestTileCount:
@@ -444,6 +512,16 @@ class TestFPolynomial:
 
 
 class TestRender:
+    def test_canvas_budget(self):
+        # (2 * 7812 + 1) * (3 * 1365 + 1) = 15625 * 4096 is the budget itself
+        check_canvas(7812, 1365)
+        with pytest.raises(BudgetExceeded):
+            check_canvas(7812, 1366)
+        # [7000] is a zigzag of 6999 tiles, 3500 high and wide: 73,517,501
+        # cells, refused before the canvas is allocated
+        with pytest.raises(BudgetExceeded, match="has 73517501 cells"):
+            render_ascii(snake_from_positive(PositiveCF((7000,))))
+
     def test_single_tile(self):
         assert render_ascii(SnakeGraph(1, ())) == "+--+\n|  |\n+--+"
 
