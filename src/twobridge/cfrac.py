@@ -111,26 +111,40 @@ class EvenCF:
 
 
 def eval_cf(entries) -> Rat:
-    """Evaluate [c_1, ..., c_k] exactly, right to left, on integers.
+    """Evaluate [c_1, ..., c_k] exactly, as ``Fraction(*_value(entries))``.
 
-    A suffix value num/den becomes (c * num + den)/num when c is prepended;
-    the pair stays coprime, so only the final Fraction is built.
+    The entries are read as ints.  The pair from :func:`_value` is already
+    reduced with a positive denominator, but ``Fraction`` normalizes it once
+    more.
 
     Raises :class:`ZeroTail` if the last entry is zero or some proper suffix
     evaluates to zero (the nesting would divide by it).  Valid
     PositiveCF/EvenCF entry lists never trigger this.
     """
-    entries = list(map(int, entries))
+    return Fraction(*_value(list(map(int, entries))))
+
+
+def _value(entries) -> tuple:
+    """(num, den) of [c_1, ..., c_k], a sequence of ints, right to left.
+
+    A suffix value num/den becomes (c * num + den)/num when c is prepended.
+    That step is the matrix [[c, 1], [1, 0]] of determinant -1, so by the
+    continuant determinant identity N_k D_(k-1) - N_(k-1) D_k = +-1 the pair
+    stays coprime; the sign is moved onto num at the end, so den > 0.  Two
+    values are therefore equal exactly when their pairs are.
+
+    Raises :class:`ZeroTail` as :func:`eval_cf` does.
+    """
     if not entries:
         raise ZeroTail("empty continued fraction has no value")
-    if entries[-1] == 0:
-        raise ZeroTail("last entry is zero")
     num, den = entries[-1], 1  # the suffix value num/den
+    if num == 0:
+        raise ZeroTail("last entry is zero")
     for c in reversed(entries[:-1]):
         if num == 0:
             raise ZeroTail("suffix evaluates to zero")
         num, den = c * num + den, num
-    return Fraction(num, den)
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def positive_cf(r: Rat) -> PositiveCF:
@@ -176,19 +190,37 @@ def even_cf(r: Rat) -> EvenCF:
 
     ``r`` is an int or a Fraction; only its numerator and denominator are
     read.  Raises :class:`BothOdd` when numerator and denominator are both
-    odd (no even expansion exists), :class:`OutOfRange` for |r| <= 1.
+    odd (no even expansion exists), :class:`OutOfRange` for |r| <= 1.  The
+    expansion is :func:`_even_entries`, which repeats the
+    :func:`even_division` step inline.
     """
-    p, q = r.numerator, r.denominator
+    return _valid(EvenCF, _even_entries(r.numerator, r.denominator))
+
+
+def _even_entries(p: int, q: int) -> tuple:
+    """The entries of the even continued fraction of p/q, for q >= 1.
+
+    Each pass of the loop is the :func:`even_division` step written out,
+    p = b*q + s with b even and nonzero and -|q| <= s < |q|, after which
+    p/q becomes q/s.  Raises as :func:`even_cf` and :func:`even_division`
+    do.
+    """
     if p & q & 1:
         raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
     if abs(p) <= q:
         raise OutOfRange(f"need |r| > 1, got {Fraction(p, q)}")
     entries = []
     while q:
-        b, s = even_division(p, q)
+        n = q if q > 0 else -q
+        b = (p + n) // (2 * n) * (2 if q > 0 else -2)
+        s = p - b * q
+        if not -n <= s < n:  # pragma: no cover - window arithmetic
+            raise AssertionError(f"even division window broken for ({p}, {q})")
+        if not b:
+            raise NoEvenQuotient(f"no nonzero even quotient for ({p}, {q})")
         entries.append(b)
         p, q = q, s
-    return _valid(EvenCF, tuple(entries))
+    return tuple(entries)
 
 
 def even_cf_for_link(r: Rat) -> EvenCF:

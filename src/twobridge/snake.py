@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cfrac import EvenCF, PositiveCF, type_sequence
+from .cfrac import EvenCF, PositiveCF
 from .errors import BudgetExceeded, CrossCheckMismatch
 from .laurent import YPoly
 
@@ -120,14 +120,14 @@ def snake_from_positive(cf: PositiveCF) -> SnakeGraph:
     if d == 0:
         return SnakeGraph(0, ())
     if len(a) == 1:
-        runs = [a[0] - 2]
+        signs = [1] * (a[0] - 2)
     else:
-        runs = [a[0] - 1, *a[1:-1], a[-1] - 1]
-    signs = []
-    sign = 1
-    for length in runs:
-        signs.extend([sign] * length)
-        sign = -sign
+        signs = [1] * (a[0] - 1)
+        sign = -1
+        for length in a[1:-1]:
+            signs += [sign] * length
+            sign = -sign
+        signs += [sign] * (a[-1] - 1)
     if len(signs) != d - 1:
         raise CrossCheckMismatch(f"{len(signs)} interior signs for {d} tiles",
                                  engines=("sign word", "tile count"), value=a)
@@ -138,20 +138,28 @@ def snake_from_even(cf: EvenCF) -> SnakeGraph:
     """Snake graph of an even continued fraction via block gluing.
 
     With types t_i = (-1)^(i+1) sgn(b_i), neighbouring entries of equal sign
-    have opposite types, so each junction reads off the types alone.
+    have opposite types, so each junction reads off the types alone.  The
+    types are computed in the same pass: t_1 = sgn(b_1), and t_(i+1) is
+    -t_i after a junction of equal entry signs and t_i otherwise.
     """
     bs = cf.entries
-    ts = type_sequence(cf)
+    t = first = 1 if bs[0] > 0 else -1
     signs = []
-    for b, t, u in zip(bs, ts, ts[1:]):
-        signs += [t] * (abs(b) - 2)
-        signs += (t, u) if t != u else (-t,)
-    signs += [ts[-1]] * (abs(bs[-1]) - 2)
+    for b, c in zip(bs, bs[1:]):
+        if b > 2 or b < -2:  # a block with |b| = 2 adds no signs
+            signs += [t] * (abs(b) - 2)
+        if (b > 0) == (c > 0):  # types t, -t: a connecting tile
+            signs.append(t)
+            t = -t
+            signs.append(t)
+        else:  # equal types: the identified north edge
+            signs.append(-t)
+    signs += [t] * (abs(bs[-1]) - 2)
     d = len(signs) + 1
     if d != tile_count_even(cf):
         raise CrossCheckMismatch(f"gluing gives {d} tiles for {list(bs)}",
                                  engines=("gluing", "tile_count_even"), value=bs)
-    return SnakeGraph(d, signs, ts[0])
+    return SnakeGraph(d, signs, first)
 
 
 def tile_count_even(cf: EvenCF) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cfrac import (EvenCF, PositiveCF, eval_cf, even_cf, euler_minding,
-                    numerator_rec, positive_cf)
+from .cfrac import (EvenCF, PositiveCF, _even_entries, _value, even_cf,
+                    euler_minding, numerator_rec, positive_cf)
 from .errors import CrossCheckMismatch
 from .jones import (degree_and_sign, f_recursive, jones_recursive, jones_via_f,
                     specialized_f_even)
@@ -129,40 +129,46 @@ def cfrac_sweep(max_p):
     """Round trips and expansion laws for all reduced p/q, p <= max_p."""
     checked = 0
     for r in coprime_fractions(max_p):
-        pos = positive_cf(r)
-        if eval_cf(pos.entries) != r:
-            raise CrossCheckMismatch(f"positive round trip fails for {r}")
-        if pos.n >= 2:
-            if eval_cf(pos.long_form().entries) != r:
-                raise CrossCheckMismatch(f"long form round trip fails for {r}")
-        if (r.numerator * r.denominator) % 2 == 0:
-            ev = even_cf(r)
-            value = eval_cf(ev.entries)
-            if value != r:
-                raise CrossCheckMismatch(f"even round trip fails for {r}")
-            if even_cf(-r) != ev.mirrored():
-                raise CrossCheckMismatch(
-                    f"mirror law fails for {r}: even_cf(-r) is not the "
-                    "entrywise negation of even_cf(r)")
-            if (r.numerator % 2 == 1) != (ev.m % 2 == 0):
-                raise CrossCheckMismatch(f"parity law fails for {r}")
-            _check_tail_law(r, pos, ev)
+        _fraction_laws(r)
         checked += 1
     return checked
 
 
-def _check_tail_law(r, pos, ev):
-    """Dropping b_1 matches the even expansion of the positive tail value."""
-    if ev.m < 2 or pos.n < 2:
+def _fraction_laws(r):
+    """The continued-fraction laws at one reduced r = p/q > 1.
+
+    Values are compared as reduced (num, den) pairs from ``_value`` and
+    expansions as entry tuples, so no law builds a Fraction:
+
+    * the positive, long-form and even expansions evaluate back to p/q;
+    * parity: p is odd exactly when the even expansion has an even length;
+    * mirror: the even expansion of -p/q is the entrywise negation;
+    * tail: with p/q = a_1 + r'/q, dropping b_1 leaves the even expansion
+      of q/r' when a_1 is even and of -q/(q - r') when a_1 is odd.
+    """
+    p, q = r.numerator, r.denominator
+    pos = positive_cf(r)
+    if _value(pos.entries) != (p, q):
+        raise CrossCheckMismatch(f"positive round trip fails for {r}")
+    if pos.n >= 2 and _value(pos.long_form().entries) != (p, q):
+        raise CrossCheckMismatch(f"long form round trip fails for {r}")
+    if p * q % 2:
         return
-    a1 = pos.entries[0]
-    tail_value = eval_cf(pos.entries[1:])  # q/r' for p/q = a1 + r'/q
-    if a1 % 2 == 0:
-        want = tail_value
-    else:
-        q, rr = tail_value.numerator, tail_value.denominator
-        want = Fraction(-q, q - rr)
-    if ev.entries[1:] != even_cf(want).entries:
+    ev = even_cf(r)
+    bs = ev.entries
+    if _value(bs) != (p, q):
+        raise CrossCheckMismatch(f"even round trip fails for {r}")
+    if (p % 2 == 1) != (len(bs) % 2 == 0):
+        raise CrossCheckMismatch(f"parity law fails for {r}")
+    if _even_entries(-p, q) != ev.mirrored().entries:
+        raise CrossCheckMismatch(
+            f"mirror law fails for {r}: even_cf(-r) is not the "
+            "entrywise negation of even_cf(r)")
+    if len(bs) < 2 or pos.n < 2:
+        return
+    tq, tr = _value(pos.entries[1:])  # q/r' for p/q = a_1 + r'/q
+    want = (tq, tr) if pos.entries[0] % 2 == 0 else (-tq, tq - tr)
+    if bs[1:] != _even_entries(*want):
         raise CrossCheckMismatch(f"tail law fails for {r}")
 
 

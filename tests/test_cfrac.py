@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
+from twobridge.cfrac import (EvenCF, PositiveCF, _value, eval_cf, even_cf,
                              even_cf_for_link, even_division, euler_minding,
                              numerator_rec, positive_cf, sign_sequence, tau,
                              type_sequence)
@@ -27,31 +27,58 @@ class TestEvalCF:
         assert eval_cf([1, -1]) == 0
 
     def test_zero_tail(self):
-        with pytest.raises(ZeroTail):
-            eval_cf([2, 1, -1])
-        with pytest.raises(ZeroTail):
-            eval_cf([2, 0])
-        with pytest.raises(ZeroTail):
-            eval_cf([])
+        for entries in ([2, 1, -1], [2, 0], [], [3, 0, 1, -1]):
+            with pytest.raises(ZeroTail):
+                eval_cf(entries)
+            with pytest.raises(ZeroTail):
+                eval_cf(tuple(entries))
+            with pytest.raises(ZeroTail):
+                _value(entries)
 
     @given(st.lists(st.integers(-3, 3), max_size=8))
     def test_matches_fraction_steps(self, entries):
         """Same value, or the same ZeroTail, as nesting Fraction steps."""
-        def nested(xs):
-            if not xs or xs[-1] == 0:
-                return ZeroTail
-            acc = Fraction(xs[-1])
-            for c in reversed(xs[:-1]):
-                if acc == 0:
-                    return ZeroTail
-                acc = c + 1 / acc
-            return acc
-
         try:
             got = eval_cf(entries)
         except ZeroTail:
             got = ZeroTail
         assert got == nested(entries)
+
+
+def nested(xs):
+    """[x_1, ..., x_k] by nested Fraction steps, or ZeroTail."""
+    if not xs or xs[-1] == 0:
+        return ZeroTail
+    acc = Fraction(xs[-1])
+    for c in reversed(xs[:-1]):
+        if acc == 0:
+            return ZeroTail
+        acc = c + 1 / acc
+    return acc
+
+
+class TestValuePair:
+    """``_value`` gives the reduced pair of the Fraction value, den > 0."""
+
+    @given(st.lists(st.integers(-3, 3) | st.integers(-2 ** 70, 2 ** 70),
+                    max_size=12))
+    def test_matches_fraction_value(self, entries):
+        want = nested(entries)
+        try:
+            got = _value(entries)
+        except ZeroTail:
+            assert want is ZeroTail
+            return
+        num, den = got
+        assert (num, den) == (want.numerator, want.denominator)
+        assert den > 0 and gcd(num, den) == 1
+        assert _value(tuple(entries)) == got
+
+    def test_sign_on_the_numerator(self):
+        assert _value([-2, 2]) == (-3, 2)
+        assert _value([0, -2]) == (-1, 2)
+        assert _value([1, -1]) == (0, 1)
+        assert _value([-5]) == (-5, 1)
 
 
 class TestPositiveCF:
@@ -154,6 +181,49 @@ class TestEvenCF:
             EvenCF((2, 3))
         with pytest.raises(ValueError):
             EvenCF((2, 0, 2))
+
+
+def division_loop(p, q):
+    """The even expansion of p/q as a loop of ``even_division`` steps."""
+    entries = []
+    while q:
+        b, s = even_division(p, q)
+        entries.append(b)
+        p, q = q, s
+    return tuple(entries)
+
+
+class TestExpansionAgainstDivisionSteps:
+    """``even_cf`` writes the even division step inline; it must give what
+    a loop of ``even_division`` calls gives."""
+
+    def test_every_fraction_up_to_300(self):
+        checked = 0
+        for p in range(2, 301):
+            for q in range(1, p):
+                if gcd(p, q) != 1 or p * q % 2:
+                    continue
+                for num in (p, -p):
+                    cf = even_cf(Fraction(num, q))
+                    assert type(cf.entries) is tuple
+                    assert cf.entries == division_loop(num, q), (num, q)
+                checked += 1
+        assert checked == 18281
+
+    @given(st.integers(2, 130), st.randoms(use_true_random=True),
+           st.booleans(), st.booleans())
+    def test_big_fractions(self, bits, rnd, negate, as_int):
+        """p/q with |p| of ``bits`` bits and q < |p| uniform, or the int p."""
+        p = rnd.randrange(2 ** (bits - 1), 2 ** bits) * (-1 if negate else 1)
+        r = p if as_int else Fraction(p, rnd.randrange(1, abs(p)))
+        p, q = r.numerator, r.denominator
+        if p & q & 1:
+            with pytest.raises(BothOdd):
+                even_cf(r)
+        elif sum(positive_cf(Fraction(abs(p), q)).entries) <= 4096:
+            # the expansion has fewer entries than this sum; a uniform q
+            # keeps it small
+            assert even_cf(r).entries == division_loop(p, q)
 
 
 class TestEvenCFForLink:

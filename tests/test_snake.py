@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twobridge.cfrac import (EvenCF, PositiveCF, even_cf, numerator_rec,
-                             positive_cf)
+                             positive_cf, type_sequence)
 from twobridge.errors import BudgetExceeded, CrossCheckMismatch
 from twobridge.laurent import YPoly, specialize_y
 from twobridge.jones import specialized_f_even, specialized_f_positive
@@ -21,6 +21,7 @@ from twobridge.snake import (RIGHT, UP, SnakeGraph, _flip_data, _heights,
                              f_polynomial, isomorphic, render_ascii,
                              snake_from_even, snake_from_positive,
                              tile_count_even)
+from twobridge.verify import even_lists, positive_lists
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -118,6 +119,34 @@ def straight(g):
     return all(a == b for a, b in zip(g.steps, g.steps[1:]))
 
 
+def gluing_from_even(cf):
+    """Reference: the even snake graph glued block by block from the whole
+    type sequence."""
+    bs = cf.entries
+    ts = type_sequence(cf)
+    signs = []
+    for b, t, u in zip(bs, ts, ts[1:]):
+        signs += [t] * (abs(b) - 2)
+        signs += (t, u) if t != u else (-t,)
+    signs += [ts[-1]] * (abs(bs[-1]) - 2)
+    return SnakeGraph(len(signs) + 1, signs, ts[0])
+
+
+def runs_from_positive(cf):
+    """Reference: the positive snake graph from its list of sign runs."""
+    a = cf.entries
+    d = sum(a) - 1
+    if d == 0:
+        return SnakeGraph(0, ())
+    runs = [a[0] - 2] if len(a) == 1 else [a[0] - 1, *a[1:-1], a[-1] - 1]
+    signs = []
+    sign = 1
+    for length in runs:
+        signs.extend([sign] * length)
+        sign = -sign
+    return SnakeGraph(d, signs)
+
+
 class TestConstruction:
     def test_staircase(self):
         g = snake_from_positive(PositiveCF((2, 1, 2, 3)))
@@ -148,6 +177,25 @@ class TestConstruction:
     def test_sign_pair_blocks_are_straight(self):
         assert straight(snake_from_even(EvenCF((2, 2, -2, -2))))
         assert straight(snake_from_even(EvenCF((2, 2, -2, -2, 2, 2))))
+
+    def test_constructors_match_references(self):
+        """Every even list with sum |b_i| <= 14 and every positive list with
+        sum <= 14, any entry size, gives the reference sign word."""
+        def same(g, h):
+            assert (g.d, g.edge_signs, g.first_sign) == (
+                h.d, h.edge_signs, h.first_sign)
+            assert type(g.edge_signs) is tuple
+
+        evens = positives = 0
+        for entries in even_lists(14, max_abs=14):
+            cf = EvenCF(entries)
+            same(snake_from_even(cf), gluing_from_even(cf))
+            evens += 1
+        for entries in positive_lists(14, max_entry=14):
+            cf = PositiveCF(entries)
+            same(snake_from_positive(cf), runs_from_positive(cf))
+            positives += 1
+        assert (evens, positives) == (2186, 16383)
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):

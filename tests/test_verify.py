@@ -1,0 +1,81 @@
+"""The continued-fraction laws of ``verify.cfrac_sweep``, one fraction at a
+time: each law holds at big-int sizes, and each can fail."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from twobridge import verify
+from twobridge.cfrac import PositiveCF, positive_cf
+from twobridge.errors import CrossCheckMismatch
+
+
+def test_sweep_checks_each_fraction_once(monkeypatch):
+    seen = []
+    laws = verify._fraction_laws
+
+    def counted(r):
+        seen.append(r)
+        laws(r)
+    monkeypatch.setattr(verify, "_fraction_laws", counted)
+    assert verify.cfrac_sweep(200) == 12231
+    assert seen == list(verify.coprime_fractions(200))
+
+
+@given(st.integers(2, 130), st.randoms(use_true_random=True))
+def test_laws_hold_on_big_fractions(bits, rnd):
+    """Reduced p/q with p of ``bits`` bits, p < 2^130, and q < p uniform."""
+    p = rnd.randrange(2 ** (bits - 1), 2 ** bits)
+    r = Fraction(p, rnd.randrange(1, p))
+    # the even expansion has fewer entries than this sum
+    if sum(positive_cf(r).entries) <= 4096:
+        verify._fraction_laws(r)
+
+
+def nth_call(fn, k, fault):
+    """``fn`` with ``fault`` applied to the result of its k-th call only."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        out = fn(*args)
+        return fault(out) if calls[0] == k else out
+    return wrapped
+
+
+def last_negated(entries):
+    return entries[:-1] + (-entries[-1],)
+
+
+# at 27/10 = [2, 1, 2, 3] = [2, 2, -2, 4] the laws call _value with the
+# positive, long-form and even entries in that order, and _even_entries for
+# the mirror law and then the tail law
+FAULTS = {
+    "positive round trip fails for 27/10":
+        ("_value", 1, lambda pair: (pair[0] + 1, pair[1])),
+    # equal as a Fraction, but not reduced
+    "long form round trip fails for 27/10":
+        ("_value", 2, lambda pair: (2 * pair[0], 2 * pair[1])),
+    "even round trip fails for 27/10":
+        ("_value", 3, lambda pair: (-pair[0], pair[1])),
+    # the right value, as [2, 1, 2, 2, 1], with an odd length
+    "parity law fails for 27/10":
+        ("even_cf", 1, lambda ev: PositiveCF((2, 1, 2, 2, 1))),
+    "mirror law fails for 27/10: even_cf(-r) is not the entrywise negation "
+    "of even_cf(r)": ("_even_entries", 1, last_negated),
+    "tail law fails for 27/10": ("_even_entries", 2, last_negated),
+}
+
+
+def test_laws_pass_without_a_fault():
+    assert verify._fraction_laws(Fraction(27, 10)) is None
+
+
+@pytest.mark.parametrize("message", FAULTS)
+def test_each_law_can_fail(monkeypatch, message):
+    name, k, fault = FAULTS[message]
+    monkeypatch.setattr(verify, name, nth_call(getattr(verify, name), k, fault))
+    with pytest.raises(CrossCheckMismatch) as info:
+        verify._fraction_laws(Fraction(27, 10))
+    assert str(info.value) == message
