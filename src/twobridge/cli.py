@@ -33,9 +33,10 @@ from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
                     sign_sequence, type_sequence)
 from .errors import (AmbiguousCF, CrossCheckMismatch, OutOfRange, ParseError,
                      TwoBridgeError)
-from .jones import (JonesResult, boundary_coefficients, jones_direct,
-                    jones_recursive, jones_via_f, mirror, oriented_even_cf,
-                    specialized_f_even, specialized_f_positive, volume_bounds)
+from .jones import (JonesResult, boundary_coefficients, disagreement,
+                    jones_direct, jones_recursive, jones_via_f, mirror,
+                    oriented_even_cf, specialized_f_even,
+                    specialized_f_positive, volume_bounds)
 from .laurent import HLPoly, latex_from_text
 from .snake import (check_budget, check_canvas, count_matchings,
                     f_polynomial, render_ascii, snake_from_even,
@@ -251,14 +252,12 @@ def run(req: Request) -> dict:
         canonical = positive_cf(abs(r))
         pos = obj if isinstance(obj, PositiveCF) else canonical
         results = {name: _jones_engine(name, r, pos, ev) for name in engines}
-        polys = {name: res.poly for name, res in results.items()}
-        first, *others = polys.values()
-        if any(p != first for p in others):
+        first, *others = results.values()
+        if not all(res.agrees(first) for res in others):
             raise CrossCheckMismatch(
-                f"engines disagree on {req.input}: "
-                + "; ".join(f"{n}: {p}" for n, p in polys.items()),
-                engines=tuple(polys), value=req.input)
-        res = next(iter(results.values()))
+                f"engines disagree on {req.input}: " + disagreement(results),
+                engines=tuple(results), value=req.input)
+        res = first
         report["value"] = _rat_payload(abs(r))
         report["positive_cf"] = list(canonical.entries)
         report["even_cf"] = list(ev.entries)

@@ -13,7 +13,9 @@ t^(1/2).  The engines:
 All three agree exactly; the cross-check is part of the test suite.  The
 skein recursion, the direct formula's numerator and the two-term recursion
 ``f_recursive`` are each one call of :func:`laurent.continuant`; they differ
-only in their step factors.
+only in their step factors.  The engines keep their results packed
+(:class:`laurent.Packed`), so results compare as aligned integers and a
+polynomial is decoded only where it is read.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input.  A
@@ -28,11 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cfrac import (EvenCF, PositiveCF, Rat, _sgn, eval_cf, even_cf_for_link,
                     numerator_rec, positive_cf, tau, type_sequence)
-from .errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
-from .laurent import HLPoly, _units, continuant, q_power, t_power
+from .errors import (HypothesisViolated, SlotOverflow, WrongOrientation,
+                     ZeroPolynomial)
+from .laurent import (HLPoly, Packed, _pack, _units, continuant,
+                      continuant_packed)
 
 #: smallest hyperbolic volume bound per twist region, and the volume of a
 #: regular ideal tetrahedron (for the upper bound 30*v3 per region)
@@ -51,31 +56,66 @@ def skein_constants():
 
 @dataclass(frozen=True)
 class JonesResult:
-    """A Jones polynomial together with its normalization data.
+    """A Jones polynomial, held packed, together with its normalization data.
 
+    ``poly`` and ``normalized`` are decoded from ``packed`` on first use.
     ``poly == leading_sign * t^degree * normalized`` holds exactly, and the
     normalized polynomial has constant term 1 and degree 0.
     """
 
-    poly: HLPoly
+    packed: Packed
     degree: Fraction
     leading_sign: int
-    normalized: HLPoly
     engine: str
 
+    @cached_property
+    def poly(self) -> HLPoly:
+        return self.packed.decode()
 
-def _result(poly: HLPoly, engine: str) -> JonesResult:
+    @cached_property
+    def normalized(self) -> HLPoly:
+        return self.poly * HLPoly.monomial(self.leading_sign,
+                                           -_units(self.degree))
+
+    def agrees(self, other: "JonesResult") -> bool:
+        """Whether both results are one polynomial; see :meth:`Packed.same`."""
+        return self.packed.same(other.packed)
+
+
+def _result(packed: Packed, poly: HLPoly, engine: str) -> JonesResult:
+    """The result of ``packed``, whose decoded polynomial ``poly`` is at hand."""
     j, c = poly.leading_term()
     if c not in (1, -1):
         raise ZeroPolynomial(f"leading coefficient {c} is not a unit")
-    normalized = poly * HLPoly.monomial(c, -_units(j))
-    return JonesResult(poly=poly, degree=j, leading_sign=c,
-                       normalized=normalized, engine=engine)
+    res = JonesResult(packed, j, c, engine)
+    vars(res)["poly"] = poly  # fill the cache of ``poly``: no second decode
+    return res
 
 
-def _assemble(j, delta, normalized, engine) -> JonesResult:
-    return JonesResult(poly=delta * t_power(j) * normalized, degree=Fraction(j),
-                       leading_sign=delta, normalized=normalized, engine=engine)
+def _assemble(j, delta, normalized: Packed, engine) -> JonesResult:
+    return JonesResult(normalized.times(delta, _units(j)), Fraction(j), delta,
+                       engine)
+
+
+def _repack(poly: HLPoly, like: Packed) -> Packed:
+    """``poly`` packed on the slots of ``like``."""
+    n, h = _pack(poly, like.s)
+    return Packed(n, h, like.s, like.bound)
+
+
+def disagreement(results) -> str:
+    """``engine: polynomial`` for each item of ``results``, joined by ``; ``.
+
+    A result whose decode raises :class:`SlotOverflow` reads as overflowing,
+    so a mismatch report never fails on the faulty side.
+    """
+    parts = []
+    for name, res in results.items():
+        try:
+            parts.append(f"{name}: {res.poly}")
+        except SlotOverflow as exc:
+            parts.append(f"{name}: overflows its slots ({exc})")
+    return "; ".join(parts)
 
 
 # Step factors of :func:`continuant`: (c, u, b) is c * t^(u/2) * [b]_q.
@@ -112,9 +152,9 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
             steps.append(((1, -2 * ab, 1), (-1, -1, ab)))
         else:  # [b]_qbar = (-1)^(b-1) t^(b-1) [b]_q
             steps.append(((1, 2 * ab, 1), ((-1) ** ab, 2 * ab - 1, ab)))
-    poly = continuant(steps, _TWO_UNKNOTS, HLPoly.one(),
-                      abs(numerator_rec(cf.entries)))
-    return _result(poly, "recursive")
+    packed = continuant_packed(steps, _TWO_UNKNOTS, HLPoly.one(),
+                               abs(numerator_rec(cf.entries)))
+    return _result(packed, packed.decode(), "recursive")
 
 
 def degree_and_sign(cf: EvenCF):
@@ -146,15 +186,21 @@ def specialized_f_positive(cf: PositiveCF) -> HLPoly:
     constant term 1, lowest term (-1)^(d+1) t^(-d-1) with d = sum(a_i) - 1,
     and equals the Jones polynomial divided by its leading term.
     """
+    return _f_positive(cf).decode()
+
+
+def _f_positive(cf: PositiveCF) -> Packed:
+    """:func:`specialized_f_positive`, packed."""
     a = cf.entries
     ell = cf.partial_sums()
     steps = [_first_step(a[0])]
     for i in range(2, cf.n + 1):
         e = -ell[i - 1] if i % 2 == 0 else ell[i - 2] + 1
         steps.append((_ONE, _q(e, a[i - 1])))
-    result = continuant(steps, 1, 1, numerator_rec(a))
+    result = continuant_packed(steps, 1, 1, numerator_rec(a))
     if cf.n % 2 == 0:
-        result = q_power(ell[-1]) * result
+        c, u, _ = _q(ell[-1], 1)
+        result = result.times(c, u)
     return result
 
 
@@ -165,12 +211,18 @@ def specialized_f_even(cf: EvenCF) -> HLPoly:
     negative value it is (-t^(-1))^(d+1) times the bar involution of the
     positive-CF polynomial of |r/s|.
     """
+    return _f_even(cf).decode()
+
+
+def _f_even(cf: EvenCF) -> Packed:
+    """:func:`specialized_f_even`, packed; the bar involution decodes."""
     r = eval_cf(cf.entries)
     pos = positive_cf(abs(r))
-    F = specialized_f_positive(pos)
+    F = _f_positive(pos)
     if cf.entries[0] > 0:
         return F
-    return q_power(pos.d + 1) * F.bar()
+    c, u, _ = _q(pos.d + 1, 1)
+    return _repack(F.decode().bar(), F).times(c, u)
 
 
 def f_recursive(cf: EvenCF) -> HLPoly:
@@ -215,7 +267,7 @@ def f_recursive(cf: EvenCF) -> HLPoly:
 def jones_via_f(cf: EvenCF) -> JonesResult:
     """Normalization-times-generating-function engine."""
     j, delta = degree_and_sign(cf)
-    return _assemble(j, delta, specialized_f_even(cf), "fpoly")
+    return _assemble(j, delta, _f_even(cf), "fpoly")
 
 
 def oriented_even_cf(r: Rat) -> EvenCF:
@@ -223,9 +275,12 @@ def oriented_even_cf(r: Rat) -> EvenCF:
 
     For p*q even this is the even expansion of p/q itself.  For p, q both
     odd the link carries the *negated* even expansion of p/(p - q); the
-    positive-value expansion describes the mirror image.
+    positive-value expansion describes the mirror image.  A negative r is
+    the mirror image of |r|, so it carries the negated expansion of |r|.
     """
     r = Fraction(r)
+    if r < 0:
+        return oriented_even_cf(-r).mirrored()
     bs = even_cf_for_link(r)
     if (r.numerator * r.denominator) % 2:
         return bs.mirrored()
@@ -242,12 +297,13 @@ def jones_direct(cf: PositiveCF) -> JonesResult:
     """
     r = eval_cf(cf.entries)
     j, delta = degree_and_sign(oriented_even_cf(r))
-    return _assemble(j, delta, specialized_f_positive(cf), "direct")
+    return _assemble(j, delta, _f_positive(cf), "direct")
 
 
 def mirror(res: JonesResult) -> JonesResult:
     """Mirror image: the bar involution on the polynomial."""
-    return _result(res.poly.bar(), res.engine)
+    poly = res.poly.bar()
+    return _result(_repack(poly, res.packed), poly, res.engine)
 
 
 def boundary_coefficients(cf: PositiveCF):

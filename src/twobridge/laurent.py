@@ -10,7 +10,8 @@ shape taken by snake-graph matching generating functions.  Subsets of tiles
 are stored as bitsets.
 
 :func:`continuant` is the two-term recurrence that the Jones engines share,
-run on polynomials packed into integers.
+run on polynomials packed into integers; :func:`continuant_packed` leaves its
+result packed, as a :class:`Packed` that compares without a decode.
 """
 
 from __future__ import annotations
@@ -331,6 +332,16 @@ def continuant(steps, x_before, x_start, bound) -> HLPoly:
     step; with no steps the result is ``x_start``.  ``bound`` must bound the
     sum of the absolute values of the result's coefficients.
 
+    This is :func:`continuant_packed` decoded: the recurrence runs on packed
+    integers and only its last term is decoded, once.  A result whose
+    decoded coefficients exceed ``bound`` raises :class:`SlotOverflow`.
+    """
+    return continuant_packed(steps, x_before, x_start, bound).decode()
+
+
+def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
+    """:func:`continuant` with its result left packed, as a :class:`Packed`.
+
     The recurrence runs on packed integers (Kronecker substitution; Harvey
     2009, *Faster polynomial multiplication via multipoint Kronecker
     substitution*).  A term whose exponents share one grid is stored as a
@@ -356,17 +367,17 @@ def continuant(steps, x_before, x_start, bound) -> HLPoly:
     s = 32, and at s = 64 0.65 for b = 3 but 1.15 for b = 6.
 
     Packing is a ring homomorphism, so intermediate terms may overflow their
-    slots; only the result is decoded, once, and it fits when
+    slots; only the result is decoded, and it fits when
     s >= bound.bit_length() + 2, since every coefficient then lies well inside
     the balanced digit range [-2^(s-1), 2^(s-1)).  Up to 64 bits s is rounded
     up to 8, 16, 32 or 64, so one ``struct.unpack`` call reads every digit;
     wider slots are rounded up to whole bytes and decoded slice by slice.
 
     A result whose decoded coefficients exceed ``bound`` raises
-    :class:`SlotOverflow`.  The decode is exact while every true coefficient
-    is below 2^(s-1), more than twice ``bound``, so that check catches an
-    understated bound up to that margin; beyond it the digits are wrong, so
-    ``bound`` must be proven, not guessed.
+    :class:`SlotOverflow` when it is decoded.  The decode is exact while
+    every true coefficient is below 2^(s-1), more than twice ``bound``, so
+    that check catches an understated bound up to that margin; beyond it the
+    digits are wrong, so ``bound`` must be proven, not guessed.
     """
     s = _slot_width(bound)
     one_plus_x = (1 << s) + 1
@@ -417,11 +428,62 @@ def continuant(steps, x_before, x_start, bound) -> HLPoly:
         else:
             nb <<= s * ((hb - ha) >> 1)
             n1, h1, c1 = (na + nb if ca == cb else na - nb), ha, ca
-    return _unpack((n1 if c1 > 0 else -n1, h1), s, bound)
+    return Packed(n1 if c1 > 0 else -n1, h1, s, bound)
+
+
+class Packed:
+    """c * t^(h/2) * N(t) held as n = c * N(2^s), with c = +-1.
+
+    A result of :func:`continuant_packed`: ``s`` is the slot width and
+    ``bound`` bounds the sum of the absolute values of the coefficients.
+    Each coefficient is one balanced base-2^s digit of n, and every integer
+    has exactly one string of such digits, so two terms with equal s are
+    equal polynomials exactly when their integers are equal once aligned to
+    one h: :meth:`same` compares them without a decode.
+    """
+
+    __slots__ = ("n", "h", "s", "bound")
+
+    def __init__(self, n: int, h: int, s: int, bound: int):
+        self.n, self.h, self.s, self.bound = n, h, s, bound
+
+    def times(self, c: int, u: int) -> "Packed":
+        """The product with the monomial c * t^(u/2), c = +-1."""
+        return Packed(self.n if c > 0 else -self.n, self.h + u, self.s,
+                      self.bound)
+
+    def same(self, other: "Packed") -> bool:
+        """Whether both stand for one polynomial.
+
+        On one slot width the term with the higher h is shifted to the
+        other's h and the integers compared; terms on different grids
+        (h of different parity) are equal only when both are zero.  On
+        different slot widths the decoded polynomials are compared.
+        """
+        if self.s != other.s:
+            return self.decode() == other.decode()
+        a, b = self.n, other.n
+        if not a or not b:
+            return a == b
+        dh = self.h - other.h
+        if dh & 1:
+            return False
+        if dh > 0:
+            a <<= self.s * (dh >> 1)
+        else:
+            b <<= self.s * (-dh >> 1)
+        return a == b
+
+    def decode(self) -> HLPoly:
+        """The polynomial; :class:`SlotOverflow` when it exceeds ``bound``."""
+        return _unpack((self.n, self.h), self.s, self.bound)
+
+    def __repr__(self):
+        return f"Packed({self.n}, {self.h}, {self.s}, {self.bound})"
 
 
 def _pack(p: HLPoly, s: int):
-    """(n, h) with p = t^(h/2) * N(t) and n = N(2^s); see :func:`continuant`."""
+    """(n, h) with p = t^(h/2) * N(t) and n = N(2^s); see :class:`Packed`."""
     if not p:
         return 0, 0
     h = min(p._terms)
@@ -436,8 +498,9 @@ def _pack(p: HLPoly, s: int):
 def _slot_width(bound: int) -> int:
     """Bits per packed coefficient for results bounded by ``bound``.
 
-    At least bound.bit_length() + 2 (see :func:`continuant`), rounded up to a
-    struct field of 8, 16, 32 or 64 bits, or beyond 64 bits to whole bytes.
+    At least bound.bit_length() + 2 (see :func:`continuant_packed`), rounded
+    up to a struct field of 8, 16, 32 or 64 bits, or beyond 64 bits to whole
+    bytes.
     """
     bits = bound.bit_length() + 2
     if bits <= 64:

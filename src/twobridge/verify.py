@@ -14,8 +14,8 @@ from math import gcd
 from .cfrac import (EvenCF, PositiveCF, _even_entries, _value, even_cf,
                     euler_minding, numerator_rec, positive_cf)
 from .errors import CrossCheckMismatch
-from .jones import (degree_and_sign, f_recursive, jones_recursive, jones_via_f,
-                    specialized_f_even)
+from .jones import (degree_and_sign, disagreement, f_recursive,
+                    jones_recursive, jones_via_f)
 from .laurent import specialize_y, t_power
 from .snake import (count_matchings, f_polynomial, isomorphic,
                     snake_from_even, snake_from_positive)
@@ -58,10 +58,10 @@ def check_engines(cf: EvenCF):
     """Run every applicable engine on one even CF; return the shared value."""
     ref = jones_recursive(cf)
     via = jones_via_f(cf)
-    if via.poly != ref.poly:
+    if not via.agrees(ref):
         raise CrossCheckMismatch(
             f"recursive vs fpoly disagree on {list(cf.entries)}: "
-            f"{ref.poly} vs {via.poly}",
+            + disagreement({"recursive": ref, "fpoly": via}),
             engines=("recursive", "fpoly"), value=cf.entries)
     if cf.entries[0] > 0:
         j, delta = degree_and_sign(cf)

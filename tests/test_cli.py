@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ from twobridge.cli import (Request, _json, build_parser, emit, main,
                            parse_input, poly_from_payload, run)
 from twobridge.errors import (AmbiguousCF, BudgetExceeded, CrossCheckMismatch,
                               OutOfRange, ParseError)
-from twobridge.laurent import HLPoly
+from twobridge.laurent import HLPoly, Packed
+from twobridge.verify import coprime_fractions
 
 
 class TestParseInput:
@@ -371,9 +373,112 @@ class TestNegativeInputs:
         assert _main_output(["snake", "-27/10"], capsys) == want
         assert want[0] == 2 and "need a rational >= 1" in want[2]
 
+    def test_jones_reads_a_negative_fraction_as_its_mirror(self):
+        # -p/q is the mirror image of p/q: the bar involution, and the link
+        # of the negated oriented even continued fraction
+        for r in coprime_fractions(40):
+            want = run(Request("jones", f"{r.numerator}/{r.denominator}"))
+            got = run(Request("jones", f"-{r.numerator}/{r.denominator}"))
+            negated = [-b for b in want["even_cf"]]
+            by_list = run(Request("jones", str(negated).replace(" ", ""),
+                                  hint="even"))
+            poly = poly_from_payload(got["coefficients"])
+            assert poly == poly_from_payload(want["coefficients"]).bar(), r
+            assert poly == poly_from_payload(by_list["coefficients"]), r
+            assert got["even_cf"] == by_list["even_cf"] == negated, r
+            assert got["value"] == want["value"], r
+
     def test_options_still_parse(self, capsys):
         assert main(["jones", "-2,2", "--bogus"]) == 1
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def fault_direct(monkeypatch, extra):
+    """Make ``jones_direct`` add ``extra(packed)`` to its packed integer."""
+    import twobridge.cli as cli
+    real = cli.jones_direct
+
+    def faulty(cf):
+        res = real(cf)
+        p = res.packed
+        return dataclasses.replace(
+            res, packed=Packed(p.n + extra(p), p.h, p.s, p.bound))
+    monkeypatch.setattr(cli, "jones_direct", faulty)
+
+
+class TestPackedCrossCheck:
+    """The engines agree on packed integers, and a request decodes once."""
+
+    def test_one_packed_unit_is_a_mismatch(self, capsys, monkeypatch):
+        fault_direct(monkeypatch, lambda p: 1)
+        assert main(["jones", "7/3", "--engine", "all"]) == 3
+        right = "t^(-1) - t^(-2) + 2*t^(-3) - t^(-4) + t^(-5) - t^(-6)"
+        assert capsys.readouterr().err == (
+            f"cross-check mismatch [jones]: engines disagree on 7/3: "
+            f"recursive: {right}; "
+            f"direct: t^(-1) - t^(-2) + 2*t^(-3) - t^(-4) + t^(-5); "
+            f"fpoly: {right}\n")
+        with pytest.raises(CrossCheckMismatch) as info:
+            run(Request("jones", "7/3"))
+        assert info.value.engines == ("recursive", "direct", "fpoly")
+
+    def test_overflowing_slots_are_a_mismatch(self, capsys, monkeypatch):
+        fault_direct(monkeypatch, lambda p: 1 << (p.s - 1))
+        assert main(["jones", "27/10"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cross-check mismatch [jones]: engines disagree "
+                              "on 27/10: recursive: t^(1) - 2 + ")
+        assert "; direct: overflows its slots (coefficients sum to " in err
+        assert "; fpoly: t^(1) - 2 + " in err
+
+    @pytest.mark.parametrize("value, most", [
+        ("27/10", 1), ("10/3", 1), ("[2,2,-2,4]", 1),
+        ("[" + ",".join(["3"] * 60) + "]", 1),  # slots beyond 64 bits
+        ("7/3", 2), ("[96,57]", 2), ("[-2,2]", 3), ("-27/10", 3)])
+    def test_one_decode_per_request(self, capsys, monkeypatch, value, most):
+        """p*q even: only the recursive engine decodes.  p and q odd: the
+        fpoly engine may decode once more, for the bar involution.  A
+        negative value: the direct engine's mirror may decode too."""
+        import twobridge.laurent as laurent
+        calls = []
+        real = laurent._unpack
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(laurent, "_unpack", counted)
+        assert main(["jones", value, "--engine", "all"]) == 0
+        capsys.readouterr()
+        assert 1 <= len(calls) <= most
+
+
+OVERFLOWING_DIRECT = (
+    "import dataclasses\n"
+    "from twobridge import cli\n"
+    "from twobridge.laurent import Packed\n"
+    "real = cli.jones_direct\n"
+    "def faulty(cf):\n"
+    "    res = real(cf)\n"
+    "    p = res.packed\n"
+    "    return dataclasses.replace(res, packed=Packed(\n"
+    "        p.n + (1 << (p.s - 1)), p.h, p.s, p.bound))\n"
+    "cli.jones_direct = faulty\n"
+    "raise SystemExit(cli.main(['jones', '{value}']))\n"
+)
+
+
+@pytest.mark.parametrize("value", ["27/10", "[" + ",".join(["3"] * 60) + "]"])
+def test_overflow_fault_exits_3_under_optimize(value):
+    """The overflow report needs no assert: under ``python -O`` too the
+    faulty side reads as overflowing and the exit code is 3."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OVERFLOWING_DIRECT.format(value=value)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr.startswith("cross-check mismatch [jones]: engines "
+                                 "disagree on ")
+    assert "; direct: overflows its slots (coefficients sum to " in out.stderr
 
 
 class TestVerifyBound:

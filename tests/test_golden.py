@@ -12,8 +12,11 @@ on fractions (knots, links, both-odd values), positive and even continued
 fractions (including negative even ones, which take the mirror paths), long
 and wide inputs, plus ``fpoly``, ``convert``, ``snake``, ``volume``, a small
 ``verify`` sweep and a few failing commands.  Negative inputs go through
-every command: ``snake``, ``fpoly`` and ``volume`` expand the signed value,
-while ``jones`` and ``convert`` expand its absolute value.
+every command.  A negative even continued fraction is a mirror image
+everywhere; a negative fraction such as -27/10 is refused by ``snake``,
+``fpoly`` and ``convert``, read by ``volume`` as its absolute value, and by
+``jones`` as the mirror image of its absolute value (the ``NEGATIVE_JONES``
+records were added after the others, with no other record changed).
 
 Regenerate the file (only for an intended output change) with
 
@@ -51,6 +54,9 @@ JONES_INPUTS = (
     ["[-40,6,-2,30]"],            # wide negative even cf
     ["[38,-24,2]"],
 )
+# negative fractions: the mirror images of 27/10 (p*q even) and of 7/3
+# (p and q odd), with every engine
+NEGATIVE_JONES = (["-27/10"], ["-7/3"])
 ENGINES = ("all", "recursive", "direct", "fpoly")
 FORMATS = ("text", "json", "latex")
 
@@ -110,6 +116,9 @@ def cases():
         for engine in ENGINES:
             for fmt in FORMATS:
                 out.append(["jones", *inp, "--engine", engine, "--format", fmt])
+    for inp in NEGATIVE_JONES:
+        for fmt in FORMATS:
+            out.append(_argv("jones", inp, fmt))
     for inp in FPOLY_INPUTS:
         for fmt in FORMATS:
             out.append(_argv("fpoly", inp, fmt))

@@ -19,7 +19,7 @@ from twobridge.errors import MixedGrid
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
-from twobridge.laurent import (HLPoly, _pack, _slot_width, _unpack,
+from twobridge.laurent import (HLPoly, Packed, _pack, _slot_width, _unpack,
                                continuant, q_integer, q_power, specialize_y,
                                t_power)
 from twobridge.snake import f_polynomial, snake_from_positive
@@ -268,6 +268,68 @@ def test_mu_side_q_integers(k, chain):
             same_poly("continuant",
                       continuant(steps, m * before, m * start, bound),
                       m * ref, k, steps)
+
+
+# bounds whose slots decode through struct (8 and 16 bits, 64 bits) and
+# byte by byte (80 bits)
+PACKED_BOUNDS = (14, 200, 2 ** 61, 2 ** 70)
+
+
+@st.composite
+def packed_poly(draw, grid, bound):
+    """(Packed, HLPoly): up to 8 terms on ``grid`` (0: integer exponents,
+    1: half-integer ones) with coefficients summing to at most ``bound``,
+    packed at h up to 3 slots below the lowest exponent; a zero term gets an
+    arbitrary h."""
+    c = bound // 8
+    slots = draw(st.dictionaries(st.integers(-6, 6), st.integers(-c, c),
+                                 max_size=8))
+    poly = HLPoly({2 * k + grid: v for k, v in slots.items()})
+    s = _slot_width(bound)
+    n, h = _pack(poly, s)
+    offset = draw(st.integers(0, 3))
+    if not poly:
+        h = draw(st.integers(-9, 9))
+    return Packed(n << s * offset, h - 2 * offset, s, bound), poly
+
+
+@st.composite
+def packed_pairs(draw, mixed=False):
+    """Two packed terms, on one grid or (``mixed``) on both; the second is
+    often the first's polynomial or its negation, packed afresh, and may sit
+    on wider slots."""
+    grid = draw(st.integers(0, 1))
+    bound = draw(st.sampled_from(PACKED_BOUNDS))
+    a, pa = draw(packed_poly(grid, bound))
+    wider = draw(st.sampled_from([b for b in PACKED_BOUNDS if b >= bound]))
+    b, pb = draw(packed_poly(1 - grid if mixed else grid, wider))
+    if not mixed:
+        twin = draw(st.sampled_from((None, 1, -1)))
+        if twin is not None:
+            pb = twin * pa
+            s = _slot_width(wider)
+            n, h = _pack(pb, s)
+            b = Packed(n, h, s, wider)
+    return a, pa, b, pb
+
+
+class TestPacked:
+    @given(packed_pairs())
+    def test_same_is_decoded_equality(self, pair):
+        a, pa, b, pb = pair
+        assert a.decode() == pa and b.decode() == pb
+        assert a.same(b) == b.same(a) == (pa == pb)
+
+    @given(packed_pairs(mixed=True))
+    def test_mixed_grids_equal_only_when_zero(self, pair):
+        a, pa, b, pb = pair
+        assert a.same(b) == b.same(a) == (not pa and not pb)
+
+    @given(packed_pairs(), st.sampled_from((1, -1)), st.integers(-9, 9))
+    def test_times_is_the_monomial_product(self, pair, c, u):
+        a, pa, _, _ = pair
+        assert a.times(c, u).decode() == HLPoly.monomial(c, u) * pa
+        assert a.times(c, u).same(a) == (not pa or (c, u) == (1, 0))
 
 
 UNDERSTATED_BOUND = (

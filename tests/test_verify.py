@@ -1,14 +1,16 @@
 """The continued-fraction laws of ``verify.cfrac_sweep``, one fraction at a
 time: each law holds at big-int sizes, and each can fail."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from twobridge import verify
-from twobridge.cfrac import PositiveCF, positive_cf
+from twobridge.cfrac import EvenCF, PositiveCF, positive_cf
 from twobridge.errors import CrossCheckMismatch
+from twobridge.laurent import Packed
 
 
 def test_sweep_checks_each_fraction_once(monkeypatch):
@@ -79,3 +81,28 @@ def test_each_law_can_fail(monkeypatch, message):
     with pytest.raises(CrossCheckMismatch) as info:
         verify._fraction_laws(Fraction(27, 10))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("extra", [lambda p: 1, lambda p: 1 << (p.s - 1)],
+                         ids=["one unit", "overflow"])
+@pytest.mark.parametrize("entries", [(2, 4), (-2, 2)])
+def test_check_engines_compares_packed_results(monkeypatch, extra, entries):
+    """One packed unit more, or a slot overflow, in the fpoly engine's result
+    is a mismatch with the recursive engine, reported without a raise from
+    the decode."""
+    cf = EvenCF(entries)
+    verify.check_engines(cf)
+    real = verify.jones_via_f
+
+    def faulty(cf):
+        res = real(cf)
+        p = res.packed
+        return dataclasses.replace(
+            res, packed=Packed(p.n + extra(p), p.h, p.s, p.bound))
+    monkeypatch.setattr(verify, "jones_via_f", faulty)
+    with pytest.raises(CrossCheckMismatch) as info:
+        verify.check_engines(cf)
+    assert info.value.engines == ("recursive", "fpoly")
+    assert str(info.value).startswith(
+        f"recursive vs fpoly disagree on {list(entries)}: recursive: ")
+    assert "; fpoly: " in str(info.value)
