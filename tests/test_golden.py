@@ -55,7 +55,7 @@ JONES_INPUTS = (
     ["[38,-24,2]"],
 )
 # negative fractions: the mirror images of 27/10 (p*q even) and of 7/3
-# (p and q odd), with every engine
+# (p and q odd), all three engines cross-checked
 NEGATIVE_JONES = (["-27/10"], ["-7/3"])
 ENGINES = ("all", "recursive", "direct", "fpoly")
 FORMATS = ("text", "json", "latex")

@@ -1,5 +1,6 @@
 """The continued-fraction laws of ``verify.cfrac_sweep``, one fraction at a
-time: each law holds at big-int sizes, and each can fail."""
+time: each law holds at big-int sizes, and each can fail.  Also the engine
+cross-check of ``verify.check_engines``, which compares packed results."""
 
 import dataclasses
 from fractions import Fraction
