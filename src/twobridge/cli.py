@@ -37,7 +37,8 @@ from .jones import (JonesResult, boundary_coefficients, disagreement,
                     jones_direct, jones_recursive, jones_via_f, mirror,
                     oriented_even_cf, specialized_f_even,
                     specialized_f_positive, volume_bounds)
-from .laurent import HLPoly, latex_from_text
+from .laurent import (HLPoly, _exp_str, _interleave, latex_from_text,
+                      text_from_terms)
 from .snake import (check_budget, check_canvas, count_matchings,
                     f_polynomial, render_ascii, snake_from_even,
                     snake_from_positive, tile_count_even)
@@ -119,13 +120,10 @@ def parse_input(s: str, hint: str = None):
                      "continued fraction", offset)
 
 
-def _exp_str(units: int) -> str:
-    """An exponent given in half units, as ``3`` or ``-7/2``."""
-    return str(units // 2) if units % 2 == 0 else f"{units}/2"
-
-
-def _poly_payload(p: HLPoly):
-    return [[_exp_str(u), c] for u, c in p.items()]
+def _poly_payload(exps, coeffs):
+    """(coefficient pairs, text) of a polynomial from its exponent strings
+    and coefficients, highest exponent first."""
+    return list(zip(exps, coeffs)), text_from_terms(exps, coeffs)
 
 
 def poly_from_payload(pairs) -> HLPoly:
@@ -239,9 +237,9 @@ def run(req: Request) -> dict:
             F = specialized_f_positive(obj if isinstance(obj, PositiveCF)
                                        else positive_cf(obj))
         report["full"] = False
-        report["coefficients"] = _poly_payload(F)
-        report["text"] = F.to_text()
-        report["latex"] = latex_from_text(report["text"])
+        report["coefficients"], text = _poly_payload(*F.exps_and_coeffs())
+        report["text"] = text
+        report["latex"] = latex_from_text(text)
         return report
 
     if req.command == "jones":
@@ -263,12 +261,13 @@ def run(req: Request) -> dict:
         report["even_cf"] = list(ev.entries)
         report["degree"] = _exp_str(int(2 * res.degree))
         report["leading_sign"] = res.leading_sign
-        report["width"] = _exp_str(int(2 * res.poly.width()))
-        report["coefficients"] = _poly_payload(res.poly)
+        report["width"] = _exp_str(res.run.width())
+        report["coefficients"], text = _poly_payload(
+            *res.run.exps_and_coeffs())
         report["engine"] = req.engine
         report["checks"] = {name: "ok" for name in engines}
-        report["text"] = res.poly.to_text()
-        report["latex"] = latex_from_text(report["text"])
+        report["text"] = text
+        report["latex"] = latex_from_text(text)
         return report
 
     if req.command == "volume":
@@ -290,9 +289,10 @@ def _json(obj, indent: str = "") -> str:
 
     With ``indent`` set, the standard library encodes in Python; here strings
     go through its C string encoder and ints through ``int.__repr__``, and
-    every other scalar through ``json.dumps`` itself.  Dict keys must be
-    strings, as in every report; others raise ``TypeError``.  ``indent`` is
-    the prefix of the lines that hold ``obj``.
+    every other scalar through ``json.dumps`` itself.  A list of exact ints
+    takes one join, and a list of [exact str, exact int] pairs one format.
+    Dict keys must be strings, as in every report; others raise
+    ``TypeError``.  ``indent`` is the prefix of the lines that hold ``obj``.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -302,35 +302,21 @@ def _json(obj, indent: str = "") -> str:
         if not obj:
             return "[]"
         inner = indent + "  "
-        flat_sep = ",\n" + inner + "  "
-        # ints, strings and flat lists of them inline: most items are
-        # coefficient pairs, [str, int], which take one f-string
-        items = []
-        for x in obj:
-            if type(x) is int:
-                items.append(int.__repr__(x))
-            elif type(x) is str:
-                items.append(_encode_str(x))
-            elif ((type(x) is list or type(x) is tuple) and len(x) == 2
-                  and type(x[0]) is str and type(x[1]) is int):
-                items.append(f"[\n{inner}  {_encode_str(x[0])},\n"
-                             f"{inner}  {int.__repr__(x[1])}\n{inner}]")
-            elif (type(x) is list or type(x) is tuple) and x:
-                flat = []
-                for y in x:
-                    if type(y) is int:
-                        flat.append(int.__repr__(y))
-                    elif type(y) is str:
-                        flat.append(_encode_str(y))
-                    else:
-                        items.append(_json(x, inner))
-                        break
-                else:
-                    items.append("[\n" + inner + "  " + flat_sep.join(flat)
-                                 + "\n" + inner + "]")
-            else:
-                items.append(_json(x, inner))
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:  # exact ints: one join
+            return ("[\n" + inner + (",\n" + inner).join(
+                map(int.__repr__, obj)) + "\n" + indent + "]")
+        if kinds <= {list, tuple} and set(map(len, obj)) == {2}:
+            # [exact str, exact int] pairs, such as coefficients: one format
+            keys, values = zip(*obj)
+            if (set(map(type, keys)) == {str}
+                    and set(map(type, values)) == {int}):
+                pair = f"[\n{inner}  %s,\n{inner}  %d\n{inner}]"
+                body = ((",\n" + inner).join([pair] * len(obj))
+                        % _interleave(map(_encode_str, keys), values))
+                return "[\n" + inner + body + "\n" + indent + "]"
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_json(x, inner) for x in obj]) + "\n" + indent + "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -36,7 +36,7 @@ from .cfrac import (EvenCF, PositiveCF, Rat, _sgn, eval_cf, even_cf_for_link,
                     numerator_rec, positive_cf, tau, type_sequence)
 from .errors import (HypothesisViolated, SlotOverflow, WrongOrientation,
                      ZeroPolynomial)
-from .laurent import (HLPoly, Packed, _pack, _units, continuant,
+from .laurent import (DigitRun, HLPoly, Packed, _units, continuant,
                       continuant_packed)
 
 #: smallest hyperbolic volume bound per twist region, and the volume of a
@@ -58,7 +58,8 @@ def skein_constants():
 class JonesResult:
     """A Jones polynomial, held packed, together with its normalization data.
 
-    ``poly`` and ``normalized`` are decoded from ``packed`` on first use.
+    ``run``, the one read of the digits of ``packed``, is made on first use,
+    and ``poly`` and ``normalized`` are built from it.
     ``poly == leading_sign * t^degree * normalized`` holds exactly, and the
     normalized polynomial has constant term 1 and degree 0.
     """
@@ -69,8 +70,12 @@ class JonesResult:
     engine: str
 
     @cached_property
+    def run(self) -> DigitRun:
+        return self.packed.read()
+
+    @cached_property
     def poly(self) -> HLPoly:
-        return self.packed.decode()
+        return self.run.poly()
 
     @cached_property
     def normalized(self) -> HLPoly:
@@ -82,25 +87,20 @@ class JonesResult:
         return self.packed.same(other.packed)
 
 
-def _result(packed: Packed, poly: HLPoly, engine: str) -> JonesResult:
-    """The result of ``packed``, whose decoded polynomial ``poly`` is at hand."""
-    j, c = poly.leading_term()
+def _result(packed: Packed, engine: str) -> JonesResult:
+    """The result of ``packed``, with the leading term read from its digits."""
+    run = packed.read()
+    j, c = run.leading_term()
     if c not in (1, -1):
         raise ZeroPolynomial(f"leading coefficient {c} is not a unit")
     res = JonesResult(packed, j, c, engine)
-    vars(res)["poly"] = poly  # fill the cache of ``poly``: no second decode
+    vars(res)["run"] = run  # fill the cache: no second read
     return res
 
 
 def _assemble(j, delta, normalized: Packed, engine) -> JonesResult:
     return JonesResult(normalized.times(delta, _units(j)), Fraction(j), delta,
                        engine)
-
-
-def _repack(poly: HLPoly, like: Packed) -> Packed:
-    """``poly`` packed on the slots of ``like``."""
-    n, h = _pack(poly, like.s)
-    return Packed(n, h, like.s, like.bound)
 
 
 def disagreement(results) -> str:
@@ -154,7 +154,7 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
             steps.append(((1, 2 * ab, 1), ((-1) ** ab, 2 * ab - 1, ab)))
     packed = continuant_packed(steps, _TWO_UNKNOTS, HLPoly.one(),
                                abs(numerator_rec(cf.entries)))
-    return _result(packed, packed.decode(), "recursive")
+    return _result(packed, "recursive")
 
 
 def degree_and_sign(cf: EvenCF):
@@ -215,14 +215,14 @@ def specialized_f_even(cf: EvenCF) -> HLPoly:
 
 
 def _f_even(cf: EvenCF) -> Packed:
-    """:func:`specialized_f_even`, packed; the bar involution decodes."""
+    """:func:`specialized_f_even`, packed; the bar involution too."""
     r = eval_cf(cf.entries)
     pos = positive_cf(abs(r))
     F = _f_positive(pos)
     if cf.entries[0] > 0:
         return F
     c, u, _ = _q(pos.d + 1, 1)
-    return _repack(F.decode().bar(), F).times(c, u)
+    return F.bar().times(c, u)
 
 
 def f_recursive(cf: EvenCF) -> HLPoly:
@@ -302,8 +302,7 @@ def jones_direct(cf: PositiveCF) -> JonesResult:
 
 def mirror(res: JonesResult) -> JonesResult:
     """Mirror image: the bar involution on the polynomial."""
-    poly = res.poly.bar()
-    return _result(_repack(poly, res.packed), poly, res.engine)
+    return _result(res.packed.bar(), res.engine)
 
 
 def boundary_coefficients(cf: PositiveCF):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
+from itertools import compress
 
 from .errors import MixedGrid, SlotOverflow, ZeroPolynomial
 
@@ -135,18 +136,6 @@ class HLPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = HLPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -231,21 +220,18 @@ class HLPoly:
         dropped; the zero polynomial prints as ``0``.  :meth:`parse` inverts
         this exactly.
         """
-        if not self._terms:
-            return "0"
-        parts = []
-        for u, c in self.items():
-            mag = abs(c)
-            if u == 0:
-                body = str(mag)
-            else:
-                e = str(u // 2) if u % 2 == 0 else f"{u}/2"
-                body = f"t^({e})" if mag == 1 else f"{mag}*t^({e})"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+        return text_from_terms(*self.exps_and_coeffs())
+
+    def exps_and_coeffs(self):
+        """(exponent strings, coefficients), highest exponent first; only
+        gaps or mixed grids print the exponents one by one."""
+        units = sorted(self._terms, reverse=True)
+        coeffs = list(map(self._terms.__getitem__, units))
+        odd = sum(map((1).__and__, units))  # exponents on the half grid
+        if (units and units[0] - units[-1] == 2 * len(units) - 2
+                and odd in (0, len(units))):
+            return _exp_strs(units[-1], units[0]), coeffs
+        return list(map(_exp_str, units)), coeffs
 
     @classmethod
     def parse(cls, text: str) -> "HLPoly":
@@ -286,6 +272,44 @@ class HLPoly:
 
     def __repr__(self):
         return f"HLPoly({self.to_text()!r})"
+
+
+def _exp_str(units: int) -> str:
+    """An exponent given in half units, as ``3`` or ``-7/2``."""
+    return str(units // 2) if units % 2 == 0 else f"{units}/2"
+
+
+def _exp_strs(low: int, high: int):
+    """:func:`_exp_str` of high, high - 2, ..., low, all on one grid."""
+    if low & 1:
+        units = range(high, low - 2, -2)
+        return ("%d/2 " * len(units) % tuple(units)).split()
+    return list(map(str, range(high >> 1, (low >> 1) - 1, -1)))
+
+
+def _interleave(evens, odds) -> tuple:
+    """evens[0], odds[0], evens[1], ...: arguments for a repeated format."""
+    out = [None] * (2 * len(odds))
+    out[::2] = evens
+    out[1::2] = odds
+    return tuple(out)
+
+
+def text_from_terms(exps, coeffs) -> str:
+    """The :meth:`HLPoly.to_text` form of nonzero terms, highest first, from
+    :func:`_exp_str` strings and int coefficients: one ``%`` format writes
+    ``c*t^(e) + ...``, then a fixed rewrite fixes the signs, the constant
+    and unit coefficients."""
+    if not exps:
+        return "0"
+    text = ("%d*t^(%s) + " * len(exps) % _interleave(coeffs, exps))[:-3]
+    text = (text.replace(" + -", " - ").replace("*t^(0)", "")
+            .replace(" 1*t", " t"))
+    if text.startswith("1*t"):
+        return text[2:]
+    if text.startswith("-1*t"):
+        return "-" + text[3:]
+    return text
 
 
 def latex_from_text(text: str) -> str:
@@ -440,6 +464,9 @@ class Packed:
     has exactly one string of such digits, so two terms with equal s are
     equal polynomials exactly when their integers are equal once aligned to
     one h: :meth:`same` compares them without a decode.
+
+    :meth:`read` is the one read of the digits; :meth:`bar` reverses the
+    slots of the integer itself and needs no read.
     """
 
     __slots__ = ("n", "h", "s", "bound")
@@ -474,9 +501,29 @@ class Packed:
             b <<= self.s * (-dh >> 1)
         return a == b
 
+    def read(self) -> "DigitRun":
+        """:class:`SlotOverflow` when the digits exceed ``bound``."""
+        return _read_digits(self.n, self.h, self.s, self.bound)
+
     def decode(self) -> HLPoly:
         """The polynomial; :class:`SlotOverflow` when it exceeds ``bound``."""
         return _unpack((self.n, self.h), self.s, self.bound)
+
+    def bar(self) -> "Packed":
+        """The bar involution t^(1/2) -> t^(-1/2), without a read: the slots
+        of :func:`_slot_bytes` reversed, read as u, give n' = u - ((u &
+        top_bits) << 1) and h' = -h - 2(slots - 1).  The digits are the read
+        ones reversed, so an overflow still raises when the result is read.
+        """
+        raw, top_bits = _slot_bytes(self.n, self.s)
+        width = self.s // 8
+        flipped = bytearray(len(raw))
+        for i in range(width):  # byte i of every slot, slots reversed
+            flipped[i::width] = raw[i::width][::-1]
+        u = int.from_bytes(flipped, "little")
+        slots = len(raw) // width
+        return Packed(u - ((u & top_bits) << 1), -self.h - 2 * (slots - 1),
+                      self.s, self.bound)
 
     def __repr__(self):
         return f"Packed({self.n}, {self.h}, {self.s}, {self.bound})"
@@ -511,32 +558,85 @@ def _slot_width(bound: int) -> int:
 _FIELD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
-def _unpack(term, s: int, bound: int) -> HLPoly:
-    """Decode a packed term into its balanced base-2^s digits.
+def _slot_bytes(n: int, s: int):
+    """(raw, top_bits): the balanced base-2^s digits of n as little-endian
+    s-bit signed fields, a zero slot or more on top, and bit s - 1 of each.
 
     Adding 2^(s-1) to every slot makes each slot hold its digit plus 2^(s-1)
     without borrows; flipping the top bit of every slot back turns that into
-    the digit in two's complement, so each slot reads as a signed field.  The
-    decoded coefficients must sum in absolute value to at most ``bound``.
+    the digit in two's complement, so each slot reads as a signed field.
     """
-    n, h = term
     width = s // 8
     slots = n.bit_length() // s + 2
     top_bits = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     raw = ((n + top_bits) ^ top_bits).to_bytes(slots * width, "little")
+    return raw, top_bits
+
+
+def _read_digits(n: int, h: int, s: int, bound: int) -> "DigitRun":
+    """The one digit read of the packed term (n, h), without zero slots at
+    either end: one ``struct.unpack`` up to 64 bits, else slice by slice.
+    The digits must sum in absolute value to at most ``bound``."""
+    raw, _ = _slot_bytes(n, s)
+    width = s // 8
     if s <= 64:
-        digits = struct.unpack(f"<{slots}{_FIELD_CODES[s]}", raw)
+        digits = struct.unpack(f"<{len(raw) // width}{_FIELD_CODES[s]}", raw)
     else:
         digits = [int.from_bytes(raw[i:i + width], "little", signed=True)
                   for i in range(0, len(raw), width)]
-    terms = {u: c for u, c in zip(range(h, h + 2 * slots, 2), digits) if c}
-    total = sum(map(abs, terms.values()))
+    total = sum(map(abs, digits))
     if total > bound:
         raise SlotOverflow(f"coefficients sum to {total} in absolute value, "
                            f"beyond the bound {bound} the slots were sized for")
-    out = HLPoly.__new__(HLPoly)
-    out._terms = terms
-    return out
+    low, high = 0, len(digits)
+    while high and not digits[high - 1]:
+        high -= 1
+    while low < high and not digits[low]:
+        low += 1
+    return DigitRun(h + 2 * low, digits[low:high])
+
+
+def _unpack(term, s: int, bound: int) -> HLPoly:
+    """Decode a packed term (n, h) on s-bit slots; see :func:`_read_digits`."""
+    return _read_digits(*term, s, bound).poly()
+
+
+class DigitRun:
+    """The coefficients of t^(h/2), t^(h/2 + 1), ..., lowest first, from one
+    read; both ends nonzero, and none for the zero polynomial."""
+
+    __slots__ = ("h", "digits")
+
+    def __init__(self, h: int, digits):
+        self.h, self.digits = h, digits
+
+    def poly(self) -> HLPoly:
+        digits = self.digits
+        units = range(self.h, self.h + 2 * len(digits), 2)
+        out = HLPoly.__new__(HLPoly)
+        out._terms = dict(compress(zip(units, digits), digits))
+        return out
+
+    def leading_term(self):
+        """(highest exponent, its coefficient); exponent as a Fraction."""
+        if not self.digits:
+            raise ZeroPolynomial("zero polynomial has no leading term")
+        return Fraction(self.h + 2 * len(self.digits) - 2, 2), self.digits[-1]
+
+    def width(self) -> int:
+        """Highest minus lowest exponent of a nonzero run, in half units."""
+        return 2 * len(self.digits) - 2
+
+    def exps_and_coeffs(self):
+        """As :meth:`HLPoly.exps_and_coeffs`, zero slots left out."""
+        digits = self.digits
+        if not digits:
+            return [], []
+        exps = _exp_strs(self.h, self.h + 2 * len(digits) - 2)
+        coeffs = digits[::-1]
+        if 0 in digits:
+            return list(compress(exps, coeffs)), list(filter(None, coeffs))
+        return exps, coeffs
 
 
 class YPoly:

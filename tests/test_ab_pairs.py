@@ -1,0 +1,103 @@
+"""The summary arithmetic of ``scripts/ab_pairs.py`` on canned results.
+
+No benchmark runs here: the pairs are made-up metric values.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_pairs.py"
+spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
+ab_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_pairs)
+
+SPECS = [{"name": "wall_s", "better": "lower", "bound": 0.2},
+         {"name": "throughput_per_s", "better": "higher", "bound": 0.2}]
+
+
+def runs(wall, throughput):
+    return [{"wall_s": w, "throughput_per_s": t}
+            for w, t in zip(wall, throughput)]
+
+
+def row(rows, name):
+    return next(r for r in rows if r["name"] == name)
+
+
+def test_clear_gain_on_ten_pairs():
+    parent = runs([10, 11, 12, 13, 14, 10, 11, 12, 13, 14], [100] * 10)
+    change = runs([8, 9, 8, 9, 8, 9, 8, 9, 8, 9], [110] * 10)
+    rows = ab_pairs.summarize(parent, change, SPECS)
+    wall = row(rows, "wall_s")
+    assert (wall["parent"], wall["change"], wall["wins"]) == (12, 8.5, 10)
+    # exclusive quartiles of 10, 10, 11, 11, 12, 12, 13, 13, 14, 14
+    assert (wall["q1"], wall["q3"]) == (10.75, 13.25)
+    assert wall["gain_holds"] and not wall["beyond_bound"]
+    tput = row(rows, "throughput_per_s")
+    assert tput["wins"] == 10 and tput["q3"] - tput["q1"] == 0
+    assert tput["gain_holds"]
+
+
+def test_nine_of_ten_wins_is_enough_eight_is_not():
+    parent = runs([10] * 10, [100] * 10)
+    change = runs([5] * 9 + [11], [100] * 10)
+    wall = row(ab_pairs.summarize(parent, change, SPECS), "wall_s")
+    assert wall["gain_holds"]
+    change = runs([5] * 8 + [11, 11], [100] * 10)
+    wall = row(ab_pairs.summarize(parent, change, SPECS), "wall_s")
+    assert wall["wins"] == 8 and not wall["gain_holds"]
+
+
+def test_gap_must_exceed_the_parent_iqr():
+    # every pair won, but the medians differ by 1 against an IQR of 2.5
+    parent = runs([10, 11, 12, 13, 14, 10, 11, 12, 13, 14], [100] * 10)
+    change = runs([9.9, 10.9, 11.9, 12.9, 13.9] * 2, [100] * 10)
+    wall = row(ab_pairs.summarize(parent, change, SPECS), "wall_s")
+    assert wall["wins"] == 10 and not wall["gain_holds"]
+
+
+def test_worse_beyond_bound_in_either_direction():
+    parent = runs([10] * 4, [100] * 4)
+    change = runs([12.1] * 4, [79] * 4)
+    rows = ab_pairs.summarize(parent, change, SPECS)
+    assert row(rows, "wall_s")["beyond_bound"]
+    assert row(rows, "throughput_per_s")["beyond_bound"]
+    change = runs([11.9] * 4, [81] * 4)
+    rows = ab_pairs.summarize(parent, change, SPECS)
+    assert not any(r["beyond_bound"] or r["gain_holds"] for r in rows)
+    assert "WORSE" not in ab_pairs.report(rows)
+
+
+def test_one_pair_has_zero_iqr():
+    rows = ab_pairs.summarize(runs([10], [100]), runs([9], [101]), SPECS)
+    wall = row(rows, "wall_s")
+    assert (wall["q1"], wall["q3"], wall["wins"]) == (10, 10, 1)
+    assert wall["gain_holds"]
+
+
+def test_last_json_line():
+    text = '# comment\n{"a": 1}\nwall_s 0.3 s\n{"correct": true}\n'
+    assert ab_pairs.last_json_line(text) == {"correct": True}
+    with pytest.raises(ab_pairs.RunFailed):
+        ab_pairs.last_json_line("# nothing\n{broken\n")
+
+
+def test_failed_run_exits_2(tmp_path):
+    # a checkout whose benchmark fails at once
+    for side in ("parent", "change"):
+        bench = tmp_path / side / "perfbench"
+        bench.mkdir(parents=True)
+        (bench / "run.py").write_text("raise SystemExit(1)\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": SPECS}))
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workload", "sweep", "--seed", "1",
+         "--pairs", "1"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "run failed" in out.stderr

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twobridge.cfrac import EvenCF, PositiveCF
-from twobridge.cli import (Request, _json, build_parser, emit, main,
-                           parse_input, poly_from_payload, run)
+from twobridge.cli import (Request, _json, _poly_payload, build_parser, emit,
+                           main, parse_input, poly_from_payload, run)
 from twobridge.errors import (AmbiguousCF, BudgetExceeded, CrossCheckMismatch,
                               OutOfRange, ParseError)
 from twobridge.laurent import HLPoly, Packed
@@ -147,6 +147,47 @@ class TestRun:
                     assert main(["jones", f"{p}/{q}", "--engine", "all"]) == 0
 
 
+def parent_poly_payload(p: HLPoly):
+    """The coefficient pairs as the CLI built them before they came from the
+    digit run: one loop over the terms."""
+    return [[str(u // 2) if u % 2 == 0 else f"{u}/2", c] for u, c in p.items()]
+
+
+@st.composite
+def packed_runs(draw):
+    """(Packed, HLPoly): up to 10 slots on one grid, zero slots included,
+    on struct (16, 64 bits) and byte (136 bits) widths."""
+    s = draw(st.sampled_from((16, 64, 136)))
+    edge = (1 << (s - 2)) - 1
+    digits = draw(st.lists(st.sampled_from((0, 1, -1, edge, -edge))
+                           | st.integers(-edge, edge), max_size=10))
+    h = 2 * draw(st.integers(-12, 2)) + draw(st.integers(0, 1))
+    n = sum(c << (s * i) for i, c in enumerate(digits))
+    poly = HLPoly({h + 2 * i: c for i, c in enumerate(digits)})
+    return Packed(n, h, s, max(1, sum(map(abs, digits)))), poly
+
+
+class TestPolyPayload:
+    """The report's pairs and text against the per-term loops they replace."""
+
+    @given(packed_runs())
+    def test_digit_runs(self, packed_poly):
+        packed, poly = packed_poly
+        pairs, text = _poly_payload(*packed.read().exps_and_coeffs())
+        assert list(map(list, pairs)) == parent_poly_payload(poly)
+        assert text == poly.to_text()
+        report = {"coefficients": pairs, "text": text}
+        assert _json(report) == json.dumps(report, indent=2)
+
+    @given(st.dictionaries(st.integers(-30, 30), st.integers(-10 ** 30,
+                                                             10 ** 30),
+                           max_size=8).map(HLPoly))
+    def test_gapped_and_mixed_polynomials(self, poly):
+        pairs, text = _poly_payload(*poly.exps_and_coeffs())
+        assert list(map(list, pairs)) == parent_poly_payload(poly)
+        assert text == poly.to_text()
+
+
 class TestJsonFormat:
     def test_polynomial_payload_round_trip(self):
         report = run(Request("jones", "[-2,2]"))
@@ -183,6 +224,40 @@ json_values = st.recursive(
     max_leaves=30)
 
 
+class Int(int):
+    """An int subclass: the emitter's exact-int paths must pass it by."""
+
+
+json_strings = (st.text() | st.sampled_from(
+    ["", "\"", "a\\b", "\x00\n\t", "\u00e9", "\u2603", "\U0001f600",
+     "-7/2", "0"]))
+json_ints = st.integers() | st.integers(-10 ** 400, 10 ** 400)
+# one bool, float, int subclass, None or string among exact ints keeps a
+# list or a pair off the homogeneous paths
+int_intruders = (st.booleans() | st.integers().map(Int) | st.floats()
+                 | st.none() | json_strings)
+int_lists = st.lists(json_ints, max_size=6)
+pair_lists = st.lists(st.tuples(json_strings, json_ints).map(list)
+                      | st.tuples(json_strings, json_ints), max_size=6)
+
+
+@st.composite
+def near_homogeneous(draw):
+    """An int list or a pair list, often with one item swapped for a near
+    miss: an intruder, a reversed pair, a pair of three or a nested list."""
+    items = draw(int_lists | pair_lists)
+    if items and draw(st.booleans()):
+        i = draw(st.integers(0, len(items) - 1))
+        if type(items[i]) is int:
+            items[i] = draw(int_intruders | int_lists)
+        else:
+            key, value = items[i]
+            items[i] = draw(st.sampled_from([
+                [key, draw(int_intruders)], [draw(int_intruders), value],
+                [value, key], [key, value, value], (key,), [[key, value]]]))
+    return items
+
+
 class TestJsonEmitter:
     """``emit(report, "json")`` must be ``json.dumps(report, indent=2)``."""
 
@@ -190,18 +265,32 @@ class TestJsonEmitter:
     def test_matches_json_dumps(self, value):
         assert _json(value) == json.dumps(value, indent=2)
 
+    @given(near_homogeneous(), st.sampled_from((None, "list", "dict")))
+    def test_int_and_pair_lists(self, items, wrap):
+        # the exact-int and [str, int] paths, with one element, empty, and
+        # inside a list or a report-like dict
+        value = {"list": [items, [1]], "dict": {"coefficients": items},
+                 None: items}[wrap]
+        assert _json(value) == json.dumps(value, indent=2)
+
+    def test_bools_and_int_subclasses_keep_their_form(self):
+        for value in ([True, False], [1, True], [Int(3), 4], [Int(5)],
+                      [["x", True]], [["x", Int(2)]], [("x", 1), ["y", False]],
+                      [[Int(1), 1]], [["x", 1], ["y", 2, 3]], [[]], [["x"]]):
+            assert _json(value) == json.dumps(value, indent=2)
+
     def test_empty_containers(self):
         for value in ({}, [], (), {"a": {}, "b": [[]]}, [{}, ()]):
             assert _json(value) == json.dumps(value, indent=2)
 
     def test_inline_lists(self):
-        # flat lists of exact ints and strings render inline; bools, floats,
-        # None, empty and nested lists keep the recursive path
+        # lists of exact ints take one join; bools, floats, None, strings,
+        # empty and nested lists keep the recursive path
         for value in ([[True, 1]], [[1.5, "a"]], [[]], [("x", 2)],
                       [[None, 1], ["a", [1]], (3, "b"), 4],
                       {"c": [["-1/2", 10 ** 40], ["0", -1]]}):
             assert _json(value) == json.dumps(value, indent=2)
-        # a [str, int] pair takes one f-string; near misses must not
+        # lists of [str, int] pairs take one format; near misses must not
         for value in ([["a\"b", 1]], [["x", True]], [[1, "x"]], [("x", 2)],
                       [["x", 2, 3]], [["x", 2.0]], [["é", -10 ** 40]]):
             assert _json(value) == json.dumps(value, indent=2)
@@ -431,25 +520,26 @@ class TestPackedCrossCheck:
         assert "; direct: overflows its slots (coefficients sum to " in err
         assert "; fpoly: t^(1) - 2 + " in err
 
-    @pytest.mark.parametrize("value, most", [
+    @pytest.mark.parametrize("value, reads", [
         ("27/10", 1), ("10/3", 1), ("[2,2,-2,4]", 1),
         ("[" + ",".join(["3"] * 60) + "]", 1),  # slots beyond 64 bits
-        ("7/3", 2), ("[96,57]", 2), ("[-2,2]", 3), ("-27/10", 3)])
-    def test_one_decode_per_request(self, capsys, monkeypatch, value, most):
-        """p*q even: only the recursive engine decodes.  p and q odd: the
-        fpoly engine may decode once more, for the bar involution.  A
-        negative value: the direct engine's mirror may decode too."""
+        ("7/3", 1), ("[96,57]", 1), ("[-2,2]", 2), ("-27/10", 2)])
+    def test_one_decode_per_request(self, capsys, monkeypatch, value, reads):
+        """A positive value: the recursive engine reads its digits once, and
+        the report is made from that read; the fpoly engine's bar involution
+        (p and q odd) works on the packed integer.  A negative value: the
+        direct engine's mirror reads its leading term as well."""
         import twobridge.laurent as laurent
         calls = []
-        real = laurent._unpack
+        real = laurent._read_digits
 
         def counted(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(laurent, "_unpack", counted)
+        monkeypatch.setattr(laurent, "_read_digits", counted)
         assert main(["jones", value, "--engine", "all"]) == 0
         capsys.readouterr()
-        assert 1 <= len(calls) <= most
+        assert len(calls) == reads
 
 
 OVERFLOWING_DIRECT = (

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from twobridge.cfrac import PositiveCF, eval_cf, numerator_rec
-from twobridge.errors import MixedGrid
+from twobridge.errors import MixedGrid, SlotOverflow
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
@@ -331,10 +331,59 @@ class TestPacked:
         assert a.times(c, u).decode() == HLPoly.monomial(c, u) * pa
         assert a.times(c, u).same(a) == (not pa or (c, u) == (1, 0))
 
+    @given(packed_pairs())
+    def test_bar_of_packed_terms(self, pair):
+        # zero, negated and re-packed terms among them
+        for p, poly in pair[:2], pair[2:]:
+            check_bar(p)
+            s = p.s
+            n, h = _pack(poly.bar(), s)
+            assert p.bar().same(Packed(n, h, s, p.bound))
+
+    @given(st.sampled_from((8, 16, 32, 64)), st.data())
+    def test_bar_on_struct_widths(self, s, data):
+        check_bar(data.draw(near_edge_packed(s)))
+
+    @given(st.integers(9, 30).map(lambda k: 8 * k), st.data())
+    def test_bar_on_byte_widths(self, s, data):
+        check_bar(data.draw(near_edge_packed(s)))
+
+
+@st.composite
+def near_edge_packed(draw, s):
+    """A packed term on s-bit slots whose digits often lie at or next to
+    the ends of the balanced range, -2^(s-1) and 2^(s-1) - 1; its bound is
+    sometimes one below the digits' sum, so that a read overflows."""
+    half = 1 << (s - 1)
+    digit = st.one_of(st.integers(-half, half - 1), st.sampled_from(
+        (0, 1, -1, -half, 1 - half, half - 1, half - 2)))
+    digits = draw(st.lists(digit, max_size=10))
+    n = draw(st.sampled_from((1, -1))) * sum(
+        d << (s * i) for i, d in enumerate(digits))
+    total = sum(map(abs, digits))
+    bound = draw(st.sampled_from((total, total + 1, max(total - 1, 0))))
+    return Packed(n, draw(st.integers(-9, 9)), s, bound)
+
+
+def check_bar(p: Packed):
+    """``p.bar()`` against the bar of the decoded polynomial: equal when the
+    digits fit the bound, and both raising :class:`SlotOverflow` when not."""
+    try:
+        want = p.decode().bar()
+    except SlotOverflow:
+        with pytest.raises(SlotOverflow):
+            p.bar().decode()
+        return
+    barred = p.bar()
+    assert barred.decode() == want
+    assert barred.bar().same(p)
+    assert (barred.s, barred.bound) == (p.s, p.bound)
+
 
 UNDERSTATED_BOUND = (
     "from twobridge.errors import SlotOverflow\n"
-    "from twobridge.laurent import _slot_width, continuant\n"
+    "from twobridge.laurent import (_slot_width, continuant,\n"
+    "                               continuant_packed)\n"
     "steps = [((1, 0, 1), (1, -4, 3)), ((1, 0, 1), (-1, 6, 5)),\n"
     "         ((-1, 2, 1), (1, -8, 2)), ((1, 0, 1), (1, 8, 4))]\n"
     "m = {scale}\n"
@@ -343,18 +392,21 @@ UNDERSTATED_BOUND = (
     "print('exact', continuant(steps, m, m, total) == poly)\n"
     "print('slot', _slot_width(total - 1))\n"
     "try:\n"
-    "    continuant(steps, m, m, total - 1)\n"
+    "    {read}\n"
     "except SlotOverflow as exc:\n"
     "    print('raised', type(exc).__mro__[1].__name__)\n"
 )
+READ_DECODED = "continuant(steps, m, m, total - 1)"
+# the bar reads nothing itself: the overflow shows when its result is read
+READ_BARRED = "continuant_packed(steps, m, m, total - 1).bar().decode()"
 
 
-def understated_bound_output(scale):
+def understated_bound_output(scale, read=READ_DECODED):
     """Output of :data:`UNDERSTATED_BOUND` under ``python -O``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", UNDERSTATED_BOUND.format(scale=scale)],
-        env=env, capture_output=True, text=True, timeout=60)
+    script = UNDERSTATED_BOUND.format(scale=scale, read=read)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     return out.stdout.split()
 
@@ -370,3 +422,11 @@ def test_understated_bound_raises_under_optimize_on_byte_path():
     """The same check on slots wider than 64 bits, decoded byte by byte."""
     assert understated_bound_output(1 << 70) == [
         "exact", "True", "slot", "80", "raised", "TwoBridgeError"]
+
+
+@pytest.mark.parametrize("scale, slot", [(1, "16"), (1 << 70, "80")])
+def test_understated_bound_raises_after_bar_under_optimize(scale, slot):
+    """The bar of a result packed with an understated bound raises when it
+    is read, on the struct and the byte path."""
+    assert understated_bound_output(scale, READ_BARRED) == [
+        "exact", "True", "slot", slot, "raised", "TwoBridgeError"]

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twobridge.errors import MixedGrid, ZeroPolynomial
-from twobridge.laurent import (HLPoly, YPoly, latex_from_text, q_integer,
-                               q_power, specialize_y, t_power)
+from twobridge.laurent import (HLPoly, Packed, YPoly, _exp_str,
+                               latex_from_text, q_integer, q_power,
+                               specialize_y, t_power, text_from_terms)
 
 P = HLPoly.parse
 
@@ -48,6 +49,46 @@ def parent_to_latex(p: HLPoly) -> str:
     return "".join(parts)
 
 
+def parent_to_text(p: HLPoly) -> str:
+    """``HLPoly.to_text`` as it was before the text grammar became one
+    format and a fixed rewrite: one loop over the terms."""
+    if not p:
+        return "0"
+    parts = []
+    for u, c in p.items():
+        mag = abs(c)
+        if u == 0:
+            body = str(mag)
+        else:
+            e = str(u // 2) if u % 2 == 0 else f"{u}/2"
+            body = f"t^({e})" if mag == 1 else f"{mag}*t^({e})"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
+
+
+@st.composite
+def digit_runs(draw):
+    """(Packed, HLPoly): a run of up to 12 slots on one grid, zero slots
+    anywhere in it and at its ends included, exact on its slot width (struct
+    widths and byte widths, 8 to 200 bits); the lowest exponent lies near 0
+    so that the run often holds a constant term."""
+    s = draw(st.sampled_from((8, 16, 32, 64, 72, 128, 200)))
+    edge = (1 << (s - 2)) - 1  # every digit exact, with room for the bound
+    coeff = st.one_of(st.sampled_from((0, 1, -1, 2, -2, 11, -11)),
+                      st.integers(-edge, edge),
+                      st.sampled_from((edge, -edge)))
+    digits = draw(st.lists(coeff, min_size=1, max_size=12))
+    grid = draw(st.integers(0, 1))
+    h = 2 * draw(st.integers(-len(digits) - 2, 2)) + grid
+    n = sum(c << (s * i) for i, c in enumerate(digits))
+    bound = max(1, sum(map(abs, digits)))
+    poly = HLPoly({h + 2 * i: c for i, c in enumerate(digits)})
+    return Packed(n, h, s, bound), poly
+
+
 class TestArithmetic:
     def test_cancellation(self):
         t = t_power(1)
@@ -71,7 +112,7 @@ class TestArithmetic:
         p = P("t^(1) - 1")
         assert 1 - p == P("2 - t^(1)")
         assert 3 * p == P("3*t^(1) - 3")
-        assert p ** 2 == P("t^(2) - 2*t^(1) + 1")
+        assert p * p == P("t^(2) - 2*t^(1) + 1")
 
     @given(hlpolys(), hlpolys(), hlpolys())
     def test_ring_laws(self, a, b, c):
@@ -139,7 +180,7 @@ class TestQIntegers:
     def test_geometric_sum_identity(self):
         q = q_power(1)
         for b in range(1, 13):
-            assert (1 - q) * q_integer(b) == 1 - q ** b
+            assert (1 - q) * q_integer(b) == 1 - q_power(b)
 
     def test_bar_shift_for_even_b(self):
         for b in range(2, 13, 2):
@@ -208,6 +249,45 @@ class TestTextGrammar:
     @given(hlpolys(max_terms=8))
     def test_round_trip(self, p):
         assert HLPoly.parse(p.to_text()) == p
+
+    @given(st.dictionaries(render_units, render_coeffs, max_size=12))
+    def test_to_text_matches_parent_loop(self, terms):
+        # gaps, mixed grids, single terms and dense runs, through to_text
+        p = HLPoly(terms)
+        assert p.to_text() == parent_to_text(p)
+
+    @given(st.integers(-40, 40), st.lists(render_coeffs.filter(bool),
+                                          min_size=1, max_size=12))
+    def test_dense_dicts_take_one_range(self, low, coeffs):
+        # gap-free on one grid: the exponent strings come from one range
+        p = HLPoly({low + 2 * i: c for i, c in enumerate(coeffs)})
+        exps, got = p.exps_and_coeffs()
+        assert exps == [_exp_str(u) for u, _ in p.items()]
+        assert got == [c for _, c in p.items()]
+        assert p.to_text() == parent_to_text(p)
+
+    def test_unit_and_constant_terms(self):
+        for text in ("1", "-1", "11", "t^(1)", "-t^(1)", "-1 + t^(-1)",
+                     "-t^(1/2) + 11*t^(-1/2) - t^(-3/2)", "2*t^(1) + 1",
+                     "-11 + 101*t^(-1)", "t^(10) - 10", "t^(1) - 1 - t^(-1)"):
+            assert P(text).to_text() == text
+        assert text_from_terms([], []) == "0"
+
+    @given(digit_runs())
+    def test_digit_run_matches_parent_loop(self, packed_poly):
+        packed, poly = packed_poly
+        run = packed.read()
+        assert run.poly() == poly
+        exps, coeffs = run.exps_and_coeffs()
+        assert exps == [_exp_str(u) for u, _ in poly.items()]
+        assert list(coeffs) == [c for _, c in poly.items()]
+        assert text_from_terms(exps, coeffs) == parent_to_text(poly)
+        if poly:
+            assert run.leading_term() == poly.leading_term()
+            assert run.width() == 2 * poly.width()
+        else:
+            with pytest.raises(ZeroPolynomial):
+                run.leading_term()
 
 
 class TestYPoly:
