@@ -114,11 +114,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--benchmark", type=Path,
-                        help="BENCHMARK.json (default: the change's)")
     args = parser.parse_args(argv)
-    spec_path = args.benchmark or args.change / "BENCHMARK.json"
-    specs = json.loads(spec_path.read_text())["end_to_end"]
+    specs = json.loads(
+        (args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
     parent_runs, change_runs = [], []
     try:

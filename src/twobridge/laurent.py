@@ -223,15 +223,10 @@ class HLPoly:
         return text_from_terms(*self.exps_and_coeffs())
 
     def exps_and_coeffs(self):
-        """(exponent strings, coefficients), highest exponent first; only
-        gaps or mixed grids print the exponents one by one."""
+        """(exponent strings, coefficients), highest exponent first."""
         units = sorted(self._terms, reverse=True)
-        coeffs = list(map(self._terms.__getitem__, units))
-        odd = sum(map((1).__and__, units))  # exponents on the half grid
-        if (units and units[0] - units[-1] == 2 * len(units) - 2
-                and odd in (0, len(units))):
-            return _exp_strs(units[-1], units[0]), coeffs
-        return list(map(_exp_str, units)), coeffs
+        return (list(map(_exp_str, units)),
+                list(map(self._terms.__getitem__, units)))
 
     @classmethod
     def parse(cls, text: str) -> "HLPoly":
@@ -507,7 +502,7 @@ class Packed:
 
     def decode(self) -> HLPoly:
         """The polynomial; :class:`SlotOverflow` when it exceeds ``bound``."""
-        return _unpack((self.n, self.h), self.s, self.bound)
+        return self.read().poly()
 
     def bar(self) -> "Packed":
         """The bar involution t^(1/2) -> t^(-1/2), without a read: the slots
@@ -596,11 +591,6 @@ def _read_digits(n: int, h: int, s: int, bound: int) -> "DigitRun":
     return DigitRun(h + 2 * low, digits[low:high])
 
 
-def _unpack(term, s: int, bound: int) -> HLPoly:
-    """Decode a packed term (n, h) on s-bit slots; see :func:`_read_digits`."""
-    return _read_digits(*term, s, bound).poly()
-
-
 class DigitRun:
     """The coefficients of t^(h/2), t^(h/2 + 1), ..., lowest first, from one
     read; both ends nonzero, and none for the zero polynomial."""
@@ -630,13 +620,9 @@ class DigitRun:
     def exps_and_coeffs(self):
         """As :meth:`HLPoly.exps_and_coeffs`, zero slots left out."""
         digits = self.digits
-        if not digits:
-            return [], []
         exps = _exp_strs(self.h, self.h + 2 * len(digits) - 2)
         coeffs = digits[::-1]
-        if 0 in digits:
-            return list(compress(exps, coeffs)), list(filter(None, coeffs))
-        return exps, coeffs
+        return list(compress(exps, coeffs)), list(filter(None, coeffs))
 
 
 class YPoly:

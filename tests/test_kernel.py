@@ -19,7 +19,7 @@ from twobridge.errors import MixedGrid, SlotOverflow
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
-from twobridge.laurent import (HLPoly, Packed, _pack, _slot_width, _unpack,
+from twobridge.laurent import (HLPoly, Packed, _pack, _slot_width,
                                continuant, q_integer, q_power, specialize_y,
                                t_power)
 from twobridge.snake import f_polynomial, snake_from_positive
@@ -181,7 +181,7 @@ def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
         else:
             x = na + (nb << s * ((hb - ha) >> 1)), ha
         x2, x1 = x1, x
-    return _unpack(x1, s, bound)
+    return Packed(*x1, s, bound).decode()
 
 
 # general factors on the integer grid: signed, shifted, and [b]_q on both

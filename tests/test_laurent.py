@@ -258,8 +258,8 @@ class TestTextGrammar:
 
     @given(st.integers(-40, 40), st.lists(render_coeffs.filter(bool),
                                           min_size=1, max_size=12))
-    def test_dense_dicts_take_one_range(self, low, coeffs):
-        # gap-free on one grid: the exponent strings come from one range
+    def test_dense_dicts_match_parent_loop(self, low, coeffs):
+        # gap-free on one grid
         p = HLPoly({low + 2 * i: c for i, c in enumerate(coeffs)})
         exps, got = p.exps_and_coeffs()
         assert exps == [_exp_str(u) for u, _ in p.items()]
