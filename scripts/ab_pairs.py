@@ -7,14 +7,18 @@ alternates which side goes first.  For every end-to-end metric of
 parent's quartiles and the pairs the change won, and whether the gain rule
 holds: the change wins at least 9 of every 10 pairs, and its median beats the
 parent's by more than the parent's interquartile range.  A metric whose
-median is worse than the parent's by more than its bound is flagged.
+median is worse than the parent's by more than its bound is flagged.  A
+metric whose parent runs spread wider than its bound (interquartile range
+over median) is unresolved, since the bound cannot be told apart from the
+noise, unless every run of the change beats every run of the parent.
 
 Example:
     python3 scripts/ab_pairs.py ../parent . --workload wide_entry --seed 91 \\
         --seconds 10 --pairs 10
 
 Exit status: 0 when every run succeeded and no metric is beyond its bound,
-1 when a metric is beyond its bound, 2 when a run failed.
+1 when a metric is beyond its bound, 2 when a run failed or ``--pairs`` or
+``--seconds`` is out of range (checked before any run).
 """
 
 from __future__ import annotations
@@ -79,11 +83,14 @@ def summarize(parent_runs, change_runs, specs):
         q1, q3 = quartiles(old)
         gain = old_median - new_median if lower else new_median - old_median
         worse = -gain / abs(old_median) if old_median else 0.0
+        spread = (q3 - q1) / abs(old_median) if old_median else 0.0
+        all_better = (max(new) < min(old)) if lower else (min(new) > max(old))
         rows.append({
             "name": name, "parent": old_median, "change": new_median,
             "q1": q1, "q3": q3, "wins": wins, "pairs": pairs,
             "gain_holds": 10 * wins >= 9 * pairs and gain > q3 - q1,
             "beyond_bound": worse > spec["bound"],
+            "unresolved": spread > spec["bound"] and not all_better,
         })
     return rows
 
@@ -97,6 +104,8 @@ def report(rows) -> str:
             verdict.append("gain holds")
         if r["beyond_bound"]:
             verdict.append("WORSE BEYOND BOUND")
+        if r["unresolved"]:
+            verdict.append("unresolved")
         lines.append(f"{r['name']:20s} {r['parent']:11.5g} "
                      f"{r['change']:11.5g} "
                      f"{r['q1']:11.5g}-{r['q3']:<11.5g} "
@@ -115,6 +124,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if args.seconds <= 0:
+        parser.error(f"--seconds must be positive, got {args.seconds:g}")
     specs = json.loads(
         (args.change / "BENCHMARK.json").read_text())["end_to_end"]
 

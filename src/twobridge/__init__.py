@@ -18,8 +18,8 @@ from .errors import (AmbiguousCF, BothOdd, BudgetExceeded, CrossCheckMismatch,
                      WrongOrientation, ZeroPolynomial, ZeroTail)
 from .jones import (JonesResult, boundary_coefficients, degree_and_sign,
                     f_recursive, jones_direct, jones_recursive, jones_via_f,
-                    mirror, oriented_even_cf, skein_constants,
-                    specialized_f_even, specialized_f_positive, volume_bounds)
+                    mirror, oriented_even_cf, specialized_f_even,
+                    specialized_f_positive, volume_bounds)
 from .laurent import HLPoly, YPoly, q_integer, q_power, specialize_y, t_power
 from .snake import (Matching, SnakeGraph, count_matchings,
                     enumerate_matchings, f_polynomial, isomorphic,

@@ -33,12 +33,11 @@ from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
                     sign_sequence, type_sequence)
 from .errors import (AmbiguousCF, CrossCheckMismatch, OutOfRange, ParseError,
                      TwoBridgeError)
-from .jones import (JonesResult, boundary_coefficients, disagreement,
+from .jones import (JonesResult, boundary_coefficients, cross_check,
                     jones_direct, jones_recursive, jones_via_f, mirror,
                     oriented_even_cf, specialized_f_even,
                     specialized_f_positive, volume_bounds)
-from .laurent import (HLPoly, _exp_str, _interleave, latex_from_text,
-                      text_from_terms)
+from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
 from .snake import (check_budget, check_canvas, count_matchings,
                     f_polynomial, render_ascii, snake_from_even,
                     snake_from_positive, tile_count_even)
@@ -124,16 +123,6 @@ def _poly_payload(exps, coeffs):
     """(coefficient pairs, text) of a polynomial from its exponent strings
     and coefficients, highest exponent first."""
     return list(zip(exps, coeffs)), text_from_terms(exps, coeffs)
-
-
-def poly_from_payload(pairs) -> HLPoly:
-    """Inverse of the JSON coefficient encoding."""
-    terms = {}
-    for exp, coeff in pairs:
-        exp = str(exp)
-        units = int(exp[:-2]) if exp.endswith("/2") else 2 * int(exp)
-        terms[units] = int(coeff)
-    return HLPoly(terms)
 
 
 def _rat_payload(r: Rat):
@@ -249,13 +238,8 @@ def run(req: Request) -> dict:
         ev = obj if isinstance(obj, EvenCF) else oriented_even_cf(r)
         canonical = positive_cf(abs(r))
         pos = obj if isinstance(obj, PositiveCF) else canonical
-        results = {name: _jones_engine(name, r, pos, ev) for name in engines}
-        first, *others = results.values()
-        if not all(res.agrees(first) for res in others):
-            raise CrossCheckMismatch(
-                f"engines disagree on {req.input}: " + disagreement(results),
-                engines=tuple(results), value=req.input)
-        res = first
+        res = cross_check([_jones_engine(name, r, pos, ev)
+                           for name in engines], req.input)
         report["value"] = _rat_payload(abs(r))
         report["positive_cf"] = list(canonical.entries)
         report["even_cf"] = list(ev.entries)

@@ -10,12 +10,13 @@ t^(1/2).  The engines:
 * ``jones_via_f`` - normalization data (degree and leading sign) combined
   with the specialized matching generating function.
 
-All three agree exactly; the cross-check is part of the test suite.  The
-skein recursion, the direct formula's numerator and the two-term recursion
-``f_recursive`` are each one call of :func:`laurent.continuant`; they differ
-only in their step factors.  The engines keep their results packed
-(:class:`laurent.Packed`), so results compare as aligned integers and a
-polynomial is decoded only where it is read.
+All three agree exactly; :func:`cross_check` compares them for the CLI and
+the verify sweeps alike.  The skein recursion, the direct formula's
+numerator and the two-term recursion ``f_recursive`` are each one call of
+:func:`laurent.continuant`; they differ only in their step factors.  The
+engines keep their results packed (:class:`laurent.Packed`), so results
+compare as aligned integers and a polynomial is decoded only where it is
+read.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input.  A
@@ -34,8 +35,8 @@ from functools import cached_property
 
 from .cfrac import (EvenCF, PositiveCF, Rat, _sgn, eval_cf, even_cf_for_link,
                     numerator_rec, positive_cf, tau, type_sequence)
-from .errors import (HypothesisViolated, SlotOverflow, WrongOrientation,
-                     ZeroPolynomial)
+from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
+                     WrongOrientation, ZeroPolynomial)
 from .laurent import (DigitRun, HLPoly, Packed, _units, continuant,
                       continuant_packed)
 
@@ -45,33 +46,37 @@ VOLUME_LOWER_SLOPE = 0.35367
 V3 = 1.0149
 
 _TWO_UNKNOTS = HLPoly({-1: -1, 1: -1})  # -t^(-1/2) - t^(1/2)
-_EPSILON = HLPoly({-3: 1, -1: -1})      # t^(-3/2) - t^(-1/2)
-_EPSILON_BAR = HLPoly({3: 1, 1: -1})    # t^(3/2) - t^(1/2)
-
-
-def skein_constants():
-    """(epsilon, epsilon-bar, unknot value, two-unknots value)."""
-    return _EPSILON, _EPSILON_BAR, HLPoly.one(), _TWO_UNKNOTS
 
 
 @dataclass(frozen=True)
 class JonesResult:
-    """A Jones polynomial, held packed, together with its normalization data.
+    """A Jones polynomial, held packed, and the engine that made it.
 
-    ``run``, the one read of the digits of ``packed``, is made on first use,
-    and ``poly`` and ``normalized`` are built from it.
-    ``poly == leading_sign * t^degree * normalized`` holds exactly, and the
-    normalized polynomial has constant term 1 and degree 0.
+    ``run``, the one read of the digits of ``packed``, is made on first use;
+    ``degree``, ``leading_sign``, ``poly`` and ``normalized`` are all read
+    from it.  ``poly == leading_sign * t^degree * normalized`` holds exactly,
+    and the normalized polynomial has constant term 1 and degree 0.
     """
 
     packed: Packed
-    degree: Fraction
-    leading_sign: int
     engine: str
 
     @cached_property
     def run(self) -> DigitRun:
         return self.packed.read()
+
+    @property
+    def degree(self) -> Fraction:
+        return self.run.leading_term()[0]
+
+    @property
+    def leading_sign(self) -> int:
+        """+-1; :class:`ZeroPolynomial` when the leading coefficient is not
+        a unit."""
+        c = self.run.leading_term()[1]
+        if c not in (1, -1):
+            raise ZeroPolynomial(f"leading coefficient {c} is not a unit")
+        return c
 
     @cached_property
     def poly(self) -> HLPoly:
@@ -87,41 +92,30 @@ class JonesResult:
         return self.packed.same(other.packed)
 
 
-def _result(packed: Packed, engine: str) -> JonesResult:
-    """The result of ``packed``, with the leading term read from its digits."""
-    run = packed.read()
-    j, c = run.leading_term()
-    if c not in (1, -1):
-        raise ZeroPolynomial(f"leading coefficient {c} is not a unit")
-    res = JonesResult(packed, j, c, engine)
-    vars(res)["run"] = run  # fill the cache: no second read
-    return res
+def cross_check(results, value) -> JonesResult:
+    """The first of ``results`` once all agree as packed integers.
 
-
-def _assemble(j, delta, normalized: Packed, engine) -> JonesResult:
-    return JonesResult(normalized.times(delta, _units(j)), Fraction(j), delta,
-                       engine)
-
-
-def disagreement(results) -> str:
-    """``engine: polynomial`` for each item of ``results``, joined by ``; ``.
-
-    A result whose decode raises :class:`SlotOverflow` reads as overflowing,
-    so a mismatch report never fails on the faulty side.
+    Otherwise :class:`CrossCheckMismatch` names every engine and reads
+    ``engines disagree on <value>: <engine>: <polynomial>; ...``; a result
+    whose decode raises :class:`SlotOverflow` reads as overflowing, so the
+    report never fails on the faulty side.
     """
+    first, *others = results
+    if all(res.agrees(first) for res in others):
+        return first
     parts = []
-    for name, res in results.items():
+    for res in results:
         try:
-            parts.append(f"{name}: {res.poly}")
+            parts.append(f"{res.engine}: {res.poly}")
         except SlotOverflow as exc:
-            parts.append(f"{name}: overflows its slots ({exc})")
-    return "; ".join(parts)
+            parts.append(f"{res.engine}: overflows its slots ({exc})")
+    raise CrossCheckMismatch(
+        f"engines disagree on {value}: " + "; ".join(parts),
+        engines=[res.engine for res in results], value=value)
 
 
-# Step factors of :func:`continuant`: (c, u, b) is c * t^(u/2) * [b]_q.
-_ONE = (1, 0, 1)
-
-
+# Step factors of :func:`continuant`: mu is (c, u), the monomial c * t^(u/2);
+# nu is (c, u, b), c * t^(u/2) * [b]_q.
 def _q(e: int, b: int):
     """The factor q^e [b]_q, with q^e = (-1)^e t^(-e)."""
     return (-1 if e % 2 else 1), -2 * e, b
@@ -129,7 +123,7 @@ def _q(e: int, b: int):
 
 def _first_step(b1: int):
     """Step taking x_(-1) = x_0 = 1 to [b_1 + 1]_q - q = 1 + q^2 [b_1 - 1]_q."""
-    return _ONE, _q(2, b1 - 1)
+    return (1, 0), _q(2, b1 - 1)
 
 
 def jones_recursive(cf: EvenCF) -> JonesResult:
@@ -149,12 +143,12 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     for k, b in enumerate(cf.entries, start=1):
         ab = abs(b)
         if _sgn(b) * (-1) ** (k + 1) < 0:
-            steps.append(((1, -2 * ab, 1), (-1, -1, ab)))
+            steps.append(((1, -2 * ab), (-1, -1, ab)))
         else:  # [b]_qbar = (-1)^(b-1) t^(b-1) [b]_q
-            steps.append(((1, 2 * ab, 1), ((-1) ** ab, 2 * ab - 1, ab)))
+            steps.append(((1, 2 * ab), ((-1) ** ab, 2 * ab - 1, ab)))
     packed = continuant_packed(steps, _TWO_UNKNOTS, HLPoly.one(),
                                abs(numerator_rec(cf.entries)))
-    return _result(packed, "recursive")
+    return JonesResult(packed, "recursive")
 
 
 def degree_and_sign(cf: EvenCF):
@@ -196,7 +190,7 @@ def _f_positive(cf: PositiveCF) -> Packed:
     steps = [_first_step(a[0])]
     for i in range(2, cf.n + 1):
         e = -ell[i - 1] if i % 2 == 0 else ell[i - 2] + 1
-        steps.append((_ONE, _q(e, a[i - 1])))
+        steps.append(((1, 0), _q(e, a[i - 1])))
     result = continuant_packed(steps, 1, 1, numerator_rec(a))
     if cf.n % 2 == 0:
         c, u, _ = _q(ell[-1], 1)
@@ -251,23 +245,29 @@ def f_recursive(cf: EvenCF) -> HLPoly:
         ab, ab1 = abs(bs[k - 1]), abs(bs[k - 2])
         nu = (1, 0, ab)
         if (t1, t0) == (-1, -1):
-            mu = (1, 2 * (1 - ab), 1)
+            mu = (1, 2 * (1 - ab))
         elif (t1, t0) == (1, -1):
-            mu = ((1, -2 * (ab + ab1), 1) if t2 == -1
-                  else (-1, 2 * (1 - ab - ab1), 1))
+            mu = ((1, -2 * (ab + ab1)) if t2 == -1
+                  else (-1, 2 * (1 - ab - ab1)))
         elif (t1, t0) == (-1, 1):
             nu = (-1, -2, ab)
-            mu = _ONE
+            mu = (1, 0)
         else:
-            mu = (-1, -2 * ab1, 1) if t2 == -1 else (1, 2 * (1 - ab1), 1)
+            mu = (-1, -2 * ab1) if t2 == -1 else (1, 2 * (1 - ab1))
         steps.append((mu, nu))
     return continuant(steps, 1, 1, abs(numerator_rec(bs)))
 
 
+def _placed(cf: EvenCF, F: Packed, engine: str) -> JonesResult:
+    """delta * t^j * F, with the degree j and sign delta of the link of
+    ``cf`` in closed form."""
+    j, delta = degree_and_sign(cf)
+    return JonesResult(F.times(delta, _units(j)), engine)
+
+
 def jones_via_f(cf: EvenCF) -> JonesResult:
     """Normalization-times-generating-function engine."""
-    j, delta = degree_and_sign(cf)
-    return _assemble(j, delta, _f_even(cf), "fpoly")
+    return _placed(cf, _f_even(cf), "fpoly")
 
 
 def oriented_even_cf(r: Rat) -> EvenCF:
@@ -295,14 +295,13 @@ def jones_direct(cf: PositiveCF) -> JonesResult:
     :func:`degree_and_sign` on the orientation-consistent even expansion of
     the value.
     """
-    r = eval_cf(cf.entries)
-    j, delta = degree_and_sign(oriented_even_cf(r))
-    return _assemble(j, delta, _f_positive(cf), "direct")
+    ev = oriented_even_cf(eval_cf(cf.entries))
+    return _placed(ev, _f_positive(cf), "direct")
 
 
 def mirror(res: JonesResult) -> JonesResult:
-    """Mirror image: the bar involution on the polynomial."""
-    return _result(res.packed.bar(), res.engine)
+    """Mirror image: the bar involution on the packed polynomial."""
+    return JonesResult(res.packed.bar(), res.engine)
 
 
 def boundary_coefficients(cf: PositiveCF):

@@ -344,12 +344,12 @@ def q_integer(b: int, barred: bool = False) -> HLPoly:
 def continuant(steps, x_before, x_start, bound) -> HLPoly:
     """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1).
 
-    ``steps`` holds one pair (mu_k, nu_k) per step.  Each factor is a triple
-    (c, u, b) standing for c * t^(u/2) * [b]_q with q = -1/t, c = +-1 and
-    b >= 0, so (c, u, 1) is the monomial c * t^(u/2) and b = 0 the zero
-    factor.  ``x_before`` and ``x_start`` are the two terms before the first
-    step; with no steps the result is ``x_start``.  ``bound`` must bound the
-    sum of the absolute values of the result's coefficients.
+    ``steps`` holds one pair (mu_k, nu_k) per step.  mu_k is a pair (c, u),
+    the signed monomial c * t^(u/2) with c = +-1; nu_k is a triple (c, u, b)
+    standing for c * t^(u/2) * [b]_q with q = -1/t and b >= 0, so b = 0 is
+    the zero factor.  ``x_before`` and ``x_start`` are the two terms before
+    the first step; with no steps the result is ``x_start``.  ``bound`` must
+    bound the sum of the absolute values of the result's coefficients.
 
     This is :func:`continuant_packed` decoded: the recurrence runs on packed
     integers and only its last term is decoded, once.  A result whose
@@ -366,7 +366,8 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     substitution*).  A term whose exponents share one grid is stored as a
     pair (n, h) and a sign c apart: the polynomial is c * t^(h/2) * N(t) and
     n = N(2^s), so a factor's sign goes into the add or subtract that joins
-    the two products and never negates n.  Monomials only move h, and
+    the two products and never negates n.  Monomials, mu among them, only
+    move h; nu's [b]_q is the one product of a step, and
     [b]_q = t^(1-b) (t^b - (-1)^b) / (t + 1)
           = t^(1-b) (t^(b-1) - t^(b-2) + ... +- 1),
     so at t = 2^s a product with [2]_q is one shift and subtract, and for
@@ -405,25 +406,13 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     n2, h2 = _pack(HLPoly._coerce(x_before), s)
     n1, h1 = _pack(HLPoly._coerce(x_start), s)
     c2 = c1 = 1
-    for (ca, ua, ba), (cb, ub, bb) in steps:
+    for (ca, ua), (cb, ub, bb) in steps:
         na, ha = n2, h2 + ua
-        if ba != 1:
-            if not ba:
-                na = 0
-            elif ba == 2:  # (t^2 - 1) / (t + 1) = t - 1
-                na = (na << s) - na
-            elif ba <= short:
-                for j in range(1, ba):
-                    na = (na << s) - n2 if j & 1 else (na << s) + n2
-            else:
-                shifted = na << s * ba
-                na = (shifted + na if ba & 1 else shifted - na) // one_plus_x
-            ha -= 2 * (ba - 1)
         nb, hb = n1, h1 + ub
         if bb != 1:
             if not bb:
                 nb = 0
-            elif bb == 2:
+            elif bb == 2:  # (t^2 - 1) / (t + 1) = t - 1
                 nb = (nb << s) - nb
             elif bb <= short:
                 for j in range(1, bb):

@@ -14,9 +14,9 @@ from math import gcd
 from .cfrac import (EvenCF, PositiveCF, _even_entries, _value, even_cf,
                     euler_minding, numerator_rec, positive_cf)
 from .errors import CrossCheckMismatch
-from .jones import (degree_and_sign, disagreement, f_recursive,
+from .jones import (cross_check, degree_and_sign, f_recursive,
                     jones_recursive, jones_via_f)
-from .laurent import specialize_y, t_power
+from .laurent import specialize_y
 from .snake import (count_matchings, f_polynomial, isomorphic,
                     snake_from_even, snake_from_positive)
 
@@ -55,25 +55,24 @@ def coprime_fractions(max_p):
 
 
 def check_engines(cf: EvenCF):
-    """Run every applicable engine on one even CF; return the shared value."""
-    ref = jones_recursive(cf)
-    via = jones_via_f(cf)
-    if not via.agrees(ref):
+    """Run every applicable engine on one even CF; return the shared value.
+
+    The shared value's leading term must be ``degree_and_sign(cf)``, and for
+    b_1 > 0 its normalized polynomial the two-term recursion and the
+    specialized matching listing."""
+    ref = cross_check([jones_recursive(cf), jones_via_f(cf)],
+                      list(cf.entries))
+    if (ref.degree, ref.leading_sign) != degree_and_sign(cf):
         raise CrossCheckMismatch(
-            f"recursive vs fpoly disagree on {list(cf.entries)}: "
-            + disagreement({"recursive": ref, "fpoly": via}),
-            engines=("recursive", "fpoly"), value=cf.entries)
+            f"closed-form degree and sign disagree on {list(cf.entries)}",
+            engines=("recursive", "degree_and_sign"), value=cf.entries)
     if cf.entries[0] > 0:
-        j, delta = degree_and_sign(cf)
-        lead = delta * t_power(j)
-        assembled = lead * f_recursive(cf)
-        if assembled != ref.poly:
+        if f_recursive(cf) != ref.normalized:
             raise CrossCheckMismatch(
                 f"two-term recursion disagrees on {list(cf.entries)}",
                 engines=("recursive", "f_recursive"), value=cf.entries)
         g = snake_from_even(cf)
-        matched = lead * specialize_y(f_polynomial(g), g.d)
-        if matched != ref.poly:
+        if specialize_y(f_polynomial(g), g.d) != ref.normalized:
             raise CrossCheckMismatch(
                 f"matching enumeration disagrees on {list(cf.entries)}",
                 engines=("recursive", "matchings"), value=cf.entries)

@@ -73,6 +73,30 @@ def test_worse_beyond_bound_in_either_direction():
     assert "WORSE" not in ab_pairs.report(rows)
 
 
+def test_spread_wider_than_the_bound_is_unresolved():
+    # parent IQR 10.75-13.25 around a median of 12: 21 % against a 20 % bound
+    parent = runs([10, 11, 12, 13, 14, 10, 11, 12, 13, 14], [100] * 10)
+    change = runs([11, 12, 13, 14, 15] * 2, [100] * 10)
+    rows = ab_pairs.summarize(parent, change, SPECS)
+    wall = row(rows, "wall_s")
+    assert wall["unresolved"] and not wall["beyond_bound"]
+    assert not row(rows, "throughput_per_s")["unresolved"]
+    assert "unresolved" in ab_pairs.report(rows).splitlines()[1]
+    # unless every change run beats every parent run
+    change = runs([9.9] * 10, [100] * 10)
+    wall = row(ab_pairs.summarize(parent, change, SPECS), "wall_s")
+    assert not wall["unresolved"]
+
+
+def test_spread_within_the_bound_is_resolved():
+    # IQR 1 around a median of 10 is 10 %, inside the 20 % bound
+    parent = runs([9.5, 10.5] * 5, [100, 120] * 5)
+    change = runs([10.5, 11.5] * 5, [100] * 10)
+    rows = ab_pairs.summarize(parent, change, SPECS)
+    assert not any(r["unresolved"] for r in rows)
+    assert "unresolved" not in ab_pairs.report(rows)
+
+
 def test_one_pair_has_zero_iqr():
     rows = ab_pairs.summarize(runs([10], [100]), runs([9], [101]), SPECS)
     wall = row(rows, "wall_s")
@@ -101,3 +125,27 @@ def test_failed_run_exits_2(tmp_path):
          "--pairs", "1"], capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
     assert "run failed" in out.stderr
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--pairs", "0", "--pairs must be at least 1, got 0"),
+    ("--pairs", "-3", "--pairs must be at least 1, got -3"),
+    ("--seconds", "0", "--seconds must be positive, got 0"),
+    ("--seconds", "-1.5", "--seconds must be positive, got -1.5")])
+def test_out_of_range_arguments_fail_before_any_run(tmp_path, option, value,
+                                                    message):
+    # a benchmark that leaves a mark when it runs
+    for side in ("parent", "change"):
+        bench = tmp_path / side / "perfbench"
+        bench.mkdir(parents=True)
+        (bench / "run.py").write_text("open('ran', 'w').close()\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": SPECS}))
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workload", "sweep", "--seed", "1",
+         f"{option}={value}"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not list(tmp_path.glob("*/ran"))

@@ -1,19 +1,28 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from twobridge import jones
 from twobridge.cfrac import EvenCF, PositiveCF, eval_cf, positive_cf, tau, type_sequence
-from twobridge.errors import HypothesisViolated, WrongOrientation
-from twobridge.jones import (boundary_coefficients, degree_and_sign,
-                             f_recursive, jones_direct, jones_recursive,
-                             jones_via_f, mirror, oriented_even_cf,
-                             skein_constants, specialized_f_even,
+from twobridge.errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
+from twobridge.jones import (JonesResult, boundary_coefficients,
+                             degree_and_sign, f_recursive, jones_direct,
+                             jones_recursive, jones_via_f, mirror,
+                             oriented_even_cf, specialized_f_even,
                              specialized_f_positive, volume_bounds)
-from twobridge.laurent import HLPoly, q_integer, specialize_y, t_power
+from twobridge.laurent import HLPoly, Packed, q_integer, specialize_y, t_power
 from twobridge.snake import f_polynomial, snake_from_even
 from twobridge.verify import even_lists
 
 P = HLPoly.parse
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# 1 + 2t on 8-bit slots: its leading coefficient is 2, not a unit
+NOT_A_UNIT = Packed(1 + (2 << 8), 0, 8, 3)
 
 TREFOIL = P("t^(-1) + t^(-3) - t^(-4)")
 FIGURE8 = P("t^(2) - t^(1) + 1 - t^(-1) + t^(-2)")
@@ -21,22 +30,27 @@ V_2_2_m2_4 = P("t^(1) - 2 + 4*t^(-1) - 4*t^(-2) + 5*t^(-3) - 5*t^(-4)"
                " + 3*t^(-5) - 2*t^(-6) + t^(-7)")
 
 
+# the skein constants: epsilon, its bar, and the value of two unlinked unknots
+EPSILON = P("t^(-3/2) - t^(-1/2)")
+EPSILON_BAR = P("t^(3/2) - t^(1/2)")
+TWO_UNKNOTS = P("-t^(1/2) - t^(-1/2)")
+
+
 class TestSkeinConstants:
     def test_values(self):
-        eps, eps_bar, unknot, two_unknots = skein_constants()
-        assert eps == P("t^(-3/2) - t^(-1/2)")
-        assert eps_bar == P("t^(3/2) - t^(1/2)")
-        assert unknot == HLPoly.one()
-        assert two_unknots == P("-t^(1/2) - t^(-1/2)")
+        # the recursive engine starts from two unknots and from one unknot
+        assert jones._TWO_UNKNOTS == TWO_UNKNOTS
+        assert jones_recursive(EvenCF((2,))).poly == (
+            t_power(2) * TWO_UNKNOTS - t_power(Fraction(1, 2))
+            * q_integer(2, barred=True) * HLPoly.one())
 
     def test_two_unknots_from_skein(self):
-        eps, _, _, two_unknots = skein_constants()
-        assert eps * two_unknots == 1 - t_power(-2)  # (1 - t^-2)/eps, exactly
+        # (1 - t^-2)/epsilon, exactly
+        assert EPSILON * TWO_UNKNOTS == 1 - t_power(-2)
 
     def test_bar_compatibility(self):
-        eps, eps_bar, _, _ = skein_constants()
-        assert eps_bar == t_power(2) * (-eps)
-        assert eps.bar() == eps_bar
+        assert EPSILON_BAR == t_power(2) * (-EPSILON)
+        assert EPSILON.bar() == EPSILON_BAR
 
 
 class TestRecursiveEngine:
@@ -60,6 +74,31 @@ class TestRecursiveEngine:
             assert rebuilt == res.poly
             assert res.normalized.coeff(0) == 1
             assert res.normalized.degree() == 0
+
+    def test_non_unit_leading_coefficient(self):
+        res = JonesResult(NOT_A_UNIT, "recursive")
+        assert res.degree == 1
+        with pytest.raises(ZeroPolynomial, match="leading coefficient 2 is "
+                                                 "not a unit"):
+            res.leading_sign
+
+    def test_non_unit_raises_under_optimize(self):
+        """The unit check is if/raise, so it survives ``python -O``."""
+        script = (
+            "from twobridge.errors import ZeroPolynomial\n"
+            "from twobridge.jones import JonesResult\n"
+            "from twobridge.laurent import Packed\n"
+            f"res = JonesResult({NOT_A_UNIT!r}, 'recursive')\n"
+            "try:\n"
+            "    res.leading_sign\n"
+            "except ZeroPolynomial as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "raised leading coefficient 2 is not a unit\n"
 
 
 class TestDegreeAndSign:
@@ -275,6 +314,21 @@ class TestMirror:
     def test_involution(self):
         res = jones_recursive(EvenCF((2, 2, -2, 4)))
         assert mirror(mirror(res)).poly == res.poly
+
+    def test_reads_no_digits(self, monkeypatch):
+        import twobridge.laurent as laurent
+        res = jones_direct(PositiveCF((2, 1, 2, 3)))
+        calls = []
+        real = laurent._read_digits
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(laurent, "_read_digits", counted)
+        barred = mirror(res)
+        assert calls == []
+        assert barred.poly == res.poly.bar()
+        assert len(calls) == 2  # one read of each polynomial, made here
 
     def test_trefoil_pair(self):
         assert mirror(jones_recursive(EvenCF((-2, 2)))).poly == P(

@@ -90,22 +90,26 @@ class TestFactor:
     @given(st.sampled_from([1, -1]), st.integers(-20, 20), st.integers(0, 40),
            one_grid)
     def test_q_integer_factor(self, c, u, b, x):
-        # x_1 = 0 * x_(-1) + nu * x_0 with nu = c t^(u/2) [b]_q
+        # x_1 = mu * 0 + nu * x_0 with nu = c t^(u/2) [b]_q
         want = (c * HLPoly.monomial(1, u) * q_integer(b) * x if b
                 else HLPoly.zero())
         bound = max(1, b) * sum(abs(coeff) for _, coeff in x.items())
-        assert continuant([((1, 0, 0), (c, u, b))], x, x, bound) == want
+        assert continuant([((1, 0), (c, u, b))], 0, x, bound) == want
 
     def test_no_steps_returns_start(self):
         x = HLPoly.parse("3*t^(5/2) - t^(1/2)")
         assert continuant([], 1, x, 4) == x
 
     def test_mixed_grids_raise(self):
-        one = (1, 0, 1)
         with pytest.raises(MixedGrid):
-            continuant([(one, one)], 1, t_power(Fraction(1, 2)), 2)
+            continuant([((1, 0), (1, 0, 1))], 1, t_power(Fraction(1, 2)), 2)
         with pytest.raises(MixedGrid):
             continuant([], HLPoly({0: 1, 1: 1}), 1, 1)
+
+    def test_mu_is_a_monomial(self):
+        # a mu carrying a q-integer is refused, not read as a monomial
+        with pytest.raises(ValueError):
+            continuant([((1, 0, 2), (1, 0, 1))], 1, 1, 4)
 
 
 # bit lengths of the bound on both sides of each slot width: 8, 16, 32 and
@@ -143,14 +147,14 @@ class TestSlotWidths:
         bound = m * total
         assert bound.bit_length() == k
         start = HLPoly.monomial(m, parity)
-        steps = [((1, 0, 1), nu) for nu in nus]
+        steps = [((1, 0), nu) for nu in nus]
         assert continuant(steps, 0, start, bound) == start * ref
 
 
 def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
     """The kernel as it was before short q-integers became Horner chains:
-    every [b]_q with b >= 3 is one exact division by 1 + 2^s, and every
-    negative factor negates its product."""
+    every [b]_q with b >= 3 is one exact division by 1 + 2^s, every negative
+    factor negates its product, and mu is a triple (c, u, b) like nu."""
     s = _slot_width(bound)
     one_plus_x = (1 << s) + 1
 
@@ -185,15 +189,19 @@ def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
 
 
 # general factors on the integer grid: signed, shifted, and [b]_q on both
-# sides of b = 2 and b = 6, where the kernel switches between its paths
+# sides of b = 2 and b = 6, where the kernel switches between its paths; mu
+# is a signed, shifted monomial
 general_factors = st.tuples(st.sampled_from([1, -1]), st.integers(-8, 8).map(
     lambda k: 2 * k), st.integers(0, 12))
+monomials = st.tuples(st.sampled_from([1, -1]), st.integers(-8, 8).map(
+    lambda k: 2 * k))
 grid_terms = st.dictionaries(st.integers(-12, 12), st.integers(-40, 40),
                              max_size=10)
 
 
 def ring_recurrence(steps, x_before, x_start) -> HLPoly:
-    """x_k = mu_k x_(k-2) + nu_k x_(k-1) over dict-backed HLPoly values."""
+    """x_k = mu_k x_(k-2) + nu_k x_(k-1) over dict-backed HLPoly values, mu
+    a triple (c, u, b) like nu."""
     x2, x1 = HLPoly._coerce(x_before), HLPoly._coerce(x_start)
     for mu, nu in steps:
         x2, x1 = x1, factor_poly(*mu) * x2 + factor_poly(*nu) * x1
@@ -222,14 +230,16 @@ class TestAgainstParentKernel:
     # it took minutes and hundreds of megabytes to do so
     @settings(max_examples=15, deadline=None,
               phases=tuple(p for p in Phase if p is not Phase.explain))
-    @given(st.lists(st.tuples(general_factors, general_factors),
+    @given(st.lists(st.tuples(monomials, general_factors),
                     min_size=1, max_size=6),
            grid_terms, grid_terms, st.integers(0, 1))
     def test_general_steps(self, k, steps, before, start, parity):
         # one grid per run: exponents 2k + parity in half units
         before, start = (HLPoly({2 * e + parity: c for e, c in x.items()})
                          for x in (before, start))
-        ref = ring_recurrence(steps, before, start)
+        # the references take mu as the triple (c, u, 1)
+        triples = [((*mu, 1), nu) for mu, nu in steps]
+        ref = ring_recurrence(triples, before, start)
         total = sum(abs(c) for _, c in ref.items())
         assume(total)
         # scale both starting terms so that the bound is k bits long, or as
@@ -242,32 +252,8 @@ class TestAgainstParentKernel:
                   continuant(steps, m * before, m * start, bound), want, k,
                   steps)
         same_poly("parent_continuant",
-                  parent_continuant(steps, m * before, m * start, bound), want,
-                  k, steps)
-
-
-# b = 0, the b = 2 shift, 3 <= b <= 6 (a chain at s >= 64, a division
-# below) and b >= 7 (always a division); no engine's mu reaches these
-MU_SIDE_BS = (0, 2, 3, 4, 5, 6, 7, 10)
-
-
-@pytest.mark.parametrize("k, chain", [(20, False), (63, True)])
-def test_mu_side_q_integers(k, chain):
-    before = HLPoly({-2: 3, 0: -1, 4: 2})
-    start = HLPoly({0: 1, 2: -5, 6: 1})
-    for b in MU_SIDE_BS:
-        for c, u in ((1, 2), (-1, -4)):
-            # mu multiplies x_before in the first step, x_start in the second
-            steps = [((c, u, b), (1, 0, 1)), ((-c, 0, b), (-1, 2, 2))]
-            ref = ring_recurrence(steps, before, start)
-            total = sum(abs(coeff) for _, coeff in ref.items())
-            m = ((1 << k) - 1) // total
-            bound = m * total
-            assert bound.bit_length() == k
-            assert (_slot_width(bound) >= 64) == chain
-            same_poly("continuant",
-                      continuant(steps, m * before, m * start, bound),
-                      m * ref, k, steps)
+                  parent_continuant(triples, m * before, m * start, bound),
+                  want, k, steps)
 
 
 # bounds whose slots decode through struct (8 and 16 bits, 64 bits) and
@@ -384,8 +370,8 @@ UNDERSTATED_BOUND = (
     "from twobridge.errors import SlotOverflow\n"
     "from twobridge.laurent import (_slot_width, continuant,\n"
     "                               continuant_packed)\n"
-    "steps = [((1, 0, 1), (1, -4, 3)), ((1, 0, 1), (-1, 6, 5)),\n"
-    "         ((-1, 2, 1), (1, -8, 2)), ((1, 0, 1), (1, 8, 4))]\n"
+    "steps = [((1, 0), (1, -4, 3)), ((1, 0), (-1, 6, 5)),\n"
+    "         ((-1, 2), (1, -8, 2)), ((1, 0), (1, 8, 4))]\n"
     "m = {scale}\n"
     "poly = continuant(steps, m, m, 10 ** 6 * m)\n"
     "total = sum(abs(c) for _, c in poly.items())\n"

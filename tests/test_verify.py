@@ -105,5 +105,36 @@ def test_check_engines_compares_packed_results(monkeypatch, extra, entries):
         verify.check_engines(cf)
     assert info.value.engines == ("recursive", "fpoly")
     assert str(info.value).startswith(
-        f"recursive vs fpoly disagree on {list(entries)}: recursive: ")
+        f"engines disagree on {list(entries)}: recursive: ")
     assert "; fpoly: " in str(info.value)
+
+
+@pytest.mark.parametrize("entries", [(2, 4), (-2, 2)])
+@pytest.mark.parametrize("fault", [lambda j, delta: (j + Fraction(1, 2), delta),
+                                   lambda j, delta: (j, -delta)],
+                         ids=["degree", "sign"])
+def test_check_engines_checks_degree_and_sign(monkeypatch, entries, fault):
+    """The closed-form degree and sign are checked against the engines'
+    shared result on either sign of b_1: a degree one half unit off, or the
+    other sign, is a mismatch."""
+    real = verify.degree_and_sign
+    monkeypatch.setattr(verify, "degree_and_sign", lambda cf: fault(*real(cf)))
+    with pytest.raises(CrossCheckMismatch) as info:
+        verify.check_engines(EvenCF(entries))
+    assert info.value.engines == ("recursive", "degree_and_sign")
+    assert str(info.value) == ("closed-form degree and sign disagree on "
+                               f"{list(entries)}")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("f_recursive", "two-term recursion disagrees on [2, 4]"),
+    ("specialize_y", "matching enumeration disagrees on [2, 4]")])
+def test_check_engines_checks_the_normalized_value(monkeypatch, name,
+                                                   message):
+    """The two-term recursion and the matching listing are each compared
+    with the engines' normalized polynomial: one unit more is a mismatch."""
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: real(*args) + 1)
+    with pytest.raises(CrossCheckMismatch) as info:
+        verify.check_engines(EvenCF((2, 4)))
+    assert str(info.value) == message
