@@ -16,6 +16,9 @@ Example:
     python3 scripts/ab_pairs.py ../parent . --workload wide_entry --seed 91 \\
         --seconds 10 --pairs 10
 
+A run that has not finished after four times ``--seconds`` plus two minutes
+is stopped and counts as failed.
+
 Exit status: 0 when every run succeeded and no metric is beyond its bound,
 1 when a metric is beyond its bound, 2 when a run failed or ``--pairs`` or
 ``--seconds`` is out of range (checked before any run).
@@ -46,11 +49,21 @@ def last_json_line(text: str) -> dict:
     raise RunFailed("no JSON result line")
 
 
+def run_timeout(seconds: float) -> float:
+    """How long a run of ``seconds`` may take, setup included."""
+    return 4 * seconds + 120
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """{metric: value} of one benchmark run in ``checkout``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    timeout = run_timeout(seconds)
+    try:
+        out = subprocess.run(argv, cwd=checkout, capture_output=True,
+                             text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RunFailed(f"{checkout}: no result after {timeout:g} s") from None
     if out.returncode:
         raise RunFailed(f"{checkout}: exit {out.returncode}\n{out.stderr}")
     result = last_json_line(out.stdout)

@@ -25,10 +25,6 @@ from .errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
 Rat = Fraction
 
 
-def _sgn(x):
-    return 1 if x > 0 else (-1 if x < 0 else 0)
-
-
 def _valid(cls, entries: tuple):
     """A ``cls`` on ``entries``, a tuple of ints valid by construction,
     without re-running the validating ``__post_init__``."""

@@ -85,8 +85,10 @@ def parse_input(s: str, hint: str = None):
             return Fraction(int(s))
         except ValueError:
             raise ParseError(f"not a number or entry list: {s!r}", 0) from None
-    entries = []
     offset = 1 if s.startswith("[") else 0
+    if not body.strip():
+        raise ParseError("empty entry list", offset)
+    entries = []
     pos = 0
     for chunk in body.split(","):
         try:
@@ -95,8 +97,6 @@ def parse_input(s: str, hint: str = None):
             raise ParseError(f"bad entry {chunk.strip()!r}",
                              offset + pos) from None
         pos += len(chunk) + 1
-    if not entries:
-        raise ParseError("empty entry list", offset)
     can_even = all(e and e % 2 == 0 for e in entries)
     can_pos = all(e >= 1 for e in entries)
     if hint == "even":
@@ -184,14 +184,11 @@ def run(req: Request) -> dict:
             pos = positive_cf(abs(r))  # negative even cfs describe mirrors
         report["value"] = _rat_payload(r)
         report["positive_cf"] = list(pos.entries)
-        if isinstance(obj, EvenCF):
-            ev, substituted = obj, False
-        else:
-            ev = even_cf_for_link(r)
-            substituted = (r.numerator * r.denominator) % 2 == 1
+        ev = obj if isinstance(obj, EvenCF) else even_cf_for_link(r)
+        ev_value = ev.value()
         report["even_cf"] = list(ev.entries)
-        report["even_cf_value"] = _rat_payload(ev.value())
-        report["substituted"] = substituted
+        report["even_cf_value"] = _rat_payload(ev_value)
+        report["substituted"] = ev_value != r
         report["sign_sequence"] = list(sign_sequence(ev))
         report["type_sequence"] = list(type_sequence(ev))
         report["classification"] = ("knot" if r.numerator % 2 else

@@ -1,4 +1,4 @@
-"""Jones polynomials of 2-bridge links, by three independent engines.
+"""Jones polynomials of 2-bridge links, by three engines.
 
 Input is a continued fraction; output is an exact Laurent polynomial in
 t^(1/2).  The engines:
@@ -7,8 +7,10 @@ t^(1/2).  The engines:
   continued fraction at a time;
 * ``jones_direct`` - the closed continued-fraction-of-Laurent-polynomials
   formula evaluated on a positive continued fraction;
-* ``jones_via_f`` - normalization data (degree and leading sign) combined
-  with the specialized matching generating function.
+* ``jones_via_f`` - normalization data (degree and leading sign) times the
+  specialized matching generating function, computed as the direct formula
+  on the positive expansion of the value, barred when b_1 < 0; so for p*q
+  even it makes ``jones_direct``'s kernel call.
 
 All three agree exactly; :func:`cross_check` compares them for the CLI and
 the verify sweeps alike.  The skein recursion, the direct formula's
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cfrac import (EvenCF, PositiveCF, Rat, _sgn, eval_cf, even_cf_for_link,
+from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf_for_link,
                     numerator_rec, positive_cf, tau, type_sequence)
 from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
                      WrongOrientation, ZeroPolynomial)
@@ -140,12 +142,12 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     the two-unknot value -t^(-1/2) - t^(1/2).
     """
     steps = []
-    for k, b in enumerate(cf.entries, start=1):
+    for t, b in zip(type_sequence(cf), cf.entries):
         ab = abs(b)
-        if _sgn(b) * (-1) ** (k + 1) < 0:
+        if t < 0:
             steps.append(((1, -2 * ab), (-1, -1, ab)))
-        else:  # [b]_qbar = (-1)^(b-1) t^(b-1) [b]_q
-            steps.append(((1, 2 * ab), ((-1) ** ab, 2 * ab - 1, ab)))
+        else:  # -t^(1/2) [b]_qbar = (-1)^b t^(b-1/2) [b]_q, and b is even
+            steps.append(((1, 2 * ab), (1, 2 * ab - 1, ab)))
     packed = continuant_packed(steps, _TWO_UNKNOTS, HLPoly.one(),
                                abs(numerator_rec(cf.entries)))
     return JonesResult(packed, "recursive")
@@ -155,16 +157,17 @@ def degree_and_sign(cf: EvenCF):
     """Degree j and leading sign of the Jones polynomial, in closed form.
 
     j = sum over i of max((-1)^(i+1) b_i + sign(b_i b_(i-1))/2, -1/2) with
-    the convention sign(b_0) = 1; the leading sign is (-1)^(m - tau) where
-    tau counts the (+, +) pairs in the type sequence.
+    the convention sign(b_0) = 1.  On the type sequence, with t_0 = -1, the
+    i-th term is max(2 t_i |b_i| - t_(i-1) t_i, -1)/2: as |b_i| >= 2, it is
+    -1/2 on a - type and |b_i| - t_(i-1)/2 on a + type, and over the P +
+    types the t_(i-1) sum to 2 tau - P, with tau the number of (+, +) pairs.
+    So 2j = 2 (sum over + types of (|b_i| + 1) - tau) - m, and the leading
+    sign is (-1)^(m - tau).
     """
-    units = 0  # 2j
-    prev = 1
-    for i, b in enumerate(cf.entries, start=1):
-        units += max(2 * (b if i % 2 else -b) + _sgn(b * prev), -1)
-        prev = b
-    delta = (-1) ** (cf.m - tau(type_sequence(cf)))
-    return Fraction(units, 2), delta
+    types = type_sequence(cf)
+    pairs = tau(types)
+    plus = sum(abs(b) + 1 for t, b in zip(types, cf.entries) if t > 0)
+    return Fraction(2 * (plus - pairs) - cf.m, 2), (-1) ** (cf.m - pairs)
 
 
 def specialized_f_positive(cf: PositiveCF) -> HLPoly:

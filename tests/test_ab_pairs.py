@@ -127,6 +127,23 @@ def test_failed_run_exits_2(tmp_path):
     assert "run failed" in out.stderr
 
 
+def test_hung_run_times_out_and_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
+    timeouts = []
+
+    def hang(argv, timeout=None, **kwargs):
+        timeouts.append(timeout)
+        raise subprocess.TimeoutExpired(argv, timeout)
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", hang)
+    assert ab_pairs.main([str(tmp_path), str(tmp_path), "--workload", "sweep",
+                          "--seed", "1", "--seconds", "8"]) == 2
+    # the first run fails, and the comparison stops there
+    assert timeouts == [4 * 8 + 120]
+    err = capsys.readouterr().err
+    assert "run failed" in err and "no result after 152 s" in err
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--pairs", "0", "--pairs must be at least 1, got 0"),
     ("--pairs", "-3", "--pairs must be at least 1, got -3"),

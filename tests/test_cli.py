@@ -57,6 +57,12 @@ class TestParseInput:
         with pytest.raises(ParseError):
             parse_input("")
 
+    @pytest.mark.parametrize("text", ["[]", "[ ]"])
+    def test_empty_entry_list(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert str(exc.value) == "empty entry list (at position 1)"
+
 
 class TestRun:
     def test_jones_text(self):
@@ -344,7 +350,8 @@ class TestMainExitCodes:
     def test_usage_error(self, capsys):
         assert main(["jones"]) == 1
         assert main(["jones", "[2,x]"]) == 1
-        capsys.readouterr()
+        assert main(["jones", "[]"]) == main(["jones", "[ ]"]) == 1
+        assert capsys.readouterr().err.count("empty entry list") == 2
 
     def test_domain_error(self, capsys):
         assert main(["volume", "[2,3]"]) == 2  # entry below 3

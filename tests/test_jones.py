@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from twobridge import jones
-from twobridge.cfrac import EvenCF, PositiveCF, eval_cf, positive_cf, tau, type_sequence
+from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf, positive_cf,
+                             tau, type_sequence)
 from twobridge.errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
 from twobridge.jones import (JonesResult, boundary_coefficients,
                              degree_and_sign, f_recursive, jones_direct,
@@ -113,6 +115,43 @@ class TestDegreeAndSign:
             j, delta = degree_and_sign(cf)
             lead_exp, lead_coeff = jones_recursive(cf).poly.leading_term()
             assert (j, delta) == (lead_exp, lead_coeff), entries
+
+    @staticmethod
+    def per_entry(entries):
+        """The degree and sign entry by entry: 2j is the sum of
+        max(2 (-1)^(i+1) b_i + sign(b_i b_(i-1)), -1), with sign(b_0) = 1."""
+        units, prev = 0, 1
+        for i, b in enumerate(entries, start=1):
+            sign = 1 if b * prev > 0 else -1
+            units += max(2 * (b if i % 2 else -b) + sign, -1)
+            prev = b
+        types = type_sequence(EvenCF(entries))
+        return Fraction(units, 2), (-1) ** (len(entries) - tau(types))
+
+    def test_closed_form_matches_per_entry_form_on_short_lists(self):
+        checked = 0
+        for entries in even_lists(12, max_abs=6):
+            expected = self.per_entry(entries)
+            assert degree_and_sign(EvenCF(entries)) == expected, entries
+            checked += 1
+        assert checked == 674
+
+    def test_closed_form_matches_per_entry_form_on_long_expansions(self):
+        # long expansions of large p/q meet many type changes
+        rng = random.Random(15)
+        checked = longest = 0
+        while checked < 400:
+            p = rng.randrange(2, 2 ** 64)
+            r = Fraction(p, rng.randrange(1, p))
+            if r.numerator * r.denominator % 2:
+                continue
+            for value in (r, -r):
+                entries = even_cf(value).entries
+                assert (degree_and_sign(EvenCF(entries))
+                        == self.per_entry(entries)), entries
+                longest = max(longest, len(entries))
+            checked += 1
+        assert longest >= 30
 
 
 def _prefix_data(entries, i):
