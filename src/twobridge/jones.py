@@ -318,12 +318,16 @@ def boundary_coefficients(cf: PositiveCF):
     v_2 correction comes from the q^2 term of [a_n]_q, which is present only
     when a_n >= 3 (peel the last entry: the polynomial is [a_n]_q times the
     one-shorter value plus a high-order remainder, so v_2 = v_1' + v_2' +
-    [a_n >= 3]; unrolling gives the stated form).  The six formulas describe
-    six distinct positions, so they require l >= 5.
+    [a_n >= 3]; unrolling gives the stated form).  The six formulas hold
+    for l >= 4, where at most one position, v_2 = v_(l-2) at l = 4, is read
+    from both ends; for l < 4 they overlap further and fail.
     """
     a = cf.entries
     if a[0] < 2 or a[-1] < 2:
         raise HypothesisViolated("first and last entries must be >= 2")
+    if sum(a) < 4:
+        raise HypothesisViolated("boundary coefficients need a_1 + ... + "
+                                 "a_n >= 4")
     n = cf.n
     k = n // 2
     alpha = sum(1 for x in a if x == 1)
@@ -345,12 +349,16 @@ def boundary_coefficients(cf: PositiveCF):
 def volume_bounds(cf: PositiveCF):
     """Bounds on the hyperbolic volume of the link complement.
 
-    Valid when every entry is >= 3: the volume lies strictly between
-    0.35367 (n - 2) and 30 * v3 * (n - 1) with v3 ~ 1.0149 the volume of a
-    regular ideal tetrahedron.  These are the only floating-point values in
-    the package.
+    Valid when every entry is >= 3 and n >= 2: the volume lies strictly
+    between 0.35367 (n - 2) and 30 * v3 * (n - 1) with v3 ~ 1.0149 the
+    volume of a regular ideal tetrahedron.  A single entry is the (2, a)
+    torus link, which is not hyperbolic.  These are the only floating-point
+    values in the package.
     """
     if any(x < 3 for x in cf.entries):
         raise HypothesisViolated("volume bounds require every entry >= 3")
     n = cf.n
+    if n < 2:
+        raise HypothesisViolated("volume bounds require at least two entries; "
+                                 "one entry is a torus link")
     return VOLUME_LOWER_SLOPE * (n - 2), 30 * V3 * (n - 1)

@@ -3,7 +3,7 @@
 :class:`HLPoly` holds integer coefficients on exponents in (1/2)Z.  Exponents
 are stored internally as integer counts of t^(1/2) units, so knot polynomials
 (integer exponents) and 2-component-link polynomials (exponents in 1/2 + Z)
-share one type; the grid parity stays queryable.
+share one type.
 
 :class:`YPoly` holds multilinear polynomials in tile variables y_1..y_d, the
 shape taken by snake-graph matching generating functions.  Subsets of tiles
@@ -16,7 +16,6 @@ result packed, as a :class:`Packed` that compares without a decode.
 
 from __future__ import annotations
 
-import re
 import struct
 from fractions import Fraction
 from itertools import compress
@@ -55,10 +54,6 @@ class HLPoly:
     def monomial(cls, coeff=1, half_units=0) -> "HLPoly":
         """coeff * t^(half_units / 2)."""
         return cls({half_units: coeff})
-
-    @classmethod
-    def zero(cls) -> "HLPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "HLPoly":
@@ -148,77 +143,19 @@ class HLPoly:
     def __bool__(self):
         return bool(self._terms)
 
-    # -- inspection --------------------------------------------------------
-
-    def items(self):
-        """(exponent in half units, coefficient) pairs, highest first."""
-        return sorted(self._terms.items(), reverse=True)
-
-    def coeff(self, exponent) -> int:
-        return self._terms.get(_units(exponent), 0)
-
     def bar(self) -> "HLPoly":
         """The involution t^(1/2) -> t^(-1/2): negate every exponent."""
         out = HLPoly.__new__(HLPoly)
         out._terms = {-u: c for u, c in self._terms.items()}
         return out
 
-    def leading_term(self):
-        """(highest exponent, its coefficient); exponent as a Fraction."""
-        if not self._terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        u = max(self._terms)
-        return Fraction(u, 2), self._terms[u]
-
-    def trailing_term(self):
-        """(lowest exponent, its coefficient)."""
-        if not self._terms:
-            raise ZeroPolynomial("zero polynomial has no trailing term")
-        u = min(self._terms)
-        return Fraction(u, 2), self._terms[u]
-
-    def degree(self) -> Fraction:
-        return self.leading_term()[0]
-
-    def width(self) -> Fraction:
-        """Highest minus lowest exponent."""
-        if not self._terms:
-            raise ZeroPolynomial("zero polynomial has no width")
-        return Fraction(max(self._terms) - min(self._terms), 2)
-
-    def grid_is_integer(self) -> bool:
-        """True when every exponent lies in Z (rather than 1/2 + Z)."""
-        parities = {u & 1 for u in self._terms}
-        if len(parities) > 1:
-            raise MixedGrid("exponents mix integers and half integers")
-        return parities != {1}
-
-    def is_alternating(self) -> bool:
-        """Whether the coefficients can be written as +-(-1)^i a_i with a_i >= 0.
-
-        The polynomial is first shifted onto the integer grid; exponents
-        mixing the two grids raise :class:`MixedGrid`.  Zero coefficients are
-        allowed anywhere, and the zero polynomial counts as alternating.
-        """
-        offset = 0 if self.grid_is_integer() else 1
-        pattern = set()
-        for u, c in self._terms.items():
-            k = (u - offset) // 2
-            pattern.add((1 if c > 0 else -1) * (-1) ** (k & 1))
-        return len(pattern) <= 1
-
     # -- text grammar --------------------------------------------------
-
-    _TERM_RE = re.compile(
-        r"^(?:(?P<coeff>\d+)\*)?t\^\((?P<num>-?\d+)(?P<half>/2)?\)$|^(?P<const>\d+)$"
-    )
 
     def to_text(self) -> str:
         """Render as ``c*t^(e)`` terms joined by signs, highest exponent first.
 
         Exponents print as plain integers or ``k/2``; unit coefficients are
-        dropped; the zero polynomial prints as ``0``.  :meth:`parse` inverts
-        this exactly.
+        dropped; the zero polynomial prints as ``0``.
         """
         return text_from_terms(*self.exps_and_coeffs())
 
@@ -227,36 +164,6 @@ class HLPoly:
         units = sorted(self._terms, reverse=True)
         return (list(map(_exp_str, units)),
                 list(map(self._terms.__getitem__, units)))
-
-    @classmethod
-    def parse(cls, text: str) -> "HLPoly":
-        """Parse the :meth:`to_text` grammar back into a polynomial."""
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        terms = {}
-        sign = 1
-        if s.startswith("-"):
-            sign = -1
-            s = s[1:]
-        for chunk in re.split(r" ([+-]) ", s):
-            if chunk == "+":
-                sign = 1
-                continue
-            if chunk == "-":
-                sign = -1
-                continue
-            m = cls._TERM_RE.match(chunk)
-            if not m:
-                raise ValueError(f"bad term {chunk!r}")
-            if m.group("const") is not None:
-                u, c = 0, int(m.group("const"))
-            else:
-                c = int(m.group("coeff") or 1)
-                num = int(m.group("num"))
-                u = num if m.group("half") else 2 * num
-            terms[u] = terms.get(u, 0) + sign * c
-        return cls(terms)
 
     def to_latex(self) -> str:
         """Compact LaTeX form, e.g. ``-t^{5/2}-t^{1/2}`` or ``t^{2}-t+1``."""
@@ -319,11 +226,6 @@ def latex_from_text(text: str) -> str:
             .replace("(", "{").replace(")", "}").replace("t^{1}", "t"))
 
 
-def t_power(exponent) -> HLPoly:
-    """t^exponent for a half-integer exponent."""
-    return HLPoly.monomial(1, _units(exponent))
-
-
 def q_power(k: int) -> HLPoly:
     """q^k with q = -t^(-1); k may be negative."""
     return HLPoly.monomial(-1 if k % 2 else 1, -2 * k)
@@ -375,16 +277,8 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     Every other b takes one shift, one add and one exact division by
     1 + 2^s.  CPython divides by long division, at a cost of dividend digits
     times divisor digits (30-bit digits), so the chain wins only once the
-    divisor spans three digits or more.  Chain time / division time on
-    300-slot operands, median of three runs (Python 3.11, x86-64):
-
-        s = 16:  b = 3: 0.80,  b = 6: 1.75,  b = 8: 2.34,  b = 12: 3.56
-        s = 32:  b = 3: 0.35,  b = 6: 0.83,  b = 8: 1.11,  b = 12: 1.77
-        s = 64:  b = 3: 0.31,  b = 6: 0.77,  b = 8: 1.09,  b = 12: 1.71
-        s = 144: b = 3: 0.25,  b = 6: 0.61,  b = 8: 0.83,  b = 12: 1.36
-
-    On 20-slot operands the chain loses more: 1.8-5.3 at s = 16, 1.0-2.5 at
-    s = 32, and at s = 64 0.65 for b = 3 but 1.15 for b = 6.
+    divisor spans three digits or more; the README's "Shared continuant
+    kernel" gives the measured crossover.
 
     Packing is a ring homomorphism, so intermediate terms may overflow their
     slots; only the result is decoded, and it fits when
@@ -618,9 +512,9 @@ class YPoly:
     """Multilinear integer polynomial in tile variables y_1, ..., y_d.
 
     Every variable occurs with exponent 0 or 1, so a monomial is a subset of
-    tile indices, stored as a bitset (bit j-1 for y_j).  Supports sums,
-    subset complementation, and the t-specialization used for link
-    polynomials; general multiplication is out of scope.
+    tile indices, stored as a bitset (bit j-1 for y_j).  ``f_polynomial``
+    makes one from the height masks of a snake graph's matchings; it lists
+    its subsets, prints, and specializes to t (:func:`specialize_y`).
     """
 
     __slots__ = ("_terms",)
@@ -637,39 +531,14 @@ class YPoly:
         self._terms = clean
 
     @classmethod
-    def monomial(cls, tiles=(), coeff=1) -> "YPoly":
-        """coeff * prod(y_j for j in tiles), tile indices 1-based."""
-        mask = 0
-        for j in tiles:
-            if j < 1:
-                raise ValueError(f"tile index {j} below 1")
-            mask |= 1 << (j - 1)
-        return cls({mask: coeff})
-
-    @classmethod
     def one(cls) -> "YPoly":
         return cls({0: 1})
-
-    def __add__(self, other):
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        terms = dict(self._terms)
-        for mask, c in other._terms.items():
-            c = terms.get(mask, 0) + c
-            if c:
-                terms[mask] = c
-            elif mask in terms:
-                del terms[mask]
-        return YPoly(terms)
 
     def __eq__(self, other):
         return isinstance(other, YPoly) and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)
@@ -682,19 +551,6 @@ class YPoly:
             out.append((tiles, c))
         out.sort(key=lambda item: (len(item[0]), sorted(item[0])))
         return out
-
-    def coeff(self, tiles) -> int:
-        mask = 0
-        for j in tiles:
-            mask |= 1 << (j - 1)
-        return self._terms.get(mask, 0)
-
-    def complement(self, d: int) -> "YPoly":
-        """Replace every tile subset S by {1..d} \\ S."""
-        full = (1 << d) - 1
-        if any(mask & ~full for mask in self._terms):
-            raise ValueError(f"polynomial uses tiles beyond 1..{d}")
-        return YPoly({full ^ mask: c for mask, c in self._terms.items()})
 
     def to_text(self) -> str:
         if not self._terms:

@@ -28,8 +28,6 @@ from twobridge.snake import (count_matchings, isomorphic, snake_from_even,
 from twobridge.verify import (cfrac_sweep, engine_sweep, even_graph_sweep,
                               even_lists, matching_sweep, positive_lists)
 
-P = HLPoly.parse
-
 ENGINE_SWEEP_MAX = 16     # sum |b_i| for the even-cf engine sweep
 MATCHING_SWEEP_MAX = 14   # sum a_i for the positive-cf matchings sweep
 FRACTION_SWEEP_MAX = 300  # p bound for snake-graph comparisons
@@ -60,14 +58,15 @@ def criterion_1():
          " + 3*t^(-5) - 2*t^(-6) + t^(-7)"),
     ]
     for ev_entries, pos_entries, text in cases:
-        want = P(text)
         ev = EvenCF(ev_entries)
-        assert jones_recursive(ev).poly == want, ev_entries
-        assert jones_via_f(ev).poly == want, ev_entries
-        assert jones_direct(PositiveCF(pos_entries)).poly == want, pos_entries
+        assert jones_recursive(ev).poly.to_text() == text, ev_entries
+        assert jones_via_f(ev).poly.to_text() == text, ev_entries
+        assert (jones_direct(PositiveCF(pos_entries)).poly.to_text()
+                == text), pos_entries
     # mirror partners, pinned explicitly
-    assert jones_recursive(EvenCF((-2,))).poly == P("-t^(-1/2) - t^(-5/2)")
-    assert jones_via_f(EvenCF((-2,))).poly == P("-t^(-1/2) - t^(-5/2)")
+    for engine in (jones_recursive, jones_via_f):
+        assert (engine(EvenCF((-2,))).poly.to_text()
+                == "-t^(-1/2) - t^(-5/2)")
     v4 = jones_direct(PositiveCF((4,)))
     for engine_poly in (jones_recursive(EvenCF((-4,))).poly,
                         jones_via_f(EvenCF((-4,))).poly,
@@ -95,14 +94,14 @@ def criterion_2():
 
 def criterion_3():
     """Specialized generating-function examples and coincidences."""
-    assert specialized_f_even(EvenCF((2, -2))) == P("1 - t^(-1) - t^(-3)")
-    assert specialized_f_even(EvenCF((-2, 2))) == P("1 + t^(-2) - t^(-3)")
-    assert specialized_f_even(EvenCF((4,))) == P("1 + t^(-2) - t^(-3) + t^(-4)")
-    assert specialized_f_even(EvenCF((-4,))) == P("1 - t^(-1) + t^(-2) + t^(-4)")
-    assert specialized_f_even(EvenCF((4, -2))) == P(
-        "1 - t^(-1) + t^(-2) - 2*t^(-3) + t^(-4) - t^(-5)")
-    assert specialized_f_even(EvenCF((-4, 2))) == P(
-        "1 - t^(-1) + 2*t^(-2) - t^(-3) + t^(-4) - t^(-5)")
+    for entries, text in [
+            ((2, -2), "1 - t^(-1) - t^(-3)"),
+            ((-2, 2), "1 + t^(-2) - t^(-3)"),
+            ((4,), "1 + t^(-2) - t^(-3) + t^(-4)"),
+            ((-4,), "1 - t^(-1) + t^(-2) + t^(-4)"),
+            ((4, -2), "1 - t^(-1) + t^(-2) - 2*t^(-3) + t^(-4) - t^(-5)"),
+            ((-4, 2), "1 - t^(-1) + 2*t^(-2) - t^(-3) + t^(-4) - t^(-5)")]:
+        assert specialized_f_even(EvenCF(entries)).to_text() == text, entries
     assert specialized_f_even(EvenCF((-2, 2))) == specialized_f_positive(
         PositiveCF((3,)))
     assert specialized_f_even(EvenCF((-4,))) == specialized_f_positive(
@@ -123,19 +122,27 @@ def criterion_5():
 
 
 def criterion_6():
-    """Closed-form degree, sign, width, alternation, grid on the sweep."""
+    """Closed-form degree, sign, width, alternation, grid on the sweep.
+
+    Each is read from the result's digit run: the coefficients of
+    consecutive exponents, lowest first, both ends nonzero.
+    """
     for cf, res in engine_sweep_records():
         j, delta = degree_and_sign(cf)
         assert (res.degree, res.leading_sign) == (j, delta), cf.entries
         value = eval_cf(cf.entries)
         pos = positive_cf(abs(value))
-        assert res.poly.width() == sum(pos.entries), cf.entries
-        assert res.poly.is_alternating(), cf.entries
-        assert res.poly.leading_term()[1] in (1, -1)
-        assert res.poly.trailing_term()[1] in (1, -1)
+        run = res.run
+        assert run.width() == 2 * sum(pos.entries), cf.entries
+        # alternating: (-1)^i digits[i] has one sign, zero digits aside
+        first = run.digits[0]
+        assert all(c * first * (-1) ** i >= 0
+                   for i, c in enumerate(run.digits)), cf.entries
+        assert run.digits[-1] in (1, -1)
+        assert run.digits[0] in (1, -1)
         p_odd = abs(value.numerator) % 2 == 1
         assert (cf.m % 2 == 0) == p_odd
-        assert res.poly.grid_is_integer() == p_odd, cf.entries
+        assert (run.h & 1 == 0) == p_odd, cf.entries
 
 
 def criterion_7():
@@ -151,9 +158,11 @@ def criterion_7():
             continue
         cf = PositiveCF(entries)
         v0, v1, v2, vl2, vl1, vl = boundary_coefficients(cf)
-        F = jones_direct(cf).normalized
+        # normalized: v_i is the digit i places below the top
+        digits = jones_direct(cf).run.digits
         ell = sum(entries)
-        got = [abs(F.coeff(-i)) for i in (0, 1, 2, ell - 2, ell - 1, ell)]
+        assert len(digits) == ell + 1, entries
+        got = [abs(digits[-1 - i]) for i in (0, 1, 2, ell - 2, ell - 1, ell)]
         assert got == [v0, v1, v2, vl2, vl1, vl], entries
         checked += 1
     assert checked > 1000

@@ -153,54 +153,61 @@ class TestRun:
                     assert main(["jones", f"{p}/{q}", "--engine", "all"]) == 0
 
 
-def poly_from_payload(pairs) -> HLPoly:
-    """Inverse of the JSON coefficient encoding."""
-    terms = {}
-    for exp, coeff in pairs:
-        exp = str(exp)
-        units = int(exp[:-2]) if exp.endswith("/2") else 2 * int(exp)
-        terms[units] = int(coeff)
-    return HLPoly(terms)
-
-
-def parent_poly_payload(p: HLPoly):
+def parent_poly_payload(terms):
     """The coefficient pairs as the CLI built them before they came from the
-    digit run: one loop over the terms."""
-    return [[str(u // 2) if u % 2 == 0 else f"{u}/2", c] for u, c in p.items()]
+    digit run: one loop over the (half units, coefficient) terms, highest
+    first."""
+    return [[str(u // 2) if u % 2 == 0 else f"{u}/2", c] for u, c in terms]
+
+
+def barred_pairs(pairs):
+    """The coefficient pairs of the bar involution t^(1/2) -> t^(-1/2):
+    every exponent string negated, so the order reverses."""
+    return [[e if e == "0" else e[1:] if e[0] == "-" else "-" + e, c]
+            for e, c in reversed(pairs)]
 
 
 @st.composite
 def packed_runs(draw):
-    """(Packed, HLPoly): up to 10 slots on one grid, zero slots included,
-    on struct (16, 64 bits) and byte (136 bits) widths."""
+    """(Packed, terms): up to 10 slots on one grid, zero slots included,
+    on struct (16, 64 bits) and byte (136 bits) widths, and the nonzero
+    terms, highest first."""
     s = draw(st.sampled_from((16, 64, 136)))
     edge = (1 << (s - 2)) - 1
     digits = draw(st.lists(st.sampled_from((0, 1, -1, edge, -edge))
                            | st.integers(-edge, edge), max_size=10))
     h = 2 * draw(st.integers(-12, 2)) + draw(st.integers(0, 1))
     n = sum(c << (s * i) for i, c in enumerate(digits))
-    poly = HLPoly({h + 2 * i: c for i, c in enumerate(digits)})
-    return Packed(n, h, s, max(1, sum(map(abs, digits)))), poly
+    terms = [(h + 2 * i, c) for i, c in enumerate(digits) if c][::-1]
+    return Packed(n, h, s, max(1, sum(map(abs, digits)))), terms
+
+
+@st.composite
+def gapped_terms(draw):
+    """Up to 8 terms with gaps, on both grids, zero coefficients left out,
+    highest first."""
+    units = draw(st.lists(st.integers(-30, 30), unique=True, max_size=8))
+    coeffs = [draw(st.integers(-10 ** 30, 10 ** 30)) for _ in units]
+    return [(u, c) for u, c in sorted(zip(units, coeffs), reverse=True) if c]
 
 
 class TestPolyPayload:
     """The report's pairs and text against the per-term loops they replace."""
 
     @given(packed_runs())
-    def test_digit_runs(self, packed_poly):
-        packed, poly = packed_poly
+    def test_digit_runs(self, packed_terms):
+        packed, terms = packed_terms
         pairs, text = _poly_payload(*packed.read().exps_and_coeffs())
-        assert list(map(list, pairs)) == parent_poly_payload(poly)
-        assert text == poly.to_text()
+        assert list(map(list, pairs)) == parent_poly_payload(terms)
+        assert text == HLPoly(dict(terms)).to_text()
         report = {"coefficients": pairs, "text": text}
         assert _json(report) == json.dumps(report, indent=2)
 
-    @given(st.dictionaries(st.integers(-30, 30), st.integers(-10 ** 30,
-                                                             10 ** 30),
-                           max_size=8).map(HLPoly))
-    def test_gapped_and_mixed_polynomials(self, poly):
+    @given(gapped_terms())
+    def test_gapped_and_mixed_polynomials(self, terms):
+        poly = HLPoly(dict(terms))
         pairs, text = _poly_payload(*poly.exps_and_coeffs())
-        assert list(map(list, pairs)) == parent_poly_payload(poly)
+        assert list(map(list, pairs)) == parent_poly_payload(terms)
         assert text == poly.to_text()
 
 
@@ -209,15 +216,20 @@ class TestJsonFormat:
         report = run(Request("jones", "[-2,2]"))
         payload = json.loads(emit(report, "json"))
         assert payload["coefficients"] == [["-1", 1], ["-3", 1], ["-4", -1]]
-        assert poly_from_payload(payload["coefficients"]) == HLPoly.parse(
-            "t^(-1) + t^(-3) - t^(-4)")
+        # the pairs and the text are one polynomial, given in half units
+        want = HLPoly({-2: 1, -6: 1, -8: -1})
+        assert payload["coefficients"] == list(
+            map(list, zip(*want.exps_and_coeffs())))
+        assert payload["text"] == want.to_text() == "t^(-1) + t^(-3) - t^(-4)"
 
     def test_half_integer_exponents(self):
         report = run(Request("jones", "[2]", hint="even"))
         payload = json.loads(emit(report, "json"))
         assert payload["coefficients"] == [["1/2", -1], ["5/2", -1]][::-1]
-        assert poly_from_payload(payload["coefficients"]) == HLPoly.parse(
-            "-t^(5/2) - t^(1/2)")
+        want = HLPoly({5: -1, 1: -1})
+        assert payload["coefficients"] == list(
+            map(list, zip(*want.exps_and_coeffs())))
+        assert payload["text"] == want.to_text() == "-t^(5/2) - t^(1/2)"
 
     def test_deterministic(self):
         a = emit(run(Request("jones", "27/10")), "json")
@@ -357,6 +369,9 @@ class TestMainExitCodes:
         assert main(["volume", "[2,3]"]) == 2  # entry below 3
         assert main(["convert", "1/2"]) == 2
         capsys.readouterr()
+        # one entry is the (2, a) torus link: not hyperbolic, no bounds
+        for value in ("5", "3"):
+            assert _main_output(["volume", value], capsys)[:2] == (2, "")
 
     def test_mismatch_exit_code(self):
         # engines never disagree honestly; check the mapping directly
@@ -488,9 +503,9 @@ class TestNegativeInputs:
             negated = [-b for b in want["even_cf"]]
             by_list = run(Request("jones", str(negated).replace(" ", ""),
                                   hint="even"))
-            poly = poly_from_payload(got["coefficients"])
-            assert poly == poly_from_payload(want["coefficients"]).bar(), r
-            assert poly == poly_from_payload(by_list["coefficients"]), r
+            pairs = list(map(list, got["coefficients"]))
+            assert pairs == barred_pairs(want["coefficients"]), r
+            assert pairs == list(map(list, by_list["coefficients"])), r
             assert got["even_cf"] == by_list["even_cf"] == negated, r
             assert got["value"] == want["value"], r
 

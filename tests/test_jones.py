@@ -16,26 +16,25 @@ from twobridge.jones import (JonesResult, boundary_coefficients,
                              jones_recursive, jones_via_f, mirror,
                              oriented_even_cf, specialized_f_even,
                              specialized_f_positive, volume_bounds)
-from twobridge.laurent import HLPoly, Packed, q_integer, specialize_y, t_power
+from twobridge.laurent import HLPoly, Packed, q_integer, specialize_y
 from twobridge.snake import f_polynomial, snake_from_even
 from twobridge.verify import even_lists
-
-P = HLPoly.parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # 1 + 2t on 8-bit slots: its leading coefficient is 2, not a unit
 NOT_A_UNIT = Packed(1 + (2 << 8), 0, 8, 3)
 
-TREFOIL = P("t^(-1) + t^(-3) - t^(-4)")
-FIGURE8 = P("t^(2) - t^(1) + 1 - t^(-1) + t^(-2)")
-V_2_2_m2_4 = P("t^(1) - 2 + 4*t^(-1) - 4*t^(-2) + 5*t^(-3) - 5*t^(-4)"
-               " + 3*t^(-5) - 2*t^(-6) + t^(-7)")
+TREFOIL = "t^(-1) + t^(-3) - t^(-4)"
+FIGURE8 = "t^(2) - t^(1) + 1 - t^(-1) + t^(-2)"
+V_2_2_m2_4 = ("t^(1) - 2 + 4*t^(-1) - 4*t^(-2) + 5*t^(-3) - 5*t^(-4)"
+              " + 3*t^(-5) - 2*t^(-6) + t^(-7)")
 
 
-# the skein constants: epsilon, its bar, and the value of two unlinked unknots
-EPSILON = P("t^(-3/2) - t^(-1/2)")
-EPSILON_BAR = P("t^(3/2) - t^(1/2)")
-TWO_UNKNOTS = P("-t^(1/2) - t^(-1/2)")
+# the skein constants, in half units: epsilon, its bar, and the value of two
+# unlinked unknots
+EPSILON = HLPoly({-3: 1, -1: -1})
+EPSILON_BAR = HLPoly({3: 1, 1: -1})
+TWO_UNKNOTS = HLPoly({1: -1, -1: -1})
 
 
 class TestSkeinConstants:
@@ -43,39 +42,43 @@ class TestSkeinConstants:
         # the recursive engine starts from two unknots and from one unknot
         assert jones._TWO_UNKNOTS == TWO_UNKNOTS
         assert jones_recursive(EvenCF((2,))).poly == (
-            t_power(2) * TWO_UNKNOTS - t_power(Fraction(1, 2))
+            HLPoly.monomial(1, 4) * TWO_UNKNOTS - HLPoly.monomial(1, 1)
             * q_integer(2, barred=True) * HLPoly.one())
 
     def test_two_unknots_from_skein(self):
         # (1 - t^-2)/epsilon, exactly
-        assert EPSILON * TWO_UNKNOTS == 1 - t_power(-2)
+        assert EPSILON * TWO_UNKNOTS == 1 - HLPoly.monomial(1, -4)
 
     def test_bar_compatibility(self):
-        assert EPSILON_BAR == t_power(2) * (-EPSILON)
+        assert EPSILON_BAR == HLPoly.monomial(1, 4) * (-EPSILON)
         assert EPSILON.bar() == EPSILON_BAR
 
 
 class TestRecursiveEngine:
     def test_trefoil(self):
-        assert jones_recursive(EvenCF((-2, 2))).poly == TREFOIL
+        assert jones_recursive(EvenCF((-2, 2))).poly.to_text() == TREFOIL
 
     def test_hopf_links(self):
-        assert jones_recursive(EvenCF((2,))).poly == P("-t^(5/2) - t^(1/2)")
-        assert jones_recursive(EvenCF((-2,))).poly == P("-t^(-1/2) - t^(-5/2)")
+        assert (jones_recursive(EvenCF((2,))).poly.to_text()
+                == "-t^(5/2) - t^(1/2)")
+        assert (jones_recursive(EvenCF((-2,))).poly.to_text()
+                == "-t^(-1/2) - t^(-5/2)")
 
     def test_seven_crossings(self):
         res = jones_recursive(EvenCF((2, 2, -2, 4)))
-        assert res.poly == V_2_2_m2_4
+        assert res.poly.to_text() == V_2_2_m2_4
         assert res.degree == 1
         assert res.leading_sign == 1
 
     def test_normalization_invariant(self):
         for entries in [(2,), (-2, 2), (2, 2, -2, 4), (4, -2), (-6, 4, -2)]:
             res = jones_recursive(EvenCF(entries))
-            rebuilt = res.leading_sign * t_power(res.degree) * res.normalized
+            rebuilt = (HLPoly.monomial(res.leading_sign, int(2 * res.degree))
+                       * res.normalized)
             assert rebuilt == res.poly
-            assert res.normalized.coeff(0) == 1
-            assert res.normalized.degree() == 0
+            # highest term first: degree 0, constant term 1
+            exps, coeffs = res.normalized.exps_and_coeffs()
+            assert (exps[0], coeffs[0]) == ("0", 1)
 
     def test_non_unit_leading_coefficient(self):
         res = JonesResult(NOT_A_UNIT, "recursive")
@@ -113,7 +116,7 @@ class TestDegreeAndSign:
         for entries in even_lists(10, max_abs=4):
             cf = EvenCF(entries)
             j, delta = degree_and_sign(cf)
-            lead_exp, lead_coeff = jones_recursive(cf).poly.leading_term()
+            lead_exp, lead_coeff = jones_recursive(cf).run.leading_term()
             assert (j, delta) == (lead_exp, lead_coeff), entries
 
     @staticmethod
@@ -155,14 +158,14 @@ class TestDegreeAndSign:
 
 
 def _prefix_data(entries, i):
-    """Degree and leading sign of the recursion at depth i entries removed."""
+    """Degree and leading sign of the recursion at depth i entries removed;
+    below the first entry, the unknot 1 and two unknots -t^(1/2) - ..."""
     if len(entries) - i >= 1:
-        poly = jones_recursive(EvenCF(entries[:len(entries) - i])).poly
-    elif len(entries) - i == 0:
-        poly = HLPoly.one()
-    else:
-        poly = P("-t^(1/2) - t^(-1/2)")
-    return poly.leading_term()
+        res = jones_recursive(EvenCF(entries[:len(entries) - i]))
+        return res.run.leading_term()
+    if len(entries) - i == 0:
+        return Fraction(0), 1
+    return Fraction(1, 2), -1
 
 
 class TestRecursionBookkeeping:
@@ -230,23 +233,24 @@ class TestRecursionBookkeeping:
 
 class TestSpecializedF:
     def test_positive_examples(self):
-        assert specialized_f_positive(PositiveCF((1, 2))) == P("1 - t^(-1) - t^(-3)")
-        assert specialized_f_positive(PositiveCF((2, 2))) == P(
-            "1 - t^(-1) + t^(-2) - t^(-3) + t^(-4)")
+        assert (specialized_f_positive(PositiveCF((1, 2))).to_text()
+                == "1 - t^(-1) - t^(-3)")
+        assert (specialized_f_positive(PositiveCF((2, 2))).to_text()
+                == "1 - t^(-1) + t^(-2) - t^(-3) + t^(-4)")
         coeffs = [1, 1, 3, 4, 5, 5, 5, 4, 2, 1]
         want = HLPoly({-2 * i: c * (1 if i % 2 == 0 else -1)
                        for i, c in enumerate(coeffs)})
         assert specialized_f_positive(PositiveCF((3, 2, 4))) == want
 
     def test_even_examples(self):
-        assert specialized_f_even(EvenCF((2, -2))) == P("1 - t^(-1) - t^(-3)")
-        assert specialized_f_even(EvenCF((-2, 2))) == P("-t^(-3) + t^(-2) + 1")
-        assert specialized_f_even(EvenCF((4,))) == P("1 + t^(-2) - t^(-3) + t^(-4)")
-        assert specialized_f_even(EvenCF((-4,))) == P("t^(-4) + t^(-2) - t^(-1) + 1")
-        assert specialized_f_even(EvenCF((4, -2))) == P(
-            "1 - t^(-1) + t^(-2) - 2*t^(-3) + t^(-4) - t^(-5)")
-        assert specialized_f_even(EvenCF((-4, 2))) == P(
-            "-t^(-5) + t^(-4) - t^(-3) + 2*t^(-2) - t^(-1) + 1")
+        for entries, text in [
+                ((2, -2), "1 - t^(-1) - t^(-3)"),
+                ((-2, 2), "1 + t^(-2) - t^(-3)"),
+                ((4,), "1 + t^(-2) - t^(-3) + t^(-4)"),
+                ((-4,), "1 - t^(-1) + t^(-2) + t^(-4)"),
+                ((4, -2), "1 - t^(-1) + t^(-2) - 2*t^(-3) + t^(-4) - t^(-5)"),
+                ((-4, 2), "1 - t^(-1) + 2*t^(-2) - t^(-3) + t^(-4) - t^(-5)")]:
+            assert specialized_f_even(EvenCF(entries)).to_text() == text
 
     def test_named_coincidences(self):
         assert specialized_f_even(EvenCF((-2, 2))) == specialized_f_positive(
@@ -259,11 +263,10 @@ class TestSpecializedF:
     def test_shape(self):
         for entries in [(2, 1, 2), (3, 3), (2, 2, 2, 2), (5,)]:
             cf = PositiveCF(entries)
-            F = specialized_f_positive(cf)
-            assert F.coeff(0) == 1 and F.degree() == 0
-            low, c = F.trailing_term()
-            assert low == -(cf.d + 1)
-            assert c == (1 if cf.d % 2 else -1)
+            exps, coeffs = specialized_f_positive(cf).exps_and_coeffs()
+            assert (exps[0], coeffs[0]) == ("0", 1)
+            assert exps[-1] == str(-(cf.d + 1))
+            assert coeffs[-1] == (1 if cf.d % 2 else -1)
 
     def test_reflection_identity(self):
         from twobridge.laurent import q_power
@@ -277,7 +280,7 @@ class TestSpecializedF:
 
 class TestFRecursive:
     def test_single_entry(self):
-        assert f_recursive(EvenCF((2,))) == P("1 + t^(-2)")
+        assert f_recursive(EvenCF((2,))).to_text() == "1 + t^(-2)"
 
     def test_examples(self):
         assert f_recursive(EvenCF((4, -2))) == specialized_f_even(EvenCF((4, -2)))
@@ -298,33 +301,34 @@ class TestFRecursive:
 
 class TestViaF:
     def test_examples(self):
-        assert jones_via_f(EvenCF((-2, 2))).poly == TREFOIL
-        assert jones_via_f(EvenCF((2,))).poly == P("-t^(5/2) - t^(1/2)")
-        assert jones_via_f(EvenCF((2, -2))).poly == P("t^(1) + t^(3) - t^(4)")
+        for entries, text in [((-2, 2), TREFOIL), ((2,), "-t^(5/2) - t^(1/2)"),
+                              ((2, -2), "-t^(4) + t^(3) + t^(1)")]:
+            assert jones_via_f(EvenCF(entries)).poly.to_text() == text
 
 
 class TestDirect:
     def test_figure_eight(self):
-        assert jones_direct(PositiveCF((2, 2))).poly == FIGURE8
+        assert jones_direct(PositiveCF((2, 2))).poly.to_text() == FIGURE8
 
     def test_four_crossing_link(self):
-        assert jones_direct(PositiveCF((4,))).poly == P(
-            "-t^(9/2) - t^(5/2) + t^(3/2) - t^(1/2)")
+        assert (jones_direct(PositiveCF((4,))).poly.to_text()
+                == "-t^(9/2) - t^(5/2) + t^(3/2) - t^(1/2)")
 
     def test_twenty_crossing_link(self):
         res = jones_direct(PositiveCF((2, 3, 4, 5, 6)))
         coeffs = [1, -3, 7, -15, 27, -44, 63, -83, 101, -111, 113, -106,
                   92, -73, 54, -36, 22, -12, 6, -2, 1]
-        got = [res.normalized.coeff(-e) for e in range(20, -1, -1)]
-        assert got == coeffs
+        exps, got = res.normalized.exps_and_coeffs()
+        assert exps == [str(-e) for e in range(21)]
+        assert got[::-1] == coeffs
 
     def test_odd_fraction_keeps_link_orientation(self):
         # 3/1 has no even expansion; the partner 3/2 describes the mirror,
         # so the oriented expansion is the negated one and V is the trefoil.
         assert oriented_even_cf(Fraction(3, 1)).entries == (-2, 2)
-        assert jones_direct(PositiveCF((3,))).poly == TREFOIL
-        assert jones_direct(PositiveCF((5,))).poly == P(
-            "t^(-2) + t^(-4) - t^(-5) + t^(-6) - t^(-7)")
+        assert jones_direct(PositiveCF((3,))).poly.to_text() == TREFOIL
+        assert (jones_direct(PositiveCF((5,))).poly.to_text()
+                == "t^(-2) + t^(-4) - t^(-5) + t^(-6) - t^(-7)")
 
     def test_normalized_is_generating_function(self):
         for entries in [(2, 2), (3,), (2, 1, 2, 3), (3, 2, 4)]:
@@ -370,8 +374,8 @@ class TestMirror:
         assert len(calls) == 2  # one read of each polynomial, made here
 
     def test_trefoil_pair(self):
-        assert mirror(jones_recursive(EvenCF((-2, 2)))).poly == P(
-            "t^(1) + t^(3) - t^(4)")
+        assert (mirror(jones_recursive(EvenCF((-2, 2)))).poly.to_text()
+                == "-t^(4) + t^(3) + t^(1)")
 
     def test_entrywise_negation_mirrors(self):
         for entries in even_lists(8, max_abs=4):
@@ -385,12 +389,20 @@ class TestBoundaryCoefficients:
         assert boundary_coefficients(PositiveCF((3, 2, 4))) == (1, 1, 3, 4, 2, 1)
         assert boundary_coefficients(PositiveCF((2, 3, 4, 5, 6))) == (1, 2, 6, 7, 3, 1)
         assert boundary_coefficients(PositiveCF((3, 3, 3, 3))) == (1, 2, 5, 5, 2, 1)
+        # l = 4 reads the middle position from both ends
+        assert boundary_coefficients(PositiveCF((4,))) == (1, 0, 1, 1, 1, 1)
+        assert boundary_coefficients(PositiveCF((2, 2))) == (1, 1, 1, 1, 1, 1)
 
     def test_hypothesis_guard(self):
         with pytest.raises(HypothesisViolated):
             boundary_coefficients(PositiveCF((1, 3)))
         with pytest.raises(HypothesisViolated):
             boundary_coefficients(PositiveCF((3, 1)))
+        # l = 2 and l = 3 overlap the two ends: the trefoil's
+        # 1 + t^(-2) - t^(-3) has v_1 = 0, where the formulas give 1
+        for entries in [(2,), (3,)]:
+            with pytest.raises(HypothesisViolated, match=">= 4"):
+                boundary_coefficients(PositiveCF(entries))
 
 
 class TestVolumeBounds:
@@ -403,6 +415,13 @@ class TestVolumeBounds:
     def test_hypothesis_guard(self):
         with pytest.raises(HypothesisViolated):
             volume_bounds(PositiveCF((3, 2, 3)))
+        # one entry is the (2, a) torus link, not hyperbolic
+        for entries in [(3,), (5,), (40,)]:
+            with pytest.raises(HypothesisViolated, match="two entries"):
+                volume_bounds(PositiveCF(entries))
+        # the entry check comes first, with its own message
+        with pytest.raises(HypothesisViolated, match="every entry >= 3"):
+            volume_bounds(PositiveCF((2,)))
 
 
 class TestKnotVsLinkGrid:
@@ -410,7 +429,7 @@ class TestKnotVsLinkGrid:
         for entries in even_lists(8, max_abs=4):
             cf = EvenCF(entries)
             p = abs(eval_cf(entries).numerator)
-            poly = jones_recursive(cf).poly
+            run = jones_recursive(cf).run
             is_knot = p % 2 == 1
             assert (cf.m % 2 == 0) == is_knot
-            assert poly.grid_is_integer() == is_knot, entries
+            assert (run.h & 1 == 0) == is_knot, entries

@@ -20,8 +20,7 @@ from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
 from twobridge.laurent import (HLPoly, Packed, _pack, _slot_width,
-                               continuant, q_integer, q_power, specialize_y,
-                               t_power)
+                               continuant, q_integer, q_power, specialize_y)
 from twobridge.snake import f_polynomial, snake_from_positive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,6 +32,11 @@ wide_cfs = st.lists(st.integers(1, 300), min_size=1, max_size=4).filter(
     lambda a: a != [1])
 small_cfs = st.lists(st.integers(1, 5), min_size=1, max_size=6).filter(
     lambda a: a != [1] and numerator_rec(a) <= 2000)
+
+
+def abs_sum(p: HLPoly) -> int:
+    """The sum of the absolute values of the coefficients: a kernel bound."""
+    return sum(map(abs, p.exps_and_coeffs()[1]))
 
 
 def reference_f(cf: PositiveCF) -> HLPoly:
@@ -51,7 +55,7 @@ def check_engines(entries, want_f):
     cf = PositiveCF(entries)
     ev = oriented_even_cf(eval_cf(entries))
     j, delta = degree_and_sign(ev)
-    want = delta * t_power(j) * want_f
+    want = HLPoly.monomial(delta, int(2 * j)) * want_f
     assert specialized_f_positive(cf) == want_f
     assert jones_direct(cf).poly == want
     assert jones_recursive(ev).poly == want
@@ -91,18 +95,17 @@ class TestFactor:
            one_grid)
     def test_q_integer_factor(self, c, u, b, x):
         # x_1 = mu * 0 + nu * x_0 with nu = c t^(u/2) [b]_q
-        want = (c * HLPoly.monomial(1, u) * q_integer(b) * x if b
-                else HLPoly.zero())
-        bound = max(1, b) * sum(abs(coeff) for _, coeff in x.items())
+        want = c * HLPoly.monomial(1, u) * q_integer(b) * x if b else HLPoly()
+        bound = max(1, b) * abs_sum(x)
         assert continuant([((1, 0), (c, u, b))], 0, x, bound) == want
 
     def test_no_steps_returns_start(self):
-        x = HLPoly.parse("3*t^(5/2) - t^(1/2)")
+        x = HLPoly({5: 3, 1: -1})  # 3*t^(5/2) - t^(1/2)
         assert continuant([], 1, x, 4) == x
 
     def test_mixed_grids_raise(self):
         with pytest.raises(MixedGrid):
-            continuant([((1, 0), (1, 0, 1))], 1, t_power(Fraction(1, 2)), 2)
+            continuant([((1, 0), (1, 0, 1))], 1, HLPoly.monomial(1, 1), 2)
         with pytest.raises(MixedGrid):
             continuant([], HLPoly({0: 1, 1: 1}), 1, 1)
 
@@ -120,7 +123,7 @@ factors = st.tuples(st.sampled_from([1, -1]), st.integers(-6, 6).map(
 
 
 def factor_poly(c, u, b) -> HLPoly:
-    return c * HLPoly.monomial(1, u) * q_integer(b) if b else HLPoly.zero()
+    return c * HLPoly.monomial(1, u) * q_integer(b) if b else HLPoly()
 
 
 class TestSlotWidths:
@@ -141,7 +144,7 @@ class TestSlotWidths:
         # the start by m scales the result, and m makes the bound, the sum of
         # the result's absolute coefficients, exactly k bits long
         ref = numerator_rec([factor_poly(*nu) for nu in nus])
-        total = sum(abs(c) for _, c in ref.items())
+        total = abs_sum(ref)
         assume(0 < total <= 1 << (k - 1))
         m = ((1 << k) - 1) // total
         bound = m * total
@@ -216,11 +219,12 @@ def same_poly(kernel, got, want, k, steps):
     """
     if got == want:
         return
-    a, b = dict(got.items()), dict(want.items())
-    u = max(e for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
+    a, b = ({Fraction(e): c for e, c in zip(*p.exps_and_coeffs())}
+            for p in (got, want))
+    e = max(e for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
     pytest.fail(f"{kernel} differs from the ring recurrence at k = {k} "
-                f"with {len(steps)} steps: at exponent {Fraction(u, 2)} it "
-                f"gives {a.get(u, 0)}, the recurrence {b.get(u, 0)}",
+                f"with {len(steps)} steps: at exponent {e} it "
+                f"gives {a.get(e, 0)}, the recurrence {b.get(e, 0)}",
                 pytrace=False)
 
 
@@ -240,7 +244,7 @@ class TestAgainstParentKernel:
         # the references take mu as the triple (c, u, 1)
         triples = [((*mu, 1), nu) for mu, nu in steps]
         ref = ring_recurrence(triples, before, start)
-        total = sum(abs(c) for _, c in ref.items())
+        total = abs_sum(ref)
         assume(total)
         # scale both starting terms so that the bound is k bits long, or as
         # long as the result needs when that is more
@@ -374,7 +378,7 @@ UNDERSTATED_BOUND = (
     "         ((-1, 2), (1, -8, 2)), ((1, 0), (1, 8, 4))]\n"
     "m = {scale}\n"
     "poly = continuant(steps, m, m, 10 ** 6 * m)\n"
-    "total = sum(abs(c) for _, c in poly.items())\n"
+    "total = sum(map(abs, poly.exps_and_coeffs()[1]))\n"
     "print('exact', continuant(steps, m, m, total) == poly)\n"
     "print('slot', _slot_width(total - 1))\n"
     "try:\n"
