@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from twobridge.cfrac import PositiveCF
 from twobridge.errors import ZeroPolynomial
-from twobridge.laurent import (HLPoly, Packed, YPoly, _exp_str,
+from twobridge.jones import jones_direct, mirror
+from twobridge.laurent import (DigitRun, HLPoly, Packed, YPoly, _exp_str,
                                latex_from_text, q_integer, q_power,
                                specialize_y, text_from_terms)
 
@@ -211,6 +213,51 @@ class TestQIntegers:
     def test_q_power_signs(self):
         assert q_power(2) == HLPoly.monomial(1, -4)
         assert q_power(-3) == HLPoly.monomial(-1, 6)
+
+
+class TestInspection:
+    """A polynomial is inspected through its :class:`DigitRun`: lowest
+    exponent ``h`` in half units and the digits of consecutive exponents."""
+
+    def test_leading_term(self):
+        assert DigitRun(-3, [1, -1]).leading_term() == (Fraction(-1, 2), -1)
+        assert DigitRun(0, [1]).leading_term() == (Fraction(0), 1)
+        # t^(-1) + t^(-3) - t^(-4)
+        run = DigitRun(-8, [-1, 1, 0, 1])
+        assert run.poly() == HLPoly({-2: 1, -6: 1, -8: -1})
+        assert run.leading_term() == (Fraction(-1), 1)
+        with pytest.raises(ZeroPolynomial):
+            DigitRun(0, []).leading_term()
+
+    def test_width(self):
+        assert DigitRun(-8, [-1, 1, 0, 1]).width() == 6
+        assert DigitRun(0, [1]).width() == 0
+        # t^(2) - t^(1) + 1 - t^(-1) + t^(-2)
+        assert DigitRun(-4, [1, -1, 1, -1, 1]).width() == 8
+
+    def test_is_alternating(self):
+        # the Jones polynomial of a two-bridge link alternates, and so does
+        # its mirror image: (-1)^i digits[i] has one sign, zero digits aside
+        for entries in ((2,), (3,), (2, 2), (4,), (2, 3, 4), (1, 1, 5)):
+            res = jones_direct(PositiveCF(entries))
+            for run in (res.run, mirror(res).run):
+                first = run.digits[0]
+                assert all(c * first * (-1) ** i >= 0
+                           for i, c in enumerate(run.digits)), entries
+        # -t^(10) + t^(6) + t^(4) does not: t^(4) and t^(10) lie an even
+        # distance apart with opposite signs
+        run = DigitRun(8, [1, 0, 1, 0, 0, 0, -1])
+        assert run.poly() == HLPoly({20: -1, 12: 1, 8: 1})
+        assert run.digits[0] * run.digits[6] < 0
+
+    @given(digit_runs())
+    def test_grid(self, packed_terms):
+        # the read and the bar keep the grid: h even iff integer exponents
+        packed, terms = packed_terms
+        assume(terms)
+        assert packed.read().h & 1 == packed.h & 1
+        assert packed.bar().read().h & 1 == packed.h & 1
+        assert all(u & 1 == packed.h & 1 for u, _ in terms)
 
 
 class TestTextGrammar:
