@@ -236,7 +236,8 @@ def run(req: Request) -> dict:
         canonical = positive_cf(abs(r))
         pos = obj if isinstance(obj, PositiveCF) else canonical
         res = cross_check([_jones_engine(name, r, pos, ev)
-                           for name in engines], req.input)
+                           for name in engines],
+                          list(ev.entries) if ev is obj else req.input)
         report["value"] = _rat_payload(abs(r))
         report["positive_cf"] = list(canonical.entries)
         report["even_cf"] = list(ev.entries)

@@ -4,7 +4,7 @@ Input is a continued fraction; output is an exact Laurent polynomial in
 t^(1/2).  The engines:
 
 * ``jones_recursive`` - the skein recursion, peeling one entry of the even
-  continued fraction at a time;
+  continued fraction, or one run of equal +-2 entries, at a time;
 * ``jones_direct`` - the closed continued-fraction-of-Laurent-polynomials
   formula evaluated on a positive continued fraction;
 * ``jones_via_f`` - normalization data (degree and leading sign) times the
@@ -34,13 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import mul
 
 from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf_for_link,
                     numerator_rec, positive_cf, tau, type_sequence)
 from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
                      WrongOrientation, ZeroPolynomial)
-from .laurent import (DigitRun, HLPoly, Packed, _units, continuant,
-                      continuant_packed)
+from .laurent import (DigitRun, HLPoly, Packed, _exp_str, _units,
+                      continuant, continuant_packed)
 
 #: smallest hyperbolic volume bound per twist region, and the volume of a
 #: regular ideal tetrahedron (for the upper bound 30*v3 per region)
@@ -48,6 +50,9 @@ VOLUME_LOWER_SLOPE = 0.35367
 V3 = 1.0149
 
 _TWO_UNKNOTS = HLPoly({-1: -1, 1: -1})  # -t^(-1/2) - t^(1/2)
+#: shortest run of equal +-2 entries taken as one run step; runs of 2 to 4
+#: cost the same either way on the benchmark's ``long_cf`` inputs
+_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,14 @@ def cross_check(results, value) -> JonesResult:
     Otherwise :class:`CrossCheckMismatch` names every engine and reads
     ``engines disagree on <value>: <engine>: <polynomial>; ...``; a result
     whose decode raises :class:`SlotOverflow` reads as overflowing, so the
-    report never fails on the faulty side.
+    report never fails on the faulty side.  Then come the highest exponent
+    at which the first result and the first to disagree with it differ,
+    with both coefficients, and a command that repeats the check; ``value``
+    is the CLI input, or an even CF's entry list.
     """
     first, *others = results
-    if all(res.agrees(first) for res in others):
+    differing = [res for res in others if not res.agrees(first)]
+    if not differing:
         return first
     parts = []
     for res in results:
@@ -111,6 +120,18 @@ def cross_check(results, value) -> JonesResult:
             parts.append(f"{res.engine}: {res.poly}")
         except SlotOverflow as exc:
             parts.append(f"{res.engine}: overflows its slots ({exc})")
+    other = differing[0]
+    try:  # coefficients by exponent in half units, from the digit runs
+        a, b = ({r.h + 2 * i: c for i, c in enumerate(r.digits)}
+                for r in (first.run, other.run))
+        u = max(u for u in a.keys() | b.keys() if a.get(u, 0) != b.get(u, 0))
+        parts.append(f"first difference at t^({_exp_str(u)}): {first.engine} "
+                     f"{a.get(u, 0)}, {other.engine} {b.get(u, 0)}")
+    except SlotOverflow:
+        pass
+    even = " --even" if isinstance(value, list) else ""
+    parts.append(f"reproduce with: twobridge jones{even} --engine all -- "
+                 f"\"{str(value).replace(' ', '')}\"")
     raise CrossCheckMismatch(
         f"engines disagree on {value}: " + "; ".join(parts),
         engines=[res.engine for res in results], value=value)
@@ -139,15 +160,22 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     * sign +: V_m = t^(+|b_m|) V_(m-2) - t^(+1/2) [|b_m|]_qbar V_(m-1)
 
     with the conventions V(empty) = 1 (unknot) and V at index -1 equal to
-    the two-unknot value -t^(-1/2) - t^(1/2).
+    the two-unknot value -t^(-1/2) - t^(1/2).  A run of ``_RUN`` or more
+    entries of one type with |b| = 2, such as the p - 1 entries of an odd
+    integer p, is one run step of :func:`continuant_packed`.
     """
     steps = []
-    for t, b in zip(type_sequence(cf), cf.entries):
-        ab = abs(b)
-        if t < 0:
-            steps.append(((1, -2 * ab), (-1, -1, ab)))
-        else:  # -t^(1/2) [b]_qbar = (-1)^b t^(b-1/2) [b]_q, and b is even
-            steps.append(((1, 2 * ab), (1, 2 * ab - 1, ab)))
+    # v = t |b|: mu is t^v, and nu is -t^(-1/2) [|b|]_q on a - type and
+    # -t^(1/2) [b]_qbar = t^(v-1/2) [b]_q on a + type, since b is even
+    for v, run in groupby(map(mul, type_sequence(cf), map(abs, cf.entries))):
+        step = (1, 2 * v), ((-1, -1, -v) if v < 0 else (1, 2 * v - 1, v))
+        k = len(list(run))
+        if k == 1:  # most groups: skip the list that a repeat would build
+            steps.append(step)
+        elif k >= _RUN and v in (2, -2):
+            steps.append((*step, k))
+        else:
+            steps += [step] * k
     packed = continuant_packed(steps, _TWO_UNKNOTS, HLPoly.one(),
                                abs(numerator_rec(cf.entries)))
     return JonesResult(packed, "recursive")

@@ -246,7 +246,8 @@ def q_integer(b: int, barred: bool = False) -> HLPoly:
 def continuant(steps, x_before, x_start, bound) -> HLPoly:
     """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1).
 
-    ``steps`` holds one pair (mu_k, nu_k) per step.  mu_k is a pair (c, u),
+    ``steps`` holds one pair (mu_k, nu_k) per step, or a triple (mu, nu, k)
+    for k equal steps (see :func:`continuant_packed`).  mu_k is a pair (c, u),
     the signed monomial c * t^(u/2) with c = +-1; nu_k is a triple (c, u, b)
     standing for c * t^(u/2) * [b]_q with q = -1/t and b >= 0, so b = 0 is
     the zero factor.  ``x_before`` and ``x_start`` are the two terms before
@@ -269,16 +270,12 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     pair (n, h) and a sign c apart: the polynomial is c * t^(h/2) * N(t) and
     n = N(2^s), so a factor's sign goes into the add or subtract that joins
     the two products and never negates n.  Monomials, mu among them, only
-    move h; nu's [b]_q is the one product of a step, and
-    [b]_q = t^(1-b) (t^b - (-1)^b) / (t + 1)
-          = t^(1-b) (t^(b-1) - t^(b-2) + ... +- 1),
-    so at t = 2^s a product with [2]_q is one shift and subtract, and for
-    3 <= b <= 6 with s >= 64 it is b - 1 Horner steps r = (r << s) -+ n.
-    Every other b takes one shift, one add and one exact division by
-    1 + 2^s.  CPython divides by long division, at a cost of dividend digits
-    times divisor digits (30-bit digits), so the chain wins only once the
-    divisor spans three digits or more; the README's "Shared continuant
-    kernel" gives the measured crossover.
+    move h; nu's [b]_q is the one product of a step (:func:`_q_product`).
+
+    A step (mu, nu, k) is k steps with nu = c t^(u/2) [2]_q, mu = t^(u-1)
+    (else ``ValueError``).  x^2 = nu x + mu has the roots lam = c t^(u/2)
+    and lam q, so with P = [k]_q lam^(k-1) (lam x_j + mu x_(j-1)) they give
+    x_(j+k) = P + (lam q)^k x_j and x_(j+k-1) = P / lam + (lam q)^k x_(j-1).
 
     Packing is a ring homomorphism, so intermediate terms may overflow their
     slots; only the result is decoded, and it fits when
@@ -294,30 +291,34 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     digits are wrong, so ``bound`` must be proven, not guessed.
     """
     s = _slot_width(bound)
-    one_plus_x = (1 << s) + 1
-    # [b]_q up to b = short is a Horner chain, beyond it one exact division
-    short = 6 if s >= 64 else 2
     n2, h2 = _pack(HLPoly._coerce(x_before), s)
     n1, h1 = _pack(HLPoly._coerce(x_start), s)
     c2 = c1 = 1
-    for (ca, ua), (cb, ub, bb) in steps:
+    for step in steps:
+        if len(step) > 2:
+            (ca, ua), (cb, ub, bb), k = step
+            if bb != 2 or ca != 1 or ua != 2 * ub - 2 or k < 1:
+                raise ValueError(f"not a run step: {step}")
+            ck = cb if k & 1 else 1  # lam^k is ck t^(k ub / 2)
+            pn, ph, pc = _join(n1, h1 + k * ub, ck * c1,
+                               n2, h2 + (k + 1) * ub - 2, ck * cb * c2, s)
+            pn, ph = _q_product(pn, k, s), ph - 2 * (k - 1)
+            ck, uk = (-ck if k & 1 else ck), k * (ub - 2)  # (lam q)^k
+            (n2, h2, c2), (n1, h1, c1) = (
+                _join(pn, ph - ub, pc * cb, n2, h2 + uk, ck * c2, s),
+                _join(pn, ph, pc, n1, h1 + uk, ck * c1, s))
+            continue
+        (ca, ua), (cb, ub, bb) = step
         na, ha = n2, h2 + ua
         nb, hb = n1, h1 + ub
         if bb != 1:
-            if not bb:
-                nb = 0
-            elif bb == 2:  # (t^2 - 1) / (t + 1) = t - 1
-                nb = (nb << s) - nb
-            elif bb <= short:
-                for j in range(1, bb):
-                    nb = (nb << s) - n1 if j & 1 else (nb << s) + n1
-            else:
-                shifted = nb << s * bb
-                nb = (shifted + nb if bb & 1 else shifted - nb) // one_plus_x
+            nb = _q_product(nb, bb, s) if bb else 0
             hb -= 2 * (bb - 1)
         ca *= c2
         cb *= c1
         n2, h2, c2 = n1, h1, c1
+        # :func:`_join`, inline: a call per step measured 1-2 % on the
+        # benchmark's long_cf and sweep workloads
         if not na:
             n1, h1, c1 = nb, hb, cb
         elif not nb:
@@ -331,6 +332,41 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
             nb <<= s * ((hb - ha) >> 1)
             n1, h1, c1 = (na + nb if ca == cb else na - nb), ha, ca
     return Packed(n1 if c1 > 0 else -n1, h1, s, bound)
+
+
+def _q_product(n: int, b: int, s: int) -> int:
+    """n * t^(b-1) [b]_q at t = 2^s, for b >= 1, where
+    t^(b-1) [b]_q = (t^b - (-1)^b) / (t + 1) = t^(b-1) - t^(b-2) + ... +- 1:
+    one shift and subtract for b = 2, b - 1 Horner steps for b <= 6 at
+    s >= 64, else one exact division by 1 + 2^s, which CPython pays for in
+    dividend digits times divisor digits (the README's "Shared continuant
+    kernel" gives the measured crossover)."""
+    if b == 2:  # (t^2 - 1) / (t + 1) = t - 1
+        return (n << s) - n
+    if b <= (6 if s >= 64 else 2):
+        r = n
+        for j in range(1, b):
+            r = (r << s) - n if j & 1 else (r << s) + n
+        return r
+    shifted = n << s * b
+    return (shifted + n if b & 1 else shifted - n) // ((1 << s) + 1)
+
+
+def _join(na, ha, ca, nb, hb, cb, s):
+    """The sum (n, h, c) of the packed terms (na, ha, ca) and (nb, hb, cb);
+    :class:`MixedGrid` when both are nonzero on different grids."""
+    if not na:
+        return nb, hb, cb
+    if not nb:
+        return na, ha, ca
+    if (ha - hb) & 1:
+        raise MixedGrid("recurrence terms lie on different grids")
+    if ha > hb:
+        na <<= s * ((ha - hb) >> 1)
+        ha = hb
+    else:
+        nb <<= s * ((hb - ha) >> 1)
+    return (na + nb if ca == cb else na - nb), ha, ca
 
 
 class Packed:

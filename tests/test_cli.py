@@ -538,7 +538,9 @@ class TestPackedCrossCheck:
             f"cross-check mismatch [jones]: engines disagree on 7/3: "
             f"recursive: {right}; "
             f"direct: t^(-1) - t^(-2) + 2*t^(-3) - t^(-4) + t^(-5); "
-            f"fpoly: {right}\n")
+            f"fpoly: {right}; "
+            f"first difference at t^(-6): recursive -1, direct 0; "
+            f"reproduce with: twobridge jones --engine all -- \"7/3\"\n")
         with pytest.raises(CrossCheckMismatch) as info:
             run(Request("jones", "7/3"))
         assert info.value.engines == ("recursive", "direct", "fpoly")

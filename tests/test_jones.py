@@ -3,21 +3,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 from twobridge import jones
-from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf, positive_cf,
-                             tau, type_sequence)
+from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
+                             numerator_rec, tau, type_sequence)
 from twobridge.errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
 from twobridge.jones import (JonesResult, boundary_coefficients,
                              degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, mirror,
                              oriented_even_cf, specialized_f_even,
                              specialized_f_positive, volume_bounds)
-from twobridge.laurent import HLPoly, Packed, q_integer, specialize_y
-from twobridge.snake import f_polynomial, snake_from_even
+from twobridge.laurent import HLPoly, Packed, continuant_packed, q_integer
 from twobridge.verify import even_lists
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -104,6 +104,80 @@ class TestRecursiveEngine:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "raised leading coefficient 2 is not a unit\n"
+
+
+def per_entry_recursive(cf: EvenCF) -> JonesResult:
+    """The skein recursion with one kernel step per entry: the reference for
+    the run steps of ``jones_recursive``."""
+    steps = []
+    for t, b in zip(type_sequence(cf), cf.entries):
+        ab = abs(b)
+        if t < 0:
+            steps.append(((1, -2 * ab), (-1, -1, ab)))
+        else:  # -t^(1/2) [b]_qbar = (-1)^b t^(b-1/2) [b]_q, and b is even
+            steps.append(((1, 2 * ab), (1, 2 * ab - 1, ab)))
+    return JonesResult(continuant_packed(steps, TWO_UNKNOTS, 1,
+                                         abs(numerator_rec(cf.entries))),
+                       "per entry")
+
+
+def runs(cf: EvenCF):
+    """Lengths of the maximal runs of equal +-2 entries of one type, in order,
+    with 0 for each entry of any other size."""
+    return [len(list(run)) if v in (2, -2) else 0 for v, run in groupby(
+        t * abs(b) for t, b in zip(type_sequence(cf), cf.entries))]
+
+
+def run_fractions(count, seed):
+    """``count`` seeded random p/q whose oriented even expansions have a run
+    longer than 20 with a further entry after it."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        a = [rng.choice([1, 2, 3, rng.randint(20, 60)])
+             for _ in range(rng.randint(2, 6))]
+        cf = oriented_even_cf(eval_cf(a))
+        if max(runs(cf)[:-1], default=0) > 20:
+            found.append(cf)
+    return found
+
+
+class TestRunSteps:
+    """``jones_recursive`` equals the per-entry recursion, with long runs."""
+
+    @staticmethod
+    def check(cfs):
+        for cf in cfs:
+            res = jones_recursive(cf)
+            assert res.agrees(per_entry_recursive(cf)), list(cf.entries)
+
+    def test_even_lists(self):
+        self.check(EvenCF(e) for e in even_lists(14))
+
+    def test_odd_integers(self):
+        # an odd integer p is one run of p - 1 entries
+        ps = [*range(3, 302, 2), 1001, 2001, 5001]
+        cfs = [oriented_even_cf(p) for p in ps]
+        assert [runs(cf) for cf in cfs] == [[p - 1] for p in ps]
+        self.check(cfs)
+
+    def test_random_fractions_with_long_runs(self):
+        self.check(run_fractions(40, 17))
+
+    def test_one_step_per_run(self, monkeypatch):
+        """100,000 entries of one type take at most two kernel steps."""
+        cf = oriented_even_cf(100001)
+        assert runs(cf) == [100000]
+        seen = []
+        real = jones.continuant_packed
+
+        def counted(steps, *args):
+            seen.append(len(steps))
+            return real(steps, *args)
+        monkeypatch.setattr(jones, "continuant_packed", counted)
+        res = jones_recursive(cf)
+        assert len(seen) == 1 and seen[0] <= 2
+        assert res.agrees(jones_direct(PositiveCF((100001,))))
 
 
 class TestDegreeAndSign:

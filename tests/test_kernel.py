@@ -260,6 +260,45 @@ class TestAgainstParentKernel:
                   want, k, steps)
 
 
+class TestRunStep:
+    """A step (mu, nu, k) is k steps (mu, nu) with nu = c t^(u/2) [2]_q and
+    mu = t^(u-1), made with one [k]_q product."""
+
+    @pytest.mark.parametrize("k_bits", (14, 70))
+    @settings(max_examples=40, deadline=None,
+              phases=tuple(p for p in Phase if p is not Phase.explain))
+    @given(st.sampled_from([1, -1]), st.integers(-6, 6), st.integers(1, 40),
+           grid_terms, grid_terms, st.integers(0, 1), monomials,
+           general_factors)
+    def test_equals_k_steps(self, k_bits, c, u, k, before, start, parity,
+                            mu2, nu2):
+        # x_start lies u half units off x_before's grid, as in the skein
+        # recursion; the step after the run reads both terms the run leaves
+        before = HLPoly({2 * e + parity: x for e, x in before.items()})
+        start = HLPoly({2 * e + parity + u: x for e, x in start.items()})
+        mu, nu = (1, 2 * u - 2), (c, u, 2)
+        after = (mu2, (nu2[0], nu2[1] + u, nu2[2]))
+        for steps in ([(mu, nu, k)], [(mu, nu, k), after]):
+            singles = [(mu, nu)] * k + steps[1:]
+            ref = ring_recurrence([((*m, 1), n) for m, n in singles],
+                                  before, start)
+            total = abs_sum(ref)
+            assume(total)
+            # scale the bound up to k_bits bits, so both slot paths run
+            bound = max(total, ((1 << k_bits) - 1) // total * total)
+            same_poly("run step", continuant(steps, before, start, bound),
+                      ref, k_bits, steps)
+
+    @pytest.mark.parametrize("step", [
+        ((1, -4), (-1, -1, 4), 3),   # b = 4
+        ((-1, -4), (-1, -1, 2), 3),  # mu = -t^(u-1)
+        ((1, -2), (-1, -1, 2), 3),   # mu = t^(u-1/2)
+        ((1, -4), (-1, -1, 2), 0)])  # no steps
+    def test_other_pairs_raise(self, step):
+        with pytest.raises(ValueError):
+            continuant([step], 1, HLPoly.monomial(1, 1), 4)
+
+
 # bounds whose slots decode through struct (8 and 16 bits, 64 bits) and
 # byte by byte (80 bits)
 PACKED_BOUNDS = (14, 200, 2 ** 61, 2 ** 70)

@@ -3,12 +3,13 @@ time: each law holds at big-int sizes, and each can fail.  Also the engine
 cross-check of ``verify.check_engines``, which compares packed results."""
 
 import dataclasses
+import shlex
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge import verify
+from twobridge import cli, verify
 from twobridge.cfrac import EvenCF, PositiveCF, positive_cf
 from twobridge.errors import CrossCheckMismatch
 from twobridge.laurent import Packed
@@ -138,3 +139,28 @@ def test_check_engines_checks_the_normalized_value(monkeypatch, name,
     with pytest.raises(CrossCheckMismatch) as info:
         verify.check_engines(EvenCF((2, 4)))
     assert str(info.value) == message
+
+
+def test_mismatch_names_first_difference_and_reproducer(monkeypatch, capsys):
+    """A fault injected into the fpoly engine is reported with the highest
+    exponent where the results differ, both coefficients there, and a CLI
+    command that meets the same fault."""
+    real = verify.jones_via_f
+
+    def faulty(cf):
+        # the packed h is 2 (t^1): 2 << s turns -t^2 into +t^2, and the
+        # coefficients still sum to the bound 7, so both sides decode
+        res = real(cf)
+        p = res.packed
+        return dataclasses.replace(
+            res, packed=Packed(p.n + (2 << p.s), p.h, p.s, p.bound))
+    monkeypatch.setattr(verify, "jones_via_f", faulty)
+    monkeypatch.setattr(cli, "jones_via_f", faulty)
+    with pytest.raises(CrossCheckMismatch) as info:
+        verify.check_engines(EvenCF((2, -4)))
+    diff = "first difference at t^(2): recursive -1, fpoly 1"
+    command = 'twobridge jones --even --engine all -- "[2,-4]"'
+    assert str(info.value).endswith(f"; {diff}; reproduce with: {command}")
+    assert cli.main(shlex.split(command)[1:]) == 3
+    err = capsys.readouterr().err
+    assert f"; {diff}; reproduce with: {command}\n" in err
