@@ -20,7 +20,7 @@ from .jones import (JonesResult, boundary_coefficients, degree_and_sign,
                     f_recursive, jones_direct, jones_recursive, jones_via_f,
                     mirror, oriented_even_cf, specialized_f_even,
                     specialized_f_positive, volume_bounds)
-from .laurent import HLPoly, YPoly, q_integer, q_power, specialize_y
+from .laurent import HLPoly, q_integer, q_power, specialize_y
 from .snake import (Matching, SnakeGraph, count_matchings,
                     enumerate_matchings, f_polynomial, isomorphic,
                     render_ascii, snake_from_even, snake_from_positive,

@@ -39,8 +39,8 @@ from .jones import (JonesResult, boundary_coefficients, cross_check,
                     specialized_f_positive, volume_bounds)
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
 from .snake import (check_budget, check_canvas, count_matchings,
-                    f_polynomial, render_ascii, snake_from_even,
-                    snake_from_positive, tile_count_even)
+                    f_polynomial, height_subsets, render_ascii,
+                    snake_from_even, snake_from_positive, tile_count_even)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
 
@@ -212,10 +212,13 @@ def run(req: Request) -> dict:
             obj, d, build = _graph_source(obj)
             # the listing is p heights of d tiles, known before the graph is
             check_budget(abs(_as_rat(obj).numerator), d)
-            F = f_polynomial(build(obj))
+            subsets = height_subsets(f_polynomial(build(obj)))
             report["full"] = True
-            report["terms"] = [[sorted(tiles), c] for tiles, c in F.subsets()]
-            report["text"] = F.to_text()
+            report["terms"] = [[tiles, 1] for tiles in subsets]
+            # every coefficient is 1: y1*y3 for [1, 3], 1 for no tiles
+            report["text"] = " + ".join(["y" + "*y".join(map(str, tiles))
+                                         if tiles else "1"
+                                         for tiles in subsets])
             return report
         if isinstance(obj, EvenCF):
             F = specialized_f_even(obj)

@@ -15,10 +15,10 @@ t^(1/2).  The engines:
 All three agree exactly; :func:`cross_check` compares them for the CLI and
 the verify sweeps alike.  The skein recursion, the direct formula's
 numerator and the two-term recursion ``f_recursive`` are each one call of
-:func:`laurent.continuant`; they differ only in their step factors.  The
-engines keep their results packed (:class:`laurent.Packed`), so results
-compare as aligned integers and a polynomial is decoded only where it is
-read.
+the kernel :func:`laurent.continuant_packed`; they differ only in their step
+factors.  The engines keep its result packed (:class:`laurent.Packed`), so
+results compare as aligned integers and a polynomial is decoded only where
+it is read: ``f_recursive`` decodes its own.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input.  A
@@ -42,7 +42,7 @@ from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf_for_link,
 from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
                      WrongOrientation, ZeroPolynomial)
 from .laurent import (DigitRun, HLPoly, Packed, _exp_str, _units,
-                      continuant, continuant_packed)
+                      continuant_packed)
 
 #: smallest hyperbolic volume bound per twist region, and the volume of a
 #: regular ideal tetrahedron (for the upper bound 30*v3 per region)
@@ -137,8 +137,8 @@ def cross_check(results, value) -> JonesResult:
         engines=[res.engine for res in results], value=value)
 
 
-# Step factors of :func:`continuant`: mu is (c, u), the monomial c * t^(u/2);
-# nu is (c, u, b), c * t^(u/2) * [b]_q.
+# Step factors of :func:`continuant_packed`: mu is (c, u), the monomial
+# c * t^(u/2); nu is (c, u, b), c * t^(u/2) * [b]_q.
 def _q(e: int, b: int):
     """The factor q^e [b]_q, with q^e = (-1)^e t^(-e)."""
     return (-1 if e % 2 else 1), -2 * e, b
@@ -286,7 +286,7 @@ def f_recursive(cf: EvenCF) -> HLPoly:
         else:
             mu = (-1, -2 * ab1) if t2 == -1 else (1, 2 * (1 - ab1))
         steps.append((mu, nu))
-    return continuant(steps, 1, 1, abs(numerator_rec(bs)))
+    return continuant_packed(steps, 1, 1, abs(numerator_rec(bs))).decode()
 
 
 def _placed(cf: EvenCF, F: Packed, engine: str) -> JonesResult:

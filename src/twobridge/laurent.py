@@ -1,17 +1,14 @@
-"""Sparse exact Laurent polynomials in t^(1/2), and multilinear y-polynomials.
+"""Sparse exact Laurent polynomials in t^(1/2), and their one kernel.
 
 :class:`HLPoly` holds integer coefficients on exponents in (1/2)Z.  Exponents
 are stored internally as integer counts of t^(1/2) units, so knot polynomials
 (integer exponents) and 2-component-link polynomials (exponents in 1/2 + Z)
 share one type.
 
-:class:`YPoly` holds multilinear polynomials in tile variables y_1..y_d, the
-shape taken by snake-graph matching generating functions.  Subsets of tiles
-are stored as bitsets.
-
-:func:`continuant` is the two-term recurrence that the Jones engines share,
-run on polynomials packed into integers; :func:`continuant_packed` leaves its
-result packed, as a :class:`Packed` that compares without a decode.
+:func:`continuant_packed` is the two-term recurrence that the Jones engines
+share, run on polynomials packed into integers; it leaves its result packed,
+as a :class:`Packed` that compares without a decode.  :func:`specialize_y`
+takes a snake graph's set of matching heights to t.
 """
 
 from __future__ import annotations
@@ -231,38 +228,24 @@ def q_power(k: int) -> HLPoly:
     return HLPoly.monomial(-1 if k % 2 else 1, -2 * k)
 
 
-def q_integer(b: int, barred: bool = False) -> HLPoly:
-    """The q-analogue [b]_q = 1 + q + ... + q^(b-1) at q = -t^(-1).
-
-    With ``barred`` the substitution is q = -t instead, giving
-    1 - t + t^2 - ...
-    """
+def q_integer(b: int) -> HLPoly:
+    """The q-analogue [b]_q = 1 + q + ... + q^(b-1) at q = -t^(-1)."""
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
-    step = 2 if barred else -2
-    return HLPoly({k * step: -1 if k % 2 else 1 for k in range(b)})
-
-
-def continuant(steps, x_before, x_start, bound) -> HLPoly:
-    """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1).
-
-    ``steps`` holds one pair (mu_k, nu_k) per step, or a triple (mu, nu, k)
-    for k equal steps (see :func:`continuant_packed`).  mu_k is a pair (c, u),
-    the signed monomial c * t^(u/2) with c = +-1; nu_k is a triple (c, u, b)
-    standing for c * t^(u/2) * [b]_q with q = -1/t and b >= 0, so b = 0 is
-    the zero factor.  ``x_before`` and ``x_start`` are the two terms before
-    the first step; with no steps the result is ``x_start``.  ``bound`` must
-    bound the sum of the absolute values of the result's coefficients.
-
-    This is :func:`continuant_packed` decoded: the recurrence runs on packed
-    integers and only its last term is decoded, once.  A result whose
-    decoded coefficients exceed ``bound`` raises :class:`SlotOverflow`.
-    """
-    return continuant_packed(steps, x_before, x_start, bound).decode()
+    return HLPoly({-2 * k: -1 if k % 2 else 1 for k in range(b)})
 
 
 def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
-    """:func:`continuant` with its result left packed, as a :class:`Packed`.
+    """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1),
+    left packed, as a :class:`Packed`; ``.decode()`` gives the polynomial.
+
+    ``steps`` holds one pair (mu_k, nu_k) per step, or a triple (mu, nu, k)
+    for k equal steps (below).  mu_k is a pair (c, u), the signed monomial
+    c * t^(u/2) with c = +-1; nu_k is a triple (c, u, b) standing for
+    c * t^(u/2) * [b]_q with q = -1/t and b >= 0, so b = 0 is the zero
+    factor.  ``x_before`` and ``x_start`` are the two terms before the first
+    step; with no steps the result is ``x_start``.  ``bound`` must bound the
+    sum of the absolute values of the result's coefficients.
 
     The recurrence runs on packed integers (Kronecker substitution; Harvey
     2009, *Faster polynomial multiplication via multipoint Kronecker
@@ -544,83 +527,19 @@ class DigitRun:
         return list(compress(exps, coeffs)), list(filter(None, coeffs))
 
 
-class YPoly:
-    """Multilinear integer polynomial in tile variables y_1, ..., y_d.
+def specialize_y(F, d: int) -> HLPoly:
+    """Substitute y_1 = t^(-2) and y_j = -t^(-1) for j >= 2 in the sum of
+    the monomials of ``F``, an iterable of bitsets (bit j-1 for y_j).
 
-    Every variable occurs with exponent 0 or 1, so a monomial is a subset of
-    tile indices, stored as a bitset (bit j-1 for y_j).  ``f_polynomial``
-    makes one from the height masks of a snake graph's matchings; it lists
-    its subsets, prints, and specializes to t (:func:`specialize_y`).
+    ``d`` is the tile count: a bitset outside 0..2^d - 1, a negative one
+    included, raises ``ValueError``.
     """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mask, coeff in dict(terms).items():
-                mask = int(mask)
-                if mask < 0:
-                    raise ValueError(f"negative bitset {mask}")
-                if coeff:
-                    clean[mask] = int(coeff)
-        self._terms = clean
-
-    @classmethod
-    def one(cls) -> "YPoly":
-        return cls({0: 1})
-
-    def __eq__(self, other):
-        return isinstance(other, YPoly) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __len__(self):
-        return len(self._terms)
-
-    def subsets(self):
-        """(frozenset of tile indices, coefficient) pairs, smallest first."""
-        out = []
-        for mask, c in self._terms.items():
-            tiles = frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-            out.append((tiles, c))
-        out.sort(key=lambda item: (len(item[0]), sorted(item[0])))
-        return out
-
-    def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for tiles, c in self.subsets():
-            body = "*".join(f"y{j}" for j in sorted(tiles)) or "1"
-            mag = abs(c)
-            if mag != 1 or body == "1":
-                body = f"{mag}*{body}" if body != "1" else str(mag)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
-
-    def __str__(self):
-        return self.to_text()
-
-    def __repr__(self):
-        return f"YPoly({self.to_text()!r})"
-
-
-def specialize_y(F: YPoly, d: int) -> HLPoly:
-    """Substitute y_1 = t^(-2) and y_j = -t^(-1) for j >= 2.
-
-    ``d`` is the tile count; every variable of ``F`` must lie in 1..d.
-    """
-    full = (1 << d) - 1 if d else 0
+    full = (1 << d) - 1
     terms = {}
-    for mask, c in F._terms.items():
+    for mask in F:
         if mask & ~full:
-            raise ValueError(f"polynomial uses tiles beyond 1..{d}")
+            raise ValueError(f"height {mask} uses tiles beyond 1..{d}")
         k = bin(mask >> 1).count("1")
         units = -4 * (mask & 1) - 2 * k
-        terms[units] = terms.get(units, 0) + c * (-1 if k % 2 else 1)
+        terms[units] = terms.get(units, 0) + (-1 if k % 2 else 1)
     return HLPoly(terms)

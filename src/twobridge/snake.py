@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 from .cfrac import EvenCF, PositiveCF
 from .errors import BudgetExceeded, CrossCheckMismatch
-from .laurent import YPoly
 
 RIGHT = "R"
 UP = "U"
@@ -327,19 +326,31 @@ def enumerate_matchings(g: SnakeGraph, budget: int = LISTING_BUDGET):
     return out
 
 
-def f_polynomial(g: SnakeGraph, budget: int = LISTING_BUDGET) -> YPoly:
-    """Sum of height monomials y(P) over all perfect matchings P.
+def f_polynomial(g: SnakeGraph, budget: int = LISTING_BUDGET) -> frozenset:
+    """The matching generating function, as its set of height bitsets.
 
-    Each height occurs once, so every coefficient is 1.  The minimal
-    matching contributes the constant term 1 and the maximal one the full
-    product y_1 ... y_d.  Raises :class:`BudgetExceeded` when the matching
-    count times the tile count is beyond ``budget``.
+    F is the sum of the height monomials y(P) over all perfect matchings P,
+    bit j-1 of a height standing for y_j.  Each height occurs once, so every
+    coefficient is 1 and the set is F.  The minimal matching contributes
+    the constant term 1 (height 0) and the maximal one the full product
+    y_1 ... y_d.  Raises :class:`BudgetExceeded` when the matching count
+    times the tile count is beyond ``budget``.
     """
     if g.d == 0:
-        return YPoly.one()
-    F = YPoly.__new__(YPoly)
-    F._terms = dict.fromkeys(_heights(g, budget), 1)
-    return F
+        return frozenset((0,))
+    return frozenset(_heights(g, budget))
+
+
+def height_subsets(F) -> list:
+    """The tiles of each height bitset of ``F`` as a sorted list, fewest
+    tiles first and ties in list order; each height is read through one
+    ``bin``."""
+    out = []
+    for h in F:
+        bits = bin(h)[:1:-1]  # bit 0 first
+        out.append([j for j, bit in enumerate(bits, 1) if bit == "1"])
+    out.sort(key=lambda tiles: (len(tiles), tiles))
+    return out
 
 
 def check_canvas(rows: int, cols: int):

@@ -79,19 +79,21 @@ def check_engines(cf: EvenCF):
     return ref
 
 
-def engine_sweep(max_sum, max_abs=6):
-    """Cross-check all engines on every even CF with sum |b_i| <= max_sum."""
+def engine_sweep(max_sum):
+    """Cross-check all engines on every even CF with sum |b_i| <= max_sum
+    and every |b_i| <= 6."""
     checked = 0
-    for entries in even_lists(max_sum, max_abs):
+    for entries in even_lists(max_sum):
         check_engines(EvenCF(entries))
         checked += 1
     return checked
 
 
-def matching_sweep(max_sum, max_entry=9):
-    """Matching counts vs both numerator evaluations, positive CFs."""
+def matching_sweep(max_sum):
+    """Matching counts vs both numerator evaluations, on positive CFs with
+    sum a_i <= max_sum and every a_i <= 9."""
     checked = 0
-    for entries in positive_lists(max_sum, max_entry):
+    for entries in positive_lists(max_sum):
         cf = PositiveCF(entries)
         m = count_matchings(snake_from_positive(cf))
         n1 = numerator_rec(entries)
@@ -171,7 +173,7 @@ def _fraction_laws(r):
         raise CrossCheckMismatch(f"tail law fails for {r}")
 
 
-def run_verify(max_sum=10, max_p=60):
+def run_verify(max_sum, max_p):
     """Run every sweep; returns a dict of check names to counts."""
     return {
         "engine_agreement": engine_sweep(max_sum),

@@ -128,6 +128,9 @@ class TestRun:
     def test_fpoly_full(self):
         report = run(Request("fpoly", "[3]", hint="positive", full=True))
         assert report["terms"] == [[[], 1], [[1], 1], [[1, 2], 1]]
+        assert report["text"] == "1 + y1 + y1*y2"
+        report = run(Request("fpoly", "[2,2]", hint="positive", full=True))
+        assert report["text"] == "1 + y1 + y3 + y1*y3 + y1*y2*y3"
 
     def test_volume(self):
         report = run(Request("volume", "[3,3,3]", hint="positive"))
@@ -575,6 +578,32 @@ class TestPackedCrossCheck:
         assert main(["jones", value, "--engine", engine]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("value, matchings", [
+        ("27/10", 27), ("[70]", 70), ("[2,-2,4]", 10)])
+    def test_one_listing_per_full_fpoly(self, capsys, monkeypatch, fmt,
+                                        value, matchings):
+        """``fpoly --full`` lists the tile sets once, and reads each height
+        through one ``bin``: the terms and the text come from that list."""
+        import twobridge.cli as cli
+        import twobridge.snake as snake
+        listings, reads = [], []
+        real_list, real_bin = snake.height_subsets, bin
+
+        def counted_list(F):
+            listings.append(len(F))
+            return real_list(F)
+
+        def counted_bin(h):
+            reads.append(h)
+            return real_bin(h)
+        monkeypatch.setattr(cli, "height_subsets", counted_list)
+        monkeypatch.setattr(snake, "bin", counted_bin, raising=False)
+        assert main(["fpoly", value, "--full", "--format", fmt]) == 0
+        capsys.readouterr()
+        assert listings == [matchings]
+        assert len(set(reads)) == len(reads) == matchings
 
 
 OVERFLOWING_DIRECT = (

@@ -43,7 +43,7 @@ class TestSkeinConstants:
         assert jones._TWO_UNKNOTS == TWO_UNKNOTS
         assert jones_recursive(EvenCF((2,))).poly == (
             HLPoly.monomial(1, 4) * TWO_UNKNOTS - HLPoly.monomial(1, 1)
-            * q_integer(2, barred=True) * HLPoly.one())
+            * q_integer(2).bar() * HLPoly.one())
 
     def test_two_unknots_from_skein(self):
         # (1 - t^-2)/epsilon, exactly

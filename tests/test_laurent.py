@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 from twobridge.cfrac import PositiveCF
 from twobridge.errors import ZeroPolynomial
 from twobridge.jones import jones_direct, mirror
-from twobridge.laurent import (DigitRun, HLPoly, Packed, YPoly, _exp_str,
+from twobridge.laurent import (DigitRun, HLPoly, Packed, _exp_str,
                                latex_from_text, q_integer, q_power,
                                specialize_y, text_from_terms)
 
@@ -198,7 +198,7 @@ class TestQIntegers:
     def test_values(self):
         assert q_integer(1) == HLPoly.one()
         assert q_integer(4).to_text() == "1 - t^(-1) + t^(-2) - t^(-3)"
-        assert q_integer(3, barred=True).to_text() == "t^(2) - t^(1) + 1"
+        assert q_integer(3).bar().to_text() == "t^(2) - t^(1) + 1"
 
     def test_geometric_sum_identity(self):
         q = q_power(1)
@@ -208,7 +208,7 @@ class TestQIntegers:
     def test_bar_shift_for_even_b(self):
         for b in range(2, 13, 2):
             assert (HLPoly.monomial(-1, 2 * (b - 1)) * q_integer(b)
-                    == q_integer(b, barred=True))
+                    == q_integer(b).bar())
 
     def test_q_power_signs(self):
         assert q_power(2) == HLPoly.monomial(1, -4)
@@ -357,27 +357,30 @@ class TestTextDeterminesPolynomial:
         assert HLPoly(moved).to_text() != HLPoly(terms).to_text()
 
 
-class TestYPoly:
+class TestSpecializeY:
+    """A matching generating function is its set of height bitsets, bit
+    j-1 standing for y_j."""
+
     def test_specialize_example(self):
-        F = YPoly({0b00: 1, 0b01: 1, 0b11: 1})  # 1 + y1 + y1*y2
+        F = {0b00, 0b01, 0b11}  # 1 + y1 + y1*y2
         assert specialize_y(F, 2).to_text() == "1 + t^(-2) - t^(-3)"
 
     def test_specialize_constant(self):
-        assert specialize_y(YPoly.one(), 4) == HLPoly.one()
+        assert specialize_y({0}, 4) == HLPoly.one()
 
     def test_specialize_full_product(self):
         for d in range(1, 8):
-            full = YPoly({(1 << d) - 1: 1})
+            full = {(1 << d) - 1}
             sign = 1 if (d - 1) % 2 == 0 else -1
             assert specialize_y(full, d) == HLPoly.monomial(sign, -2 * (d + 1))
 
-    def test_subsets_and_text(self):
-        F = YPoly({0b00: 1, 0b11: 1})
-        assert F.subsets() == [(frozenset(), 1), (frozenset({1, 2}), 1)]
-        assert F.to_text() == "1 + y1*y2"
+    @pytest.mark.parametrize("mask, d", [(-1, 4), (-(1 << 70), 80), (1, 0),
+                                         (0b10000, 4), (1 << 64, 64)])
+    def test_rejects_bitsets_off_the_tiles(self, mask, d):
+        # a negative bitset and a bit beyond y_d name no tiles of 1..d
+        with pytest.raises(ValueError, match=f"beyond 1..{d}"):
+            specialize_y({0, mask}, d)
 
-    def test_tile_indices(self):
-        # no tile cap: y64 is bit 63
-        assert YPoly({1 << 63: 1}).subsets() == [(frozenset({64}), 1)]
-        with pytest.raises(ValueError):
-            YPoly({-1: 1})
+    def test_bit_sixty_three(self):
+        # no tile cap: y64 is bit 63, and y_j = -t^(-1) for j >= 2
+        assert specialize_y({1 << 63}, 64) == HLPoly.monomial(-1, -2)

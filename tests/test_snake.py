@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 from twobridge.cfrac import (EvenCF, PositiveCF, even_cf, numerator_rec,
                              positive_cf, type_sequence)
 from twobridge.errors import BudgetExceeded, CrossCheckMismatch
-from twobridge.laurent import YPoly, specialize_y
+from twobridge.laurent import specialize_y
 from twobridge.jones import specialized_f_even, specialized_f_positive
 from twobridge.snake import (RIGHT, UP, SnakeGraph, _flip_data, _heights,
                              check_canvas, count_matchings, enumerate_matchings,
-                             f_polynomial, isomorphic, render_ascii,
-                             snake_from_even, snake_from_positive,
-                             tile_count_even)
+                             f_polynomial, height_subsets, isomorphic,
+                             render_ascii, snake_from_even,
+                             snake_from_positive, tile_count_even)
 from twobridge.verify import even_lists, positive_lists
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -493,23 +493,41 @@ def test_missed_matchings_raise_under_optimize():
 class TestFPolynomial:
     def test_two_tiles(self):
         F = f_polynomial(snake_from_positive(PositiveCF((3,))))
-        assert F.to_text() == "1 + y1 + y1*y2"
+        assert F == {0b00, 0b01, 0b11}  # 1 + y1 + y1*y2
+        assert height_subsets(F) == [[], [1], [1, 2]]
 
     def test_three_tiles(self):
         F = f_polynomial(snake_from_positive(PositiveCF((2, 2))))
-        assert F.to_text() == "1 + y1 + y3 + y1*y3 + y1*y2*y3"
+        # 1 + y1 + y3 + y1*y3 + y1*y2*y3
+        assert height_subsets(F) == [[], [1], [3], [1, 3], [1, 2, 3]]
 
     def test_single_tile(self):
-        assert f_polynomial(SnakeGraph(1, ())).to_text() == "1 + y1"
+        assert height_subsets(f_polynomial(SnakeGraph(1, ()))) == [[], [1]]
+
+    def test_no_tiles(self):
+        assert f_polynomial(SnakeGraph(0, ())) == {0}
+        assert height_subsets({0}) == [[]]
 
     def test_shape(self):
         # smallest subsets first: the empty height first, the full one last
         for entries in [(2, 1, 2), (3, 3), (1, 2, 2), (4, 2)]:
             g = snake_from_positive(PositiveCF(entries))
-            subsets = f_polynomial(g).subsets()
-            assert subsets[0] == (frozenset(), 1)
-            assert subsets[-1] == (frozenset(range(1, g.d + 1)), 1)
-            assert all(c >= 1 for _, c in subsets)
+            subsets = height_subsets(f_polynomial(g))
+            assert subsets[0] == []
+            assert subsets[-1] == list(range(1, g.d + 1))
+
+    @given(st.sets(st.one_of(
+        st.integers(0, (1 << 80) - 1),
+        st.sampled_from([1 << 63, (1 << 64) - 1, (1 << 5001) - 1,
+                         (1 << 5200) | 1]),
+        st.sets(st.integers(0, 5200), max_size=30).map(
+            lambda bits: sum(1 << b for b in bits))), max_size=12))
+    def test_height_subsets_decode_each_bit(self, F):
+        # masks up to bit 63 and beyond 5,000 bits, against a per-bit read
+        tiles = [[j + 1 for j in range(h.bit_length()) if h >> j & 1]
+                 for h in F]
+        assert height_subsets(F) == sorted(tiles,
+                                           key=lambda t: (len(t), t))
 
     def test_reflection(self):
         # reflecting along the first tile's diagonal complements all heights
@@ -522,8 +540,7 @@ class TestFPolynomial:
             F = f_polynomial(snake_from_positive(cf))
             heights = _heights(snake_from_positive(other), 10 ** 6)
             full = (1 << cf.d) - 1
-            assert F == YPoly(dict.fromkeys({full ^ h for h in heights}, 1)), (
-                entries)
+            assert F == {full ^ h for h in heights}, entries
 
     def test_needs_only_the_sign_word(self, monkeypatch):
         import twobridge.snake as snake
@@ -555,8 +572,7 @@ class TestFPolynomial:
     def test_specialization_route(self):
         g = snake_from_even(EvenCF((2, -2)))
         assert specialize_y(f_polynomial(g), g.d) == (
-            1 + specialize_y(YPoly({0b10: 1}), 2)
-            + specialize_y(YPoly({0b11: 1}), 2))
+            1 + specialize_y({0b10}, 2) + specialize_y({0b11}, 2))
 
 
 class TestRender:
