@@ -12,7 +12,7 @@ from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf,
                     even_cf_for_link, even_division, euler_minding,
                     numerator_rec, positive_cf, sign_sequence, tau,
                     type_sequence)
-from .errors import (AmbiguousCF, BothOdd, BudgetExceeded, CrossCheckMismatch,
+from .errors import (BothOdd, BudgetExceeded, CrossCheckMismatch,
                      HypothesisViolated, MixedGrid, NoEvenQuotient,
                      OutOfRange, ParseError, SlotOverflow, TwoBridgeError,
                      WrongOrientation, ZeroPolynomial, ZeroTail)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
+from .errors import (BothOdd, CrossCheckMismatch, NoEvenQuotient, OutOfRange,
+                     ZeroTail)
 
 Rat = Fraction
 
@@ -175,7 +176,8 @@ def even_division(p: int, q: int):
     b = (p + n) // (2 * n) * (2 if q > 0 else -2)
     s = p - b * q
     if not -n <= s < n:  # pragma: no cover - window arithmetic
-        raise AssertionError(f"even division window broken for ({p}, {q})")
+        raise CrossCheckMismatch(
+            f"even division window broken for ({p}, {q})")
     if b == 0:
         raise NoEvenQuotient(f"no nonzero even quotient for ({p}, {q})")
     return b, s
@@ -211,7 +213,8 @@ def _even_entries(p: int, q: int) -> tuple:
         b = (p + n) // (2 * n) * (2 if q > 0 else -2)
         s = p - b * q
         if not -n <= s < n:  # pragma: no cover - window arithmetic
-            raise AssertionError(f"even division window broken for ({p}, {q})")
+            raise CrossCheckMismatch(
+                f"even division window broken for ({p}, {q})")
         if not b:
             raise NoEvenQuotient(f"no nonzero even quotient for ({p}, {q})")
         entries.append(b)

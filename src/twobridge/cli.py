@@ -10,9 +10,8 @@ Commands:
 * ``volume``   - hyperbolic volume bounds.
 
 Input is a fraction ``p/q``, a bracketed list ``[c1,c2,...]``, or a bare
-comma list.  Entry lists that are simultaneously valid positive and valid
-even continued fractions need ``--even`` or ``--positive`` to disambiguate
-(the CLI defaults to positive).
+comma list.  An entry list valid as both a positive and an even continued
+fraction reads as positive unless ``--even`` is given.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error, 3 engine
 cross-check mismatch.
@@ -31,8 +30,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from . import verify as verify_mod
 from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
                     sign_sequence, type_sequence)
-from .errors import (AmbiguousCF, CrossCheckMismatch, OutOfRange, ParseError,
-                     TwoBridgeError)
+from .errors import CrossCheckMismatch, OutOfRange, ParseError, TwoBridgeError
 from .jones import (JonesResult, boundary_coefficients, cross_check,
                     jones_direct, jones_recursive, jones_via_f, mirror,
                     oriented_even_cf, specialized_f_even,
@@ -64,7 +62,7 @@ def parse_input(s: str, hint: str = None):
 
     Entry lists: all entries even and nonzero makes an EvenCF, all entries
     >= 1 a PositiveCF; lists valid as both follow ``hint`` ("even" or
-    "positive") and raise :class:`AmbiguousCF` without one.
+    "positive") and read as positive without one.
     """
     s = s.strip()
     if not s:
@@ -103,18 +101,13 @@ def parse_input(s: str, hint: str = None):
         if not can_even:
             raise ParseError(f"{entries} is not an even continued fraction", offset)
         return EvenCF(tuple(entries))
-    if hint == "positive":
+    if hint == "positive" or (can_pos and hint is None):
         if not can_pos:
             raise ParseError(f"{entries} is not a positive continued fraction",
                              offset)
         return PositiveCF(tuple(entries))
-    if can_even and can_pos:
-        raise AmbiguousCF(f"{entries} could be positive or even; "
-                          "pass --positive or --even")
     if can_even:
         return EvenCF(tuple(entries))
-    if can_pos:
-        return PositiveCF(tuple(entries))
     raise ParseError(f"{entries} is neither a positive nor an even "
                      "continued fraction", offset)
 
@@ -149,15 +142,18 @@ def _graph_source(obj):
 def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
                   ev: EvenCF) -> JonesResult:
     """One engine, given the input's value r, a positive cf of |r| and the
-    orientation-carrying even cf."""
+    orientation-carrying even cf.  A negative value is the mirror of |r|:
+    the closed-form engines run on |r| and mirror their result, while the
+    recursion runs on the negated entries, as a check of that rule."""
     if engine == "recursive":
         return jones_recursive(ev)
     if engine == "fpoly":
-        return jones_via_f(ev)
-    if engine == "direct":
+        res = jones_via_f(ev if r > 0 else ev.mirrored())
+    elif engine == "direct":
         res = jones_direct(pos)
-        return res if r > 0 else mirror(res)  # negative even cfs are mirrors
-    raise UsageError(f"unknown engine {engine!r}")
+    else:
+        raise UsageError(f"unknown engine {engine!r}")
+    return res if r > 0 else mirror(res)
 
 
 def run(req: Request) -> dict:
@@ -170,10 +166,7 @@ def run(req: Request) -> dict:
         return {"command": "verify", "max_sum": req.max_sum,
                 "checks": counts, "failures": 0}
 
-    try:
-        obj = parse_input(req.input, req.hint)
-    except AmbiguousCF:  # only without a hint: read the list as positive
-        obj = parse_input(req.input, "positive")
+    obj = parse_input(req.input, req.hint)
     report = {"command": req.command, "input": req.input}
 
     if req.command == "convert":

@@ -59,10 +59,6 @@ class ParseError(TwoBridgeError):
         self.position = position
 
 
-class AmbiguousCF(ParseError):
-    """Entry list is a valid positive and a valid even continued fraction."""
-
-
 class CrossCheckMismatch(TwoBridgeError):
     """Two engines disagreed on the same input."""
 

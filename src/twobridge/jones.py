@@ -8,9 +8,9 @@ t^(1/2).  The engines:
 * ``jones_direct`` - the closed continued-fraction-of-Laurent-polynomials
   formula evaluated on a positive continued fraction;
 * ``jones_via_f`` - normalization data (degree and leading sign) times the
-  specialized matching generating function, computed as the direct formula
-  on the positive expansion of the value, barred when b_1 < 0; so for p*q
-  even it makes ``jones_direct``'s kernel call.
+  specialized matching generating function: by the reflection identity,
+  the barred direct formula on p/(p - q) for b_1 > 0 and on p/q for
+  b_1 < 0, so it shares no kernel call with ``jones_direct`` but on 2/1.
 
 All three agree exactly; :func:`cross_check` compares them for the CLI and
 the verify sweeps alike.  The skein recursion, the direct formula's
@@ -232,22 +232,22 @@ def _f_positive(cf: PositiveCF) -> Packed:
 def specialized_f_even(cf: EvenCF) -> HLPoly:
     """Specialized matching generating function of an even CF.
 
-    For value r/s > 0 this is the positive-CF polynomial of r/s; for
-    negative value it is (-t^(-1))^(d+1) times the bar involution of the
-    positive-CF polynomial of |r/s|.
+    It is (-t^(-1))^(d+1) times the bar involution of the positive-CF
+    polynomial of |r/s| for negative value r/s, and of the partner r/(r - s)
+    for positive value: the reflection identity F[a] = q^(d+1)
+    bar(F[1, a_1 - 1, a_2, ...]), both sides with the same d.
     """
     return _f_even(cf).decode()
 
 
 def _f_even(cf: EvenCF) -> Packed:
-    """:func:`specialized_f_even`, packed; the bar involution too."""
-    r = eval_cf(cf.entries)
-    pos = positive_cf(abs(r))
-    F = _f_positive(pos)
+    """:func:`specialized_f_even`, packed."""
+    r = abs(eval_cf(cf.entries))
     if cf.entries[0] > 0:
-        return F
+        r = Fraction(r.numerator, r.numerator - r.denominator)
+    pos = positive_cf(r)
     c, u, _ = _q(pos.d + 1, 1)
-    return F.bar().times(c, u)
+    return _f_positive(pos).bar().times(c, u)
 
 
 def f_recursive(cf: EvenCF) -> HLPoly:

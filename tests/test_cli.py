@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from twobridge.cfrac import EvenCF, PositiveCF
 from twobridge.cli import (Request, _json, _poly_payload, build_parser, emit,
                            main, parse_input, run)
-from twobridge.errors import (AmbiguousCF, BudgetExceeded, CrossCheckMismatch,
-                              OutOfRange, ParseError)
+from twobridge.errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
+                              ParseError)
 from twobridge.laurent import HLPoly, Packed
 from twobridge.verify import coprime_fractions
 
@@ -37,8 +37,8 @@ class TestParseInput:
         assert parse_input("[2,4]", hint="positive") == PositiveCF((2, 4))
 
     def test_ambiguous_without_hint(self):
-        with pytest.raises(AmbiguousCF):
-            parse_input("[2,4]")
+        # a list valid as both reads as positive, the CLI's default
+        assert parse_input("[2,4]") == PositiveCF((2, 4))
 
     def test_hint_must_fit(self):
         with pytest.raises(ParseError):
@@ -606,6 +606,60 @@ class TestPackedCrossCheck:
         assert len(set(reads)) == len(reads) == matchings
 
 
+def faulty_first_step(b1):
+    """The kernel's first step with q^1 in place of q^2: a formula fault
+    shared by ``jones_direct`` and ``jones_via_f``, not by the recursion."""
+    import twobridge.jones as jones
+    return (1, 0), jones._q(1, b1 - 1)
+
+
+def signed_fractions(max_p):
+    """Every reduced p/q with 1 <= q < p <= max_p, and its negative."""
+    for r in coprime_fractions(max_p):
+        yield from (r, -r)
+
+
+class TestEnginesApart:
+    """``direct`` and ``fpoly`` are two routes to one polynomial: ``fpoly``
+    takes F through the reflection identity, so no two engines hand the
+    kernel the same steps, and a fault in the shared formula shows."""
+
+    def test_no_two_engines_share_a_kernel_call(self, monkeypatch):
+        import twobridge.jones as jones
+        calls = []
+        real = jones.continuant_packed
+
+        def recorded(steps, *args):
+            calls.append(tuple(steps))
+            return real(steps, *args)
+        monkeypatch.setattr(jones, "continuant_packed", recorded)
+        shared = []
+        for r in signed_fractions(60):
+            seen = []
+            for engine in ("recursive", "direct", "fpoly"):
+                calls.clear()
+                run(Request("jones", str(r), engine=engine))
+                seen.append(tuple(calls))
+            if len(set(seen)) < 3:
+                shared.append(r)
+        # the Hopf link 2/1 is its own partner 2/(2 - 1)
+        assert shared == [Fraction(2), Fraction(-2)]
+
+    def test_a_shared_formula_fault_splits_direct_from_fpoly(
+            self, capsys, monkeypatch):
+        import twobridge.jones as jones
+        monkeypatch.setattr(jones, "_first_step", faulty_first_step)
+        same = []
+        for r in signed_fractions(40):
+            printed = []
+            for engine in ("direct", "fpoly"):
+                assert main(["jones", str(r), "--engine", engine]) == 0
+                printed.append(capsys.readouterr().out.splitlines()[0])
+            if printed[0] == printed[1]:
+                same.append(r)
+        assert same == []
+
+
 OVERFLOWING_DIRECT = (
     "import dataclasses\n"
     "from twobridge import cli\n"
@@ -633,6 +687,24 @@ def test_overflow_fault_exits_3_under_optimize(value):
     assert out.stderr.startswith("cross-check mismatch [jones]: engines "
                                  "disagree on ")
     assert "; direct: overflows its slots (coefficients sum to " in out.stderr
+
+
+FAULTY_FIRST_STEP = (
+    "from twobridge import cli, jones\n"
+    "jones._first_step = lambda b1: ((1, 0), jones._q(1, b1 - 1))\n"
+    "raise SystemExit(cli.main(['jones', '27/10']))\n"
+)
+
+
+def test_formula_fault_exits_3_under_optimize():
+    """A fault in the formula that ``direct`` and ``fpoly`` share is caught
+    by their cross-check under ``python -O`` too, with exit code 3."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-O", "-c", FAULTY_FIRST_STEP],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr.startswith("cross-check mismatch [jones]: engines "
+                                 "disagree on 27/10: ")
 
 
 class TestVerifyBound:

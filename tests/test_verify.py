@@ -148,12 +148,13 @@ def test_mismatch_names_first_difference_and_reproducer(monkeypatch, capsys):
     real = verify.jones_via_f
 
     def faulty(cf):
-        # the packed h is 2 (t^1): 2 << s turns -t^2 into +t^2, and the
-        # coefficients still sum to the bound 7, so both sides decode
+        # 2 in the slot of t^2, (4 - h)/2 slots above t^(h/2), turns -t^2
+        # into +t^2, and the coefficients still sum to the bound 7, so both
+        # sides decode
         res = real(cf)
         p = res.packed
-        return dataclasses.replace(
-            res, packed=Packed(p.n + (2 << p.s), p.h, p.s, p.bound))
+        return dataclasses.replace(res, packed=Packed(
+            p.n + (2 << p.s * ((4 - p.h) // 2)), p.h, p.s, p.bound))
     monkeypatch.setattr(verify, "jones_via_f", faulty)
     monkeypatch.setattr(cli, "jones_via_f", faulty)
     with pytest.raises(CrossCheckMismatch) as info:
