@@ -263,9 +263,7 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     Packing is a ring homomorphism, so intermediate terms may overflow their
     slots; only the result is decoded, and it fits when
     s >= bound.bit_length() + 2, since every coefficient then lies well inside
-    the balanced digit range [-2^(s-1), 2^(s-1)).  Up to 64 bits s is rounded
-    up to 8, 16, 32 or 64, so one ``struct.unpack`` call reads every digit;
-    wider slots are rounded up to whole bytes and decoded slice by slice.
+    the balanced digit range [-2^(s-1), 2^(s-1)) (see :func:`_slot_width`).
 
     A result whose decoded coefficients exceed ``bound`` raises
     :class:`SlotOverflow` when it is decoded.  The decode is exact while
@@ -317,20 +315,26 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     return Packed(n1 if c1 > 0 else -n1, h1, s, bound)
 
 
+_DOUBLING_LIMIT = 32  # longest [b]_q built by doubling
+
+
 def _q_product(n: int, b: int, s: int) -> int:
-    """n * t^(b-1) [b]_q at t = 2^s, for b >= 1, where
-    t^(b-1) [b]_q = (t^b - (-1)^b) / (t + 1) = t^(b-1) - t^(b-2) + ... +- 1:
-    one shift and subtract for b = 2, b - 1 Horner steps for b <= 6 at
-    s >= 64, else one exact division by 1 + 2^s, which CPython pays for in
-    dividend digits times divisor digits (the README's "Shared continuant
-    kernel" gives the measured crossover)."""
-    if b == 2:  # (t^2 - 1) / (t + 1) = t - 1
+    """n t^(b-1) [b]_q = n (t^b - (-1)^b) / (t + 1) at t = 2^s, for b >= 0.
+    Over 16-bit slots it doubles on the bits of b: r_2m = (r_m << s m) +-
+    r_m, r_(m+1) = (r_m << s) + n for m even; else one exact division (the
+    README's "Shared continuant kernel" gives the measured switch)."""
+    if b == 2:
         return (n << s) - n
-    if b <= (6 if s >= 64 else 2):
-        r = n
-        for j in range(1, b):
-            r = (r << s) - n if j & 1 else (r << s) + n
+    if s > 16 and 2 < b <= _DOUBLING_LIMIT:
+        r, m = n, 1
+        for bit in bin(b)[3:]:
+            r = (r << s * m) - r if m & 1 else (r << s * m) + r
+            m <<= 1
+            if bit == "1":
+                r, m = (r << s) + n, m + 1
         return r
+    if b < 0:
+        raise ValueError(f"need b >= 0, got {b}")
     shifted = n << s * b
     return (shifted + n if b & 1 else shifted - n) // ((1 << s) + 1)
 

@@ -6,6 +6,7 @@ snake graph's perfect matchings.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,9 +20,9 @@ from twobridge.errors import MixedGrid, SlotOverflow
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
-from twobridge.laurent import (HLPoly, Packed, _pack, _slot_width,
-                               continuant_packed, q_integer, q_power,
-                               specialize_y)
+from twobridge.laurent import (_DOUBLING_LIMIT, HLPoly, Packed, _pack,
+                               _q_product, _slot_width, continuant_packed,
+                               q_integer, q_power, specialize_y)
 from twobridge.snake import f_polynomial, snake_from_positive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,6 +118,37 @@ class TestFactor:
         with pytest.raises(ValueError):
             continuant_packed([((1, 0, 2), (1, 0, 1))], 1, 1, 4).decode()
 
+    # bounds with 8-, 32- and 80-bit slots: the division, the doubling and
+    # the byte-by-byte read
+    @pytest.mark.parametrize("bound", (1, 1 << 20, 1 << 70))
+    @pytest.mark.parametrize("b", (-1, -3))
+    def test_negative_q_integer_raises(self, b, bound):
+        with pytest.raises(ValueError, match="need b >= 0"):
+            continuant_packed([((1, 0), (1, 0, b))], 0, 1, bound).decode()
+
+
+# every slot width class: one-digit divisors (8, 16), struct fields (32, 64)
+# and whole bytes (72, 136)
+Q_PRODUCT_WIDTHS = (8, 16, 32, 64, 72, 136)
+
+
+class TestQProduct:
+    """``_q_product`` against the closed form n (t^b - (-1)^b) / (t + 1) on
+    both sides of each switch: b = 2, 16-bit slots and ``_DOUBLING_LIMIT``."""
+
+    @pytest.mark.parametrize("s", Q_PRODUCT_WIDTHS)
+    def test_closed_form(self, s):
+        rng = random.Random(s)
+        ns = [0, 1, -1] + [rng.choice((1, -1)) * rng.getrandbits(
+            s * rng.randint(1, 300)) for _ in range(8)]
+        for b in range(_DOUBLING_LIMIT + 9):
+            for n in ns:
+                shifted = n << s * b
+                want, rest = divmod(shifted + n if b & 1 else shifted - n,
+                                    (1 << s) + 1)
+                assert rest == 0
+                assert _q_product(n, b, s) == want, (n, b, s)
+
 
 # bit lengths of the bound on both sides of each slot width: 8, 16, 32 and
 # 64 bits decode through struct, 72 bits and up byte by byte
@@ -159,9 +191,10 @@ class TestSlotWidths:
 
 
 def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
-    """The kernel as it was before short q-integers became Horner chains:
-    every [b]_q with b >= 3 is one exact division by 1 + 2^s, every negative
-    factor negates its product, and mu is a triple (c, u, b) like nu."""
+    """The kernel as it was before short q-integers were built by shifts
+    and adds: every [b]_q with b >= 3 is one exact division by 1 + 2^s, every
+    negative factor negates its product, and mu is a triple (c, u, b) like
+    nu."""
     s = _slot_width(bound)
     one_plus_x = (1 << s) + 1
 
@@ -196,10 +229,11 @@ def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
 
 
 # general factors on the integer grid: signed, shifted, and [b]_q on both
-# sides of b = 2 and b = 6, where the kernel switches between its paths; mu
-# is a signed, shifted monomial
+# sides of b = 2 and of _DOUBLING_LIMIT, where the kernel switches between
+# doubling and the division; mu is a signed, shifted monomial
 general_factors = st.tuples(st.sampled_from([1, -1]), st.integers(-8, 8).map(
-    lambda k: 2 * k), st.integers(0, 12))
+    lambda k: 2 * k), st.one_of(st.integers(0, 12), st.integers(
+        _DOUBLING_LIMIT - 4, _DOUBLING_LIMIT + 8)))
 monomials = st.tuples(st.sampled_from([1, -1]), st.integers(-8, 8).map(
     lambda k: 2 * k))
 grid_terms = st.dictionaries(st.integers(-12, 12), st.integers(-40, 40),
