@@ -127,16 +127,12 @@ class TestFactor:
             continuant_packed([((1, 0), (1, 0, b))], 0, 1, bound).decode()
 
 
-# every slot width class: one-digit divisors (8, 16), struct fields (32, 64)
-# and whole bytes (72, 136)
-Q_PRODUCT_WIDTHS = (8, 16, 32, 64, 72, 136)
-
-
 class TestQProduct:
     """``_q_product`` against the closed form n (t^b - (-1)^b) / (t + 1) on
     both sides of each switch: b = 2, 16-bit slots and ``_DOUBLING_LIMIT``."""
 
-    @pytest.mark.parametrize("s", Q_PRODUCT_WIDTHS)
+    # one-digit divisors (8, 16), struct fields (32, 64) and whole bytes
+    @pytest.mark.parametrize("s", (8, 16, 32, 64, 72, 136))
     def test_closed_form(self, s):
         rng = random.Random(s)
         ns = [0, 1, -1] + [rng.choice((1, -1)) * rng.getrandbits(
