@@ -36,9 +36,9 @@ from .jones import (JonesResult, boundary_coefficients, cross_check,
                     oriented_even_cf, specialized_f_even,
                     specialized_f_positive, volume_bounds)
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
-from .snake import (check_budget, check_canvas, count_matchings,
-                    f_polynomial, height_subsets, render_ascii,
-                    snake_from_even, snake_from_positive, tile_count_even)
+from .snake import (check_budget, check_tiles, count_matchings, f_polynomial,
+                    height_subsets, render_ascii, snake_from_even,
+                    snake_from_positive, tile_count_even)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
 
@@ -51,10 +51,6 @@ class Request:
     hint: str = None
     max_sum: int = 10
     full: bool = False
-
-
-class UsageError(Exception):
-    pass
 
 
 def parse_input(s: str, hint: str = None):
@@ -129,14 +125,26 @@ def _as_rat(obj) -> Rat:
 
 
 def _graph_source(obj):
-    """(cf, d, build): the continued fraction of a parsed input whose snake
-    graph is ``build(cf)``, and its tile count d, known before the graph is
-    built."""
+    """(cf, build): the continued fraction of a parsed input whose snake
+    graph is ``build(cf)``."""
     if isinstance(obj, EvenCF):
-        return obj, tile_count_even(obj), snake_from_even
+        return obj, snake_from_even
     if not isinstance(obj, PositiveCF):
         obj = positive_cf(obj)
-    return obj, obj.d, snake_from_positive
+    return obj, snake_from_positive
+
+
+def _tile_count(obj) -> int:
+    """The tile count of the snake graph of |value| of a parsed input, from
+    its entries or Euclid's quotients, before any even expansion: 0 when
+    |value| < 1, which each command refuses in its own words."""
+    if isinstance(obj, EvenCF):
+        return tile_count_even(obj)
+    if isinstance(obj, Fraction):
+        if abs(obj) < 1:
+            return 0
+        obj = positive_cf(abs(obj))
+    return obj.d
 
 
 def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
@@ -152,7 +160,7 @@ def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
     elif engine == "direct":
         res = jones_direct(pos)
     else:
-        raise UsageError(f"unknown engine {engine!r}")
+        raise ParseError(f"unknown engine {engine!r}")
     return res if r > 0 else mirror(res)
 
 
@@ -167,6 +175,8 @@ def run(req: Request) -> dict:
                 "checks": counts, "failures": 0}
 
     obj = parse_input(req.input, req.hint)
+    if req.command != "volume":  # whose work does not grow with the tiles
+        check_tiles(_tile_count(obj))
     report = {"command": req.command, "input": req.input}
 
     if req.command == "convert":
@@ -189,9 +199,7 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "snake":
-        cf, d, build = _graph_source(obj)
-        # a single column is the smallest drawing of d tiles
-        check_canvas(d, 1)
+        cf, build = _graph_source(obj)
         g = build(cf)
         report["value"] = _rat_payload(abs(_as_rat(obj)))
         report["tile_count"] = g.d
@@ -202,10 +210,10 @@ def run(req: Request) -> dict:
 
     if req.command == "fpoly":
         if req.full:
-            obj, d, build = _graph_source(obj)
+            cf, build = _graph_source(obj)
             # the listing is p heights of d tiles, known before the graph is
-            check_budget(abs(_as_rat(obj).numerator), d)
-            subsets = height_subsets(f_polynomial(build(obj)))
+            check_budget(abs(_as_rat(cf).numerator), _tile_count(cf))
+            subsets = height_subsets(f_polynomial(build(cf)))
             report["full"] = True
             report["terms"] = [[tiles, 1] for tiles in subsets]
             # every coefficient is 1: y1*y3 for [1, 3], 1 for no tiles
@@ -259,7 +267,7 @@ def run(req: Request) -> dict:
         report["boundary_coefficients"] = list(boundary_coefficients(cf))
         return report
 
-    raise UsageError(f"unknown command {req.command!r}")
+    raise ParseError(f"unknown command {req.command!r}")
 
 
 def _json(obj, indent: str = "") -> str:
@@ -315,7 +323,7 @@ def emit(report: dict, fmt: str) -> str:
         return _json(report)
     if fmt == "latex":
         if "latex" not in report:
-            raise UsageError(f"no latex form for {report['command']!r} output")
+            raise ParseError(f"no latex form for {report['command']!r} output")
         return report["latex"]
     command = report["command"]
     lines = []
@@ -360,7 +368,7 @@ _NEGATIVE_INPUT = re.compile(r"^-\d+(/-?\d+|(,-?\d+)*)$")
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +409,7 @@ def main(argv=None) -> int:
         args = parser.parse_intermixed_args(argv)
         where = f" [{args.command}]"
         if args.command != "verify" and not args.input:
-            raise UsageError(f"command {args.command!r} needs an input")
+            raise ParseError(f"command {args.command!r} needs an input")
         hint = "even" if args.even else ("positive" if args.positive else None)
         req = Request(command=args.command, input=args.input,
                       engine=args.engine, hint=hint,
@@ -409,7 +417,7 @@ def main(argv=None) -> int:
         report = run(req)
         print(emit(report, args.format))
         return 0
-    except (UsageError, ParseError) as exc:
+    except ParseError as exc:
         print(f"error{where}: {exc}", file=sys.stderr)
         return 1
     except CrossCheckMismatch as exc:

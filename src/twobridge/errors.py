@@ -39,7 +39,7 @@ class SlotOverflow(TwoBridgeError):
 
 
 class BudgetExceeded(TwoBridgeError):
-    """A matching enumeration would exceed the configured budget."""
+    """An input, a listing or a drawing would exceed its size budget."""
 
 
 class WrongOrientation(TwoBridgeError):
@@ -51,7 +51,8 @@ class HypothesisViolated(TwoBridgeError):
 
 
 class ParseError(TwoBridgeError):
-    """Malformed CLI input; carries the offending position when known."""
+    """Malformed CLI input or usage; carries the offending position when
+    known."""
 
     def __init__(self, message, position=None):
         super().__init__(message if position is None

@@ -17,8 +17,8 @@ the verify sweeps alike.  The skein recursion, the direct formula's
 numerator and the two-term recursion ``f_recursive`` are each one call of
 the kernel :func:`laurent.continuant_packed`; they differ only in their step
 factors.  The engines keep its result packed (:class:`laurent.Packed`), so
-results compare as aligned integers and a polynomial is decoded only where
-it is read: ``f_recursive`` decodes its own.
+results compare as integers and a polynomial is decoded only where it is
+read: ``f_recursive`` decodes its own.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input.  A
@@ -94,10 +94,6 @@ class JonesResult:
         return self.poly * HLPoly.monomial(self.leading_sign,
                                            -_units(self.degree))
 
-    def agrees(self, other: "JonesResult") -> bool:
-        """Whether both results are one polynomial; see :meth:`Packed.same`."""
-        return self.packed.same(other.packed)
-
 
 def cross_check(results, value) -> JonesResult:
     """The first of ``results`` once all agree as packed integers.
@@ -111,7 +107,7 @@ def cross_check(results, value) -> JonesResult:
     is the CLI input, or an even CF's entry list.
     """
     first, *others = results
-    differing = [res for res in others if not res.agrees(first)]
+    differing = [r for r in others if not r.packed.same(first.packed)]
     if not differing:
         return first
     parts = []
@@ -168,14 +164,14 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     # v = t |b|: mu is t^v, and nu is -t^(-1/2) [|b|]_q on a - type and
     # -t^(1/2) [b]_qbar = t^(v-1/2) [b]_q on a + type, since b is even
     for v, run in groupby(map(mul, type_sequence(cf), map(abs, cf.entries))):
-        step = (1, 2 * v), ((-1, -1, -v) if v < 0 else (1, 2 * v - 1, v))
+        nu = (-1, -1, -v) if v < 0 else (1, 2 * v - 1, v)
         k = len(list(run))
         if k == 1:  # most groups: skip the list that a repeat would build
-            steps.append(step)
+            steps.append(((1, 2 * v), nu))
         elif k >= _RUN and v in (2, -2):
-            steps.append((*step, k))
+            steps.append((nu[0], nu[1], k))  # mu = t^v = t^(u - 1)
         else:
-            steps += [step] * k
+            steps += [((1, 2 * v), nu)] * k
     packed = continuant_packed(steps, _TWO_UNKNOTS, HLPoly.one(),
                                abs(numerator_rec(cf.entries)))
     return JonesResult(packed, "recursive")

@@ -135,7 +135,10 @@ class HLPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if terms.keys() <= {0}:  # zero and constants equal ints: hash as one
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return bool(self._terms)
@@ -239,7 +242,7 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1),
     left packed, as a :class:`Packed`; ``.decode()`` gives the polynomial.
 
-    ``steps`` holds one pair (mu_k, nu_k) per step, or a triple (mu, nu, k)
+    ``steps`` holds one pair (mu_k, nu_k) per step, or a run step (c, u, k)
     for k equal steps (below).  mu_k is a pair (c, u), the signed monomial
     c * t^(u/2) with c = +-1; nu_k is a triple (c, u, b) standing for
     c * t^(u/2) * [b]_q with q = -1/t and b >= 0, so b = 0 is the zero
@@ -255,9 +258,10 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     the two products and never negates n.  Monomials, mu among them, only
     move h; nu's [b]_q is the one product of a step (:func:`_q_product`).
 
-    A step (mu, nu, k) is k steps with nu = c t^(u/2) [2]_q, mu = t^(u-1)
-    (else ``ValueError``).  x^2 = nu x + mu has the roots lam = c t^(u/2)
-    and lam q, so with P = [k]_q lam^(k-1) (lam x_j + mu x_(j-1)) they give
+    A run step (c, u, k) is k >= 1 steps (else ``ValueError``) with
+    nu = c t^(u/2) [2]_q and mu = t^(u-1).  x^2 = nu x + mu has the roots
+    lam = c t^(u/2) and lam q, so with P = [k]_q lam^(k-1) (lam x_j + mu
+    x_(j-1)) they give
     x_(j+k) = P + (lam q)^k x_j and x_(j+k-1) = P / lam + (lam q)^k x_(j-1).
 
     Packing is a ring homomorphism, so intermediate terms may overflow their
@@ -277,8 +281,8 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     c2 = c1 = 1
     for step in steps:
         if len(step) > 2:
-            (ca, ua), (cb, ub, bb), k = step
-            if bb != 2 or ca != 1 or ua != 2 * ub - 2 or k < 1:
+            cb, ub, k = step
+            if k < 1:
                 raise ValueError(f"not a run step: {step}")
             ck = cb if k & 1 else 1  # lam^k is ck t^(k ub / 2)
             pn, ph, pc = _join(n1, h1 + k * ub, ck * c1,
@@ -362,9 +366,10 @@ class Packed:
     A result of :func:`continuant_packed`: ``s`` is the slot width and
     ``bound`` bounds the sum of the absolute values of the coefficients.
     Each coefficient is one balanced base-2^s digit of n, and every integer
-    has exactly one string of such digits, so two terms with equal s are
-    equal polynomials exactly when their integers are equal once aligned to
-    one h: :meth:`same` compares them without a decode.
+    has exactly one string of such digits.  The constructor shifts zero low
+    slots out of n into h, and stores zero as (0, 0), so two terms with equal
+    s are one polynomial exactly when their (n, h) are equal: :meth:`same`
+    compares them without a decode.
 
     :meth:`read` is the one read of the digits; :meth:`bar` reverses the
     slots of the integer itself and needs no read.
@@ -373,6 +378,13 @@ class Packed:
     __slots__ = ("n", "h", "s", "bound")
 
     def __init__(self, n: int, h: int, s: int, bound: int):
+        if not n & ((1 << s) - 1):  # the lowest digit is zero
+            if n:
+                k = ((n & -n).bit_length() - 1) // s
+                n >>= s * k
+                h += 2 * k
+            else:
+                h = 0
         self.n, self.h, self.s, self.bound = n, h, s, bound
 
     def times(self, c: int, u: int) -> "Packed":
@@ -381,26 +393,11 @@ class Packed:
                       self.bound)
 
     def same(self, other: "Packed") -> bool:
-        """Whether both stand for one polynomial.
-
-        On one slot width the term with the higher h is shifted to the
-        other's h and the integers compared; terms on different grids
-        (h of different parity) are equal only when both are zero.  On
-        different slot widths the decoded polynomials are compared.
-        """
+        """Whether both stand for one polynomial: on one slot width, whether
+        their one forms are equal, else whether their decodes are."""
         if self.s != other.s:
             return self.decode() == other.decode()
-        a, b = self.n, other.n
-        if not a or not b:
-            return a == b
-        dh = self.h - other.h
-        if dh & 1:
-            return False
-        if dh > 0:
-            a <<= self.s * (dh >> 1)
-        else:
-            b <<= self.s * (-dh >> 1)
-        return a == b
+        return self.n == other.n and self.h == other.h
 
     def read(self) -> "DigitRun":
         """:class:`SlotOverflow` when the digits exceed ``bound``."""
@@ -475,9 +472,10 @@ def _slot_bytes(n: int, s: int):
 
 
 def _read_digits(n: int, h: int, s: int, bound: int) -> "DigitRun":
-    """The one digit read of the packed term (n, h), without zero slots at
-    either end: one ``struct.unpack`` up to 64 bits, else slice by slice.
-    The digits must sum in absolute value to at most ``bound``."""
+    """The one digit read of the packed term (n, h), without the zero slots
+    on top (the lowest is not zero): one ``struct.unpack`` up to 64 bits,
+    else slice by slice.  The digits must sum in absolute value to at most
+    ``bound``."""
     raw, _ = _slot_bytes(n, s)
     width = s // 8
     if s <= 64:
@@ -489,12 +487,10 @@ def _read_digits(n: int, h: int, s: int, bound: int) -> "DigitRun":
     if total > bound:
         raise SlotOverflow(f"coefficients sum to {total} in absolute value, "
                            f"beyond the bound {bound} the slots were sized for")
-    low, high = 0, len(digits)
+    high = len(digits)
     while high and not digits[high - 1]:
         high -= 1
-    while low < high and not digits[low]:
-        low += 1
-    return DigitRun(h + 2 * low, digits[low:high])
+    return DigitRun(h, digits[:high])
 
 
 class DigitRun:

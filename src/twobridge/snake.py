@@ -42,6 +42,8 @@ _SIGNS = frozenset((1, -1))
 # default bound on a matching listing, matchings times tiles, and on a
 # drawing, in characters
 LISTING_BUDGET = 64 * 10 ** 6
+# largest snake graph, in tiles, whose value the CLI expands or computes on
+TILE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -220,6 +222,14 @@ def check_budget(matchings: int, tiles: int, budget: int = LISTING_BUDGET):
                              f"budget {budget}")
 
 
+def check_tiles(tiles: int):
+    """Raise :class:`BudgetExceeded` when a snake graph of ``tiles`` tiles
+    is beyond :data:`TILE_BUDGET`."""
+    if tiles > TILE_BUDGET:
+        raise BudgetExceeded(f"the snake graph has {tiles} tiles, beyond "
+                             f"budget {TILE_BUDGET}")
+
+
 def _heights(g: SnakeGraph, budget):
     """The height masks of all perfect matchings, one per matching.
 
@@ -356,8 +366,7 @@ def height_subsets(F) -> list:
 def check_canvas(rows: int, cols: int):
     """Raise :class:`BudgetExceeded` when drawing tiles in ``rows`` rows and
     ``cols`` columns, (2*rows + 1) * (3*cols + 1) characters, is beyond
-    :data:`LISTING_BUDGET`.  A single column, rows = d and cols = 1, is the
-    smallest drawing of d tiles."""
+    :data:`LISTING_BUDGET`."""
     cells = (2 * rows + 1) * (3 * cols + 1)
     if cells > LISTING_BUDGET:
         raise BudgetExceeded(f"a drawing {rows} tiles high and {cols} wide "

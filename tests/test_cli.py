@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from twobridge.cfrac import EvenCF, PositiveCF
 from twobridge.cli import (Request, _json, _poly_payload, build_parser, emit,
                            main, parse_input, run)
 from twobridge.errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
-                              ParseError)
+                              ParseError, TwoBridgeError)
 from twobridge.laurent import HLPoly, Packed
 from twobridge.verify import coprime_fractions
 
@@ -399,15 +400,15 @@ class TestMainExitCodes:
 
     def test_full_fpoly_budget_before_the_graph(self, capsys, monkeypatch):
         # p x d is checked from the continued fraction alone: a graph of
-        # 999,999,999 tiles is never built
+        # 999,999 tiles is never built
         import twobridge.cli as cli
 
         def no_graph(*args):
             raise AssertionError("graph built before the budget check")
         for name in ("snake_from_positive", "snake_from_even"):
             monkeypatch.setattr(cli, name, no_graph)
-        assert main(["fpoly", "1000000000", "--full"]) == 2
-        assert ("error [fpoly]: 1000000000 matchings x 999999999 tiles "
+        assert main(["fpoly", "1000000", "--full"]) == 2
+        assert ("error [fpoly]: 1000000 matchings x 999999 tiles "
                 "exceed budget 64000000" in capsys.readouterr().err)
         # an even cf counts its tiles without the gluing
         assert main(["fpoly", "[2,-500000,2]", "--full"]) == 2
@@ -415,8 +416,7 @@ class TestMainExitCodes:
                 in capsys.readouterr().err)
 
     def test_snake_drawing_budget(self, capsys, monkeypatch):
-        # a single column of d tiles, 8d + 4 cells, is the smallest drawing,
-        # so [1000000000] is refused from its tile count alone
+        # [1000000000] is refused from its tile count alone
         import tracemalloc
 
         import twobridge.cli as cli
@@ -427,9 +427,8 @@ class TestMainExitCodes:
             for name in ("snake_from_positive", "snake_from_even"):
                 patched.setattr(cli, name, no_graph)
             assert main(["snake", "1000000000"]) == 2
-        assert ("error [snake]: a drawing 999999999 tiles high and 1 wide "
-                "has 7999999996 cells, beyond budget 64000000"
-                in capsys.readouterr().err)
+        assert ("error [snake]: the snake graph has 999999999 tiles, beyond "
+                "budget 1048576" in capsys.readouterr().err)
         # [7000] passes that bound but is a zigzag 3500 tiles high and wide;
         # its canvas rows alone would take 7001 lists of 10501 pointers
         tracemalloc.start()
@@ -456,9 +455,95 @@ class TestMainExitCodes:
 class TestParser:
     def test_rejects_unknown_command(self):
         parser = build_parser()
-        from twobridge.cli import UsageError
-        with pytest.raises(UsageError):
+        with pytest.raises(ParseError):
             parser.parse_args(["frobnicate", "1/2"])
+
+
+class TestUsageErrorsAreTyped:
+    """Every error that ``run`` and ``emit`` raise is a ``TwoBridgeError``;
+    a usage error is a ``ParseError`` and exits 1 with its own message."""
+
+    def test_unknown_engine(self):
+        with pytest.raises(ParseError, match="^unknown engine 'bogus'$"):
+            run(Request("jones", "27/10", engine="bogus"))
+
+    def test_unknown_command(self):
+        with pytest.raises(ParseError, match="^unknown command 'bogus'$"):
+            run(Request("bogus", "27/10"))
+
+    def test_latex_of_a_convert_report(self, capsys):
+        report = run(Request("convert", "27/10"))
+        with pytest.raises(ParseError,
+                           match="^no latex form for 'convert' output$"):
+            emit(report, "latex")
+        assert main(["convert", "27/10", "--format", "latex"]) == 1
+        assert capsys.readouterr().err == (
+            "error [convert]: no latex form for 'convert' output\n")
+
+    def test_parse_error_is_a_twobridge_error(self):
+        assert issubclass(ParseError, TwoBridgeError)
+
+
+# every step that grows with the tile count: the even expansions, the graph
+# builds and the engines
+WORK = ("oriented_even_cf", "even_cf_for_link", "snake_from_positive",
+        "snake_from_even", "specialized_f_even", "specialized_f_positive",
+        "jones_recursive", "jones_direct", "jones_via_f")
+
+
+class TestTileBudget:
+    """``convert``, ``snake``, ``fpoly`` and ``jones`` refuse a snake graph of
+    |value| with more than ``TILE_BUDGET`` tiles before any work that grows
+    with it."""
+
+    @pytest.mark.parametrize("argv, tiles", [
+        (["jones", "--", "+50487435"], 50487434),
+        (["convert", "--", "502401163"], 502401162),
+        (["fpoly", "--", "6530183"], 6530182),
+        (["snake", "--", "7999999"], 7999998),
+        (["convert", "--", f"{2 ** 130 + 1}/{2 ** 130}"], 2 ** 130),
+        (["jones", "--even", "--", "[2,-2000000,2]"], 2000001),
+        (["fpoly", "--", "[1048577,1]"], 1048577),
+        (["jones", "--", "-1048578"], 1048577)])
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv, tiles):
+        import twobridge.cli as cli
+
+        def no_work(*args):
+            raise AssertionError("work began before the tile check")
+        for name in WORK:
+            monkeypatch.setattr(cli, name, no_work)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error [{argv[0]}]: the snake graph has {tiles} tiles, beyond "
+            "budget 1048576\n")
+
+    def test_limit(self):
+        from twobridge.cli import _tile_count
+        from twobridge.snake import TILE_BUDGET, check_tiles
+        assert TILE_BUDGET == 2 ** 20
+        check_tiles(TILE_BUDGET)
+        with pytest.raises(BudgetExceeded):
+            check_tiles(TILE_BUDGET + 1)
+        # jones 1000001 still answers; 1048577 is the largest integer that
+        # does, also as a positive or an even cf
+        assert _tile_count(parse_input("1000001")) == 1000000
+        for s in ("1048577", "[1048577]", "[1048576,1]", "-1048577"):
+            assert _tile_count(parse_input(s)) == TILE_BUDGET
+        assert _tile_count(parse_input("[2,-1048576]", "even")) == TILE_BUDGET
+        # |value| < 1 is refused later, by each command in its own words
+        assert _tile_count(parse_input("1/3")) == 0
+
+    @pytest.mark.parametrize("command", ["convert", "snake", "fpoly", "jones"])
+    def test_boundary(self, capsys, monkeypatch, command):
+        import twobridge.snake as snake
+        monkeypatch.setattr(snake, "TILE_BUDGET", 10)
+        assert main([command, "11"]) == 0
+        assert main([command, "12"]) == 2
+        assert capsys.readouterr().err == (
+            f"error [{command}]: the snake graph has 11 tiles, beyond "
+            "budget 10\n")
 
 
 def _main_output(argv, capsys):

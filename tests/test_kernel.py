@@ -295,8 +295,8 @@ class TestAgainstParentKernel:
 
 
 class TestRunStep:
-    """A step (mu, nu, k) is k steps (mu, nu) with nu = c t^(u/2) [2]_q and
-    mu = t^(u-1), made with one [k]_q product."""
+    """A run step (c, u, k) is k steps (mu, nu) with nu = c t^(u/2) [2]_q
+    and mu = t^(u-1), made with one [k]_q product."""
 
     @pytest.mark.parametrize("k_bits", (14, 70))
     @settings(max_examples=40, deadline=None,
@@ -312,7 +312,7 @@ class TestRunStep:
         start = HLPoly({2 * e + parity + u: x for e, x in start.items()})
         mu, nu = (1, 2 * u - 2), (c, u, 2)
         after = (mu2, (nu2[0], nu2[1] + u, nu2[2]))
-        for steps in ([(mu, nu, k)], [(mu, nu, k), after]):
+        for steps in ([(c, u, k)], [(c, u, k), after]):
             singles = [(mu, nu)] * k + steps[1:]
             ref = ring_recurrence([((*m, 1), n) for m, n in singles],
                                   before, start)
@@ -324,14 +324,9 @@ class TestRunStep:
                       continuant_packed(steps, before, start, bound).decode(),
                       ref, k_bits, steps)
 
-    @pytest.mark.parametrize("step", [
-        ((1, -4), (-1, -1, 4), 3),   # b = 4
-        ((-1, -4), (-1, -1, 2), 3),  # mu = -t^(u-1)
-        ((1, -2), (-1, -1, 2), 3),   # mu = t^(u-1/2)
-        ((1, -4), (-1, -1, 2), 0)])  # no steps
-    def test_other_pairs_raise(self, step):
+    def test_empty_run_raises(self):
         with pytest.raises(ValueError):
-            continuant_packed([step], 1, HLPoly.monomial(1, 1),
+            continuant_packed([(-1, -1, 0)], 1, HLPoly.monomial(1, 1),
                               4).decode()
 
 
@@ -412,6 +407,50 @@ class TestPacked:
     @given(st.integers(9, 30).map(lambda k: 8 * k), st.data())
     def test_bar_on_byte_widths(self, s, data):
         check_bar(data.draw(near_edge_packed(s)))
+
+
+def one_form(p: Packed) -> bool:
+    """Whether ``p`` has a nonzero lowest slot, or is zero stored as (0, 0)."""
+    if not p.n:
+        return p.h == 0
+    return p.n % (1 << p.s) != 0
+
+
+class TestOneForm:
+    """Every packed term is kept in one form, whichever operation made it."""
+
+    @given(packed_pairs(), st.sampled_from((1, -1)), st.integers(-9, 9))
+    def test_pack_times_and_bar(self, pair, c, u):
+        # the drawn terms are built with zero slots below them, and a zero
+        # term at an arbitrary h
+        for p, poly in pair[:2], pair[2:]:
+            assert (p.n, p.h) == _pack(poly, p.s)
+            assert one_form(p) and one_form(Packed(*_pack(poly, p.s), p.s, 1))
+            assert one_form(p.times(c, u)) and one_form(p.bar())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, -1]), st.integers(-6, 6),
+           st.lists(st.one_of(st.tuples(monomials, general_factors),
+                              st.integers(1, 9)), min_size=1, max_size=6),
+           grid_terms, grid_terms, st.sampled_from(PACKED_BOUNDS))
+    def test_kernel_results(self, c, u, steps, before, start, bound):
+        # an int k is the run step (c, u, k); x_start lies u half units off
+        # x_before's grid, and each nu is shifted by u, so every step joins
+        # two terms on one grid
+        steps = [(c, u, s) if isinstance(s, int)
+                 else (s[0], (s[1][0], s[1][1] + u, s[1][2])) for s in steps]
+        before = HLPoly({2 * e: x for e, x in before.items()})
+        start = HLPoly({2 * e + u: x for e, x in start.items()})
+        assert one_form(continuant_packed(steps, before, start, bound))
+
+    @pytest.mark.parametrize("before, start, bound", [
+        (1, HLPoly({0: 1, 2: 1}), 4),   # 1 - (1 + t): the lowest slot cancels
+        (0, 0, 4),                       # zero
+        (HLPoly({2: 3}), HLPoly({2: 3}), 2 ** 70)])  # zero, on byte slots
+    def test_cancelling_kernel_results(self, before, start, bound):
+        p = continuant_packed([((1, 0), (-1, 0, 1))], before, start, bound)
+        assert one_form(p)
+        assert p.decode() == HLPoly._coerce(before) - start
 
 
 @st.composite

@@ -143,6 +143,14 @@ class TestArithmetic:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
+    def test_constants_hash_as_ints(self):
+        # a constant equals its int, so a set or dict holds them as one key
+        for k in (-2 ** 70, -7, -1, 0, 1, 2, 2 ** 70):
+            assert HLPoly({0: k}) == k and hash(HLPoly({0: k})) == hash(k)
+        assert len({HLPoly.one(), 1}) == 1 and hash(HLPoly()) == 0
+        assert {HLPoly({0: -7}): "c"}[-7] == "c"
+        assert len({HLPoly.monomial(1, 2), 1}) == 2
+
 
 def reference_product(a: dict, b: dict) -> HLPoly:
     """Schoolbook product over term dicts, without HLPoly.__mul__."""
