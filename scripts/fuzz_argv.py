@@ -2,16 +2,17 @@
 """Seeded in-process fuzz of the ``twobridge`` CLI on short argvs.
 
 Each argv is ``[command, *option, "--", s]``: a command that reads an input,
-at most one option, and an input s of at most ``--max-len`` characters over
-``0-9/-,[] +_``.  Half of the inputs are uniform strings over that alphabet;
-the other half are shaped like a number, a fraction or an entry list, with
-numbers of up to nine digits, so that large values are drawn often.
+at most one option, and an input s of at most :data:`MAX_LEN` characters
+over ``0-9/-,[] +_``.  Half of the inputs are uniform strings over that
+alphabet; the other half are shaped like a number, a fraction or an entry
+list, with numbers of up to nine digits, so that large values are drawn
+often.
 ``verify`` is left out: it reads no input, and its cost is set by
 ``--max-sum`` alone.
 
 Every argv runs through ``cli.main`` in this process, with its output
-captured, under an alarm of ``--alarm`` seconds, in a process whose address
-space ``RLIMIT_AS`` caps at ``--memory-mb``.  The contract:
+captured, under an alarm of :data:`ALARM` seconds, in a process whose
+address space ``RLIMIT_AS`` caps at :data:`MEMORY_MB`.  The contract:
 
 * the exit code is 0, 1 or 2 (3 is an engine disagreement);
 * no exception escapes ``main``, a ``MemoryError`` under the cap included;
@@ -20,7 +21,7 @@ space ``RLIMIT_AS`` caps at ``--memory-mb``.  The contract:
 Standard library only; ``twobridge`` is imported from ``src/`` of the
 checkout that holds this script.  Example:
 
-    python3 scripts/fuzz_argv.py --count 2000 --seed 1
+    python3 scripts/fuzz_argv.py --count 20000 --seed 1
 
 Exit status: 0 when every argv keeps the contract, 1 when one breaks it
 (an alarm, an uncaught exception, another exit code or stderr), each such
@@ -39,6 +40,9 @@ from collections import Counter
 from pathlib import Path
 
 ALPHABET = "0123456789/-,[] +_"
+MAX_LEN = 9  # characters of an input
+ALARM = 10.0  # seconds one argv may take
+MEMORY_MB = 2048  # RLIMIT_AS of this process
 COMMANDS = ("convert", "snake", "fpoly", "jones", "volume")
 OPTIONS = ((), ("--even",), ("--positive",), ("--full",),
            *(("--engine", e) for e in ("recursive", "direct", "fpoly", "all")),
@@ -72,7 +76,7 @@ def _input(rng: random.Random, max_len: int) -> str:
     return s[:max_len]
 
 
-def argvs(seed: int, count: int, max_len: int):
+def argvs(seed: int, count: int, max_len: int = MAX_LEN):
     """``count`` argvs ``[command, *option, "--", s]``, the same for a seed."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -84,7 +88,7 @@ def _stall(signum, frame):
     raise Stalled
 
 
-def check(argv, alarm: float = 10.0):
+def check(argv, alarm: float = ALARM):
     """``(exit code, breach)`` of one argv; the breach is None when the argv
     keeps the contract, else a line that names what went wrong."""
     from twobridge import cli
@@ -97,7 +101,7 @@ def check(argv, alarm: float = 10.0):
             code = cli.main(argv)
     except Stalled:
         return None, f"alarm after {alarm:g} s"
-    except BaseException as exc:  # SystemExit and MemoryError included
+    except (Exception, SystemExit) as exc:  # MemoryError included
         return None, f"uncaught {type(exc).__name__}: {exc}"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -126,24 +130,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=2000)
-    parser.add_argument("--max-len", type=int, default=9,
-                        help="longest input, in characters")
-    parser.add_argument("--alarm", type=float, default=10.0,
-                        help="seconds one argv may take")
-    parser.add_argument("--memory-mb", type=int, default=2048,
-                        help="RLIMIT_AS of this process, in MB")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    cap_memory(args.memory_mb)
+    cap_memory(MEMORY_MB)
     codes, breaches = Counter(), 0
-    for one in argvs(args.seed, args.count, args.max_len):
-        code, breach = check(one, args.alarm)
+    for one in argvs(args.seed, args.count):
+        code, breach = check(one)
         codes[code] += 1
         if breach:
             breaches += 1
             print(f"{breach}: {one!r}", flush=True)
     print(f"{args.count} argvs, seed {args.seed}, inputs of up to "
-          f"{args.max_len} characters: {breaches} broke the contract; "
+          f"{MAX_LEN} characters: {breaches} broke the contract; "
           f"exit codes {dict(sorted(codes.items(), key=str))}")
     return 1 if breaches else 0
 

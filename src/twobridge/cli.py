@@ -124,27 +124,33 @@ def _as_rat(obj) -> Rat:
     return obj.value()
 
 
-def _graph_source(obj):
-    """(cf, build): the continued fraction of a parsed input whose snake
-    graph is ``build(cf)``."""
-    if isinstance(obj, EvenCF):
-        return obj, snake_from_even
-    if not isinstance(obj, PositiveCF):
-        obj = positive_cf(obj)
-    return obj, snake_from_positive
+def _graph_cf(obj):
+    """The continued fraction of the snake graph of |value| of a parsed
+    input: the entry list itself, or Euclid's quotients of |value| for a
+    fraction; None when |value| < 1, which each command refuses in its own
+    words."""
+    if not isinstance(obj, Fraction):
+        return obj
+    return positive_cf(abs(obj)) if abs(obj) >= 1 else None
 
 
-def _tile_count(obj) -> int:
-    """The tile count of the snake graph of |value| of a parsed input, from
-    its entries or Euclid's quotients, before any even expansion: 0 when
-    |value| < 1, which each command refuses in its own words."""
-    if isinstance(obj, EvenCF):
-        return tile_count_even(obj)
-    if isinstance(obj, Fraction):
-        if abs(obj) < 1:
-            return 0
-        obj = positive_cf(abs(obj))
-    return obj.d
+def _tile_count(cf) -> int:
+    """The tile count of the snake graph of a :func:`_graph_cf` result, from
+    its entries: 0 for None."""
+    if cf is None:
+        return 0
+    return tile_count_even(cf) if isinstance(cf, EvenCF) else cf.d
+
+
+def _graph_source(obj, cf):
+    """(cf, build) for ``snake`` and ``fpoly``: the snake graph of an entry
+    list, or of a fraction of at least 1, is ``build(cf)``; a smaller
+    fraction, a negative one included, is refused by ``positive_cf``."""
+    if isinstance(cf, EvenCF):
+        return cf, snake_from_even
+    if isinstance(obj, Fraction) and obj < 1:
+        cf = positive_cf(obj)  # raises OutOfRange
+    return cf, snake_from_positive
 
 
 def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
@@ -175,16 +181,16 @@ def run(req: Request) -> dict:
                 "checks": counts, "failures": 0}
 
     obj = parse_input(req.input, req.hint)
+    cf = _graph_cf(obj)
+    d = _tile_count(cf)
     if req.command != "volume":  # whose work does not grow with the tiles
-        check_tiles(_tile_count(obj))
+        check_tiles(d)
     report = {"command": req.command, "input": req.input}
 
     if req.command == "convert":
         r = _as_rat(obj)
-        if isinstance(obj, PositiveCF):
-            pos = obj
-        else:
-            pos = positive_cf(abs(r))  # negative even cfs describe mirrors
+        # negative even cfs describe mirrors
+        pos = cf if isinstance(cf, PositiveCF) else positive_cf(abs(r))
         report["value"] = _rat_payload(r)
         report["positive_cf"] = list(pos.entries)
         ev = obj if isinstance(obj, EvenCF) else even_cf_for_link(r)
@@ -199,7 +205,7 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "snake":
-        cf, build = _graph_source(obj)
+        cf, build = _graph_source(obj, cf)
         g = build(cf)
         report["value"] = _rat_payload(abs(_as_rat(obj)))
         report["tile_count"] = g.d
@@ -209,10 +215,10 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "fpoly":
+        cf, build = _graph_source(obj, cf)
         if req.full:
-            cf, build = _graph_source(obj)
             # the listing is p heights of d tiles, known before the graph is
-            check_budget(abs(_as_rat(cf).numerator), _tile_count(cf))
+            check_budget(abs(_as_rat(cf).numerator), d)
             subsets = height_subsets(f_polynomial(build(cf)))
             report["full"] = True
             report["terms"] = [[tiles, 1] for tiles in subsets]
@@ -221,11 +227,8 @@ def run(req: Request) -> dict:
                                          if tiles else "1"
                                          for tiles in subsets])
             return report
-        if isinstance(obj, EvenCF):
-            F = specialized_f_even(obj)
-        else:
-            F = specialized_f_positive(obj if isinstance(obj, PositiveCF)
-                                       else positive_cf(obj))
+        F = (specialized_f_even(cf) if isinstance(cf, EvenCF)
+             else specialized_f_positive(cf))
         report["full"] = False
         report["coefficients"], text = _poly_payload(*F.exps_and_coeffs())
         report["text"] = text
@@ -237,7 +240,8 @@ def run(req: Request) -> dict:
                    else [req.engine])
         r = _as_rat(obj)
         ev = obj if isinstance(obj, EvenCF) else oriented_even_cf(r)
-        canonical = positive_cf(abs(r))
+        # Euclid's quotients, which a positive entry list need not be
+        canonical = cf if isinstance(obj, Fraction) else positive_cf(abs(r))
         pos = obj if isinstance(obj, PositiveCF) else canonical
         res = cross_check([_jones_engine(name, r, pos, ev)
                            for name in engines],
@@ -258,8 +262,8 @@ def run(req: Request) -> dict:
 
     if req.command == "volume":
         # the volume is mirror invariant, so a negative value reads as |value|
-        cf = (obj if isinstance(obj, PositiveCF)
-              else positive_cf(abs(_as_rat(obj))))
+        if not isinstance(cf, PositiveCF):
+            cf = positive_cf(abs(_as_rat(obj)))
         lower, upper = volume_bounds(cf)
         report["positive_cf"] = list(cf.entries)
         report["lower"] = lower

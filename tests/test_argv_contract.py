@@ -61,3 +61,11 @@ def test_check_flags_a_stall(monkeypatch):
     monkeypatch.setattr(cli, "main", stall)
     assert fuzz.check(["jones", "--", "3"], alarm=0.05) == (
         None, "alarm after 0.05 s")
+
+
+def test_check_lets_an_interrupt_through(monkeypatch):
+    def interrupt(argv):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "main", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        fuzz.check(["jones", "--", "3"])

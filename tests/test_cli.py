@@ -520,7 +520,7 @@ class TestTileBudget:
             "budget 1048576\n")
 
     def test_limit(self):
-        from twobridge.cli import _tile_count
+        from twobridge.cli import _graph_cf, _tile_count
         from twobridge.snake import TILE_BUDGET, check_tiles
         assert TILE_BUDGET == 2 ** 20
         check_tiles(TILE_BUDGET)
@@ -528,12 +528,14 @@ class TestTileBudget:
             check_tiles(TILE_BUDGET + 1)
         # jones 1000001 still answers; 1048577 is the largest integer that
         # does, also as a positive or an even cf
-        assert _tile_count(parse_input("1000001")) == 1000000
+        def tiles(s, hint=None):
+            return _tile_count(_graph_cf(parse_input(s, hint)))
+        assert tiles("1000001") == 1000000
         for s in ("1048577", "[1048577]", "[1048576,1]", "-1048577"):
-            assert _tile_count(parse_input(s)) == TILE_BUDGET
-        assert _tile_count(parse_input("[2,-1048576]", "even")) == TILE_BUDGET
+            assert tiles(s) == TILE_BUDGET
+        assert tiles("[2,-1048576]", "even") == TILE_BUDGET
         # |value| < 1 is refused later, by each command in its own words
-        assert _tile_count(parse_input("1/3")) == 0
+        assert tiles("1/3") == 0
 
     @pytest.mark.parametrize("command", ["convert", "snake", "fpoly", "jones"])
     def test_boundary(self, capsys, monkeypatch, command):
