@@ -118,41 +118,6 @@ def _rat_payload(r: Rat):
     return {"num": r.numerator, "den": r.denominator}
 
 
-def _as_rat(obj) -> Rat:
-    if isinstance(obj, Fraction):
-        return obj
-    return obj.value()
-
-
-def _graph_cf(obj):
-    """The continued fraction of the snake graph of |value| of a parsed
-    input: the entry list itself, or Euclid's quotients of |value| for a
-    fraction; None when |value| < 1, which each command refuses in its own
-    words."""
-    if not isinstance(obj, Fraction):
-        return obj
-    return positive_cf(abs(obj)) if abs(obj) >= 1 else None
-
-
-def _tile_count(cf) -> int:
-    """The tile count of the snake graph of a :func:`_graph_cf` result, from
-    its entries: 0 for None."""
-    if cf is None:
-        return 0
-    return tile_count_even(cf) if isinstance(cf, EvenCF) else cf.d
-
-
-def _graph_source(obj, cf):
-    """(cf, build) for ``snake`` and ``fpoly``: the snake graph of an entry
-    list, or of a fraction of at least 1, is ``build(cf)``; a smaller
-    fraction, a negative one included, is refused by ``positive_cf``."""
-    if isinstance(cf, EvenCF):
-        return cf, snake_from_even
-    if isinstance(obj, Fraction) and obj < 1:
-        cf = positive_cf(obj)  # raises OutOfRange
-    return cf, snake_from_positive
-
-
 def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
                   ev: EvenCF) -> JonesResult:
     """One engine, given the input's value r, a positive cf of |r| and the
@@ -181,19 +146,22 @@ def run(req: Request) -> dict:
                 "checks": counts, "failures": 0}
 
     obj = parse_input(req.input, req.hint)
-    cf = _graph_cf(obj)
-    d = _tile_count(cf)
+    # the signed value, the given even list, and a positive cf of |value|:
+    # the given list, or Euclid's quotients, which refuse |value| < 1
+    r = obj if isinstance(obj, Fraction) else obj.value()
+    ev = obj if isinstance(obj, EvenCF) else None
+    pos = obj if isinstance(obj, PositiveCF) else positive_cf(abs(r))
+    d = pos.d if ev is None else tile_count_even(ev)
     if req.command != "volume":  # whose work does not grow with the tiles
         check_tiles(d)
+    if r < 0 and ev is None and req.command in ("snake", "fpoly"):
+        raise OutOfRange(f"need a rational >= 1, got {r}")
     report = {"command": req.command, "input": req.input}
 
     if req.command == "convert":
-        r = _as_rat(obj)
-        # negative even cfs describe mirrors
-        pos = cf if isinstance(cf, PositiveCF) else positive_cf(abs(r))
         report["value"] = _rat_payload(r)
         report["positive_cf"] = list(pos.entries)
-        ev = obj if isinstance(obj, EvenCF) else even_cf_for_link(r)
+        ev = ev or even_cf_for_link(r)
         ev_value = ev.value()
         report["even_cf"] = list(ev.entries)
         report["even_cf_value"] = _rat_payload(ev_value)
@@ -205,9 +173,8 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "snake":
-        cf, build = _graph_source(obj, cf)
-        g = build(cf)
-        report["value"] = _rat_payload(abs(_as_rat(obj)))
+        g = snake_from_positive(pos) if ev is None else snake_from_even(ev)
+        report["value"] = _rat_payload(abs(r))
         report["tile_count"] = g.d
         report["step_word"] = g.step_word()
         report["matching_count"] = count_matchings(g)
@@ -215,11 +182,11 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "fpoly":
-        cf, build = _graph_source(obj, cf)
         if req.full:
             # the listing is p heights of d tiles, known before the graph is
-            check_budget(abs(_as_rat(cf).numerator), d)
-            subsets = height_subsets(f_polynomial(build(cf)))
+            check_budget(abs(r.numerator), d)
+            g = snake_from_positive(pos) if ev is None else snake_from_even(ev)
+            subsets = height_subsets(f_polynomial(g))
             report["full"] = True
             report["terms"] = [[tiles, 1] for tiles in subsets]
             # every coefficient is 1: y1*y3 for [1, 3], 1 for no tiles
@@ -227,8 +194,8 @@ def run(req: Request) -> dict:
                                          if tiles else "1"
                                          for tiles in subsets])
             return report
-        F = (specialized_f_even(cf) if isinstance(cf, EvenCF)
-             else specialized_f_positive(cf))
+        F = (specialized_f_positive(pos) if ev is None
+             else specialized_f_even(ev))
         report["full"] = False
         report["coefficients"], text = _poly_payload(*F.exps_and_coeffs())
         report["text"] = text
@@ -238,11 +205,9 @@ def run(req: Request) -> dict:
     if req.command == "jones":
         engines = ((["recursive", "direct", "fpoly"]) if req.engine == "all"
                    else [req.engine])
-        r = _as_rat(obj)
-        ev = obj if isinstance(obj, EvenCF) else oriented_even_cf(r)
+        ev = ev or oriented_even_cf(r)
         # Euclid's quotients, which a positive entry list need not be
-        canonical = cf if isinstance(obj, Fraction) else positive_cf(abs(r))
-        pos = obj if isinstance(obj, PositiveCF) else canonical
+        canonical = positive_cf(abs(r)) if pos is obj else pos
         res = cross_check([_jones_engine(name, r, pos, ev)
                            for name in engines],
                           list(ev.entries) if ev is obj else req.input)
@@ -262,13 +227,11 @@ def run(req: Request) -> dict:
 
     if req.command == "volume":
         # the volume is mirror invariant, so a negative value reads as |value|
-        if not isinstance(cf, PositiveCF):
-            cf = positive_cf(abs(_as_rat(obj)))
-        lower, upper = volume_bounds(cf)
-        report["positive_cf"] = list(cf.entries)
+        lower, upper = volume_bounds(pos)
+        report["positive_cf"] = list(pos.entries)
         report["lower"] = lower
         report["upper"] = upper
-        report["boundary_coefficients"] = list(boundary_coefficients(cf))
+        report["boundary_coefficients"] = list(boundary_coefficients(pos))
         return report
 
     raise ParseError(f"unknown command {req.command!r}")

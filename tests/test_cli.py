@@ -519,23 +519,34 @@ class TestTileBudget:
             f"error [{argv[0]}]: the snake graph has {tiles} tiles, beyond "
             "budget 1048576\n")
 
-    def test_limit(self):
-        from twobridge.cli import _graph_cf, _tile_count
+    def test_limit(self, monkeypatch):
+        import twobridge.cli as cli
         from twobridge.snake import TILE_BUDGET, check_tiles
         assert TILE_BUDGET == 2 ** 20
         check_tiles(TILE_BUDGET)
         with pytest.raises(BudgetExceeded):
             check_tiles(TILE_BUDGET + 1)
+
+        class Checked(Exception):
+            pass
+
+        def record(tiles):
+            raise Checked(tiles)  # the count, before any work
+        monkeypatch.setattr(cli, "check_tiles", record)
+
         # jones 1000001 still answers; 1048577 is the largest integer that
         # does, also as a positive or an even cf
         def tiles(s, hint=None):
-            return _tile_count(_graph_cf(parse_input(s, hint)))
+            with pytest.raises(Checked) as checked:
+                run(Request("jones", s, hint=hint))
+            return checked.value.args[0]
         assert tiles("1000001") == 1000000
         for s in ("1048577", "[1048577]", "[1048576,1]", "-1048577"):
             assert tiles(s) == TILE_BUDGET
         assert tiles("[2,-1048576]", "even") == TILE_BUDGET
-        # |value| < 1 is refused later, by each command in its own words
-        assert tiles("1/3") == 0
+        # |value| < 1 is refused before the check, for every command
+        with pytest.raises(OutOfRange, match="^need a rational >= 1, got 1/3$"):
+            run(Request("jones", "1/3"))
 
     @pytest.mark.parametrize("command", ["convert", "snake", "fpoly", "jones"])
     def test_boundary(self, capsys, monkeypatch, command):
