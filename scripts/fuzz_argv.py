@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Seeded in-process fuzz of the ``twobridge`` CLI on short argvs.
 
-Each argv is ``[command, *option, "--", s]``: a command that reads an input,
-at most one option, and an input s of at most :data:`MAX_LEN` characters
-over ``0-9/-,[] +_``.  Half of the inputs are uniform strings over that
+Each argv is ``[command, *option, "--", s]``: a command, at most one
+option, and an input s of at most :data:`MAX_LEN` characters over
+``0-9/-,[] +_``.  Half of the inputs are uniform strings over that
 alphabet; the other half are shaped like a number, a fraction or an entry
 list, with numbers of up to nine digits, so that large values are drawn
-often.
-``verify`` is left out: it reads no input, and its cost is set by
-``--max-sum`` alone.
+often.  ``verify``, which takes no input and whose cost is set by
+``--max-sum`` alone, always gets ``--max-sum`` from :data:`MAX_SUMS`, none
+of which starts a long sweep, and half of the time an empty input.
 
 Every argv runs through ``cli.main`` in this process, with its output
 captured, under an alarm of :data:`ALARM` seconds, in a process whose
@@ -43,10 +43,12 @@ ALPHABET = "0123456789/-,[] +_"
 MAX_LEN = 9  # characters of an input
 ALARM = 10.0  # seconds one argv may take
 MEMORY_MB = 2048  # RLIMIT_AS of this process
-COMMANDS = ("convert", "snake", "fpoly", "jones", "volume")
+COMMANDS = ("convert", "snake", "fpoly", "jones", "volume", "verify")
 OPTIONS = ((), ("--even",), ("--positive",), ("--full",),
            *(("--engine", e) for e in ("recursive", "direct", "fpoly", "all")),
            *(("--format", f) for f in ("text", "json", "latex")))
+# below 1, small, and above the sweep budget
+MAX_SUMS = (-1, 0, 1, 2, 17, 10 ** 9)
 
 
 class Stalled(Exception):
@@ -80,8 +82,13 @@ def argvs(seed: int, count: int, max_len: int = MAX_LEN):
     """``count`` argvs ``[command, *option, "--", s]``, the same for a seed."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield [rng.choice(COMMANDS), *rng.choice(OPTIONS), "--",
-               _input(rng, max_len)]
+        command = rng.choice(COMMANDS)
+        if command == "verify":
+            option = ("--max-sum", str(rng.choice(MAX_SUMS)))
+            s = _input(rng, max_len) if rng.random() < 0.5 else ""
+        else:
+            option, s = rng.choice(OPTIONS), _input(rng, max_len)
+        yield [command, *option, "--", s]
 
 
 def _stall(signum, frame):

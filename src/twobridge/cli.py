@@ -23,6 +23,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -30,15 +31,17 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from . import verify as verify_mod
 from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
                     sign_sequence, type_sequence)
-from .errors import CrossCheckMismatch, OutOfRange, ParseError, TwoBridgeError
+from .errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
+                     ParseError, TwoBridgeError)
 from .jones import (JonesResult, boundary_coefficients, cross_check,
                     jones_direct, jones_recursive, jones_via_f, mirror,
                     oriented_even_cf, specialized_f_even,
                     specialized_f_positive, volume_bounds)
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
-from .snake import (check_budget, check_tiles, count_matchings, f_polynomial,
-                    height_subsets, render_ascii, snake_from_even,
-                    snake_from_positive, tile_count_even)
+from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles,
+                    count_matchings, f_polynomial, height_subsets,
+                    render_ascii, snake_from_even, snake_from_positive,
+                    tile_count_even)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
 
@@ -108,10 +111,27 @@ def parse_input(s: str, hint: str = None):
                      "continued fraction", offset)
 
 
+@contextmanager
+def _all_digits():
+    """Lift Python's limit on the digits of an int turned into text (4,300
+    by default) for the block: a result can have more, while argv is parsed
+    under the limit.  Pythons before 3.10.7 have no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _poly_payload(exps, coeffs):
     """(coefficient pairs, text) of a polynomial from its exponent strings
     and coefficients, highest exponent first."""
-    return list(zip(exps, coeffs)), text_from_terms(exps, coeffs)
+    with _all_digits():
+        return list(zip(exps, coeffs)), text_from_terms(exps, coeffs)
 
 
 def _rat_payload(r: Rat):
@@ -140,6 +160,9 @@ def run(req: Request) -> dict:
     if req.command == "verify":
         if req.max_sum < 1:
             raise OutOfRange(f"--max-sum must be at least 1, got {req.max_sum}")
+        if req.max_sum > MAX_SUM_BUDGET:
+            raise BudgetExceeded(f"--max-sum {req.max_sum} is beyond budget "
+                                 f"{MAX_SUM_BUDGET}")
         counts = verify_mod.run_verify(max_sum=req.max_sum,
                                        max_p=max(4 * req.max_sum, 20))
         return {"command": "verify", "max_sum": req.max_sum,
@@ -183,8 +206,10 @@ def run(req: Request) -> dict:
 
     if req.command == "fpoly":
         if req.full:
-            # the listing is p heights of d tiles, known before the graph is
-            check_budget(abs(r.numerator), d)
+            # the listing is p heights of d tiles, known before the graph is;
+            # its refusal prints p, which can be long
+            with _all_digits():
+                check_budget(abs(r.numerator), d)
             g = snake_from_positive(pos) if ev is None else snake_from_even(ev)
             subsets = height_subsets(f_polynomial(g))
             report["full"] = True
@@ -375,14 +400,18 @@ def main(argv=None) -> int:
         # options may come after the input, and the input after ``--``
         args = parser.parse_intermixed_args(argv)
         where = f" [{args.command}]"
-        if args.command != "verify" and not args.input:
+        if args.command == "verify":
+            if args.input:
+                raise ParseError("command 'verify' takes no input")
+        elif not args.input:
             raise ParseError(f"command {args.command!r} needs an input")
         hint = "even" if args.even else ("positive" if args.positive else None)
         req = Request(command=args.command, input=args.input,
                       engine=args.engine, hint=hint,
                       max_sum=args.max_sum, full=args.full)
         report = run(req)
-        print(emit(report, args.format))
+        with _all_digits():
+            print(emit(report, args.format))
         return 0
     except ParseError as exc:
         print(f"error{where}: {exc}", file=sys.stderr)

@@ -44,6 +44,9 @@ _SIGNS = frozenset((1, -1))
 LISTING_BUDGET = 64 * 10 ** 6
 # largest snake graph, in tiles, whose value the CLI expands or computes on
 TILE_BUDGET = 1 << 20
+# largest ``verify --max-sum``: its sweeps grow exponentially, 3.7 s at 16
+# and 16 s at 18
+MAX_SUM_BUDGET = 16
 
 
 @dataclass(frozen=True)

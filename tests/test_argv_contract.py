@@ -40,7 +40,11 @@ def test_draws_are_seeded_and_short():
         assert command in cli.COMMANDS and dashes == "--"
         assert len(option) <= 2 and len(s) <= 4
         assert set(s) <= set(fuzz.ALPHABET)
-    assert {argv[0] for argv in ARGVS} == set(fuzz.COMMANDS)
+        if command == "verify":  # never a long sweep
+            assert option[0] == "--max-sum"
+            assert int(option[1]) in fuzz.MAX_SUMS
+    assert {argv[0] for argv in ARGVS} == set(fuzz.COMMANDS) == set(
+        cli.COMMANDS)
 
 
 @pytest.mark.parametrize("fault, breach", [

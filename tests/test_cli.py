@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twobridge.cfrac import EvenCF, PositiveCF
-from twobridge.cli import (Request, _json, _poly_payload, build_parser, emit,
-                           main, parse_input, run)
+from twobridge.cli import (Request, _all_digits, _json, _poly_payload,
+                           build_parser, emit, main, parse_input, run)
 from twobridge.errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
                               ParseError, TwoBridgeError)
 from twobridge.laurent import HLPoly, Packed
@@ -822,6 +822,93 @@ class TestVerifyBound:
         assert captured.out == ""
         assert captured.err == (f"error [verify]: --max-sum must be at least "
                                 f"1, got {max_sum}\n")
+
+
+    def test_bound_above_the_budget_fails_before_any_sweep(
+            self, capsys, monkeypatch):
+        import twobridge.cli as cli_mod
+        from twobridge.snake import MAX_SUM_BUDGET
+
+        def no_sweep(**kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli_mod.verify_mod, "run_verify", no_sweep)
+        assert MAX_SUM_BUDGET == 16
+        with pytest.raises(BudgetExceeded):
+            run(Request("verify", "", max_sum=17))
+        assert main(["verify", "--max-sum", "17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error [verify]: --max-sum 17 is beyond "
+                                "budget 16\n")
+        # the budget itself still runs its sweeps
+        monkeypatch.setattr(cli_mod.verify_mod, "run_verify",
+                            lambda **kwargs: kwargs)
+        assert run(Request("verify", "", max_sum=16))["checks"] == {
+            "max_sum": 16, "max_p": 64}
+
+    def test_input_is_refused(self, capsys, monkeypatch):
+        import twobridge.cli as cli_mod
+
+        def no_sweep(**kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli_mod.verify_mod, "run_verify", no_sweep)
+        assert main(["verify", "garbage", "--max-sum", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error [verify]: command 'verify' takes no "
+                                "input\n")
+
+
+class TestLongResults:
+    """Results, and a refusal that names a count, of more digits than Python
+    turns an int into text by default (4,300) are printed; the input is
+    still parsed under that limit."""
+
+    ONES = ",".join(["1"] * 30000)
+
+    @pytest.fixture(scope="class")
+    def matchings(self):
+        from twobridge.snake import count_matchings, snake_from_positive
+        count = count_matchings(snake_from_positive(PositiveCF((1,) * 30000)))
+        assert count.bit_length() > 4300 * 3.33  # beyond 4,300 digits
+        return count
+
+    def test_convert(self, capsys, matchings):
+        limit = sys.get_int_max_str_digits()
+        assert main(["convert", self.ONES]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        value = capsys.readouterr().out.splitlines()[0]
+        assert value.startswith("value: ")
+        num, den = value[len("value: "):].split("/")
+        with _all_digits():
+            assert int(num) == matchings
+
+    def test_snake(self, capsys, matchings):
+        limit = sys.get_int_max_str_digits()
+        assert main(["snake", self.ONES]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        last = capsys.readouterr().out.splitlines()[-1]
+        with _all_digits():
+            assert last.endswith(f"  matchings: {matchings}")
+
+    def test_listing_refusal(self, capsys, matchings):
+        assert main(["fpoly", "--full", self.ONES]) == 2
+        err = capsys.readouterr().err
+        with _all_digits():
+            assert err == (f"error [fpoly]: {matchings} matchings x 29999 "
+                           "tiles exceed budget 64000000\n")
+
+    def test_poly_payload(self):
+        big = 10 ** 5000 + 1
+        pairs, text = _poly_payload(["1", "0"], [big, -1])
+        assert pairs == [("1", big), ("0", -1)]
+        assert text.endswith("*t^(1) - 1") and len(text) > 5000
+
+    def test_input_keeps_the_limit(self, capsys):
+        assert main(["jones", "1" * 5000]) == 1
+        assert capsys.readouterr().err.startswith("error [jones]: ")
 
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
