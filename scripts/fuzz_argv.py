@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Seeded in-process fuzz of the ``twobridge`` CLI on short argvs.
+"""Seeded in-process fuzz of the ``twobridge`` CLI on short argvs and on
+long entry lists.
 
 Each argv is ``[command, *option, "--", s]``: a command, at most one
 option, and an input s of at most :data:`MAX_LEN` characters over
 ``0-9/-,[] +_``.  Half of the inputs are uniform strings over that
 alphabet; the other half are shaped like a number, a fraction or an entry
 list, with numbers of up to nine digits, so that large values are drawn
-often.  ``verify``, which takes no input and whose cost is set by
-``--max-sum`` alone, always gets ``--max-sum`` from :data:`MAX_SUMS`, none
-of which starts a long sweep, and half of the time an empty input.
+often.  A share :data:`LONG_SHARE` of the ``jones`` and ``fpoly`` inputs
+is instead one entry of 1, 2 or 3 repeated 2,000 to 20,000 times
+(:data:`LONG_COUNTS`), bare or in brackets: a long list of a few tiles per
+entry, which stays far under the tile budget.  ``verify``, which takes no
+input and whose cost is set by ``--max-sum`` alone, always gets
+``--max-sum`` from :data:`MAX_SUMS`, none of which starts a long sweep,
+and half of the time an empty input.
 
 Every argv runs through ``cli.main`` in this process, with its output
 captured, under an alarm of :data:`ALARM` seconds, in a process whose
@@ -49,6 +54,8 @@ OPTIONS = ((), ("--even",), ("--positive",), ("--full",),
            *(("--format", f) for f in ("text", "json", "latex")))
 # below 1, small, and above the sweep budget
 MAX_SUMS = (-1, 0, 1, 2, 17, 10 ** 9)
+LONG_SHARE = 0.05  # of the jones and fpoly argvs that :func:`main` draws
+LONG_COUNTS = (2000, 20000)  # least and most repeats of a long list's entry
 
 
 class Stalled(Exception):
@@ -78,8 +85,17 @@ def _input(rng: random.Random, max_len: int) -> str:
     return s[:max_len]
 
 
-def argvs(seed: int, count: int, max_len: int = MAX_LEN):
-    """``count`` argvs ``[command, *option, "--", s]``, the same for a seed."""
+def _long_list(rng: random.Random) -> str:
+    """One entry of 1, 2 or 3, repeated :data:`LONG_COUNTS` times."""
+    s = ",".join([str(rng.randint(1, 3))] * rng.randint(*LONG_COUNTS))
+    return f"[{s}]" if rng.random() < 0.5 else s
+
+
+def argvs(seed: int, count: int, max_len: int = MAX_LEN,
+          long_share: float = 0.0):
+    """``count`` argvs ``[command, *option, "--", s]``, the same for a seed;
+    a share ``long_share`` of the ``jones`` and ``fpoly`` inputs are long
+    entry lists (none by default, and then no draw is spent on them)."""
     rng = random.Random(seed)
     for _ in range(count):
         command = rng.choice(COMMANDS)
@@ -87,7 +103,12 @@ def argvs(seed: int, count: int, max_len: int = MAX_LEN):
             option = ("--max-sum", str(rng.choice(MAX_SUMS)))
             s = _input(rng, max_len) if rng.random() < 0.5 else ""
         else:
-            option, s = rng.choice(OPTIONS), _input(rng, max_len)
+            option = rng.choice(OPTIONS)
+            if (long_share and command in ("jones", "fpoly")
+                    and rng.random() < long_share):
+                s = _long_list(rng)
+            else:
+                s = _input(rng, max_len)
         yield [command, *option, "--", s]
 
 
@@ -140,15 +161,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     cap_memory(MEMORY_MB)
-    codes, breaches = Counter(), 0
-    for one in argvs(args.seed, args.count):
+    codes, breaches, long_lists = Counter(), 0, 0
+    for one in argvs(args.seed, args.count, long_share=LONG_SHARE):
         code, breach = check(one)
         codes[code] += 1
+        long_lists += len(one[-1]) > MAX_LEN
         if breach:
             breaches += 1
-            print(f"{breach}: {one!r}", flush=True)
+            s = one[-1]  # a long list is shown by its head and length
+            cut = f" (input of {len(s)} characters)" if len(s) > 60 else ""
+            print(f"{breach}: {[*one[:-1], s[:60]]!r}{cut}", flush=True)
     print(f"{args.count} argvs, seed {args.seed}, inputs of up to "
-          f"{MAX_LEN} characters: {breaches} broke the contract; "
+          f"{MAX_LEN} characters and {long_lists} long entry lists: "
+          f"{breaches} broke the contract; "
           f"exit codes {dict(sorted(codes.items(), key=str))}")
     return 1 if breaches else 0
 

@@ -38,7 +38,7 @@ from .jones import (JonesResult, boundary_coefficients, cross_check,
                     oriented_even_cf, specialized_f_even,
                     specialized_f_positive, volume_bounds)
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
-from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles,
+from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles, check_work,
                     count_matchings, f_polynomial, height_subsets,
                     render_ascii, snake_from_even, snake_from_positive,
                     tile_count_even)
@@ -177,6 +177,8 @@ def run(req: Request) -> dict:
     d = pos.d if ev is None else tile_count_even(ev)
     if req.command != "volume":  # whose work does not grow with the tiles
         check_tiles(d)
+    if req.command == "jones" or (req.command == "fpoly" and not req.full):
+        check_work(pos.n if ev is None else ev.m, d, r.numerator)
     if r < 0 and ev is None and req.command in ("snake", "fpoly"):
         raise OutOfRange(f"need a rational >= 1, got {r}")
     report = {"command": req.command, "input": req.input}
@@ -222,7 +224,8 @@ def run(req: Request) -> dict:
         F = (specialized_f_positive(pos) if ev is None
              else specialized_f_even(ev))
         report["full"] = False
-        report["coefficients"], text = _poly_payload(*F.exps_and_coeffs())
+        report["coefficients"], text = _poly_payload(
+            *F.read().exps_and_coeffs())
         report["text"] = text
         report["latex"] = latex_from_text(text)
         return report

@@ -16,9 +16,9 @@ All three agree exactly; :func:`cross_check` compares them for the CLI and
 the verify sweeps alike.  The skein recursion, the direct formula's
 numerator and the two-term recursion ``f_recursive`` are each one call of
 the kernel :func:`laurent.continuant_packed`; they differ only in their step
-factors.  The engines keep its result packed (:class:`laurent.Packed`), so
-results compare as integers and a polynomial is decoded only where it is
-read: ``f_recursive`` decodes its own.
+factors.  Every route keeps its result packed (:class:`laurent.Packed`),
+the closed forms and ``f_recursive`` included, so results compare with
+``==`` as integers and a polynomial is decoded only where it is read.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input.  A
@@ -60,9 +60,9 @@ class JonesResult:
     """A Jones polynomial, held packed, and the engine that made it.
 
     ``run``, the one read of the digits of ``packed``, is made on first use;
-    ``degree``, ``leading_sign``, ``poly`` and ``normalized`` are all read
-    from it.  ``poly == leading_sign * t^degree * normalized`` holds exactly,
-    and the normalized polynomial has constant term 1 and degree 0.
+    ``degree``, ``leading_sign`` and ``poly`` are all read from it.
+    ``normalized`` is ``packed`` divided by its leading term, packed: it has
+    constant term 1 and degree 0.
     """
 
     packed: Packed
@@ -90,9 +90,8 @@ class JonesResult:
         return self.run.poly()
 
     @cached_property
-    def normalized(self) -> HLPoly:
-        return self.poly * HLPoly.monomial(self.leading_sign,
-                                           -_units(self.degree))
+    def normalized(self) -> Packed:
+        return self.packed.times(self.leading_sign, -_units(self.degree))
 
 
 def cross_check(results, value) -> JonesResult:
@@ -107,7 +106,7 @@ def cross_check(results, value) -> JonesResult:
     is the CLI input, or an even CF's entry list.
     """
     first, *others = results
-    differing = [r for r in others if not r.packed.same(first.packed)]
+    differing = [r for r in others if r.packed != first.packed]
     if not differing:
         return first
     parts = []
@@ -172,7 +171,7 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
             steps.append((nu[0], nu[1], k))  # mu = t^v = t^(u - 1)
         else:
             steps += [((1, 2 * v), nu)] * k
-    packed = continuant_packed(steps, _TWO_UNKNOTS, HLPoly.one(),
+    packed = continuant_packed(steps, _TWO_UNKNOTS, 1,
                                abs(numerator_rec(cf.entries)))
     return JonesResult(packed, "recursive")
 
@@ -194,8 +193,8 @@ def degree_and_sign(cf: EvenCF):
     return Fraction(2 * (plus - pairs) - cf.m, 2), (-1) ** (cf.m - pairs)
 
 
-def specialized_f_positive(cf: PositiveCF) -> HLPoly:
-    """Specialized matching generating function of a positive CF.
+def specialized_f_positive(cf: PositiveCF) -> Packed:
+    """Specialized matching generating function of a positive CF, packed.
 
     The numerator of the continued fraction of Laurent polynomials whose
     entries are, with q = -t^(-1) and l_i = a_1 + ... + a_i:
@@ -207,11 +206,6 @@ def specialized_f_positive(cf: PositiveCF) -> HLPoly:
     constant term 1, lowest term (-1)^(d+1) t^(-d-1) with d = sum(a_i) - 1,
     and equals the Jones polynomial divided by its leading term.
     """
-    return _f_positive(cf).decode()
-
-
-def _f_positive(cf: PositiveCF) -> Packed:
-    """:func:`specialized_f_positive`, packed."""
     a = cf.entries
     ell = cf.partial_sums()
     steps = [_first_step(a[0])]
@@ -225,29 +219,25 @@ def _f_positive(cf: PositiveCF) -> Packed:
     return result
 
 
-def specialized_f_even(cf: EvenCF) -> HLPoly:
-    """Specialized matching generating function of an even CF.
+def specialized_f_even(cf: EvenCF) -> Packed:
+    """Specialized matching generating function of an even CF, packed.
 
     It is (-t^(-1))^(d+1) times the bar involution of the positive-CF
     polynomial of |r/s| for negative value r/s, and of the partner r/(r - s)
     for positive value: the reflection identity F[a] = q^(d+1)
     bar(F[1, a_1 - 1, a_2, ...]), both sides with the same d.
     """
-    return _f_even(cf).decode()
-
-
-def _f_even(cf: EvenCF) -> Packed:
-    """:func:`specialized_f_even`, packed."""
     r = abs(eval_cf(cf.entries))
     if cf.entries[0] > 0:
         r = Fraction(r.numerator, r.numerator - r.denominator)
     pos = positive_cf(r)
     c, u, _ = _q(pos.d + 1, 1)
-    return _f_positive(pos).bar().times(c, u)
+    return specialized_f_positive(pos).bar().times(c, u)
 
 
-def f_recursive(cf: EvenCF) -> HLPoly:
-    """Two-term recursion for the specialized generating function, b_1 > 0.
+def f_recursive(cf: EvenCF) -> Packed:
+    """Two-term recursion for the specialized generating function, b_1 > 0,
+    packed.
 
     F_m = mu(t) F_(m-2) + nu(t) [|b_m|]_q F_(m-1), where mu and nu depend on
     the tail of the type sequence (extended by a leading sentinel minus, the
@@ -282,7 +272,7 @@ def f_recursive(cf: EvenCF) -> HLPoly:
         else:
             mu = (-1, -2 * ab1) if t2 == -1 else (1, 2 * (1 - ab1))
         steps.append((mu, nu))
-    return continuant_packed(steps, 1, 1, abs(numerator_rec(bs))).decode()
+    return continuant_packed(steps, 1, 1, abs(numerator_rec(bs)))
 
 
 def _placed(cf: EvenCF, F: Packed, engine: str) -> JonesResult:
@@ -294,7 +284,7 @@ def _placed(cf: EvenCF, F: Packed, engine: str) -> JonesResult:
 
 def jones_via_f(cf: EvenCF) -> JonesResult:
     """Normalization-times-generating-function engine."""
-    return _placed(cf, _f_even(cf), "fpoly")
+    return _placed(cf, specialized_f_even(cf), "fpoly")
 
 
 def oriented_even_cf(r: Rat) -> EvenCF:
@@ -323,7 +313,7 @@ def jones_direct(cf: PositiveCF) -> JonesResult:
     the value.
     """
     ev = oriented_even_cf(eval_cf(cf.entries))
-    return _placed(ev, _f_positive(cf), "direct")
+    return _placed(ev, specialized_f_positive(cf), "direct")
 
 
 def mirror(res: JonesResult) -> JonesResult:

@@ -52,10 +52,6 @@ class HLPoly:
         """coeff * t^(half_units / 2)."""
         return cls({half_units: coeff})
 
-    @classmethod
-    def one(cls) -> "HLPoly":
-        return cls({0: 1})
-
     # -- ring structure ---------------------------------------------------
 
     @staticmethod
@@ -368,7 +364,7 @@ class Packed:
     Each coefficient is one balanced base-2^s digit of n, and every integer
     has exactly one string of such digits.  The constructor shifts zero low
     slots out of n into h, and stores zero as (0, 0), so two terms with equal
-    s are one polynomial exactly when their (n, h) are equal: :meth:`same`
+    s are one polynomial exactly when their (n, h) are equal: ``==``
     compares them without a decode.
 
     :meth:`read` is the one read of the digits; :meth:`bar` reverses the
@@ -392,9 +388,11 @@ class Packed:
         return Packed(self.n if c > 0 else -self.n, self.h + u, self.s,
                       self.bound)
 
-    def same(self, other: "Packed") -> bool:
+    def __eq__(self, other):
         """Whether both stand for one polynomial: on one slot width, whether
         their one forms are equal, else whether their decodes are."""
+        if not isinstance(other, Packed):
+            return NotImplemented
         if self.s != other.s:
             return self.decode() == other.decode()
         return self.n == other.n and self.h == other.h

@@ -44,6 +44,11 @@ _SIGNS = frozenset((1, -1))
 LISTING_BUDGET = 64 * 10 ** 6
 # largest snake graph, in tiles, whose value the CLI expands or computes on
 TILE_BUDGET = 1 << 20
+# largest kernel run the CLI starts, as entries x (tiles + 2) x (numerator
+# bits + 2): the product of the step count, the slot count and the slot
+# width; at the limit ``jones`` takes 0.2 s on ones and 3-4 s on entries of
+# 100 and more, whose products divide by a multi-digit 2^s + 1
+WORK_BUDGET = 10 ** 9
 # largest ``verify --max-sum``: its sweeps grow exponentially, 3.7 s at 16
 # and 16 s at 18
 MAX_SUM_BUDGET = 16
@@ -231,6 +236,16 @@ def check_tiles(tiles: int):
     if tiles > TILE_BUDGET:
         raise BudgetExceeded(f"the snake graph has {tiles} tiles, beyond "
                              f"budget {TILE_BUDGET}")
+
+
+def check_work(entries: int, tiles: int, p: int):
+    """Raise :class:`BudgetExceeded` when the kernel estimate entries x
+    (tiles + 2) x (bits of p + 2) of a value with numerator p is beyond
+    :data:`WORK_BUDGET`."""
+    slots, bits = tiles + 2, abs(p).bit_length() + 2
+    if entries * slots * bits > WORK_BUDGET:
+        raise BudgetExceeded(f"{entries} entries x {slots} slots x {bits} "
+                             f"bits exceed budget {WORK_BUDGET}")
 
 
 def _heights(g: SnakeGraph, budget):

@@ -72,7 +72,7 @@ def check_engines(cf: EvenCF):
                 f"two-term recursion disagrees on {list(cf.entries)}",
                 engines=("recursive", "f_recursive"), value=cf.entries)
         g = snake_from_even(cf)
-        if specialize_y(f_polynomial(g), g.d) != ref.normalized:
+        if specialize_y(f_polynomial(g), g.d) != ref.normalized.decode():
             raise CrossCheckMismatch(
                 f"matching enumeration disagrees on {list(cf.entries)}",
                 engines=("recursive", "matchings"), value=cf.entries)

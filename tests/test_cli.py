@@ -559,6 +559,99 @@ class TestTileBudget:
             "budget 10\n")
 
 
+class TestWorkBudget:
+    """``jones`` and the specialized ``fpoly`` refuse a value whose kernel
+    estimate, entries x (tiles + 2) x (numerator bits + 2), is beyond
+    ``WORK_BUDGET``, before any work that grows with it: a long entry list
+    stays far under the tile budget."""
+
+    @pytest.mark.parametrize("command", ["jones", "fpoly"])
+    @pytest.mark.parametrize("entry, count, estimate", [
+        ("1", 8000, "8000 entries x 8001 slots x 5556 bits"),
+        ("1000", 1000, "1000 entries x 1000001 slots x 9968 bits")])
+    def test_refused_before_any_work(self, capsys, monkeypatch, command,
+                                     entry, count, estimate):
+        import twobridge.cli as cli
+
+        def no_work(*args):
+            raise AssertionError("work began before the work check")
+        for name in WORK:
+            monkeypatch.setattr(cli, name, no_work)
+        start = time.perf_counter()
+        assert main([command, "--", ",".join([entry] * count)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error [{command}]: {estimate} exceed budget 1000000000\n")
+
+    def test_limit(self, capsys, monkeypatch):
+        import twobridge.cli as cli
+        from twobridge.snake import WORK_BUDGET, check_work
+        assert WORK_BUDGET == 10 ** 9
+        check_work(1, WORK_BUDGET // 4 - 2, 3)  # 1 x 250,000,000 x 4
+        with pytest.raises(BudgetExceeded):
+            check_work(1, WORK_BUDGET // 4 - 1, 3)
+        # 1128 ones are 999,706,920 and still answer; 1129 are refused
+        assert main(["jones", "--", ",".join(["1"] * 1128)]) == 0
+        assert main(["jones", "--", ",".join(["1"] * 1129)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "1129 entries x 1130 slots x 786 bits exceed budget "
+            "1000000000\n")
+
+        class Checked(Exception):
+            pass
+
+        def record(*args):
+            check_work(*args)
+            raise Checked(*args)
+        monkeypatch.setattr(cli, "check_work", record)
+        # jones 1048577, at the tile budget, passes the work check; fpoly
+        # --full and the other commands do not take it
+        with pytest.raises(Checked) as checked:
+            run(Request("jones", "1048577"))
+        assert checked.value.args == (1, 1048576, 1048577)
+        with pytest.raises(Checked) as checked:
+            run(Request("fpoly", "[-2,2]", hint="even"))
+        assert checked.value.args == (2, 2, -3)
+        for command in ("convert", "snake", "volume"):
+            run(Request(command, "[3,4,5,3]"))
+        run(Request("fpoly", "[3,4,5,3]", full=True))
+
+
+# the ring operators of HLPoly, which no runtime path calls
+RING = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+        "__rmul__")
+
+
+class TestNoRingArithmetic:
+    """Every polynomial route returns a ``Packed``, compared as integers, so
+    no command and no sweep adds, negates or multiplies ``HLPoly`` values."""
+
+    @pytest.fixture(autouse=True)
+    def no_ring(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an HLPoly ring operator ran")
+        for name in RING:
+            monkeypatch.setattr(HLPoly, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["jones", "27/10"], ["jones", "--", "-27/10"],
+        ["jones", "--even", "[2,2,-2,4]"], ["fpoly", "27/10"],
+        ["fpoly", "--even", "[-2,2]"], ["fpoly", "--full", "27/10"],
+        ["snake", "27/10"], ["convert", "27/10"], ["volume", "[3,4,5,3]"]])
+    def test_commands(self, capsys, argv):
+        assert main(argv) == 0
+
+    def test_verify(self):
+        from twobridge.verify import run_verify
+        assert run_verify(8, 32) == {
+            "engine_agreement": 78, "matchings_vs_numerators": 255,
+            "even_vs_positive_graphs": 217, "continued_fraction_laws": 323}
+
+    def test_operators_refuse(self):
+        with pytest.raises(AssertionError, match="ring operator"):
+            HLPoly.monomial() * 2
+
+
 def _main_output(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()

@@ -43,7 +43,7 @@ class TestSkeinConstants:
         assert jones._TWO_UNKNOTS == TWO_UNKNOTS
         assert jones_recursive(EvenCF((2,))).poly == (
             HLPoly.monomial(1, 4) * TWO_UNKNOTS - HLPoly.monomial(1, 1)
-            * q_integer(2).bar() * HLPoly.one())
+            * q_integer(2).bar() * HLPoly.monomial())
 
     def test_two_unknots_from_skein(self):
         # (1 - t^-2)/epsilon, exactly
@@ -74,10 +74,10 @@ class TestRecursiveEngine:
         for entries in [(2,), (-2, 2), (2, 2, -2, 4), (4, -2), (-6, 4, -2)]:
             res = jones_recursive(EvenCF(entries))
             rebuilt = (HLPoly.monomial(res.leading_sign, int(2 * res.degree))
-                       * res.normalized)
+                       * res.normalized.decode())
             assert rebuilt == res.poly
             # highest term first: degree 0, constant term 1
-            exps, coeffs = res.normalized.exps_and_coeffs()
+            exps, coeffs = res.normalized.decode().exps_and_coeffs()
             assert (exps[0], coeffs[0]) == ("0", 1)
 
     def test_non_unit_leading_coefficient(self):
@@ -149,7 +149,7 @@ class TestRunSteps:
     def check(cfs):
         for cf in cfs:
             res = jones_recursive(cf).packed
-            assert res.same(per_entry_recursive(cf).packed), list(cf.entries)
+            assert res == per_entry_recursive(cf).packed, list(cf.entries)
 
     def test_even_lists(self):
         self.check(EvenCF(e) for e in even_lists(14))
@@ -177,7 +177,7 @@ class TestRunSteps:
         monkeypatch.setattr(jones, "continuant_packed", counted)
         res = jones_recursive(cf)
         assert len(seen) == 1 and seen[0] <= 2
-        assert res.packed.same(jones_direct(PositiveCF((100001,))).packed)
+        assert res.packed == jones_direct(PositiveCF((100001,))).packed
 
 
 class TestDegreeAndSign:
@@ -307,14 +307,14 @@ class TestRecursionBookkeeping:
 
 class TestSpecializedF:
     def test_positive_examples(self):
-        assert (specialized_f_positive(PositiveCF((1, 2))).to_text()
+        assert (specialized_f_positive(PositiveCF((1, 2))).decode().to_text()
                 == "1 - t^(-1) - t^(-3)")
-        assert (specialized_f_positive(PositiveCF((2, 2))).to_text()
+        assert (specialized_f_positive(PositiveCF((2, 2))).decode().to_text()
                 == "1 - t^(-1) + t^(-2) - t^(-3) + t^(-4)")
         coeffs = [1, 1, 3, 4, 5, 5, 5, 4, 2, 1]
         want = HLPoly({-2 * i: c * (1 if i % 2 == 0 else -1)
                        for i, c in enumerate(coeffs)})
-        assert specialized_f_positive(PositiveCF((3, 2, 4))) == want
+        assert specialized_f_positive(PositiveCF((3, 2, 4))).decode() == want
 
     def test_even_examples(self):
         for entries, text in [
@@ -324,7 +324,8 @@ class TestSpecializedF:
                 ((-4,), "1 - t^(-1) + t^(-2) + t^(-4)"),
                 ((4, -2), "1 - t^(-1) + t^(-2) - 2*t^(-3) + t^(-4) - t^(-5)"),
                 ((-4, 2), "1 - t^(-1) + 2*t^(-2) - t^(-3) + t^(-4) - t^(-5)")]:
-            assert specialized_f_even(EvenCF(entries)).to_text() == text
+            F = specialized_f_even(EvenCF(entries))
+            assert F.decode().to_text() == text
 
     def test_named_coincidences(self):
         assert specialized_f_even(EvenCF((-2, 2))) == specialized_f_positive(
@@ -337,7 +338,8 @@ class TestSpecializedF:
     def test_shape(self):
         for entries in [(2, 1, 2), (3, 3), (2, 2, 2, 2), (5,)]:
             cf = PositiveCF(entries)
-            exps, coeffs = specialized_f_positive(cf).exps_and_coeffs()
+            F = specialized_f_positive(cf).decode()
+            exps, coeffs = F.exps_and_coeffs()
             assert (exps[0], coeffs[0]) == ("0", 1)
             assert exps[-1] == str(-(cf.d + 1))
             assert coeffs[-1] == (1 if cf.d % 2 else -1)
@@ -347,14 +349,15 @@ class TestSpecializedF:
         for entries in [(2, 2), (3, 1, 2), (2, 1, 2, 3), (4, 3), (5,)]:
             cf = PositiveCF(entries)
             other = PositiveCF((1, entries[0] - 1) + entries[1:])
-            lhs = specialized_f_positive(cf)
-            rhs = q_power(cf.d + 1) * specialized_f_positive(other).bar()
+            lhs = specialized_f_positive(cf).decode()
+            rhs = (q_power(cf.d + 1)
+                   * specialized_f_positive(other).decode().bar())
             assert lhs == rhs
 
 
 class TestFRecursive:
     def test_single_entry(self):
-        assert f_recursive(EvenCF((2,))).to_text() == "1 + t^(-2)"
+        assert f_recursive(EvenCF((2,))).decode().to_text() == "1 + t^(-2)"
 
     def test_examples(self):
         assert f_recursive(EvenCF((4, -2))) == specialized_f_even(EvenCF((4, -2)))
@@ -392,7 +395,7 @@ class TestDirect:
         res = jones_direct(PositiveCF((2, 3, 4, 5, 6)))
         coeffs = [1, -3, 7, -15, 27, -44, 63, -83, 101, -111, 113, -106,
                   92, -73, 54, -36, 22, -12, 6, -2, 1]
-        exps, got = res.normalized.exps_and_coeffs()
+        exps, got = res.normalized.decode().exps_and_coeffs()
         assert exps == [str(-e) for e in range(21)]
         assert got[::-1] == coeffs
 

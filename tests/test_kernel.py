@@ -58,12 +58,12 @@ def check_engines(entries, want_f):
     ev = oriented_even_cf(eval_cf(entries))
     j, delta = degree_and_sign(ev)
     want = HLPoly.monomial(delta, int(2 * j)) * want_f
-    assert specialized_f_positive(cf) == want_f
+    assert specialized_f_positive(cf).decode() == want_f
     assert jones_direct(cf).poly == want
     assert jones_recursive(ev).poly == want
     assert jones_via_f(ev).poly == want
     if ev.entries[0] > 0:
-        assert f_recursive(ev) == want_f
+        assert f_recursive(ev).decode() == want_f
 
 
 class TestAgainstRingContinuant:
@@ -375,21 +375,28 @@ def packed_pairs(draw, mixed=False):
 
 class TestPacked:
     @given(packed_pairs())
-    def test_same_is_decoded_equality(self, pair):
+    def test_eq_is_decoded_equality(self, pair):
         a, pa, b, pb = pair
         assert a.decode() == pa and b.decode() == pb
-        assert a.same(b) == b.same(a) == (pa == pb)
+        assert (a == b) == (b == a) == (pa == pb)
+
+    def test_eq_leaves_other_types_to_them(self):
+        one = Packed(1, 0, 8, 1)  # the constant 1
+        assert one.__eq__(1) is NotImplemented
+        assert one.__eq__(HLPoly.monomial()) is NotImplemented
+        assert one != 1 and one != HLPoly.monomial()
+        assert one == Packed(1, 0, 16, 1) == Packed(1 << 8, -2, 8, 1)
 
     @given(packed_pairs(mixed=True))
     def test_mixed_grids_equal_only_when_zero(self, pair):
         a, pa, b, pb = pair
-        assert a.same(b) == b.same(a) == (not pa and not pb)
+        assert (a == b) == (b == a) == (not pa and not pb)
 
     @given(packed_pairs(), st.sampled_from((1, -1)), st.integers(-9, 9))
     def test_times_is_the_monomial_product(self, pair, c, u):
         a, pa, _, _ = pair
         assert a.times(c, u).decode() == HLPoly.monomial(c, u) * pa
-        assert a.times(c, u).same(a) == (not pa or (c, u) == (1, 0))
+        assert (a.times(c, u) == a) == (not pa or (c, u) == (1, 0))
 
     @given(packed_pairs())
     def test_bar_of_packed_terms(self, pair):
@@ -398,7 +405,7 @@ class TestPacked:
             check_bar(p)
             s = p.s
             n, h = _pack(poly.bar(), s)
-            assert p.bar().same(Packed(n, h, s, p.bound))
+            assert p.bar() == Packed(n, h, s, p.bound)
 
     @given(st.sampled_from((8, 16, 32, 64)), st.data())
     def test_bar_on_struct_widths(self, s, data):
@@ -480,7 +487,7 @@ def check_bar(p: Packed):
         return
     barred = p.bar()
     assert barred.decode() == want
-    assert barred.bar().same(p)
+    assert barred.bar() == p
     assert (barred.s, barred.bound) == (p.s, p.bound)
 
 

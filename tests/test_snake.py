@@ -560,14 +560,37 @@ class TestFPolynomial:
             g = snake_from_positive(cf)
             assert 64 <= g.d <= 200
             assert specialize_y(f_polynomial(g), g.d) == (
-                specialized_f_positive(cf)), entries
+                specialized_f_positive(cf).decode()), entries
         for entries in [(2, -2) * 32, (64, -2), (2, -66), (70, 2),
                         (40, -2, 2, -30), (30, 30, -10)]:
             cf = EvenCF(entries)
             g = snake_from_even(cf)
             assert 64 <= g.d <= 200
             assert specialize_y(f_polynomial(g), g.d) == (
-                specialized_f_even(cf)), entries
+                specialized_f_even(cf).decode()), entries
+
+    def test_listing_against_fpoly(self):
+        """The listing of an even CF's graph specializes to F, the polynomial
+        ``fpoly`` prints, for b_1 > 0, and to q^(d+1) bar(F) for b_1 < 0: the
+        reflection identity.  ``fpoly -- [-2,2]`` prints 1 + t^(-2) - t^(-3),
+        and ``fpoly --full -- [-2,2]`` lists 1 + y2 + y1*y2."""
+        seen = Counter()
+        for entries in even_lists(10):
+            cf = EvenCF(entries)
+            g = snake_from_even(cf)
+            listed = specialize_y(f_polynomial(g), g.d)
+            F = specialized_f_even(cf)
+            if entries[0] < 0:  # q^(d+1) = (-1)^(d+1) t^(-d-1)
+                F = F.bar().times((-1) ** (g.d + 1), -2 * (g.d + 1))
+            assert listed == F.decode(), entries
+            seen[entries[0] > 0] += 1
+        assert seen == {True: 115, False: 115}
+        g = snake_from_even(EvenCF((-2, 2)))
+        assert height_subsets(f_polynomial(g)) == [[], [2], [1, 2]]
+        assert (specialize_y(f_polynomial(g), g.d).to_text()
+                == "1 - t^(-1) - t^(-3)")
+        assert (specialized_f_even(EvenCF((-2, 2))).decode().to_text()
+                == "1 + t^(-2) - t^(-3)")
 
     def test_specialization_route(self):
         g = snake_from_even(EvenCF((2, -2)))

@@ -127,6 +127,12 @@ def test_check_engines_checks_degree_and_sign(monkeypatch, entries, fault):
                                f"{list(entries)}")
 
 
+# one unit more: in the lowest slot of the packed recursion, and on the
+# constant term of the specialized listing
+ONE_MORE = {"f_recursive": lambda p: Packed(p.n + 1, p.h, p.s, p.bound),
+            "specialize_y": lambda p: p + 1}
+
+
 @pytest.mark.parametrize("name, message", [
     ("f_recursive", "two-term recursion disagrees on [2, 4]"),
     ("specialize_y", "matching enumeration disagrees on [2, 4]")])
@@ -135,7 +141,8 @@ def test_check_engines_checks_the_normalized_value(monkeypatch, name,
     """The two-term recursion and the matching listing are each compared
     with the engines' normalized polynomial: one unit more is a mismatch."""
     real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: real(*args) + 1)
+    monkeypatch.setattr(verify, name,
+                        lambda *args: ONE_MORE[name](real(*args)))
     with pytest.raises(CrossCheckMismatch) as info:
         verify.check_engines(EvenCF((2, 4)))
     assert str(info.value) == message
