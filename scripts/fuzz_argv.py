@@ -8,9 +8,10 @@ option, and an input s of at most :data:`MAX_LEN` characters over
 alphabet; the other half are shaped like a number, a fraction or an entry
 list, with numbers of up to nine digits, so that large values are drawn
 often.  A share :data:`LONG_SHARE` of the ``jones`` and ``fpoly`` inputs
-is instead one entry of 1, 2 or 3 repeated 2,000 to 20,000 times
+is instead one entry of 1, 2 or 3 repeated 300 to 20,000 times
 (:data:`LONG_COUNTS`), bare or in brackets: a long list of a few tiles per
-entry, which stays far under the tile budget.  ``verify``, which takes no
+entry, which stays far under the tile budget, and falls on both sides of
+the work budget (1,128 ones, 732 twos, 577 threes).  ``verify``, which takes no
 input and whose cost is set by ``--max-sum`` alone, always gets
 ``--max-sum`` from :data:`MAX_SUMS`, none of which starts a long sweep,
 and half of the time an empty input.
@@ -54,8 +55,10 @@ OPTIONS = ((), ("--even",), ("--positive",), ("--full",),
            *(("--format", f) for f in ("text", "json", "latex")))
 # below 1, small, and above the sweep budget
 MAX_SUMS = (-1, 0, 1, 2, 17, 10 ** 9)
-LONG_SHARE = 0.05  # of the jones and fpoly argvs that :func:`main` draws
-LONG_COUNTS = (2000, 20000)  # least and most repeats of a long list's entry
+LONG_SHARE = 0.05  # of the jones and fpoly argvs
+# repeats of a long list's entry: answered ones near the work budget, and
+# refused ones up to lists that ran for minutes before it
+LONG_COUNTS = (300, 500, 1000, 2000, 8000, 20000)
 
 
 class Stalled(Exception):
@@ -86,16 +89,15 @@ def _input(rng: random.Random, max_len: int) -> str:
 
 
 def _long_list(rng: random.Random) -> str:
-    """One entry of 1, 2 or 3, repeated :data:`LONG_COUNTS` times."""
-    s = ",".join([str(rng.randint(1, 3))] * rng.randint(*LONG_COUNTS))
+    """One entry of 1, 2 or 3, repeated one of :data:`LONG_COUNTS` times."""
+    s = ",".join([str(rng.randint(1, 3))] * rng.choice(LONG_COUNTS))
     return f"[{s}]" if rng.random() < 0.5 else s
 
 
-def argvs(seed: int, count: int, max_len: int = MAX_LEN,
-          long_share: float = 0.0):
+def argvs(seed: int, count: int, max_len: int = MAX_LEN):
     """``count`` argvs ``[command, *option, "--", s]``, the same for a seed;
-    a share ``long_share`` of the ``jones`` and ``fpoly`` inputs are long
-    entry lists (none by default, and then no draw is spent on them)."""
+    a share :data:`LONG_SHARE` of the ``jones`` and ``fpoly`` inputs are
+    long entry lists, whatever ``max_len``."""
     rng = random.Random(seed)
     for _ in range(count):
         command = rng.choice(COMMANDS)
@@ -104,8 +106,8 @@ def argvs(seed: int, count: int, max_len: int = MAX_LEN,
             s = _input(rng, max_len) if rng.random() < 0.5 else ""
         else:
             option = rng.choice(OPTIONS)
-            if (long_share and command in ("jones", "fpoly")
-                    and rng.random() < long_share):
+            if (command in ("jones", "fpoly")
+                    and rng.random() < LONG_SHARE):
                 s = _long_list(rng)
             else:
                 s = _input(rng, max_len)
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     cap_memory(MEMORY_MB)
     codes, breaches, long_lists = Counter(), 0, 0
-    for one in argvs(args.seed, args.count, long_share=LONG_SHARE):
+    for one in argvs(args.seed, args.count):
         code, breach = check(one)
         codes[code] += 1
         long_lists += len(one[-1]) > MAX_LEN

@@ -178,7 +178,9 @@ def run(req: Request) -> dict:
     if req.command != "volume":  # whose work does not grow with the tiles
         check_tiles(d)
     if req.command == "jones" or (req.command == "fpoly" and not req.full):
-        check_work(pos.n if ev is None else ev.m, d, r.numerator)
+        # the closed forms step once per entry of a positive cf, which is
+        # about twice as long as an even list of alternating signs
+        check_work(pos.n if ev is None else max(pos.n, ev.m), d, r.numerator)
     if r < 0 and ev is None and req.command in ("snake", "fpoly"):
         raise OutOfRange(f"need a rational >= 1, got {r}")
     report = {"command": req.command, "input": req.input}

@@ -55,14 +55,15 @@ _TWO_UNKNOTS = HLPoly({-1: -1, 1: -1})  # -t^(-1/2) - t^(1/2)
 _RUN = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JonesResult:
     """A Jones polynomial, held packed, and the engine that made it.
 
     ``run``, the one read of the digits of ``packed``, is made on first use;
     ``degree``, ``leading_sign`` and ``poly`` are all read from it.
     ``normalized`` is ``packed`` divided by its leading term, packed: it has
-    constant term 1 and degree 0.
+    constant term 1 and degree 0.  Results compare and hash by identity;
+    two polynomials compare as ``a.packed == b.packed``.
     """
 
     packed: Packed

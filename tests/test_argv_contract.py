@@ -1,9 +1,10 @@
 """The CLI's argv contract on short argvs from ``scripts/fuzz_argv.py``.
 
 Every ``[command, *option, "--", s]`` with s of at most four characters over
-``0-9/-,[] +_`` exits 0, 1 or 2, lets no exception escape, and on a nonzero
-exit writes a stderr that starts with ``error``.  The script runs the same
-check on longer inputs.
+``0-9/-,[] +_``, or for ``jones`` and ``fpoly`` a long list of one repeated
+entry, exits 0, 1 or 2, lets no exception escape, and on a nonzero exit
+writes a stderr that starts with ``error``.  The script runs the same check
+on longer inputs.
 """
 
 import importlib.util
@@ -36,15 +37,22 @@ def test_short_argvs_keep_the_contract():
 
 def test_draws_are_seeded_and_short():
     assert list(fuzz.argvs(21, 600, 4)) == ARGVS
+    long_lists = 0
     for command, *option, dashes, s in ARGVS:
         assert command in cli.COMMANDS and dashes == "--"
-        assert len(option) <= 2 and len(s) <= 4
-        assert set(s) <= set(fuzz.ALPHABET)
+        assert len(option) <= 2 and set(s) <= set(fuzz.ALPHABET)
+        if len(s) > 4:  # one entry of 1, 2 or 3, repeated
+            assert command in ("jones", "fpoly")
+            entries = s.strip("[]").split(",")
+            assert len(set(entries)) == 1 and entries[0] in "123"
+            assert len(entries) in fuzz.LONG_COUNTS
+            long_lists += 1
         if command == "verify":  # never a long sweep
             assert option[0] == "--max-sum"
             assert int(option[1]) in fuzz.MAX_SUMS
     assert {argv[0] for argv in ARGVS} == set(fuzz.COMMANDS) == set(
         cli.COMMANDS)
+    assert long_lists  # the long-list path is drawn too
 
 
 @pytest.mark.parametrize("fault, breach", [

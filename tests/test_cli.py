@@ -583,6 +583,26 @@ class TestWorkBudget:
         assert capsys.readouterr().err == (
             f"error [{command}]: {estimate} exceed budget 1000000000\n")
 
+    @pytest.mark.parametrize("command", ["jones", "fpoly"])
+    def test_alternating_even_list_counts_its_positive_entries(
+            self, capsys, monkeypatch, command):
+        # [4,-4]*222 has 444 even entries but a positive cf [3,1,2,1,...,3]
+        # of 887, which the closed forms step through
+        from twobridge.snake import WORK_BUDGET
+        assert 444 * 1334 * 846 <= WORK_BUDGET < 887 * 1334 * 846
+        assert main([command, "--even", "--", ",".join(["4,-4"] * 221)]) == 0
+        capsys.readouterr()
+        import twobridge.cli as cli
+
+        def no_work(*args):
+            raise AssertionError("work began before the work check")
+        for name in WORK:
+            monkeypatch.setattr(cli, name, no_work)
+        assert main([command, "--even", "--", ",".join(["4,-4"] * 222)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [{command}]: 887 entries x 1334 slots x 846 bits exceed "
+            f"budget 1000000000\n")
+
     def test_limit(self, capsys, monkeypatch):
         import twobridge.cli as cli
         from twobridge.snake import WORK_BUDGET, check_work

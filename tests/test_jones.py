@@ -80,6 +80,14 @@ class TestRecursiveEngine:
             exps, coeffs = res.normalized.decode().exps_and_coeffs()
             assert (exps[0], coeffs[0]) == ("0", 1)
 
+    def test_results_hash_and_compare_by_identity(self):
+        a = jones_recursive(EvenCF((2, 2, -2, 4)))
+        b = jones_recursive(EvenCF((2, 2, -2, 4)))
+        assert len({a, b, a}) == 2 and a == a and a != b
+        assert a.packed == b.packed  # the polynomials compare packed
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a.packed)
+
     def test_non_unit_leading_coefficient(self):
         res = JonesResult(NOT_A_UNIT, "recursive")
         assert res.degree == 1
