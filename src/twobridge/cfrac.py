@@ -16,9 +16,10 @@ always reduced, positive denominator), aliased as :data:`Rat`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import neg
 
 from .errors import (BothOdd, CrossCheckMismatch, NoEvenQuotient, OutOfRange,
                      ZeroTail)
@@ -82,9 +83,14 @@ class PositiveCF:
 
 @dataclass(frozen=True)
 class EvenCF:
-    """Validated even continued fraction [b_1, ..., b_m], b_i even, nonzero."""
+    """Validated even continued fraction [b_1, ..., b_m], b_i even, nonzero.
+
+    ``runs`` is None, or for an expansion made by :func:`even_cf_runs` the
+    maximal groups (v, k) of k consecutive entries with one value v of
+    type times |b|; it is not an argument and takes no part in comparison."""
 
     entries: tuple
+    runs: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(map(int, self.entries))
@@ -104,6 +110,9 @@ class EvenCF:
 
     def mirrored(self) -> "EvenCF":
         """Entrywise negation; evaluates to the negated rational."""
+        if self.runs is not None:
+            return _with_runs(tuple(map(neg, self.entries)),
+                              [(-v, k) for v, k in self.runs])
         return _valid(EvenCF, tuple(-b for b in self.entries))
 
 
@@ -220,6 +229,87 @@ def _even_entries(p: int, q: int) -> tuple:
         entries.append(b)
         p, q = q, s
     return tuple(entries)
+
+
+def even_cf_runs(p: int, q: int) -> EvenCF:
+    """The even continued fraction of p/q, for coprime p and q >= 1, read a
+    run at a time.
+
+    At p/q with d = |p| - |q| and 2d < |q|, the next k = (|q| - 1) // d
+    entries are b, -b, b, ... with b = 2 sgn(p q), all of one type: each
+    keeps d, lowers |q| by d and negates the value, so one division reads
+    the run and the value after it (the expansion reads only the value).
+    Other entries are :func:`even_division` steps.  The result carries its
+    ``runs``; its entries are made by tuple repetition.  Raises
+    :class:`BothOdd` and :class:`OutOfRange` as :func:`_even_entries` does.
+    """
+    if p & q & 1:
+        raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
+    if abs(p) <= q:
+        raise OutOfRange(f"need |r| > 1, got {Fraction(p, q)}")
+    entries, runs, v0, k0 = [], [], 0, 0  # (v0, k0): the open group
+    while q:
+        n = q if q > 0 else -q
+        d = (p if p > 0 else -p) - n
+        if 2 * d < n:
+            k = (n - 1) // d
+            b = 2 if (p > 0) == (q > 0) else -2
+            p, q = (n - (k - 1) * d) * (-b if k & 1 else b) // 2, n - k * d
+            entries += (b, -b) * (k >> 1)
+            if k & 1:
+                entries.append(b)
+        else:
+            k, b = 1, (p + n) // (2 * n) * (2 if q > 0 else -2)
+            p, q = q, p - b * q
+            entries.append(b)
+        # the type times |b| is b (-1)^i at index i
+        v = -b if (len(entries) - k) & 1 else b
+        if v == v0:
+            k0 += k
+        else:
+            runs.append((v0, k0))
+            v0, k0 = v, k
+    runs.append((v0, k0))
+    return _with_runs(tuple(entries), runs[1:])
+
+
+def _with_runs(entries: tuple, runs) -> EvenCF:
+    """An :class:`EvenCF` on valid ``entries`` that carries its ``runs``."""
+    cf = _valid(EvenCF, entries)
+    object.__setattr__(cf, "runs", tuple(runs))
+    return cf
+
+
+def run_value(cf: EvenCF) -> tuple:
+    """(num, den) of an expansion made by :func:`even_cf_runs`, as
+    :func:`_value` gives it, read from its groups right to left.
+
+    Prepending c to a suffix value num/den is the matrix
+    M(c) = [[c, 1], [1, 0]].  For b = +-2, M(b) M(-b) = -I + N with
+    N = [[-2, b], [-b, 2]] and N^2 = 0, so j such pairs are
+    (-1)^j (I - j N): a run is one closed-form step.  The sign (-1)^j
+    scales num and den alike, so it is left out.
+    """
+    num, den = 1, 0
+    sign = -1 if cf.m & 1 else 1  # (-1)^i at the index i after the group
+    for v, k in reversed(cf.runs):
+        if k & 1:
+            sign = -sign
+        x = sign * v  # the group's first entry
+        if k == 1:
+            num, den = x * num + den, num
+        elif x in (2, -2):
+            if k & 1:
+                num, den = x * num + den, num
+            j = k >> 1
+            num, den = (num + j * (2 * num - x * den),
+                        den + j * (x * num - 2 * den))
+        else:
+            x = x if k & 1 else -x  # the last entry
+            for _ in range(k):
+                num, den = x * num + den, num
+                x = -x
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def even_cf_for_link(r: Rat) -> EvenCF:

@@ -170,8 +170,10 @@ def run(req: Request) -> dict:
 
     obj = parse_input(req.input, req.hint)
     # the signed value, the given even list, and a positive cf of |value|:
-    # the given list, or Euclid's quotients, which refuse |value| < 1
+    # the given list, or Euclid's quotients
     r = obj if isinstance(obj, Fraction) else obj.value()
+    if abs(r) < 1:  # only a fraction can be; the message keeps its sign
+        raise OutOfRange(f"need a rational >= 1, got {r}")
     ev = obj if isinstance(obj, EvenCF) else None
     pos = obj if isinstance(obj, PositiveCF) else positive_cf(abs(r))
     d = pos.d if ev is None else tile_count_even(ev)

@@ -37,10 +37,10 @@ from functools import cached_property
 from itertools import groupby
 from operator import mul
 
-from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf_for_link,
-                    numerator_rec, positive_cf, tau, type_sequence)
-from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
-                     WrongOrientation, ZeroPolynomial)
+from .cfrac import (EvenCF, PositiveCF, Rat, _value, eval_cf, even_cf_runs,
+                    numerator_rec, positive_cf, run_value, tau, type_sequence)
+from .errors import (CrossCheckMismatch, HypothesisViolated, OutOfRange,
+                     SlotOverflow, WrongOrientation, ZeroPolynomial)
 from .laurent import (DigitRun, HLPoly, Packed, _exp_str, _units,
                       continuant_packed)
 
@@ -158,22 +158,28 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     with the conventions V(empty) = 1 (unknot) and V at index -1 equal to
     the two-unknot value -t^(-1/2) - t^(1/2).  A run of ``_RUN`` or more
     entries of one type with |b| = 2, such as the p - 1 entries of an odd
-    integer p, is one run step of :func:`continuant_packed`.
+    integer p, is one run step of :func:`continuant_packed`.  The groups
+    and the slot bound come from ``cf.runs`` when it has them.
     """
+    groups = cf.runs
+    if groups is None:
+        groups = [(v, len(list(run))) for v, run in groupby(
+            map(mul, type_sequence(cf), map(abs, cf.entries)))]
+        bound = numerator_rec(cf.entries)
+    else:
+        bound = run_value(cf)[0]
     steps = []
     # v = t |b|: mu is t^v, and nu is -t^(-1/2) [|b|]_q on a - type and
     # -t^(1/2) [b]_qbar = t^(v-1/2) [b]_q on a + type, since b is even
-    for v, run in groupby(map(mul, type_sequence(cf), map(abs, cf.entries))):
+    for v, k in groups:
         nu = (-1, -1, -v) if v < 0 else (1, 2 * v - 1, v)
-        k = len(list(run))
         if k == 1:  # most groups: skip the list that a repeat would build
             steps.append(((1, 2 * v), nu))
         elif k >= _RUN and v in (2, -2):
             steps.append((nu[0], nu[1], k))  # mu = t^v = t^(u - 1)
         else:
             steps += [((1, 2 * v), nu)] * k
-    packed = continuant_packed(steps, _TWO_UNKNOTS, 1,
-                               abs(numerator_rec(cf.entries)))
+    packed = continuant_packed(steps, _TWO_UNKNOTS, 1, abs(bound))
     return JonesResult(packed, "recursive")
 
 
@@ -186,11 +192,20 @@ def degree_and_sign(cf: EvenCF):
     -1/2 on a - type and |b_i| - t_(i-1)/2 on a + type, and over the P +
     types the t_(i-1) sum to 2 tau - P, with tau the number of (+, +) pairs.
     So 2j = 2 (sum over + types of (|b_i| + 1) - tau) - m, and the leading
-    sign is (-1)^(m - tau).
+    sign is (-1)^(m - tau).  With ``cf.runs``, a group (v, k) of + type
+    adds k (v + 1) to the sum and k - 1 pairs, one more after a + group.
     """
-    types = type_sequence(cf)
-    pairs = tau(types)
-    plus = sum(abs(b) + 1 for t, b in zip(types, cf.entries) if t > 0)
+    if cf.runs is None:
+        types = type_sequence(cf)
+        pairs = tau(types)
+        plus = sum(abs(b) + 1 for t, b in zip(types, cf.entries) if t > 0)
+    else:
+        plus = pairs = last = 0
+        for v, k in cf.runs:
+            if v > 0:
+                plus += k * (v + 1)
+                pairs += k - 1 + (last > 0)
+            last = v
     return Fraction(2 * (plus - pairs) - cf.m, 2), (-1) ** (cf.m - pairs)
 
 
@@ -213,7 +228,7 @@ def specialized_f_positive(cf: PositiveCF) -> Packed:
     for i in range(2, cf.n + 1):
         e = -ell[i - 1] if i % 2 == 0 else ell[i - 2] + 1
         steps.append(((1, 0), _q(e, a[i - 1])))
-    result = continuant_packed(steps, 1, 1, numerator_rec(a))
+    result = continuant_packed(steps, 1, 1, _value(a)[0])
     if cf.n % 2 == 0:
         c, u, _ = _q(ell[-1], 1)
         result = result.times(c, u)
@@ -228,7 +243,8 @@ def specialized_f_even(cf: EvenCF) -> Packed:
     for positive value: the reflection identity F[a] = q^(d+1)
     bar(F[1, a_1 - 1, a_2, ...]), both sides with the same d.
     """
-    r = abs(eval_cf(cf.entries))
+    r = abs(eval_cf(cf.entries) if cf.runs is None
+            else Fraction(*run_value(cf)))
     if cf.entries[0] > 0:
         r = Fraction(r.numerator, r.numerator - r.denominator)
     pos = positive_cf(r)
@@ -295,14 +311,13 @@ def oriented_even_cf(r: Rat) -> EvenCF:
     odd the link carries the *negated* even expansion of p/(p - q); the
     positive-value expansion describes the mirror image.  A negative r is
     the mirror image of |r|, so it carries the negated expansion of |r|.
+    Negated, an expansion is that of -p/q, so the reader runs on (-p, q).
     """
     r = Fraction(r)
-    if r < 0:
-        return oriented_even_cf(-r).mirrored()
-    bs = even_cf_for_link(r)
-    if (r.numerator * r.denominator) % 2:
-        return bs.mirrored()
-    return bs
+    p, q = r.numerator, r.denominator
+    if abs(p) <= q:
+        raise OutOfRange(f"need |r| > 1, got {r}")
+    return even_cf_runs(-p, abs(p) - q) if p & q & 1 else even_cf_runs(p, q)
 
 
 def jones_direct(cf: PositiveCF) -> JonesResult:
@@ -313,7 +328,7 @@ def jones_direct(cf: PositiveCF) -> JonesResult:
     :func:`degree_and_sign` on the orientation-consistent even expansion of
     the value.
     """
-    ev = oriented_even_cf(eval_cf(cf.entries))
+    ev = oriented_even_cf(cf.value())
     return _placed(ev, specialized_f_positive(cf), "direct")
 
 

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from twobridge.cfrac import (EvenCF, PositiveCF, _value, eval_cf, even_cf,
-                             even_cf_for_link, even_division, euler_minding,
-                             numerator_rec, positive_cf, sign_sequence, tau,
+from twobridge.cfrac import (EvenCF, PositiveCF, _even_entries, _value,
+                             eval_cf, even_cf, even_cf_for_link, even_cf_runs,
+                             even_division, euler_minding, numerator_rec,
+                             positive_cf, run_value, sign_sequence, tau,
                              type_sequence)
 from twobridge.errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
 from twobridge.laurent import HLPoly
@@ -224,6 +227,88 @@ class TestExpansionAgainstDivisionSteps:
             # the expansion has fewer entries than this sum; a uniform q
             # keeps it small
             assert even_cf(r).entries == division_loop(p, q)
+
+
+def same_as_entry_reader(p, q):
+    """``even_cf_runs(p, q)`` against ``_even_entries(p, q)``: the entries,
+    the groups of equal type times |b|, the value and the mirror image."""
+    want = _even_entries(p, q)
+    got = even_cf_runs(p, q)
+    assert type(got.entries) is tuple and got.entries == want, (p, q)
+    groups = tuple((v, len(list(run))) for v, run in groupby(
+        map(mul, type_sequence(got), map(abs, want))))
+    assert got.runs == groups, (p, q)
+    assert run_value(got) == _value(want), (p, q)
+    listed = EvenCF(want)
+    assert got == listed and hash(got) == hash(listed)
+    mirror = got.mirrored()
+    assert mirror.entries == tuple(-b for b in want)
+    assert mirror.runs == tuple((-v, k) for v, k in groups)
+
+
+class TestRunReader:
+    """``even_cf_runs`` reads a run of +-2 entries with one division; it must
+    equal the per-entry ``_even_entries``."""
+
+    def test_every_fraction_up_to_600(self):
+        checked = 0
+        for p in range(2, 601):
+            for q in range(1, p):
+                if gcd(p, q) == 1 and p * q % 2 == 0:
+                    same_as_entry_reader(p, q)
+                    same_as_entry_reader(-p, q)
+                    checked += 2
+        assert checked == 146062
+
+    # no explain phase, as in the kernel's hypothesis tests
+    @settings(max_examples=150, deadline=None,
+              phases=tuple(p for p in Phase if p is not Phase.explain))
+    @given(st.one_of(
+        st.integers(2, 130).flatmap(
+            lambda bits: st.tuples(st.integers(2 ** (bits - 1), 2 ** bits),
+                                   st.integers(1, 2 ** bits))),
+        # fractions made from positive entries up to 4096: long runs
+        st.lists(st.one_of(st.integers(1, 4), st.integers(1, 4096)),
+                 min_size=1, max_size=12).map(
+            lambda a: (lambda r: (r.numerator, r.denominator))(eval_cf(a)))),
+        st.booleans())
+    def test_big_fractions(self, pq, negate):
+        """p/q up to 2^130, and values with runs of up to about 4,096
+        entries; a pair of odd numbers reads as the partner p/(p - q)."""
+        p, q = pq
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        if p <= q:
+            p, q = q + p, q  # any value above 1
+        if p & q & 1:
+            q = p - q
+        if max(positive_cf(Fraction(p, q)).entries) > 4096:
+            return  # a run longer than the per-entry reader should walk
+        same_as_entry_reader(-p if negate else p, q)
+
+    def test_a_run_is_one_group(self):
+        cf = even_cf_runs(1000001, 1000000)
+        assert cf.runs == ((2, 1000000),) and cf.m == 1000000
+        assert cf.entries[:3] == (2, -2, 2) and cf.entries[-1] == -2
+        assert set(map(type, cf.entries)) == {int}
+        assert run_value(cf) == (1000001, 1000000)
+        # the groups take no part in equality, hash or repr
+        listed = EvenCF(cf.entries)
+        assert listed.runs is None and repr(cf) == repr(listed)
+        with pytest.raises(TypeError):  # only the reader sets them
+            EvenCF((2,), runs=((4, 1),))
+        assert even_cf_runs(27, 10).runs == ((2, 1), (-2, 2), (-4, 1))
+
+    @pytest.mark.parametrize("p, q, error", [
+        (3, 1, BothOdd), (9, 5, BothOdd), (1, 2, OutOfRange),
+        (-2, 3, OutOfRange), (2, 2, OutOfRange)])
+    def test_raises_as_the_entry_reader(self, p, q, error):
+        for read in (_even_entries, even_cf_runs):
+            with pytest.raises(error) as raised:
+                read(p, q)
+            if read is _even_entries:
+                message = str(raised.value)
+        assert str(raised.value) == message
 
 
 class TestEvenCFForLink:

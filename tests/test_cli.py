@@ -702,6 +702,18 @@ class TestNegativeInputs:
         for value in ("[-4,2,-2,2]", "-13/4"):
             assert _main_output(["volume", value], capsys) == want, value
 
+    @pytest.mark.parametrize("argv, message", [
+        (["jones", "--", "-1/2"], "need a rational >= 1, got -1/2"),
+        (["snake", "--", "-1/2"], "need a rational >= 1, got -1/2"),
+        (["fpoly", "--", "-2/3"], "need a rational >= 1, got -2/3"),
+        (["convert", "--", "-1/2"], "need a rational >= 1, got -1/2"),
+        (["volume", "--", "-1/3"], "need a rational >= 1, got -1/3"),
+        (["jones", "--", "-1"], "need |r| > 1, got -1"),
+        (["jones", "1"], "need |r| > 1, got 1")])
+    def test_refusal_names_the_signed_value(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error [{argv[0]}]: {message}\n"
+
     def test_text_format_spelling(self, capsys):
         want = _main_output(["--format", "text", "snake", "--", "-27/10"],
                             capsys)

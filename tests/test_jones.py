@@ -10,7 +10,8 @@ import pytest
 
 from twobridge import jones
 from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
-                             numerator_rec, tau, type_sequence)
+                             numerator_rec, run_value, tau, type_sequence)
+from twobridge.cli import Request, run
 from twobridge.errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
 from twobridge.jones import (JonesResult, boundary_coefficients,
                              degree_and_sign, f_recursive, jones_direct,
@@ -18,7 +19,7 @@ from twobridge.jones import (JonesResult, boundary_coefficients,
                              oriented_even_cf, specialized_f_even,
                              specialized_f_positive, volume_bounds)
 from twobridge.laurent import HLPoly, Packed, continuant_packed, q_integer
-from twobridge.verify import even_lists
+from twobridge.verify import coprime_fractions, even_lists
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # 1 + 2t on 8-bit slots: its leading coefficient is 2, not a unit
@@ -186,6 +187,48 @@ class TestRunSteps:
         res = jones_recursive(cf)
         assert len(seen) == 1 and seen[0] <= 2
         assert res.packed == jones_direct(PositiveCF((100001,))).packed
+
+
+class TestRunPath:
+    """An expansion made by the run reader carries its groups, and every
+    engine that reads them agrees with the same entries given as a list."""
+
+    @staticmethod
+    def check(ev):
+        listed = EvenCF(ev.entries)
+        assert ev.runs is not None and listed.runs is None
+        assert degree_and_sign(ev) == degree_and_sign(listed)
+        got, want = jones_recursive(ev).packed, jones_recursive(listed).packed
+        assert got == want and got.bound == want.bound, list(ev.entries)
+        assert jones_via_f(ev).packed == jones_via_f(listed).packed
+        assert Fraction(*run_value(ev)) == eval_cf(ev.entries)
+
+    def test_fractions_of_both_signs(self):
+        for r in coprime_fractions(200):
+            self.check(oriented_even_cf(r))
+            self.check(oriented_even_cf(-r))
+
+    def test_odd_integers(self):
+        for p in range(3, 5002, 2):
+            self.check(oriented_even_cf(p))
+
+    def test_random_fractions_with_long_runs(self):
+        for ev in run_fractions(40, 17):
+            self.check(ev)
+            self.check(ev.mirrored())
+
+    def test_jones_walks_no_entry_list(self, monkeypatch):
+        """The CLI's jones path reads the runs: the per-entry helpers that
+        the list path uses are never called."""
+        want = run(Request("jones", "100001"))
+
+        def walk(*args):
+            raise AssertionError("an entry-by-entry walk")
+        for name in ("type_sequence", "tau", "numerator_rec", "eval_cf"):
+            monkeypatch.setattr(jones, name, walk)
+        assert run(Request("jones", "100001")) == want
+        assert run(Request("jones", "-100001"))["checks"] == {
+            "recursive": "ok", "direct": "ok", "fpoly": "ok"}
 
 
 class TestDegreeAndSign:
