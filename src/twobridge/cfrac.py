@@ -232,16 +232,15 @@ def _even_entries(p: int, q: int) -> tuple:
 
 
 def even_cf_runs(p: int, q: int) -> EvenCF:
-    """The even continued fraction of p/q, for coprime p and q >= 1, read a
-    run at a time.
+    """The even continued fraction of p/q, q >= 1, read a run at a time.
 
     At p/q with d = |p| - |q| and 2d < |q|, the next k = (|q| - 1) // d
     entries are b, -b, b, ... with b = 2 sgn(p q), all of one type: each
     keeps d, lowers |q| by d and negates the value, so one division reads
     the run and the value after it (the expansion reads only the value).
     Other entries are :func:`even_division` steps.  The result carries its
-    ``runs``; its entries are made by tuple repetition.  Raises
-    :class:`BothOdd` and :class:`OutOfRange` as :func:`_even_entries` does.
+    ``runs``; its entries are made by tuple repetition.  Raises as
+    :func:`_even_entries` does.
     """
     if p & q & 1:
         raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
@@ -251,6 +250,8 @@ def even_cf_runs(p: int, q: int) -> EvenCF:
     while q:
         n = q if q > 0 else -q
         d = (p if p > 0 else -p) - n
+        if not d:  # |p| = |q| > 1, only when p and q share a factor
+            raise NoEvenQuotient(f"no nonzero even quotient for ({p}, {q})")
         if 2 * d < n:
             k = (n - 1) // d
             b = 2 if (p > 0) == (q > 0) else -2

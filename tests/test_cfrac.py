@@ -299,6 +299,20 @@ class TestRunReader:
             EvenCF((2,), runs=((4, 1),))
         assert even_cf_runs(27, 10).runs == ((2, 1), (-2, 2), (-4, 1))
 
+    def test_every_pair_up_to_60_alike(self):
+        """Any p/q with q >= 1, a common factor allowed: the same entries,
+        or the same exception."""
+        def outcome(read, p, q):
+            try:
+                got = read(p, q)
+            except (BothOdd, OutOfRange, NoEvenQuotient) as exc:
+                return type(exc)
+            return getattr(got, "entries", got)
+        for p in range(-60, 61):
+            for q in range(1, 60):
+                assert (outcome(even_cf_runs, p, q)
+                        == outcome(_even_entries, p, q)), (p, q)
+
     @pytest.mark.parametrize("p, q, error", [
         (3, 1, BothOdd), (9, 5, BothOdd), (1, 2, OutOfRange),
         (-2, 3, OutOfRange), (2, 2, OutOfRange)])
