@@ -17,17 +17,21 @@ Example:
         --seconds 10 --pairs 10
 
 A run that has not finished after four times ``--seconds`` plus two minutes
-is stopped and counts as failed.
+is stopped and counts as failed.  Runs write no bytecode, as in the
+benchmark, and a checkout with a ``__pycache__`` under ``src/`` is refused:
+its runs would read bytecode from an earlier import instead of the source.
 
 Exit status: 0 when every run succeeded and no metric is beyond its bound,
-1 when a metric is beyond its bound, 2 when a run failed or ``--pairs`` or
-``--seconds`` is out of range (checked before any run).
+1 when a metric is beyond its bound, 2 when a run failed, or when
+``--pairs`` or ``--seconds`` is out of range or a checkout holds bytecode
+(checked before any run).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -61,7 +65,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     timeout = run_timeout(seconds)
     try:
         out = subprocess.run(argv, cwd=checkout, capture_output=True,
-                             text=True, timeout=timeout)
+                             text=True, timeout=timeout, env=dict(
+                                 os.environ, PYTHONDONTWRITEBYTECODE="1"))
     except subprocess.TimeoutExpired:
         raise RunFailed(f"{checkout}: no result after {timeout:g} s") from None
     if out.returncode:
@@ -141,6 +146,12 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     if args.seconds <= 0:
         parser.error(f"--seconds must be positive, got {args.seconds:g}")
+    for checkout in (args.parent, args.change):
+        stale = sorted((checkout / "src").rglob("__pycache__"))
+        if stale:
+            print(f"ab_pairs: stale bytecode in {stale[0]}: remove every "
+                  f"__pycache__ under {checkout / 'src'}", file=sys.stderr)
+            return 2
     specs = json.loads(
         (args.change / "BENCHMARK.json").read_text())["end_to_end"]
 

@@ -127,11 +127,26 @@ def _all_digits():
         sys.set_int_max_str_digits(limit)
 
 
+class _Terms(tuple):
+    """(exponent, coefficient) pairs with the ``exps`` and ``coeffs`` they
+    were zipped from: :func:`_exp_str` strings and exact ints, which
+    :func:`_json` writes with one format and no checks."""
+
+    def __new__(cls, exps, coeffs):
+        self = super().__new__(cls, zip(exps, coeffs))
+        self.exps, self.coeffs = exps, coeffs
+        return self
+
+
+class _Plain(str):
+    """A polynomial's text or LaTeX: nothing in it needs a JSON escape."""
+
+
 def _poly_payload(exps, coeffs):
     """(coefficient pairs, text) of a polynomial from its exponent strings
     and coefficients, highest exponent first."""
     with _all_digits():
-        return list(zip(exps, coeffs)), text_from_terms(exps, coeffs)
+        return _Terms(exps, coeffs), _Plain(text_from_terms(exps, coeffs))
 
 
 def _rat_payload(r: Rat):
@@ -231,7 +246,7 @@ def run(req: Request) -> dict:
         report["coefficients"], text = _poly_payload(
             *F.read().exps_and_coeffs())
         report["text"] = text
-        report["latex"] = latex_from_text(text)
+        report["latex"] = _Plain(latex_from_text(text))
         return report
 
     if req.command == "jones":
@@ -254,7 +269,7 @@ def run(req: Request) -> dict:
         report["engine"] = req.engine
         report["checks"] = {name: "ok" for name in engines}
         report["text"] = text
-        report["latex"] = latex_from_text(text)
+        report["latex"] = _Plain(latex_from_text(text))
         return report
 
     if req.command == "volume":
@@ -275,41 +290,44 @@ def _json(obj, indent: str = "") -> str:
     With ``indent`` set, the standard library encodes in Python; here strings
     go through its C string encoder and ints through ``int.__repr__``, and
     every other scalar through ``json.dumps`` itself.  A list of exact ints
-    takes one join, and a list of [exact str, exact int] pairs one format.
-    Dict keys must be strings, as in every report; others raise
+    takes one join, :class:`_Terms` one format, and :class:`_Plain` quotes
+    alone.  Dict keys must be strings, as in every report; others raise
     ``TypeError``.  ``indent`` is the prefix of the lines that hold ``obj``.
     """
+    kind = type(obj)
+    if kind is _Plain:
+        return '"' + obj + '"'
+    if kind is _Terms:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        pair = f'[\n{inner}  "%s",\n{inner}  %d\n{inner}]'
+        # brackets in the template, so the long text is written once
+        return ("[\n" + inner + (",\n" + inner).join([pair] * len(obj))
+                + "\n" + indent + "]") % _interleave(obj.exps, obj.coeffs)
     if isinstance(obj, str):
         return _encode_str(obj)
-    if type(obj) is int:
+    if kind is int:
         return int.__repr__(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
-        kinds = set(map(type, obj))
-        if kinds == {int}:  # exact ints: one join
+        if set(map(type, obj)) == {int}:  # exact ints: one join
             return ("[\n" + inner + (",\n" + inner).join(
                 map(int.__repr__, obj)) + "\n" + indent + "]")
-        if kinds <= {list, tuple} and set(map(len, obj)) == {2}:
-            # [exact str, exact int] pairs, such as coefficients: one format
-            keys, values = zip(*obj)
-            if (set(map(type, keys)) == {str}
-                    and set(map(type, values)) == {int}):
-                pair = f"[\n{inner}  %s,\n{inner}  %d\n{inner}]"
-                body = ((",\n" + inner).join([pair] * len(obj))
-                        % _interleave(map(_encode_str, keys), values))
-                return "[\n" + inner + body + "\n" + indent + "]"
         return ("[\n" + inner + (",\n" + inner).join(
             [_json(x, inner) for x in obj]) + "\n" + indent + "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
-        return ("{\n" + inner
-                + (",\n" + inner).join([_encode_str(k) + ": " + _json(v, inner)
-                                        for k, v in obj.items()])
-                + "\n" + indent + "}")
+        # one join of all the parts: a long value is copied once
+        parts = ["{\n" + inner]
+        for k, v in obj.items():
+            parts += (_encode_str(k), ": ", _json(v, inner), ",\n" + inner)
+        parts[-1] = "\n" + indent + "}"
+        return "".join(parts)
     return json.dumps(obj)
 
 
@@ -418,7 +436,9 @@ def main(argv=None) -> int:
                       max_sum=args.max_sum, full=args.full)
         report = run(req)
         with _all_digits():
-            print(emit(report, args.format))
+            out = emit(report, args.format)
+        del report  # not held while the output is encoded and written
+        print(out)
         return 0
     except ParseError as exc:
         print(f"error{where}: {exc}", file=sys.stderr)

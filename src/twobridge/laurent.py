@@ -522,6 +522,8 @@ class DigitRun:
         digits = self.digits
         exps = _exp_strs(self.h, self.h + 2 * len(digits) - 2)
         coeffs = digits[::-1]
+        if all(coeffs):  # no zero slot to leave out
+            return exps, coeffs
         return list(compress(exps, coeffs)), list(filter(None, coeffs))
 
 

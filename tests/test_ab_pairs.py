@@ -166,3 +166,39 @@ def test_out_of_range_arguments_fail_before_any_run(tmp_path, option, value,
     assert message in out.stderr
     assert "Traceback" not in out.stderr
     assert not list(tmp_path.glob("*/ran"))
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_stale_bytecode_fails_before_any_run(tmp_path, side):
+    # a benchmark that leaves a mark when it runs, and bytecode in one
+    # checkout's package
+    for name in ("parent", "change"):
+        bench = tmp_path / name / "perfbench"
+        bench.mkdir(parents=True)
+        (bench / "run.py").write_text("open('ran', 'w').close()\n")
+        (tmp_path / name / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": SPECS}))
+    cache = tmp_path / side / "src" / "pkg" / "__pycache__"
+    cache.mkdir()
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workload", "sweep", "--seed", "1",
+         "--pairs", "1"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert f"stale bytecode in {cache}" in out.stderr
+    assert not list(tmp_path.glob("*/ran"))
+
+
+def test_runs_write_no_bytecode(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
+    envs = []
+
+    def fail(argv, env=None, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(argv, 1, "", "")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fail)
+    assert ab_pairs.main([str(tmp_path), str(tmp_path), "--workload", "sweep",
+                          "--seed", "1"]) == 2
+    assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1"]

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -265,7 +266,7 @@ json_strings = (st.text() | st.sampled_from(
      "-7/2", "0"]))
 json_ints = st.integers() | st.integers(-10 ** 400, 10 ** 400)
 # one bool, float, int subclass, None or string among exact ints keeps a
-# list or a pair off the homogeneous paths
+# list off the exact-int path
 int_intruders = (st.booleans() | st.integers().map(Int) | st.floats()
                  | st.none() | json_strings)
 int_lists = st.lists(json_ints, max_size=6)
@@ -299,7 +300,7 @@ class TestJsonEmitter:
 
     @given(near_homogeneous(), st.sampled_from((None, "list", "dict")))
     def test_int_and_pair_lists(self, items, wrap):
-        # the exact-int and [str, int] paths, with one element, empty, and
+        # the exact-int path and untyped pairs, with one element, empty, and
         # inside a list or a report-like dict
         value = {"list": [items, [1]], "dict": {"coefficients": items},
                  None: items}[wrap]
@@ -322,7 +323,7 @@ class TestJsonEmitter:
                       [[None, 1], ["a", [1]], (3, "b"), 4],
                       {"c": [["-1/2", 10 ** 40], ["0", -1]]}):
             assert _json(value) == json.dumps(value, indent=2)
-        # lists of [str, int] pairs take one format; near misses must not
+        # untyped [str, int] pairs, and near misses, recurse item by item
         for value in ([["a\"b", 1]], [["x", True]], [[1, "x"]], [("x", 2)],
                       [["x", 2, 3]], [["x", 2.0]], [["é", -10 ** 40]]):
             assert _json(value) == json.dumps(value, indent=2)
@@ -342,6 +343,70 @@ class TestJsonEmitter:
                     Request("convert", "7/3"), Request("verify", "", max_sum=3)):
             report = run(req)
             assert emit(report, "json") == json.dumps(report, indent=2)
+
+
+def jones_and_fpoly_requests():
+    """Every engine's ``jones`` request and the specialized ``fpoly`` one on
+    coprime p/q <= 60 of both signs, the golden inputs and three wide lists;
+    ``fpoly`` of a negative fraction or integer is refused, so it is left
+    out."""
+    from test_golden import FPOLY_INPUTS, JONES_INPUTS
+    wide = ("[250,250,250,250]", "[97,58]", "[-40,6,-2,30]")
+    inputs = [(str(r), None) for r in coprime_fractions(60)]
+    inputs += [(s[1:] if s[0] == "-" else "-" + s, None) for s, _ in inputs]
+    inputs += [(argv[0], "even" if "--even" in argv else None)
+               for argv in JONES_INPUTS + FPOLY_INPUTS]
+    inputs += [(s, None) for s in wide]
+    for text, hint in inputs:
+        for engine in ("all", "recursive", "direct", "fpoly"):
+            yield Request("jones", text, engine=engine, hint=hint)
+        if text[0] != "-":
+            yield Request("fpoly", text, hint=hint)
+
+
+class TestTypedPayload:
+    """The typed coefficient pairs and text are written unchecked, so every
+    report that holds them must still be exactly ``json.dumps``."""
+
+    def test_reports_match_json_dumps(self):
+        requests = list(jones_and_fpoly_requests())
+        assert len(requests) > 10000
+        for req in requests:
+            report = run(req)
+            assert emit(report, "json") == json.dumps(report, indent=2), req
+
+    def test_zero_polynomial_and_constant(self):
+        for exps, coeffs in (([], []), (["0"], [1]), (["-7/2"], [-10 ** 40])):
+            pairs, text = _poly_payload(exps, coeffs)
+            report = {"coefficients": pairs, "text": text, "latex": text}
+            assert _json(report) == json.dumps(report, indent=2)
+
+    def test_typed_values_are_built_only_from_exps_and_coeffs(self):
+        # every mention of the typed classes and of _poly_payload in the
+        # package, outside the class statements, by the statement or the
+        # comparison that holds it: run feeds _poly_payload exps_and_coeffs
+        # output and wraps its LaTeX rewrite, and _json tests the types
+        names = {"_Terms", "_Plain", "_poly_payload"}
+        uses = []
+        for path in sorted((SRC / "twobridge").glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                if getattr(top, "name", None) in names:
+                    top = getattr(top, "body", [])[-1]  # _poly_payload's return
+                parents = {child: node for node in ast.walk(top)
+                           for child in ast.iter_child_nodes(node)}
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and node.id in names:
+                        while not isinstance(node, (ast.stmt, ast.Compare)):
+                            node = parents[node]
+                        uses.append((path.name, ast.unparse(node)))
+        coefficients = "report['coefficients'], text = _poly_payload(*{})"
+        latex = "report['latex'] = _Plain(latex_from_text(text))"
+        returned = ("return (_Terms(exps, coeffs), "
+                    "_Plain(text_from_terms(exps, coeffs)))")
+        assert sorted(uses) == sorted(("cli.py", use) for use in (
+            returned, returned, latex, latex, "kind is _Plain",
+            "kind is _Terms", coefficients.format("F.read().exps_and_coeffs()"),
+            coefficients.format("res.run.exps_and_coeffs()")))
 
 
 class TestMainExitCodes:
@@ -1028,7 +1093,7 @@ class TestLongResults:
     def test_poly_payload(self):
         big = 10 ** 5000 + 1
         pairs, text = _poly_payload(["1", "0"], [big, -1])
-        assert pairs == [("1", big), ("0", -1)]
+        assert list(pairs) == [("1", big), ("0", -1)]
         assert text.endswith("*t^(1) - 1") and len(text) > 5000
 
     def test_input_keeps_the_limit(self, capsys):

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twobridge.cfrac import PositiveCF
+from twobridge.cfrac import EvenCF, PositiveCF
 from twobridge.errors import ZeroPolynomial
-from twobridge.jones import jones_direct, mirror
+from twobridge.jones import jones_direct, jones_recursive, mirror
 from twobridge.laurent import (DigitRun, HLPoly, Packed, _exp_str,
                                latex_from_text, q_integer, q_power,
                                specialize_y, text_from_terms)
@@ -334,6 +334,32 @@ class TestTextGrammar:
         else:
             with pytest.raises(ZeroPolynomial):
                 run.leading_term()
+
+
+    @pytest.mark.parametrize("h, digits", [
+        # no zero slot: the exponent strings and reversed digits as they are
+        (-4, (1, 2, -3)), (3, (5,)), (-7, [2 ** 70, -1, 1]), (0, (-1, 1)),
+        # a zero slot left out, in the middle or next to an end
+        (-4, (1, 0, 1)), (1, [1, 0, 0, -2 ** 70, 3]), (-9, (2, -1, 0, 1)),
+        (6, (1, 0, -1, 1))])
+    def test_digit_run_terms_with_and_without_zero_slots(self, h, digits):
+        run = DigitRun(h, digits)
+        exps, coeffs = run.exps_and_coeffs()
+        assert (exps, list(coeffs)) == run.poly().exps_and_coeffs()
+        assert (0 in coeffs) is False
+
+    @pytest.mark.parametrize("result, zero_slot", [
+        # the Hopf link, -t^(5/2) - t^(1/2)
+        (lambda: jones_recursive(EvenCF((2,))), True),
+        # the second exponent of T(2, 2^20 + 1) is skipped
+        (lambda: jones_direct(PositiveCF((1048577,))), True),
+        (lambda: jones_direct(PositiveCF((97, 58))), False)],
+        ids=["[2]-even", "1048577", "[97,58]"])
+    def test_digit_run_terms_of_results(self, result, zero_slot):
+        run = result().run
+        assert (0 in run.digits) is zero_slot
+        exps, coeffs = run.exps_and_coeffs()
+        assert (exps, list(coeffs)) == run.poly().exps_and_coeffs()
 
 
 # coefficients for one-term edits: units, zero, and beyond 64 bits
