@@ -113,7 +113,7 @@ class EvenCF:
         if self.runs is not None:
             return _with_runs(tuple(map(neg, self.entries)),
                               [(-v, k) for v, k in self.runs])
-        return _valid(EvenCF, tuple(-b for b in self.entries))
+        return _valid(EvenCF, tuple(map(neg, self.entries)))
 
 
 def eval_cf(entries) -> Rat:
@@ -198,19 +198,37 @@ def even_cf(r: Rat) -> EvenCF:
     ``r`` is an int or a Fraction; only its numerator and denominator are
     read.  Raises :class:`BothOdd` when numerator and denominator are both
     odd (no even expansion exists), :class:`OutOfRange` for |r| <= 1.  The
-    expansion is :func:`_even_entries`, which repeats the
-    :func:`even_division` step inline.
+    expansion is :func:`_even_entries`, which reads each run of +-2 entries
+    with one division.  A run too long to list fails at once, when its
+    entries are built, as in :func:`even_cf_runs`.
     """
     return _valid(EvenCF, _even_entries(r.numerator, r.denominator))
+
+
+def _read_run(entries: list, p: int, q: int, n: int, d: int) -> tuple:
+    """Append the run of +-2 entries at p/q to ``entries``; (b, k, p, q).
+
+    Here n = |q| and d = |p| - n with 0 < 2d < n.  The next
+    k = (|q| - 1) // d entries are then b, -b, b, ... with b = 2 sgn(p q),
+    all of one type: each keeps d, lowers |q| by d and negates the value,
+    so one division reads the run and the state p/q after it.  The entries
+    are appended by tuple repetition; b, k and that state are returned.
+    """
+    k = (n - 1) // d
+    b = 2 if (p > 0) == (q > 0) else -2
+    entries += (b, -b) * (k >> 1)
+    if k & 1:
+        entries.append(b)
+    return b, k, (n - (k - 1) * d) * (-b if k & 1 else b) // 2, n - k * d
 
 
 def _even_entries(p: int, q: int) -> tuple:
     """The entries of the even continued fraction of p/q, for q >= 1.
 
-    Each pass of the loop is the :func:`even_division` step written out,
-    p = b*q + s with b even and nonzero and -|q| <= s < |q|, after which
-    p/q becomes q/s.  Raises as :func:`even_cf` and :func:`even_division`
-    do.
+    A run of +-2 entries is one :func:`_read_run` step.  Any other entry is
+    the :func:`even_division` step written out, p = b*q + s with b even and
+    nonzero and -|q| <= s < |q|, after which p/q becomes q/s.  Raises as
+    :func:`even_cf` and :func:`even_division` do.
     """
     if p & q & 1:
         raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
@@ -219,6 +237,10 @@ def _even_entries(p: int, q: int) -> tuple:
     entries = []
     while q:
         n = q if q > 0 else -q
+        d = (p if p > 0 else -p) - n
+        if 0 < 2 * d < n:
+            _, _, p, q = _read_run(entries, p, q, n, d)
+            continue
         b = (p + n) // (2 * n) * (2 if q > 0 else -2)
         s = p - b * q
         if not -n <= s < n:  # pragma: no cover - window arithmetic
@@ -232,15 +254,11 @@ def _even_entries(p: int, q: int) -> tuple:
 
 
 def even_cf_runs(p: int, q: int) -> EvenCF:
-    """The even continued fraction of p/q, q >= 1, read a run at a time.
+    """The even continued fraction of p/q, q >= 1, with its groups.
 
-    At p/q with d = |p| - |q| and 2d < |q|, the next k = (|q| - 1) // d
-    entries are b, -b, b, ... with b = 2 sgn(p q), all of one type: each
-    keeps d, lowers |q| by d and negates the value, so one division reads
-    the run and the value after it (the expansion reads only the value).
-    Other entries are :func:`even_division` steps.  The result carries its
-    ``runs``; its entries are made by tuple repetition.  Raises as
-    :func:`_even_entries` does.
+    The entries are read as in :func:`_even_entries`, a run of +-2 entries
+    with one :func:`_read_run` step, and the result carries its ``runs``.
+    Raises as :func:`_even_entries` does.
     """
     if p & q & 1:
         raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
@@ -250,17 +268,13 @@ def even_cf_runs(p: int, q: int) -> EvenCF:
     while q:
         n = q if q > 0 else -q
         d = (p if p > 0 else -p) - n
-        if not d:  # |p| = |q| > 1, only when p and q share a factor
-            raise NoEvenQuotient(f"no nonzero even quotient for ({p}, {q})")
-        if 2 * d < n:
-            k = (n - 1) // d
-            b = 2 if (p > 0) == (q > 0) else -2
-            p, q = (n - (k - 1) * d) * (-b if k & 1 else b) // 2, n - k * d
-            entries += (b, -b) * (k >> 1)
-            if k & 1:
-                entries.append(b)
+        if 0 < 2 * d < n:
+            b, k, p, q = _read_run(entries, p, q, n, d)
         else:
             k, b = 1, (p + n) // (2 * n) * (2 if q > 0 else -2)
+            if not b:  # p = -|q|, only when p and q share a factor
+                raise NoEvenQuotient(
+                    f"no nonzero even quotient for ({p}, {q})")
             p, q = q, p - b * q
             entries.append(b)
         # the type times |b| is b (-1)^i at index i

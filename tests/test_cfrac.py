@@ -197,8 +197,9 @@ def division_loop(p, q):
 
 
 class TestExpansionAgainstDivisionSteps:
-    """``even_cf`` writes the even division step inline; it must give what
-    a loop of ``even_division`` calls gives."""
+    """``even_cf`` reads a run of +-2 entries with one division and writes
+    the even division step inline; it must give what a loop of
+    ``even_division`` calls gives."""
 
     def test_every_fraction_up_to_300(self):
         checked = 0
@@ -229,10 +230,13 @@ class TestExpansionAgainstDivisionSteps:
             assert even_cf(r).entries == division_loop(p, q)
 
 
-def same_as_entry_reader(p, q):
-    """``even_cf_runs(p, q)`` against ``_even_entries(p, q)``: the entries,
-    the groups of equal type times |b|, the value and the mirror image."""
-    want = _even_entries(p, q)
+def same_as_division_loop(p, q):
+    """``_even_entries(p, q)`` and ``even_cf_runs(p, q)`` against
+    ``division_loop(p, q)``: the entries, the groups of equal type times
+    |b|, the value and the mirror image."""
+    want = division_loop(p, q)
+    listed = _even_entries(p, q)
+    assert type(listed) is tuple and listed == want, (p, q)
     got = even_cf_runs(p, q)
     assert type(got.entries) is tuple and got.entries == want, (p, q)
     groups = tuple((v, len(list(run))) for v, run in groupby(
@@ -244,19 +248,31 @@ def same_as_entry_reader(p, q):
     mirror = got.mirrored()
     assert mirror.entries == tuple(-b for b in want)
     assert mirror.runs == tuple((-v, k) for v, k in groups)
+    assert listed.mirrored().entries == mirror.entries
+
+
+def outcome(read, p, q):
+    """What ``read(p, q)`` gives: its entries, or the type and message of
+    the exception it raises."""
+    try:
+        got = read(p, q)
+    except (BothOdd, OutOfRange, NoEvenQuotient) as exc:
+        return type(exc), str(exc)
+    return getattr(got, "entries", got)
 
 
 class TestRunReader:
-    """``even_cf_runs`` reads a run of +-2 entries with one division; it must
-    equal the per-entry ``_even_entries``."""
+    """``_even_entries`` and ``even_cf_runs`` read a run of +-2 entries with
+    one division; both must equal ``division_loop``, one ``even_division``
+    step per entry."""
 
     def test_every_fraction_up_to_600(self):
         checked = 0
         for p in range(2, 601):
             for q in range(1, p):
                 if gcd(p, q) == 1 and p * q % 2 == 0:
-                    same_as_entry_reader(p, q)
-                    same_as_entry_reader(-p, q)
+                    same_as_division_loop(p, q)
+                    same_as_division_loop(-p, q)
                     checked += 2
         assert checked == 146062
 
@@ -283,8 +299,8 @@ class TestRunReader:
         if p & q & 1:
             q = p - q
         if max(positive_cf(Fraction(p, q)).entries) > 4096:
-            return  # a run longer than the per-entry reader should walk
-        same_as_entry_reader(-p if negate else p, q)
+            return  # a run longer than the division loop should walk
+        same_as_division_loop(-p if negate else p, q)
 
     def test_a_run_is_one_group(self):
         cf = even_cf_runs(1000001, 1000000)
@@ -292,6 +308,7 @@ class TestRunReader:
         assert cf.entries[:3] == (2, -2, 2) and cf.entries[-1] == -2
         assert set(map(type, cf.entries)) == {int}
         assert run_value(cf) == (1000001, 1000000)
+        assert _even_entries(1000001, 1000000) == cf.entries
         # the groups take no part in equality, hash or repr
         listed = EvenCF(cf.entries)
         assert listed.runs is None and repr(cf) == repr(listed)
@@ -300,29 +317,33 @@ class TestRunReader:
         assert even_cf_runs(27, 10).runs == ((2, 1), (-2, 2), (-4, 1))
 
     def test_every_pair_up_to_60_alike(self):
-        """Any p/q with q >= 1, a common factor allowed: the same entries,
-        or the same exception."""
-        def outcome(read, p, q):
-            try:
-                got = read(p, q)
-            except (BothOdd, OutOfRange, NoEvenQuotient) as exc:
-                return type(exc)
-            return getattr(got, "entries", got)
+        """Any p/q with q >= 1, a common factor allowed: both readers give
+        the entries of the division loop, or raise its exception with its
+        message.  Before the loop they refuse a pair of odd numbers and a
+        value in [-1, 1], alike."""
         for p in range(-60, 61):
             for q in range(1, 60):
-                assert (outcome(even_cf_runs, p, q)
-                        == outcome(_even_entries, p, q)), (p, q)
+                got = outcome(_even_entries, p, q)
+                assert outcome(even_cf_runs, p, q) == got, (p, q)
+                if p & q & 1:
+                    assert got[0] is BothOdd, (p, q)
+                elif abs(p) <= q:
+                    assert got[0] is OutOfRange, (p, q)
+                else:
+                    assert got == outcome(division_loop, p, q), (p, q)
 
     @pytest.mark.parametrize("p, q, error", [
         (3, 1, BothOdd), (9, 5, BothOdd), (1, 2, OutOfRange),
-        (-2, 3, OutOfRange), (2, 2, OutOfRange)])
-    def test_raises_as_the_entry_reader(self, p, q, error):
-        for read in (_even_entries, even_cf_runs):
-            with pytest.raises(error) as raised:
-                read(p, q)
-            if read is _even_entries:
-                message = str(raised.value)
-        assert str(raised.value) == message
+        (-2, 3, OutOfRange), (2, 2, OutOfRange), (6, 2, NoEvenQuotient),
+        (-60, 4, NoEvenQuotient)])
+    def test_raises_alike(self, p, q, error):
+        """Both readers raise ``error`` with one message, the division
+        loop's when it is a ``NoEvenQuotient``."""
+        want = outcome(_even_entries, p, q)
+        assert want[0] is error
+        assert outcome(even_cf_runs, p, q) == want
+        if error is NoEvenQuotient:
+            assert outcome(division_loop, p, q) == want
 
 
 class TestEvenCFForLink:

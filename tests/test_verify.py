@@ -3,13 +3,15 @@ time: each law holds at big-int sizes, and each can fail.  Also the engine
 cross-check of ``verify.check_engines``, which compares packed results."""
 
 import dataclasses
+import inspect
 import shlex
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge import cli, verify
+from twobridge import cfrac, cli, verify
 from twobridge.cfrac import EvenCF, PositiveCF, positive_cf
 from twobridge.errors import CrossCheckMismatch
 from twobridge.laurent import Packed
@@ -70,6 +72,35 @@ FAULTS = {
     "of even_cf(r)": ("_even_entries", 1, last_negated),
     "tail law fails for 27/10": ("_even_entries", 2, last_negated),
 }
+
+
+# the sign of the state after a run flipped: the mutant of the run step
+# that the sweeps must kill
+RUN_SIGN = ("(-b if k & 1 else b)", "(b if k & 1 else -b)")
+
+
+def run_step_mutant(original, mutated):
+    """``cfrac._read_run`` compiled with ``original`` replaced by
+    ``mutated``, which must occur once in its source."""
+    source = textwrap.dedent(inspect.getsource(cfrac._read_run))
+    assert source.count(original) == 1
+    namespace = dict(vars(cfrac))
+    exec(compile(source.replace(original, mutated), cfrac.__file__, "exec"),
+         namespace)
+    return namespace["_read_run"]
+
+
+@pytest.mark.parametrize("sweep", [verify.cfrac_sweep,
+                                   verify.even_graph_sweep])
+def test_sweeps_check_the_run_step(monkeypatch, sweep):
+    """``even_cf`` and ``_even_entries`` read each run of +-2 entries with
+    the shared run step, which the sweeps check against the per-entry
+    ``_value`` and the positive snake graph: a wrong sign after a run
+    fails both."""
+    assert sweep(40)
+    monkeypatch.setattr(cfrac, "_read_run", run_step_mutant(*RUN_SIGN))
+    with pytest.raises(CrossCheckMismatch):
+        sweep(40)
 
 
 def test_laws_pass_without_a_fault():
