@@ -235,8 +235,8 @@ def same_as_division_loop(p, q):
     ``division_loop(p, q)``: the entries, the groups of equal type times
     |b|, the value and the mirror image."""
     want = division_loop(p, q)
-    listed = _even_entries(p, q)
-    assert type(listed) is tuple and listed == want, (p, q)
+    entries = _even_entries(p, q)
+    assert type(entries) is tuple and entries == want, (p, q)
     got = even_cf_runs(p, q)
     assert type(got.entries) is tuple and got.entries == want, (p, q)
     groups = tuple((v, len(list(run))) for v, run in groupby(

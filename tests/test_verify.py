@@ -5,7 +5,6 @@ cross-check of ``verify.check_engines``, which compares packed results."""
 import dataclasses
 import inspect
 import shlex
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -74,22 +73,6 @@ FAULTS = {
 }
 
 
-# the sign of the state after a run flipped: the mutant of the run step
-# that the sweeps must kill
-RUN_SIGN = ("(-b if k & 1 else b)", "(b if k & 1 else -b)")
-
-
-def run_step_mutant(original, mutated):
-    """``cfrac._read_run`` compiled with ``original`` replaced by
-    ``mutated``, which must occur once in its source."""
-    source = textwrap.dedent(inspect.getsource(cfrac._read_run))
-    assert source.count(original) == 1
-    namespace = dict(vars(cfrac))
-    exec(compile(source.replace(original, mutated), cfrac.__file__, "exec"),
-         namespace)
-    return namespace["_read_run"]
-
-
 @pytest.mark.parametrize("sweep", [verify.cfrac_sweep,
                                    verify.even_graph_sweep])
 def test_sweeps_check_the_run_step(monkeypatch, sweep):
@@ -98,7 +81,13 @@ def test_sweeps_check_the_run_step(monkeypatch, sweep):
     ``_value`` and the positive snake graph: a wrong sign after a run
     fails both."""
     assert sweep(40)
-    monkeypatch.setattr(cfrac, "_read_run", run_step_mutant(*RUN_SIGN))
+    right, wrong = "(-b if k & 1 else b)", "(b if k & 1 else -b)"
+    source = inspect.getsource(cfrac._read_run)
+    assert source.count(right) == 1
+    namespace = dict(vars(cfrac))
+    exec(compile(source.replace(right, wrong), cfrac.__file__, "exec"),
+         namespace)
+    monkeypatch.setattr(cfrac, "_read_run", namespace["_read_run"])
     with pytest.raises(CrossCheckMismatch):
         sweep(40)
 
