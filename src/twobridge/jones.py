@@ -18,7 +18,7 @@ numerator and the two-term recursion ``f_recursive`` are each one call of
 the kernel :func:`laurent.continuant_packed`; they differ only in their step
 factors.  Every route keeps its result packed (:class:`laurent.Packed`),
 the closed forms and ``f_recursive`` included, so results compare with
-``==`` as integers and a polynomial is decoded only where it is read.
+``==`` as integers and a polynomial is read only where it is printed.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input.  A
@@ -41,15 +41,15 @@ from .cfrac import (EvenCF, PositiveCF, Rat, _value, eval_cf, even_cf_runs,
                     numerator_rec, positive_cf, run_value, tau, type_sequence)
 from .errors import (CrossCheckMismatch, HypothesisViolated, OutOfRange,
                      SlotOverflow, WrongOrientation, ZeroPolynomial)
-from .laurent import (DigitRun, HLPoly, Packed, _exp_str, _units,
-                      continuant_packed)
+from .laurent import DigitRun, Packed, _exp_str, continuant_packed
 
 #: smallest hyperbolic volume bound per twist region, and the volume of a
 #: regular ideal tetrahedron (for the upper bound 30*v3 per region)
 VOLUME_LOWER_SLOPE = 0.35367
 V3 = 1.0149
 
-_TWO_UNKNOTS = HLPoly({-1: -1, 1: -1})  # -t^(-1/2) - t^(1/2)
+#: leading steps to (x_(-1), x_0) = (-t^(-1/2) - t^(1/2), 1)
+_UNKNOTS = (((-1, 1), (-1, -1, 1)), ((1, 0), (1, 0, 0)))
 #: shortest run of equal +-2 entries taken as one run step; runs of 2 to 4
 #: cost the same either way on the benchmark's ``long_cf`` inputs
 _RUN = 3
@@ -60,7 +60,7 @@ class JonesResult:
     """A Jones polynomial, held packed, and the engine that made it.
 
     ``run``, the one read of the digits of ``packed``, is made on first use;
-    ``degree``, ``leading_sign`` and ``poly`` are all read from it.
+    it prints as the polynomial; ``degree`` and ``leading_sign`` read it.
     ``normalized`` is ``packed`` divided by its leading term, packed: it has
     constant term 1 and degree 0.  Results compare and hash by identity;
     two polynomials compare as ``a.packed == b.packed``.
@@ -87,12 +87,9 @@ class JonesResult:
         return c
 
     @cached_property
-    def poly(self) -> HLPoly:
-        return self.run.poly()
-
-    @cached_property
     def normalized(self) -> Packed:
-        return self.packed.times(self.leading_sign, -_units(self.degree))
+        run = self.run
+        return self.packed.times(self.leading_sign, -run.h - run.width())
 
 
 def cross_check(results, value) -> JonesResult:
@@ -100,7 +97,7 @@ def cross_check(results, value) -> JonesResult:
 
     Otherwise :class:`CrossCheckMismatch` names every engine and reads
     ``engines disagree on <value>: <engine>: <polynomial>; ...``; a result
-    whose decode raises :class:`SlotOverflow` reads as overflowing, so the
+    whose read raises :class:`SlotOverflow` reads as overflowing, so the
     report never fails on the faulty side.  Then come the highest exponent
     at which the first result and the first to disagree with it differ,
     with both coefficients, and a command that repeats the check; ``value``
@@ -113,7 +110,7 @@ def cross_check(results, value) -> JonesResult:
     parts = []
     for res in results:
         try:
-            parts.append(f"{res.engine}: {res.poly}")
+            parts.append(f"{res.engine}: {res.run}")
         except SlotOverflow as exc:
             parts.append(f"{res.engine}: overflows its slots ({exc})")
     other = differing[0]
@@ -168,7 +165,7 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
         bound = numerator_rec(cf.entries)
     else:
         bound = run_value(cf)[0]
-    steps = []
+    steps = list(_UNKNOTS)
     # v = t |b|: mu is t^v, and nu is -t^(-1/2) [|b|]_q on a - type and
     # -t^(1/2) [b]_qbar = t^(v-1/2) [b]_q on a + type, since b is even
     for v, k in groups:
@@ -179,7 +176,7 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
             steps.append((nu[0], nu[1], k))  # mu = t^v = t^(u - 1)
         else:
             steps += [((1, 2 * v), nu)] * k
-    packed = continuant_packed(steps, _TWO_UNKNOTS, 1, abs(bound))
+    packed = continuant_packed(steps, abs(bound))
     return JonesResult(packed, "recursive")
 
 
@@ -228,7 +225,7 @@ def specialized_f_positive(cf: PositiveCF) -> Packed:
     for i in range(2, cf.n + 1):
         e = -ell[i - 1] if i % 2 == 0 else ell[i - 2] + 1
         steps.append(((1, 0), _q(e, a[i - 1])))
-    result = continuant_packed(steps, 1, 1, _value(a)[0])
+    result = continuant_packed(steps, _value(a)[0])
     if cf.n % 2 == 0:
         c, u, _ = _q(ell[-1], 1)
         result = result.times(c, u)
@@ -289,14 +286,14 @@ def f_recursive(cf: EvenCF) -> Packed:
         else:
             mu = (-1, -2 * ab1) if t2 == -1 else (1, 2 * (1 - ab1))
         steps.append((mu, nu))
-    return continuant_packed(steps, 1, 1, abs(numerator_rec(bs)))
+    return continuant_packed(steps, abs(numerator_rec(bs)))
 
 
 def _placed(cf: EvenCF, F: Packed, engine: str) -> JonesResult:
     """delta * t^j * F, with the degree j and sign delta of the link of
     ``cf`` in closed form."""
     j, delta = degree_and_sign(cf)
-    return JonesResult(F.times(delta, _units(j)), engine)
+    return JonesResult(F.times(delta, int(2 * j)), engine)
 
 
 def jones_via_f(cf: EvenCF) -> JonesResult:

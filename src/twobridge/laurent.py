@@ -1,14 +1,11 @@
-"""Sparse exact Laurent polynomials in t^(1/2), and their one kernel.
-
-:class:`HLPoly` holds integer coefficients on exponents in (1/2)Z.  Exponents
-are stored internally as integer counts of t^(1/2) units, so knot polynomials
-(integer exponents) and 2-component-link polynomials (exponents in 1/2 + Z)
-share one type.
+"""Exact Laurent polynomials in t^(1/2), and their one kernel.
 
 :func:`continuant_packed` is the two-term recurrence that the Jones engines
 share, run on polynomials packed into integers; it leaves its result packed,
-as a :class:`Packed` that compares without a decode.  :func:`specialize_y`
-takes a snake graph's set of matching heights to t.
+as a :class:`Packed` that compares without a read.  Results are read as a
+:class:`DigitRun`, as is :func:`specialize_y`, which takes a snake graph's
+set of matching heights to t.  :class:`HLPoly`, :func:`q_integer` and
+:func:`q_power` are the reference ring that the tests and the tracer read.
 """
 
 from __future__ import annotations
@@ -20,21 +17,10 @@ from itertools import compress
 from .errors import MixedGrid, SlotOverflow, ZeroPolynomial
 
 
-def _units(exponent) -> int:
-    """Exponent of t, an int or a half-integer Fraction, in half units."""
-    if isinstance(exponent, int):
-        return 2 * exponent
-    f = Fraction(exponent)
-    if f.denominator > 2:
-        raise ValueError(f"exponent {exponent} is not a half integer")
-    return f.numerator * (2 // f.denominator)
-
-
 class HLPoly:
-    """Laurent polynomial in t^(1/2) with integer coefficients.
-
-    Immutable by convention; all arithmetic returns new values.  Integers
-    coerce automatically, so expressions like ``1 - p`` or ``2 * p`` work.
+    """Laurent polynomial in t^(1/2), a dict of integer coefficients keyed
+    by exponents in half units.  Immutable by convention; all arithmetic
+    returns new values.  Integers coerce, so ``1 - p`` and ``2 * p`` work.
     """
 
     __slots__ = ("_terms",)
@@ -100,24 +86,15 @@ class HLPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # a shift by one monomial: exponents stay distinct, and no
-            # coefficient can vanish
-            (u0, c0), = b.items()
-            terms = {u + u0: c * c0 for u, c in a.items()}
-        else:
-            terms = {}
-            for u1, c1 in a.items():
-                for u2, c2 in b.items():
-                    u = u1 + u2
-                    c = terms.get(u, 0) + c1 * c2
-                    if c:
-                        terms[u] = c
-                    elif u in terms:
-                        del terms[u]
+        terms = {}
+        for u1, c1 in self._terms.items():
+            for u2, c2 in other._terms.items():
+                u = u1 + u2
+                c = terms.get(u, 0) + c1 * c2
+                if c:
+                    terms[u] = c
+                elif u in terms:
+                    del terms[u]
         out = HLPoly.__new__(HLPoly)
         out._terms = terms
         return out
@@ -234,17 +211,17 @@ def q_integer(b: int) -> HLPoly:
     return HLPoly({-2 * k: -1 if k % 2 else 1 for k in range(b)})
 
 
-def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
-    """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1),
-    left packed, as a :class:`Packed`; ``.decode()`` gives the polynomial.
+def continuant_packed(steps, bound) -> "Packed":
+    """Last term of the two-term recurrence x_k = mu_k x_(k-2) + nu_k x_(k-1)
+    from x_(-1) = x_0 = 1, left packed, as a :class:`Packed`.
 
     ``steps`` holds one pair (mu_k, nu_k) per step, or a run step (c, u, k)
     for k equal steps (below).  mu_k is a pair (c, u), the signed monomial
     c * t^(u/2) with c = +-1; nu_k is a triple (c, u, b) standing for
     c * t^(u/2) * [b]_q with q = -1/t and b >= 0, so b = 0 is the zero
-    factor.  ``x_before`` and ``x_start`` are the two terms before the first
-    step; with no steps the result is ``x_start``.  ``bound`` must bound the
-    sum of the absolute values of the result's coefficients.
+    factor.  Leading steps set other start values: a first step gives x_1 =
+    mu_1 + nu_1, and ((1, 0), (1, 0, 0)) after it x_2 = x_0 = 1.  ``bound``
+    must bound the sum of the absolute values of the result's coefficients.
 
     The recurrence runs on packed integers (Kronecker substitution; Harvey
     2009, *Faster polynomial multiplication via multipoint Kronecker
@@ -261,20 +238,19 @@ def continuant_packed(steps, x_before, x_start, bound) -> "Packed":
     x_(j+k) = P + (lam q)^k x_j and x_(j+k-1) = P / lam + (lam q)^k x_(j-1).
 
     Packing is a ring homomorphism, so intermediate terms may overflow their
-    slots; only the result is decoded, and it fits when
+    slots; only the result is read, and it fits when
     s >= bound.bit_length() + 2, since every coefficient then lies well inside
     the balanced digit range [-2^(s-1), 2^(s-1)) (see :func:`_slot_width`).
 
-    A result whose decoded coefficients exceed ``bound`` raises
-    :class:`SlotOverflow` when it is decoded.  The decode is exact while
-    every true coefficient is below 2^(s-1), more than twice ``bound``, so
-    that check catches an understated bound up to that margin; beyond it the
-    digits are wrong, so ``bound`` must be proven, not guessed.
+    A result whose digits exceed ``bound`` raises :class:`SlotOverflow` when
+    it is read.  The read is exact while every true coefficient is below
+    2^(s-1), more than twice ``bound``, so that check catches an understated
+    bound up to that margin; beyond it the digits are wrong, so ``bound``
+    must be proven, not guessed.
     """
     s = _slot_width(bound)
-    n2, h2 = _pack(HLPoly._coerce(x_before), s)
-    n1, h1 = _pack(HLPoly._coerce(x_start), s)
-    c2 = c1 = 1
+    n2 = n1 = c2 = c1 = 1
+    h2 = h1 = 0
     for step in steps:
         if len(step) > 2:
             cb, ub, k = step
@@ -365,7 +341,7 @@ class Packed:
     has exactly one string of such digits.  The constructor shifts zero low
     slots out of n into h, and stores zero as (0, 0), so two terms with equal
     s are one polynomial exactly when their (n, h) are equal: ``==``
-    compares them without a decode.
+    compares them without a read.
 
     :meth:`read` is the one read of the digits; :meth:`bar` reverses the
     slots of the integer itself and needs no read.
@@ -390,20 +366,16 @@ class Packed:
 
     def __eq__(self, other):
         """Whether both stand for one polynomial: on one slot width, whether
-        their one forms are equal, else whether their decodes are."""
+        their one forms are equal, else whether their reads are."""
         if not isinstance(other, Packed):
             return NotImplemented
         if self.s != other.s:
-            return self.decode() == other.decode()
+            return self.read() == other.read()
         return self.n == other.n and self.h == other.h
 
     def read(self) -> "DigitRun":
         """:class:`SlotOverflow` when the digits exceed ``bound``."""
         return _read_digits(self.n, self.h, self.s, self.bound)
-
-    def decode(self) -> HLPoly:
-        """The polynomial; :class:`SlotOverflow` when it exceeds ``bound``."""
-        return self.read().poly()
 
     def bar(self) -> "Packed":
         """The bar involution t^(1/2) -> t^(-1/2), without a read: the slots
@@ -423,19 +395,6 @@ class Packed:
 
     def __repr__(self):
         return f"Packed({self.n}, {self.h}, {self.s}, {self.bound})"
-
-
-def _pack(p: HLPoly, s: int):
-    """(n, h) with p = t^(h/2) * N(t) and n = N(2^s); see :class:`Packed`."""
-    if not p:
-        return 0, 0
-    h = min(p._terms)
-    n = 0
-    for u, c in p._terms.items():
-        if (u - h) & 1:
-            raise MixedGrid("exponents mix integers and half integers")
-        n += c << (s * ((u - h) >> 1))
-    return n, h
 
 
 def _slot_width(bound: int) -> int:
@@ -500,12 +459,14 @@ class DigitRun:
     def __init__(self, h: int, digits):
         self.h, self.digits = h, digits
 
-    def poly(self) -> HLPoly:
-        digits = self.digits
-        units = range(self.h, self.h + 2 * len(digits), 2)
-        out = HLPoly.__new__(HLPoly)
-        out._terms = dict(compress(zip(units, digits), digits))
-        return out
+    def __eq__(self, other):
+        """Same h and digits; a struct read gives the digits as a tuple."""
+        if not isinstance(other, DigitRun):
+            return NotImplemented
+        return self.h == other.h and list(self.digits) == list(other.digits)
+
+    def __str__(self):
+        return text_from_terms(*self.exps_and_coeffs())
 
     def leading_term(self):
         """(highest exponent, its coefficient); exponent as a Fraction."""
@@ -518,7 +479,8 @@ class DigitRun:
         return 2 * len(self.digits) - 2
 
     def exps_and_coeffs(self):
-        """As :meth:`HLPoly.exps_and_coeffs`, zero slots left out."""
+        """(exponent strings, coefficients), highest exponent first, zero
+        slots left out."""
         digits = self.digits
         exps = _exp_strs(self.h, self.h + 2 * len(digits) - 2)
         coeffs = digits[::-1]
@@ -527,19 +489,23 @@ class DigitRun:
         return list(compress(exps, coeffs)), list(filter(None, coeffs))
 
 
-def specialize_y(F, d: int) -> HLPoly:
+def specialize_y(F, d: int) -> DigitRun:
     """Substitute y_1 = t^(-2) and y_j = -t^(-1) for j >= 2 in the sum of
     the monomials of ``F``, an iterable of bitsets (bit j-1 for y_j).
 
-    ``d`` is the tile count: a bitset outside 0..2^d - 1, a negative one
-    included, raises ``ValueError``.
+    A bitset with a = bit 0 and k other bits set is (-1)^i t^(-i) with
+    i = 2a + k, so no terms cancel.  ``d`` is the tile count: a bitset
+    outside 0..2^d - 1, a negative one included, raises ``ValueError``.
     """
     full = (1 << d) - 1
-    terms = {}
+    counts = {}
     for mask in F:
         if mask & ~full:
             raise ValueError(f"height {mask} uses tiles beyond 1..{d}")
-        k = bin(mask >> 1).count("1")
-        units = -4 * (mask & 1) - 2 * k
-        terms[units] = terms.get(units, 0) + (-1 if k % 2 else 1)
-    return HLPoly(terms)
+        i = 2 * (mask & 1) + (mask >> 1).bit_count()
+        counts[i] = counts.get(i, 0) + 1
+    if not counts:
+        return DigitRun(0, [])
+    high = max(counts)
+    return DigitRun(-2 * high, [(-1) ** i * counts.get(i, 0)
+                                for i in range(high, min(counts) - 1, -1)])

@@ -72,7 +72,7 @@ def check_engines(cf: EvenCF):
                 f"two-term recursion disagrees on {list(cf.entries)}",
                 engines=("recursive", "f_recursive"), value=cf.entries)
         g = snake_from_even(cf)
-        if specialize_y(f_polynomial(g), g.d) != ref.normalized.decode():
+        if specialize_y(f_polynomial(g), g.d) != ref.normalized.read():
             raise CrossCheckMismatch(
                 f"matching enumeration disagrees on {list(cf.entries)}",
                 engines=("recursive", "matchings"), value=cf.entries)
@@ -139,7 +139,8 @@ def _fraction_laws(r):
     """The continued-fraction laws at one reduced r = p/q > 1.
 
     Values are compared as reduced (num, den) pairs from ``_value`` and
-    expansions as entry tuples, so no law builds a Fraction:
+    expansions as entry tuples, so no law builds a Fraction.  A mismatch
+    names r and, as its engines, the two sides it compares:
 
     * the positive, long-form and even expansions evaluate back to p/q;
     * parity: p is odd exactly when the even expansion has an even length;
@@ -148,29 +149,33 @@ def _fraction_laws(r):
       of q/r' when a_1 is even and of -q/(q - r') when a_1 is odd.
     """
     p, q = r.numerator, r.denominator
+
+    def failed(law, sides, detail=""):
+        return CrossCheckMismatch(f"{law} fails for {r}{detail}",
+                                  engines=sides, value=r)
     pos = positive_cf(r)
     if _value(pos.entries) != (p, q):
-        raise CrossCheckMismatch(f"positive round trip fails for {r}")
+        raise failed("positive round trip", ("positive_cf", "input"))
     if pos.n >= 2 and _value(pos.long_form().entries) != (p, q):
-        raise CrossCheckMismatch(f"long form round trip fails for {r}")
+        raise failed("long form round trip", ("long_form", "input"))
     if p * q % 2:
         return
     ev = even_cf(r)
     bs = ev.entries
     if _value(bs) != (p, q):
-        raise CrossCheckMismatch(f"even round trip fails for {r}")
+        raise failed("even round trip", ("even_cf", "input"))
     if (p % 2 == 1) != (len(bs) % 2 == 0):
-        raise CrossCheckMismatch(f"parity law fails for {r}")
+        raise failed("parity law", ("even_cf", "parity of p"))
     if _even_entries(-p, q) != ev.mirrored().entries:
-        raise CrossCheckMismatch(
-            f"mirror law fails for {r}: even_cf(-r) is not the "
-            "entrywise negation of even_cf(r)")
+        raise failed("mirror law", ("even_cf(-r)", "EvenCF.mirrored"),
+                     ": even_cf(-r) is not the entrywise negation of "
+                     "even_cf(r)")
     if len(bs) < 2 or pos.n < 2:
         return
     tq, tr = _value(pos.entries[1:])  # q/r' for p/q = a_1 + r'/q
     want = (tq, tr) if pos.entries[0] % 2 == 0 else (-tq, tq - tr)
     if bs[1:] != _even_entries(*want):
-        raise CrossCheckMismatch(f"tail law fails for {r}")
+        raise failed("tail law", ("even_cf(r) tail", "even_cf(q/r')"))
 
 
 def run_verify(max_sum, max_p):

@@ -705,24 +705,38 @@ class TestWorkBudget:
 # the ring operators of HLPoly, which no runtime path calls
 RING = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
         "__rmul__")
+# made before the fixture below refuses to make one
+ONE = HLPoly.monomial()
 
 
 class TestNoRingArithmetic:
-    """Every polynomial route returns a ``Packed``, compared as integers, so
-    no command and no sweep adds, negates or multiplies ``HLPoly`` values."""
+    """Every polynomial route returns a ``Packed``, compared as integers and
+    read as a digit run, so no command and no sweep builds an ``HLPoly``,
+    nor adds, negates or multiplies one."""
 
     @pytest.fixture(autouse=True)
     def no_ring(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("an HLPoly ring operator ran")
+
+        def refuse_new(*args, **kwargs):
+            raise AssertionError("an HLPoly was built")
         for name in RING:
             monkeypatch.setattr(HLPoly, name, refuse)
+        # HLPoly(...) runs __init__; the ring operators and bar make their
+        # results without it.  (A patched __new__ cannot be undone: the
+        # class keeps calling it with the constructor's arguments.)
+        for name in ("__init__", "bar"):
+            monkeypatch.setattr(HLPoly, name, refuse_new)
 
     @pytest.mark.parametrize("argv", [
         ["jones", "27/10"], ["jones", "--", "-27/10"],
         ["jones", "--even", "[2,2,-2,4]"], ["fpoly", "27/10"],
         ["fpoly", "--even", "[-2,2]"], ["fpoly", "--full", "27/10"],
-        ["snake", "27/10"], ["convert", "27/10"], ["volume", "[3,4,5,3]"]])
+        ["snake", "27/10"], ["convert", "27/10"], ["volume", "[3,4,5,3]"],
+        ["jones", "--engine", "all", "--", "-27/10"],
+        ["--format", "json", "jones", "27/10"],
+        ["--format", "latex", "fpoly", "27/10"]])
     def test_commands(self, capsys, argv):
         assert main(argv) == 0
 
@@ -734,7 +748,15 @@ class TestNoRingArithmetic:
 
     def test_operators_refuse(self):
         with pytest.raises(AssertionError, match="ring operator"):
-            HLPoly.monomial() * 2
+            ONE * 2
+
+    def test_construction_refuses(self):
+        with pytest.raises(AssertionError, match="HLPoly was built"):
+            HLPoly({0: 1})
+        with pytest.raises(AssertionError, match="HLPoly was built"):
+            HLPoly.monomial()
+        with pytest.raises(AssertionError, match="HLPoly was built"):
+            ONE.bar()
 
 
 def _main_output(argv, capsys):

@@ -2,7 +2,8 @@
 
 The references are the generic ring continuant ``numerator_rec`` over
 dict-backed ``HLPoly`` values and, for small links, the enumeration of the
-snake graph's perfect matchings.
+snake graph's perfect matchings.  The kernel starts from x_(-1) = x_0 = 1,
+so the tests make other start values with leading steps.
 """
 
 import os
@@ -20,10 +21,12 @@ from twobridge.errors import MixedGrid, SlotOverflow
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, oriented_even_cf,
                              specialized_f_positive)
-from twobridge.laurent import (_DOUBLING_LIMIT, HLPoly, Packed, _pack,
-                               _q_product, _slot_width, continuant_packed,
-                               q_integer, q_power, specialize_y)
+from twobridge.laurent import (_DOUBLING_LIMIT, HLPoly, Packed, _q_product,
+                               _slot_width, continuant_packed, q_integer,
+                               q_power, specialize_y)
 from twobridge.snake import f_polynomial, snake_from_positive
+
+from reference import lift
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,6 +42,57 @@ small_cfs = st.lists(st.integers(1, 5), min_size=1, max_size=6).filter(
 def abs_sum(p: HLPoly) -> int:
     """The sum of the absolute values of the coefficients: a kernel bound."""
     return sum(map(abs, p.exps_and_coeffs()[1]))
+
+
+def pack(p: HLPoly, s: int):
+    """(n, h) with p = t^(h/2) * N(t) and n = N(2^s); see :class:`Packed`."""
+    if not p:
+        return 0, 0
+    h = min(p._terms)
+    n = 0
+    for u, c in p._terms.items():
+        if (u - h) & 1:
+            raise MixedGrid("exponents mix integers and half integers")
+        n += c << (s * ((u - h) >> 1))
+    return n, h
+
+
+# leading steps, from the kernel's start x_(-1) = x_0 = 1
+AGAIN = ((1, 0), (1, 0, 0))      # x_k = x_(k-2), as nu = 0
+FIBONACCI = ((1, 0), (1, 0, 1))  # x_k = x_(k-2) + x_(k-1)
+
+
+def shifted(u: int) -> list:
+    """Leading steps to (t^(u/2), t^(u/2)): two steps with mu = t^(u/2) and
+    nu = 0."""
+    return [((1, u), (1, 0, 0))] * 2
+
+
+def one_and(x: HLPoly) -> list:
+    """Leading steps to (1, x): one step to (1, 0), then for each unit of
+    each coefficient of x an ``AGAIN`` to (y, 1) and a step to (1, y + m),
+    with m that unit's signed monomial."""
+    steps = [((-1, 0), (1, 0, 1))]
+    for u, c in x._terms.items():
+        steps += [AGAIN, ((1, 0), (1 if c > 0 else -1, u, 1))] * abs(c)
+    return steps
+
+
+def fibonacci_scaled(u: HLPoly, v: HLPoly, k: int):
+    """(j, ref) for the least j >= 0 at which ref = F_(j+1) u + F_(j+2) v has
+    a bound, the sum of its absolute coefficients, of k bits or more; None
+    when 4k + 40 steps do not reach it.
+
+    j ``FIBONACCI`` steps take (1, 1) to (F_(j+1), F_(j+2)), the Fibonacci
+    numbers, so ref is the result of the steps that follow them when u is
+    their result from (1, 0) and v their result from (0, 1)."""
+    a, b = 1, 1
+    for j in range(4 * k + 40):
+        ref = a * u + b * v
+        if abs_sum(ref).bit_length() >= k:
+            return j, ref
+        a, b = b, a + b
+    return None
 
 
 def reference_f(cf: PositiveCF) -> HLPoly:
@@ -58,12 +112,12 @@ def check_engines(entries, want_f):
     ev = oriented_even_cf(eval_cf(entries))
     j, delta = degree_and_sign(ev)
     want = HLPoly.monomial(delta, int(2 * j)) * want_f
-    assert specialized_f_positive(cf).decode() == want_f
-    assert jones_direct(cf).poly == want
-    assert jones_recursive(ev).poly == want
-    assert jones_via_f(ev).poly == want
+    assert lift(specialized_f_positive(cf)) == want_f
+    assert lift(jones_direct(cf)) == want
+    assert lift(jones_recursive(ev)) == want
+    assert lift(jones_via_f(ev)) == want
     if ev.entries[0] > 0:
-        assert f_recursive(ev).decode() == want_f
+        assert lift(f_recursive(ev)) == want_f
 
 
 class TestAgainstRingContinuant:
@@ -83,7 +137,7 @@ class TestAgainstMatchings:
     @given(small_cfs)
     def test_small(self, entries):
         g = snake_from_positive(PositiveCF(entries))
-        check_engines(entries, specialize_y(f_polynomial(g), g.d))
+        check_engines(entries, lift(specialize_y(f_polynomial(g), g.d)))
 
 
 # polynomials on one grid: exponents 2k + parity, in half units
@@ -96,27 +150,32 @@ class TestFactor:
     @given(st.sampled_from([1, -1]), st.integers(-20, 20), st.integers(0, 40),
            one_grid)
     def test_q_integer_factor(self, c, u, b, x):
-        # x_1 = mu * 0 + nu * x_0 with nu = c t^(u/2) [b]_q
-        want = c * HLPoly.monomial(1, u) * q_integer(b) * x if b else HLPoly()
-        bound = max(1, b) * abs_sum(x)
-        assert continuant_packed([((1, 0), (c, u, b))], 0, x,
-                                 bound).decode() == want
+        # from (1, x), x_1 = mu * 1 + nu * x with nu = c t^(u/2) [b]_q; mu
+        # puts the 1 on the grid of nu * x
+        grid = (u + min(x._terms, default=0)) & 1
+        want = HLPoly.monomial(1, grid) + (
+            c * HLPoly.monomial(1, u) * q_integer(b) * x if b else 0)
+        bound = 1 + max(1, b) * abs_sum(x)
+        steps = one_and(x) + [((1, grid), (c, u, b))]
+        assert lift(continuant_packed(steps, bound)) == want
 
-    def test_no_steps_returns_start(self):
+    def test_leading_steps_set_the_start(self):
+        assert lift(continuant_packed([], 1)) == 1
         x = HLPoly({5: 3, 1: -1})  # 3*t^(5/2) - t^(1/2)
-        assert continuant_packed([], 1, x, 4).decode() == x
+        assert lift(continuant_packed(one_and(x), 4)) == x
+        assert lift(continuant_packed(one_and(x) + [AGAIN], 1)) == 1
 
     def test_mixed_grids_raise(self):
         with pytest.raises(MixedGrid):
-            continuant_packed([((1, 0), (1, 0, 1))], 1,
-                              HLPoly.monomial(1, 1), 2).decode()
+            continuant_packed([((1, 1), (1, 0, 1))], 2)
+        # a run step needs x_0 u half units off the grid of x_(-1)
         with pytest.raises(MixedGrid):
-            continuant_packed([], HLPoly({0: 1, 1: 1}), 1, 1).decode()
+            continuant_packed([(1, 1, 3)], 8)
 
     def test_mu_is_a_monomial(self):
         # a mu carrying a q-integer is refused, not read as a monomial
         with pytest.raises(ValueError):
-            continuant_packed([((1, 0, 2), (1, 0, 1))], 1, 1, 4).decode()
+            continuant_packed([((1, 0, 2), (1, 0, 1))], 4)
 
     # bounds with 8-, 32- and 80-bit slots: the division, the doubling and
     # the byte-by-byte read
@@ -124,7 +183,7 @@ class TestFactor:
     @pytest.mark.parametrize("b", (-1, -3))
     def test_negative_q_integer_raises(self, b, bound):
         with pytest.raises(ValueError, match="need b >= 0"):
-            continuant_packed([((1, 0), (1, 0, b))], 0, 1, bound).decode()
+            continuant_packed([((1, 0), (1, 0, b))], bound)
 
 
 class TestQProduct:
@@ -147,7 +206,7 @@ class TestQProduct:
 
 
 # bit lengths of the bound on both sides of each slot width: 8, 16, 32 and
-# 64 bits decode through struct, 72 bits and up byte by byte
+# 64 bits are read through struct, 72 bits and up byte by byte
 BOUND_BITS = (6, 7, 14, 15, 30, 31, 62, 63, 70)
 factors = st.tuples(st.sampled_from([1, -1]), st.integers(-6, 6).map(
     lambda k: 2 * k), st.integers(0, 4))
@@ -171,19 +230,21 @@ class TestSlotWidths:
     @settings(max_examples=15, deadline=None)
     @given(st.lists(factors, min_size=1, max_size=5), st.integers(0, 1))
     def test_agrees_with_ring_continuant(self, k, nus, parity):
-        # numerator_rec is x_k = nu_k x_(k-1) + x_(k-2) from (0, 1); scaling
-        # the start by m scales the result, and m makes the bound, the sum of
-        # the result's absolute coefficients, exactly k bits long
-        ref = numerator_rec([factor_poly(*nu) for nu in nus])
-        total = abs_sum(ref)
-        assume(0 < total <= 1 << (k - 1))
-        m = ((1 << k) - 1) // total
-        bound = m * total
+        # numerator_rec is x_k = nu_k x_(k-1) + x_(k-2) from (0, 1), and of
+        # the factors but the first from (1, 0); the leading steps take the
+        # start to t^(parity/2) (F_(j+1), F_(j+2)), and j makes the bound,
+        # the sum of the result's absolute coefficients, exactly k bits long
+        factors = [factor_poly(*nu) for nu in nus]
+        scaled = fibonacci_scaled(numerator_rec(factors[1:]),
+                                  numerator_rec(factors), k)
+        assume(scaled and abs_sum(scaled[1]).bit_length() == k)
+        j, ref = scaled
+        bound = abs_sum(ref)
         assert bound.bit_length() == k
-        start = HLPoly.monomial(m, parity)
-        steps = [((1, 0), nu) for nu in nus]
-        assert (continuant_packed(steps, 0, start, bound).decode()
-                == start * ref)
+        steps = (shifted(parity) + [FIBONACCI] * j
+                 + [((1, 0), nu) for nu in nus])
+        assert (lift(continuant_packed(steps, bound))
+                == HLPoly.monomial(1, parity) * ref)
 
 
 def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
@@ -206,8 +267,8 @@ def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
             u -= 2 * (b - 1)
         return (n if c > 0 else -n), h + u
 
-    x2 = _pack(HLPoly._coerce(x_before), s)
-    x1 = _pack(HLPoly._coerce(x_start), s)
+    x2 = pack(HLPoly._coerce(x_before), s)
+    x1 = pack(HLPoly._coerce(x_start), s)
     for mu, nu in steps:
         (na, ha), (nb, hb) = times(mu, x2), times(nu, x1)
         if not na:
@@ -221,7 +282,7 @@ def parent_continuant(steps, x_before, x_start, bound) -> HLPoly:
         else:
             x = na + (nb << s * ((hb - ha) >> 1)), ha
         x2, x1 = x1, x
-    return Packed(*x1, s, bound).decode()
+    return lift(Packed(*x1, s, bound))
 
 
 # general factors on the integer grid: signed, shifted, and [b]_q on both
@@ -232,8 +293,8 @@ general_factors = st.tuples(st.sampled_from([1, -1]), st.integers(-8, 8).map(
         _DOUBLING_LIMIT - 4, _DOUBLING_LIMIT + 8)))
 monomials = st.tuples(st.sampled_from([1, -1]), st.integers(-8, 8).map(
     lambda k: 2 * k))
-grid_terms = st.dictionaries(st.integers(-12, 12), st.integers(-40, 40),
-                             max_size=10)
+# leading steps to an arbitrary start pair on the integer grid
+leading = st.lists(st.tuples(monomials, general_factors), max_size=4)
 
 
 def ring_recurrence(steps, x_before, x_start) -> HLPoly:
@@ -270,27 +331,30 @@ class TestAgainstParentKernel:
               phases=tuple(p for p in Phase if p is not Phase.explain))
     @given(st.lists(st.tuples(monomials, general_factors),
                     min_size=1, max_size=6),
-           grid_terms, grid_terms, st.integers(0, 1))
-    def test_general_steps(self, k, steps, before, start, parity):
-        # one grid per run: exponents 2k + parity in half units
-        before, start = (HLPoly({2 * e + parity: c for e, c in x.items()})
-                         for x in (before, start))
+           leading, st.integers(0, 1))
+    def test_general_steps(self, k, steps, lead, parity):
         # the references take mu as the triple (c, u, 1)
-        triples = [((*mu, 1), nu) for mu, nu in steps]
-        ref = ring_recurrence(triples, before, start)
-        total = abs_sum(ref)
-        assume(total)
-        # scale both starting terms so that the bound is k bits long, or as
-        # long as the result needs when that is more
-        m = max(1, ((1 << k) - 1) // total)
-        bound = m * total
-        assert bound.bit_length() == max(k, total.bit_length())
-        want = m * ref
+        triples = [((*mu, 1), nu) for mu, nu in lead + steps]
+        one = ring_recurrence(triples, 1, 1)
+        assume(one)
+        # the leading steps take the start to the grid of parity, with
+        # exponents 2k + parity in half units, and scale it so that the
+        # bound is k bits long, or as long as the result needs when that is
+        # more; then come the drawn leading steps
+        scaled = fibonacci_scaled(ring_recurrence(triples, 1, 0),
+                                  ring_recurrence(triples, 0, 1), k)
+        bits = max(k, abs_sum(one).bit_length())
+        assume(scaled and abs_sum(scaled[1]).bit_length() == bits)
+        j, ref = scaled
+        bound = abs_sum(ref)
+        want = HLPoly.monomial(1, parity) * ref
+        head = shifted(parity) + [FIBONACCI] * j
         same_poly("continuant",
-                  continuant_packed(steps, m * before, m * start,
-                                    bound).decode(), want, k, steps)
+                  lift(continuant_packed(head + lead + steps, bound)), want,
+                  k, steps)
         same_poly("parent_continuant",
-                  parent_continuant(triples, m * before, m * start, bound),
+                  parent_continuant([((*mu, 1), nu) for mu, nu in head]
+                                    + triples, 1, 1, bound),
                   want, k, steps)
 
 
@@ -302,35 +366,32 @@ class TestRunStep:
     @settings(max_examples=40, deadline=None,
               phases=tuple(p for p in Phase if p is not Phase.explain))
     @given(st.sampled_from([1, -1]), st.integers(-6, 6), st.integers(1, 40),
-           grid_terms, grid_terms, st.integers(0, 1), monomials,
-           general_factors)
-    def test_equals_k_steps(self, k_bits, c, u, k, before, start, parity,
-                            mu2, nu2):
-        # x_start lies u half units off x_before's grid, as in the skein
-        # recursion; the step after the run reads both terms the run leaves
-        before = HLPoly({2 * e + parity: x for e, x in before.items()})
-        start = HLPoly({2 * e + parity + u: x for e, x in start.items()})
+           leading, st.integers(0, 1), monomials, general_factors)
+    def test_equals_k_steps(self, k_bits, c, u, k, lead, parity, mu2, nu2):
+        # x_0 lies u half units off the grid of x_(-1), as in the skein
+        # recursion: the leading steps end with one from (x, y) to
+        # (y, t^(u/2) (x + y)); the step after the run reads both terms the
+        # run leaves
+        head = shifted(parity) + lead + [((1, u), (1, u, 1))]
         mu, nu = (1, 2 * u - 2), (c, u, 2)
         after = (mu2, (nu2[0], nu2[1] + u, nu2[2]))
         for steps in ([(c, u, k)], [(c, u, k), after]):
-            singles = [(mu, nu)] * k + steps[1:]
-            ref = ring_recurrence([((*m, 1), n) for m, n in singles],
-                                  before, start)
+            singles = head + [(mu, nu)] * k + steps[1:]
+            ref = ring_recurrence([((*m, 1), n) for m, n in singles], 1, 1)
             total = abs_sum(ref)
             assume(total)
             # scale the bound up to k_bits bits, so both slot paths run
             bound = max(total, ((1 << k_bits) - 1) // total * total)
             same_poly("run step",
-                      continuant_packed(steps, before, start, bound).decode(),
+                      lift(continuant_packed(head + steps, bound)),
                       ref, k_bits, steps)
 
     def test_empty_run_raises(self):
         with pytest.raises(ValueError):
-            continuant_packed([(-1, -1, 0)], 1, HLPoly.monomial(1, 1),
-                              4).decode()
+            continuant_packed([(-1, -1, 0)], 4)
 
 
-# bounds whose slots decode through struct (8 and 16 bits, 64 bits) and
+# bounds whose slots are read through struct (8 and 16 bits, 64 bits) and
 # byte by byte (80 bits)
 PACKED_BOUNDS = (14, 200, 2 ** 61, 2 ** 70)
 
@@ -346,7 +407,7 @@ def packed_poly(draw, grid, bound):
                                  max_size=8))
     poly = HLPoly({2 * k + grid: v for k, v in slots.items()})
     s = _slot_width(bound)
-    n, h = _pack(poly, s)
+    n, h = pack(poly, s)
     offset = draw(st.integers(0, 3))
     if not poly:
         h = draw(st.integers(-9, 9))
@@ -368,7 +429,7 @@ def packed_pairs(draw, mixed=False):
         if twin is not None:
             pb = twin * pa
             s = _slot_width(wider)
-            n, h = _pack(pb, s)
+            n, h = pack(pb, s)
             b = Packed(n, h, s, wider)
     return a, pa, b, pb
 
@@ -377,7 +438,7 @@ class TestPacked:
     @given(packed_pairs())
     def test_eq_is_decoded_equality(self, pair):
         a, pa, b, pb = pair
-        assert a.decode() == pa and b.decode() == pb
+        assert lift(a) == pa and lift(b) == pb
         assert (a == b) == (b == a) == (pa == pb)
 
     def test_eq_leaves_other_types_to_them(self):
@@ -395,7 +456,7 @@ class TestPacked:
     @given(packed_pairs(), st.sampled_from((1, -1)), st.integers(-9, 9))
     def test_times_is_the_monomial_product(self, pair, c, u):
         a, pa, _, _ = pair
-        assert a.times(c, u).decode() == HLPoly.monomial(c, u) * pa
+        assert lift(a.times(c, u)) == HLPoly.monomial(c, u) * pa
         assert (a.times(c, u) == a) == (not pa or (c, u) == (1, 0))
 
     @given(packed_pairs())
@@ -404,7 +465,7 @@ class TestPacked:
         for p, poly in pair[:2], pair[2:]:
             check_bar(p)
             s = p.s
-            n, h = _pack(poly.bar(), s)
+            n, h = pack(poly.bar(), s)
             assert p.bar() == Packed(n, h, s, p.bound)
 
     @given(st.sampled_from((8, 16, 32, 64)), st.data())
@@ -431,33 +492,34 @@ class TestOneForm:
         # the drawn terms are built with zero slots below them, and a zero
         # term at an arbitrary h
         for p, poly in pair[:2], pair[2:]:
-            assert (p.n, p.h) == _pack(poly, p.s)
-            assert one_form(p) and one_form(Packed(*_pack(poly, p.s), p.s, 1))
+            assert (p.n, p.h) == pack(poly, p.s)
+            assert one_form(p) and one_form(Packed(*pack(poly, p.s), p.s, 1))
             assert one_form(p.times(c, u)) and one_form(p.bar())
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, -1]), st.integers(-6, 6),
            st.lists(st.one_of(st.tuples(monomials, general_factors),
                               st.integers(1, 9)), min_size=1, max_size=6),
-           grid_terms, grid_terms, st.sampled_from(PACKED_BOUNDS))
-    def test_kernel_results(self, c, u, steps, before, start, bound):
-        # an int k is the run step (c, u, k); x_start lies u half units off
-        # x_before's grid, and each nu is shifted by u, so every step joins
-        # two terms on one grid
+           leading, st.sampled_from(PACKED_BOUNDS))
+    def test_kernel_results(self, c, u, steps, lead, bound):
+        # an int k is the run step (c, u, k); the leading steps end with one
+        # that puts x_0 u half units off the grid of x_(-1), and each nu is
+        # shifted by u, so every step joins two terms on one grid
         steps = [(c, u, s) if isinstance(s, int)
                  else (s[0], (s[1][0], s[1][1] + u, s[1][2])) for s in steps]
-        before = HLPoly({2 * e: x for e, x in before.items()})
-        start = HLPoly({2 * e + u: x for e, x in start.items()})
-        assert one_form(continuant_packed(steps, before, start, bound))
+        head = lead + [((1, u), (1, u, 1))]
+        assert one_form(continuant_packed(head + steps, bound))
 
-    @pytest.mark.parametrize("before, start, bound", [
-        (1, HLPoly({0: 1, 2: 1}), 4),   # 1 - (1 + t): the lowest slot cancels
-        (0, 0, 4),                       # zero
-        (HLPoly({2: 3}), HLPoly({2: 3}), 2 ** 70)])  # zero, on byte slots
-    def test_cancelling_kernel_results(self, before, start, bound):
-        p = continuant_packed([((1, 0), (-1, 0, 1))], before, start, bound)
+    # from (1, 1), x_1 = 1 + t and then x_2 = 1 - (1 + t) = -t; or x_1 = 0
+    @pytest.mark.parametrize("steps, want, bound", [
+        ([((1, 2), (1, 0, 1)), ((1, 0), (-1, 0, 1))], HLPoly({2: -1}), 4),
+        ([((1, 0), (-1, 0, 1))], HLPoly(), 4),
+        ([((1, 0), (-1, 0, 1))], HLPoly(), 2 ** 70)],  # on byte slots
+        ids=["lowest-slot-cancels", "zero", "zero-on-byte-slots"])
+    def test_cancelling_kernel_results(self, steps, want, bound):
+        p = continuant_packed(steps, bound)
         assert one_form(p)
-        assert p.decode() == HLPoly._coerce(before) - start
+        assert lift(p) == want
 
 
 @st.composite
@@ -477,44 +539,46 @@ def near_edge_packed(draw, s):
 
 
 def check_bar(p: Packed):
-    """``p.bar()`` against the bar of the decoded polynomial: equal when the
+    """``p.bar()`` against the bar of the read polynomial: equal when the
     digits fit the bound, and both raising :class:`SlotOverflow` when not."""
     try:
-        want = p.decode().bar()
+        want = lift(p).bar()
     except SlotOverflow:
         with pytest.raises(SlotOverflow):
-            p.bar().decode()
+            lift(p.bar())
         return
     barred = p.bar()
-    assert barred.decode() == want
+    assert lift(barred) == want
     assert barred.bar() == p
     assert (barred.s, barred.bound) == (p.s, p.bound)
 
 
+# leading Fibonacci steps scale the result's coefficients; the first read
+# is on slots wide enough for any of them
 UNDERSTATED_BOUND = (
     "from twobridge.errors import SlotOverflow\n"
     "from twobridge.laurent import _slot_width, continuant_packed\n"
-    "steps = [((1, 0), (1, -4, 3)), ((1, 0), (-1, 6, 5)),\n"
-    "         ((-1, 2), (1, -8, 2)), ((1, 0), (1, 8, 4))]\n"
-    "m = {scale}\n"
-    "poly = continuant_packed(steps, m, m, 10 ** 6 * m).decode()\n"
-    "total = sum(map(abs, poly.exps_and_coeffs()[1]))\n"
-    "print('exact', continuant_packed(steps, m, m, total).decode() == poly)\n"
+    "steps = [((1, 0), (1, 0, 1))] * {fibonacci} + [\n"
+    "    ((1, 0), (1, -4, 3)), ((1, 0), (-1, 6, 5)),\n"
+    "    ((-1, 2), (1, -8, 2)), ((1, 0), (1, 8, 4))]\n"
+    "run = continuant_packed(steps, 10 ** 60).read()\n"
+    "total = sum(map(abs, run.digits))\n"
+    "print('exact', continuant_packed(steps, total).read() == run)\n"
     "print('slot', _slot_width(total - 1))\n"
     "try:\n"
     "    {read}\n"
     "except SlotOverflow as exc:\n"
     "    print('raised', type(exc).__mro__[1].__name__)\n"
 )
-READ_DECODED = "continuant_packed(steps, m, m, total - 1).decode()"
+READ_DIGITS = "continuant_packed(steps, total - 1).read()"
 # the bar reads nothing itself: the overflow shows when its result is read
-READ_BARRED = "continuant_packed(steps, m, m, total - 1).bar().decode()"
+READ_BARRED = "continuant_packed(steps, total - 1).bar().read()"
 
 
-def understated_bound_output(scale, read=READ_DECODED):
+def understated_bound_output(fibonacci, read=READ_DIGITS):
     """Output of :data:`UNDERSTATED_BOUND` under ``python -O``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    script = UNDERSTATED_BOUND.format(scale=scale, read=read)
+    script = UNDERSTATED_BOUND.format(fibonacci=fibonacci, read=read)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
@@ -522,21 +586,22 @@ def understated_bound_output(scale, read=READ_DECODED):
 
 
 def test_understated_bound_raises_under_optimize():
-    """The decode check is an if/raise, so it survives ``python -O``; the
-    coefficients sum to 205, so 16-bit slots decode through struct."""
-    assert understated_bound_output(1) == [
+    """The read's check is an if/raise, so it survives ``python -O``; the
+    coefficients sum to 205, so 16-bit slots are read through struct."""
+    assert understated_bound_output(0) == [
         "exact", "True", "slot", "16", "raised", "TwoBridgeError"]
 
 
 def test_understated_bound_raises_under_optimize_on_byte_path():
-    """The same check on slots wider than 64 bits, decoded byte by byte."""
-    assert understated_bound_output(1 << 70) == [
+    """The same check on slots wider than 64 bits, read byte by byte: 96
+    Fibonacci steps make the coefficients sum to 75 bits."""
+    assert understated_bound_output(96) == [
         "exact", "True", "slot", "80", "raised", "TwoBridgeError"]
 
 
-@pytest.mark.parametrize("scale, slot", [(1, "16"), (1 << 70, "80")])
-def test_understated_bound_raises_after_bar_under_optimize(scale, slot):
+@pytest.mark.parametrize("fibonacci, slot", [(0, "16"), (96, "80")])
+def test_understated_bound_raises_after_bar_under_optimize(fibonacci, slot):
     """The bar of a result packed with an understated bound raises when it
     is read, on the struct and the byte path."""
-    assert understated_bound_output(scale, READ_BARRED) == [
+    assert understated_bound_output(fibonacci, READ_BARRED) == [
         "exact", "True", "slot", slot, "raised", "TwoBridgeError"]

@@ -10,6 +10,8 @@ from twobridge.laurent import (DigitRun, HLPoly, Packed, _exp_str,
                                latex_from_text, q_integer, q_power,
                                specialize_y, text_from_terms)
 
+from reference import lift
+
 EPS = HLPoly({-3: 1, -1: -1})       # t^(-3/2) - t^(-1/2)
 EPS_BAR = HLPoly({3: 1, 1: -1})
 
@@ -162,7 +164,8 @@ def reference_product(a: dict, b: dict) -> HLPoly:
 
 
 class TestMonomialProduct:
-    """One-term operands take the shift-only path of HLPoly.__mul__."""
+    """Products with a one-term operand, on either side of
+    HLPoly.__mul__."""
 
     @given(st.integers(-9, 9), st.integers(-10, 10), term_dicts(max_terms=8))
     def test_monomial_either_side(self, c, u, terms):
@@ -232,10 +235,22 @@ class TestInspection:
         assert DigitRun(0, [1]).leading_term() == (Fraction(0), 1)
         # t^(-1) + t^(-3) - t^(-4)
         run = DigitRun(-8, [-1, 1, 0, 1])
-        assert run.poly() == HLPoly({-2: 1, -6: 1, -8: -1})
+        assert lift(run) == HLPoly({-2: 1, -6: 1, -8: -1})
         assert run.leading_term() == (Fraction(-1), 1)
         with pytest.raises(ZeroPolynomial):
             DigitRun(0, []).leading_term()
+
+    def test_eq_and_str(self):
+        # a struct read gives a tuple, a byte read and specialize_y lists
+        run = DigitRun(-8, (-1, 1, 0, 1))
+        assert run == DigitRun(-8, [-1, 1, 0, 1]) and not run != run
+        assert run != DigitRun(-6, [-1, 1, 0, 1])
+        assert run != DigitRun(-8, [-1, 1, 0, 2])
+        assert run != DigitRun(-8, [-1, 1, 0])
+        assert DigitRun(0, ()) == DigitRun(0, [])
+        assert run.__eq__(lift(run)) is NotImplemented and run != lift(run)
+        assert str(run) == "t^(-1) + t^(-3) - t^(-4)"
+        assert str(DigitRun(0, [])) == "0"
 
     def test_width(self):
         assert DigitRun(-8, [-1, 1, 0, 1]).width() == 6
@@ -255,7 +270,7 @@ class TestInspection:
         # -t^(10) + t^(6) + t^(4) does not: t^(4) and t^(10) lie an even
         # distance apart with opposite signs
         run = DigitRun(8, [1, 0, 1, 0, 0, 0, -1])
-        assert run.poly() == HLPoly({20: -1, 12: 1, 8: 1})
+        assert lift(run) == HLPoly({20: -1, 12: 1, 8: 1})
         assert run.digits[0] * run.digits[6] < 0
 
     @given(digit_runs())
@@ -322,7 +337,8 @@ class TestTextGrammar:
     def test_digit_run_matches_parent_loop(self, packed_terms):
         packed, terms = packed_terms
         run = packed.read()
-        assert run.poly() == HLPoly(dict(terms))
+        assert lift(run) == HLPoly(dict(terms))
+        assert str(run) == lift(run).to_text()
         exps, coeffs = run.exps_and_coeffs()
         assert exps == [_exp_str(u) for u, _ in terms]
         assert list(coeffs) == [c for _, c in terms]
@@ -345,7 +361,7 @@ class TestTextGrammar:
     def test_digit_run_terms_with_and_without_zero_slots(self, h, digits):
         run = DigitRun(h, digits)
         exps, coeffs = run.exps_and_coeffs()
-        assert (exps, list(coeffs)) == run.poly().exps_and_coeffs()
+        assert (exps, list(coeffs)) == lift(run).exps_and_coeffs()
         assert (0 in coeffs) is False
 
     @pytest.mark.parametrize("result, zero_slot", [
@@ -359,7 +375,7 @@ class TestTextGrammar:
         run = result().run
         assert (0 in run.digits) is zero_slot
         exps, coeffs = run.exps_and_coeffs()
-        assert (exps, list(coeffs)) == run.poly().exps_and_coeffs()
+        assert (exps, list(coeffs)) == lift(run).exps_and_coeffs()
 
 
 # coefficients for one-term edits: units, zero, and beyond 64 bits
@@ -397,16 +413,25 @@ class TestSpecializeY:
 
     def test_specialize_example(self):
         F = {0b00, 0b01, 0b11}  # 1 + y1 + y1*y2
-        assert specialize_y(F, 2).to_text() == "1 + t^(-2) - t^(-3)"
+        assert str(specialize_y(F, 2)) == "1 + t^(-2) - t^(-3)"
 
     def test_specialize_constant(self):
-        assert specialize_y({0}, 4) == HLPoly.monomial()
+        assert lift(specialize_y({0}, 4)) == HLPoly.monomial()
+        assert specialize_y({0}, 4) == DigitRun(0, [1])
+
+    def test_specialize_nothing(self):
+        assert specialize_y(set(), 3) == DigitRun(0, [])
+
+    def test_specialize_gap(self):
+        # 1 + y1*y2*y3 = 1 + t^(-4): zero slots between, none at the ends
+        assert specialize_y({0, 0b111}, 3) == DigitRun(-8, [1, 0, 0, 0, 1])
 
     def test_specialize_full_product(self):
         for d in range(1, 8):
             full = {(1 << d) - 1}
             sign = 1 if (d - 1) % 2 == 0 else -1
-            assert specialize_y(full, d) == HLPoly.monomial(sign, -2 * (d + 1))
+            assert (lift(specialize_y(full, d))
+                    == HLPoly.monomial(sign, -2 * (d + 1)))
 
     @pytest.mark.parametrize("mask, d", [(-1, 4), (-(1 << 70), 80), (1, 0),
                                          (0b10000, 4), (1 << 64, 64)])
@@ -417,4 +442,4 @@ class TestSpecializeY:
 
     def test_bit_sixty_three(self):
         # no tile cap: y64 is bit 63, and y_j = -t^(-1) for j >= 2
-        assert specialize_y({1 << 63}, 64) == HLPoly.monomial(-1, -2)
+        assert lift(specialize_y({1 << 63}, 64)) == HLPoly.monomial(-1, -2)

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from twobridge import cfrac, cli, verify
 from twobridge.cfrac import EvenCF, PositiveCF, positive_cf
 from twobridge.errors import CrossCheckMismatch
-from twobridge.laurent import Packed
+from twobridge.laurent import DigitRun, Packed
 
 
 def test_sweep_checks_each_fraction_once(monkeypatch):
@@ -55,21 +55,27 @@ def last_negated(entries):
 
 # at 27/10 = [2, 1, 2, 3] = [2, 2, -2, 4] the laws call _value with the
 # positive, long-form and even entries in that order, and _even_entries for
-# the mirror law and then the tail law
+# the mirror law and then the tail law; each mismatch names the two sides
+# its law compares
 FAULTS = {
     "positive round trip fails for 27/10":
-        ("_value", 1, lambda pair: (pair[0] + 1, pair[1])),
+        ("_value", 1, lambda pair: (pair[0] + 1, pair[1]),
+         ("positive_cf", "input")),
     # equal as a Fraction, but not reduced
     "long form round trip fails for 27/10":
-        ("_value", 2, lambda pair: (2 * pair[0], 2 * pair[1])),
+        ("_value", 2, lambda pair: (2 * pair[0], 2 * pair[1]),
+         ("long_form", "input")),
     "even round trip fails for 27/10":
-        ("_value", 3, lambda pair: (-pair[0], pair[1])),
+        ("_value", 3, lambda pair: (-pair[0], pair[1]), ("even_cf", "input")),
     # the right value, as [2, 1, 2, 2, 1], with an odd length
     "parity law fails for 27/10":
-        ("even_cf", 1, lambda ev: PositiveCF((2, 1, 2, 2, 1))),
+        ("even_cf", 1, lambda ev: PositiveCF((2, 1, 2, 2, 1)),
+         ("even_cf", "parity of p")),
     "mirror law fails for 27/10: even_cf(-r) is not the entrywise negation "
-    "of even_cf(r)": ("_even_entries", 1, last_negated),
-    "tail law fails for 27/10": ("_even_entries", 2, last_negated),
+    "of even_cf(r)": ("_even_entries", 1, last_negated,
+                      ("even_cf(-r)", "EvenCF.mirrored")),
+    "tail law fails for 27/10": ("_even_entries", 2, last_negated,
+                                 ("even_cf(r) tail", "even_cf(q/r')")),
 }
 
 
@@ -98,11 +104,13 @@ def test_laws_pass_without_a_fault():
 
 @pytest.mark.parametrize("message", FAULTS)
 def test_each_law_can_fail(monkeypatch, message):
-    name, k, fault = FAULTS[message]
+    name, k, fault, sides = FAULTS[message]
     monkeypatch.setattr(verify, name, nth_call(getattr(verify, name), k, fault))
     with pytest.raises(CrossCheckMismatch) as info:
         verify._fraction_laws(Fraction(27, 10))
     assert str(info.value) == message
+    assert info.value.engines == sides
+    assert info.value.value == Fraction(27, 10)
 
 
 @pytest.mark.parametrize("extra", [lambda p: 1, lambda p: 1 << (p.s - 1)],
@@ -150,7 +158,8 @@ def test_check_engines_checks_degree_and_sign(monkeypatch, entries, fault):
 # one unit more: in the lowest slot of the packed recursion, and on the
 # constant term of the specialized listing
 ONE_MORE = {"f_recursive": lambda p: Packed(p.n + 1, p.h, p.s, p.bound),
-            "specialize_y": lambda p: p + 1}
+            "specialize_y": lambda run: DigitRun(
+                run.h, [*run.digits[:-1], run.digits[-1] + 1])}
 
 
 @pytest.mark.parametrize("name, message", [
