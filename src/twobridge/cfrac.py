@@ -16,8 +16,10 @@ always reduced, positive denominator), aliased as :data:`Rat`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, groupby, repeat
 from math import gcd
 from operator import neg
 
@@ -85,12 +87,11 @@ class PositiveCF:
 class EvenCF:
     """Validated even continued fraction [b_1, ..., b_m], b_i even, nonzero.
 
-    ``runs`` is None, or for an expansion made by :func:`even_cf_runs` the
-    maximal groups (v, k) of k consecutive entries with one value v of
-    type times |b|; it is not an argument and takes no part in comparison."""
+    ``runs`` is derived from the entries on first read: the maximal groups
+    (v, k) of k consecutive entries with one value v of type times |b|.  It
+    is not an argument and takes no part in comparison."""
 
     entries: tuple
-    runs: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(map(int, self.entries))
@@ -108,11 +109,16 @@ class EvenCF:
     def value(self) -> Rat:
         return eval_cf(self.entries)
 
+    @cached_property
+    def runs(self) -> tuple:
+        """The groups (v, k): the type times |b| of b_i is b_i (-1)^(i+1),
+        so the entries at even positions are negated and grouped."""
+        values = list(self.entries)
+        values[1::2] = map(neg, values[1::2])
+        return tuple((v, len(list(run))) for v, run in groupby(values))
+
     def mirrored(self) -> "EvenCF":
         """Entrywise negation; evaluates to the negated rational."""
-        if self.runs is not None:
-            return _with_runs(tuple(map(neg, self.entries)),
-                              [(-v, k) for v, k in self.runs])
         return _valid(EvenCF, tuple(map(neg, self.entries)))
 
 
@@ -200,26 +206,26 @@ def even_cf(r: Rat) -> EvenCF:
     odd (no even expansion exists), :class:`OutOfRange` for |r| <= 1.  The
     expansion is :func:`_even_entries`, which reads each run of +-2 entries
     with one division.  A run too long to list fails at once, when its
-    entries are built, as in :func:`even_cf_runs`.
+    entries are built.
     """
     return _valid(EvenCF, _even_entries(r.numerator, r.denominator))
 
 
 def _read_run(entries: list, p: int, q: int, n: int, d: int) -> tuple:
-    """Append the run of +-2 entries at p/q to ``entries``; (b, k, p, q).
+    """Append the run of +-2 entries at p/q to ``entries``; the state after.
 
     Here n = |q| and d = |p| - n with 0 < 2d < n.  The next
     k = (|q| - 1) // d entries are then b, -b, b, ... with b = 2 sgn(p q),
     all of one type: each keeps d, lowers |q| by d and negates the value,
     so one division reads the run and the state p/q after it.  The entries
-    are appended by tuple repetition; b, k and that state are returned.
+    are appended by tuple repetition.
     """
     k = (n - 1) // d
     b = 2 if (p > 0) == (q > 0) else -2
     entries += (b, -b) * (k >> 1)
     if k & 1:
         entries.append(b)
-    return b, k, (n - (k - 1) * d) * (-b if k & 1 else b) // 2, n - k * d
+    return (n - (k - 1) * d) * (-b if k & 1 else b) // 2, n - k * d
 
 
 def _even_entries(p: int, q: int) -> tuple:
@@ -239,7 +245,7 @@ def _even_entries(p: int, q: int) -> tuple:
         n = q if q > 0 else -q
         d = (p if p > 0 else -p) - n
         if 0 < 2 * d < n:
-            _, _, p, q = _read_run(entries, p, q, n, d)
+            p, q = _read_run(entries, p, q, n, d)
             continue
         b = (p + n) // (2 * n) * (2 if q > 0 else -2)
         s = p - b * q
@@ -253,51 +259,9 @@ def _even_entries(p: int, q: int) -> tuple:
     return tuple(entries)
 
 
-def even_cf_runs(p: int, q: int) -> EvenCF:
-    """The even continued fraction of p/q, q >= 1, with its groups.
-
-    The entries are read as in :func:`_even_entries`, a run of +-2 entries
-    with one :func:`_read_run` step, and the result carries its ``runs``.
-    Raises as :func:`_even_entries` does.
-    """
-    if p & q & 1:
-        raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
-    if abs(p) <= q:
-        raise OutOfRange(f"need |r| > 1, got {Fraction(p, q)}")
-    entries, runs, v0, k0 = [], [], 0, 0  # (v0, k0): the open group
-    while q:
-        n = q if q > 0 else -q
-        d = (p if p > 0 else -p) - n
-        if 0 < 2 * d < n:
-            b, k, p, q = _read_run(entries, p, q, n, d)
-        else:
-            k, b = 1, (p + n) // (2 * n) * (2 if q > 0 else -2)
-            if not b:  # p = -|q|, only when p and q share a factor
-                raise NoEvenQuotient(
-                    f"no nonzero even quotient for ({p}, {q})")
-            p, q = q, p - b * q
-            entries.append(b)
-        # the type times |b| is b (-1)^i at index i
-        v = -b if (len(entries) - k) & 1 else b
-        if v == v0:
-            k0 += k
-        else:
-            runs.append((v0, k0))
-            v0, k0 = v, k
-    runs.append((v0, k0))
-    return _with_runs(tuple(entries), runs[1:])
-
-
-def _with_runs(entries: tuple, runs) -> EvenCF:
-    """An :class:`EvenCF` on valid ``entries`` that carries its ``runs``."""
-    cf = _valid(EvenCF, entries)
-    object.__setattr__(cf, "runs", tuple(runs))
-    return cf
-
-
 def run_value(cf: EvenCF) -> tuple:
-    """(num, den) of an expansion made by :func:`even_cf_runs`, as
-    :func:`_value` gives it, read from its groups right to left.
+    """(num, den) of an even expansion, as :func:`_value` gives it, read
+    from its groups ``cf.runs`` right to left.
 
     Prepending c to a suffix value num/den is the matrix
     M(c) = [[c, 1], [1, 0]].  For b = +-2, M(b) M(-b) = -I + N with
@@ -383,9 +347,10 @@ def euler_minding(entries):
 
 
 def sign_sequence(cf: EvenCF) -> tuple:
-    """|b_1| copies of sgn(b_1), then |b_2| copies of -sgn(b_2), and so on."""
-    return tuple(t for t, b in zip(type_sequence(cf), cf.entries)
-                 for _ in range(abs(b)))
+    """|b_1| copies of sgn(b_1), then |b_2| copies of -sgn(b_2), and so on:
+    a group (v, k) of ``cf.runs`` is k |v| copies of sgn(v)."""
+    return tuple(chain.from_iterable(repeat(1 if v > 0 else -1, k * abs(v))
+                                     for v, k in cf.runs))
 
 
 def type_sequence(cf: EvenCF) -> tuple:

@@ -34,11 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
-from operator import mul
 
-from .cfrac import (EvenCF, PositiveCF, Rat, _value, eval_cf, even_cf_runs,
-                    numerator_rec, positive_cf, run_value, tau, type_sequence)
+from .cfrac import (EvenCF, PositiveCF, Rat, _even_entries, _valid, _value,
+                    numerator_rec, positive_cf, run_value, type_sequence)
 from .errors import (CrossCheckMismatch, HypothesisViolated, OutOfRange,
                      SlotOverflow, WrongOrientation, ZeroPolynomial)
 from .laurent import DigitRun, Packed, _exp_str, continuant_packed
@@ -156,19 +154,13 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     the two-unknot value -t^(-1/2) - t^(1/2).  A run of ``_RUN`` or more
     entries of one type with |b| = 2, such as the p - 1 entries of an odd
     integer p, is one run step of :func:`continuant_packed`.  The groups
-    and the slot bound come from ``cf.runs`` when it has them.
+    are ``cf.runs``, and the slot bound is the numerator of
+    :func:`run_value`.
     """
-    groups = cf.runs
-    if groups is None:
-        groups = [(v, len(list(run))) for v, run in groupby(
-            map(mul, type_sequence(cf), map(abs, cf.entries)))]
-        bound = numerator_rec(cf.entries)
-    else:
-        bound = run_value(cf)[0]
     steps = list(_UNKNOTS)
     # v = t |b|: mu is t^v, and nu is -t^(-1/2) [|b|]_q on a - type and
     # -t^(1/2) [b]_qbar = t^(v-1/2) [b]_q on a + type, since b is even
-    for v, k in groups:
+    for v, k in cf.runs:
         nu = (-1, -1, -v) if v < 0 else (1, 2 * v - 1, v)
         if k == 1:  # most groups: skip the list that a repeat would build
             steps.append(((1, 2 * v), nu))
@@ -176,7 +168,7 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
             steps.append((nu[0], nu[1], k))  # mu = t^v = t^(u - 1)
         else:
             steps += [((1, 2 * v), nu)] * k
-    packed = continuant_packed(steps, abs(bound))
+    packed = continuant_packed(steps, abs(run_value(cf)[0]))
     return JonesResult(packed, "recursive")
 
 
@@ -189,20 +181,16 @@ def degree_and_sign(cf: EvenCF):
     -1/2 on a - type and |b_i| - t_(i-1)/2 on a + type, and over the P +
     types the t_(i-1) sum to 2 tau - P, with tau the number of (+, +) pairs.
     So 2j = 2 (sum over + types of (|b_i| + 1) - tau) - m, and the leading
-    sign is (-1)^(m - tau).  With ``cf.runs``, a group (v, k) of + type
-    adds k (v + 1) to the sum and k - 1 pairs, one more after a + group.
+    sign is (-1)^(m - tau).  Over the groups ``cf.runs``, a group (v, k) of
+    + type adds k (v + 1) to the sum and k - 1 pairs, one more after a +
+    group.
     """
-    if cf.runs is None:
-        types = type_sequence(cf)
-        pairs = tau(types)
-        plus = sum(abs(b) + 1 for t, b in zip(types, cf.entries) if t > 0)
-    else:
-        plus = pairs = last = 0
-        for v, k in cf.runs:
-            if v > 0:
-                plus += k * (v + 1)
-                pairs += k - 1 + (last > 0)
-            last = v
+    plus = pairs = last = 0
+    for v, k in cf.runs:
+        if v > 0:
+            plus += k * (v + 1)
+            pairs += k - 1 + (last > 0)
+        last = v
     return Fraction(2 * (plus - pairs) - cf.m, 2), (-1) ** (cf.m - pairs)
 
 
@@ -240,8 +228,7 @@ def specialized_f_even(cf: EvenCF) -> Packed:
     for positive value: the reflection identity F[a] = q^(d+1)
     bar(F[1, a_1 - 1, a_2, ...]), both sides with the same d.
     """
-    r = abs(eval_cf(cf.entries) if cf.runs is None
-            else Fraction(*run_value(cf)))
+    r = abs(Fraction(*run_value(cf)))
     if cf.entries[0] > 0:
         r = Fraction(r.numerator, r.numerator - r.denominator)
     pos = positive_cf(r)
@@ -314,7 +301,8 @@ def oriented_even_cf(r: Rat) -> EvenCF:
     p, q = r.numerator, r.denominator
     if abs(p) <= q:
         raise OutOfRange(f"need |r| > 1, got {r}")
-    return even_cf_runs(-p, abs(p) - q) if p & q & 1 else even_cf_runs(p, q)
+    return _valid(EvenCF, _even_entries(-p, abs(p) - q) if p & q & 1
+                  else _even_entries(p, q))
 
 
 def jones_direct(cf: PositiveCF) -> JonesResult:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from twobridge.cfrac import (EvenCF, PositiveCF, _even_entries, _value,
-                             eval_cf, even_cf, even_cf_for_link, even_cf_runs,
+                             eval_cf, even_cf, even_cf_for_link,
                              even_division, euler_minding, numerator_rec,
                              positive_cf, run_value, sign_sequence, tau,
                              type_sequence)
 from twobridge.errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
+from twobridge.jones import oriented_even_cf
 from twobridge.laurent import HLPoly
-from twobridge.verify import coprime_fractions
+from twobridge.verify import coprime_fractions, even_lists
 
 
 class TestEvalCF:
@@ -230,17 +231,22 @@ class TestExpansionAgainstDivisionSteps:
             assert even_cf(r).entries == division_loop(p, q)
 
 
+def groups_of(cf):
+    """The maximal groups (v, k) of equal type times |b|, entry by entry."""
+    return tuple((v, len(list(run))) for v, run in groupby(
+        map(mul, type_sequence(cf), map(abs, cf.entries))))
+
+
 def same_as_division_loop(p, q):
-    """``_even_entries(p, q)`` and ``even_cf_runs(p, q)`` against
+    """``_even_entries(p, q)`` and ``even_cf(p/q)`` against
     ``division_loop(p, q)``: the entries, the groups of equal type times
     |b|, the value and the mirror image."""
     want = division_loop(p, q)
     entries = _even_entries(p, q)
     assert type(entries) is tuple and entries == want, (p, q)
-    got = even_cf_runs(p, q)
+    got = even_cf(Fraction(p, q))
     assert type(got.entries) is tuple and got.entries == want, (p, q)
-    groups = tuple((v, len(list(run))) for v, run in groupby(
-        map(mul, type_sequence(got), map(abs, want))))
+    groups = groups_of(got)
     assert got.runs == groups, (p, q)
     assert run_value(got) == _value(want), (p, q)
     listed = EvenCF(want)
@@ -248,7 +254,6 @@ def same_as_division_loop(p, q):
     mirror = got.mirrored()
     assert mirror.entries == tuple(-b for b in want)
     assert mirror.runs == tuple((-v, k) for v, k in groups)
-    assert listed.mirrored().entries == mirror.entries
 
 
 def outcome(read, p, q):
@@ -262,9 +267,9 @@ def outcome(read, p, q):
 
 
 class TestRunReader:
-    """``_even_entries`` and ``even_cf_runs`` read a run of +-2 entries with
-    one division; both must equal ``division_loop``, one ``even_division``
-    step per entry."""
+    """``_even_entries`` reads a run of +-2 entries with one division; it
+    must equal ``division_loop``, one ``even_division`` step per entry, and
+    the groups derived from its entries must be the entries' groups."""
 
     def test_every_fraction_up_to_600(self):
         checked = 0
@@ -303,28 +308,32 @@ class TestRunReader:
         same_as_division_loop(-p if negate else p, q)
 
     def test_a_run_is_one_group(self):
-        cf = even_cf_runs(1000001, 1000000)
-        assert cf.runs == ((2, 1000000),) and cf.m == 1000000
+        cf = oriented_even_cf(Fraction(1000001, 1000000))
+        assert cf.runs == groups_of(cf) == ((2, 1000000),)
+        assert cf.m == 1000000
         assert cf.entries[:3] == (2, -2, 2) and cf.entries[-1] == -2
         assert set(map(type, cf.entries)) == {int}
         assert run_value(cf) == (1000001, 1000000)
         assert _even_entries(1000001, 1000000) == cf.entries
-        # the groups take no part in equality, hash or repr
+        # the groups take no part in equality, hash or repr, and mirroring
+        # does not derive them
         listed = EvenCF(cf.entries)
-        assert listed.runs is None and repr(cf) == repr(listed)
-        with pytest.raises(TypeError):  # only the reader sets them
+        assert cf == listed and hash(cf) == hash(listed)
+        assert repr(cf) == repr(listed)
+        assert "runs" not in vars(cf.mirrored())
+        with pytest.raises(TypeError):  # they are derived, not given
             EvenCF((2,), runs=((4, 1),))
-        assert even_cf_runs(27, 10).runs == ((2, 1), (-2, 2), (-4, 1))
+        cf = even_cf(Fraction(27, 10))
+        assert cf.runs == groups_of(cf) == ((2, 1), (-2, 2), (-4, 1))
 
     def test_every_pair_up_to_60_alike(self):
-        """Any p/q with q >= 1, a common factor allowed: both readers give
-        the entries of the division loop, or raise its exception with its
-        message.  Before the loop they refuse a pair of odd numbers and a
-        value in [-1, 1], alike."""
+        """Any p/q with q >= 1, a common factor allowed: the reader gives
+        the entries of the division loop, or raises its exception with its
+        message.  Before the loop it refuses a pair of odd numbers and a
+        value in [-1, 1]."""
         for p in range(-60, 61):
             for q in range(1, 60):
                 got = outcome(_even_entries, p, q)
-                assert outcome(even_cf_runs, p, q) == got, (p, q)
                 if p & q & 1:
                     assert got[0] is BothOdd, (p, q)
                 elif abs(p) <= q:
@@ -337,11 +346,10 @@ class TestRunReader:
         (-2, 3, OutOfRange), (2, 2, OutOfRange), (6, 2, NoEvenQuotient),
         (-60, 4, NoEvenQuotient)])
     def test_raises_alike(self, p, q, error):
-        """Both readers raise ``error`` with one message, the division
-        loop's when it is a ``NoEvenQuotient``."""
+        """The reader raises ``error``, with the division loop's message
+        when it is a ``NoEvenQuotient``."""
         want = outcome(_even_entries, p, q)
         assert want[0] is error
-        assert outcome(even_cf_runs, p, q) == want
         if error is NoEvenQuotient:
             assert outcome(division_loop, p, q) == want
 
@@ -404,6 +412,18 @@ class TestSignAndType:
         assert sign_sequence(EvenCF((2, 2, -2, 4))) == (
             1, 1, -1, -1, -1, -1, -1, -1, -1, -1)
         assert sign_sequence(EvenCF((2,))) == (1, 1)
+
+    def test_sign_sequence_from_groups_is_per_entry(self):
+        """Built from the groups, the sign sequence is |b_i| copies of each
+        type, entry by entry."""
+        checked = 0
+        for entries in even_lists(14):
+            cf = EvenCF(entries)
+            want = tuple(t for t, b in zip(type_sequence(cf), entries)
+                         for _ in range(abs(b)))
+            assert sign_sequence(cf) == want, entries
+            checked += 1
+        assert checked == 1970
 
     def test_type_sequence(self):
         assert type_sequence(EvenCF((2, 4, 2))) == (1, -1, 1)

@@ -199,17 +199,16 @@ class TestRunSteps:
 
 
 class TestRunPath:
-    """An expansion made by the run reader carries its groups, and every
-    engine that reads them agrees with the same entries given as a list."""
+    """Every engine that reads the groups of an expansion agrees with a
+    reference that walks its entries one by one."""
 
     @staticmethod
-    def check(ev):
-        listed = EvenCF(ev.entries)
-        assert ev.runs is not None and listed.runs is None
-        assert degree_and_sign(ev) == degree_and_sign(listed)
-        got, want = jones_recursive(ev).packed, jones_recursive(listed).packed
-        assert got == want and got.bound == want.bound, list(ev.entries)
-        assert jones_via_f(ev).packed == jones_via_f(listed).packed
+    def check(ev, reference=per_entry_recursive):
+        assert degree_and_sign(ev) == TestDegreeAndSign.per_entry(ev.entries)
+        got, want = jones_recursive(ev).packed, reference(ev).packed
+        assert got == want, list(ev.entries)
+        assert got.bound == abs(numerator_rec(ev.entries))
+        assert jones_via_f(ev).packed == want
         assert Fraction(*run_value(ev)) == eval_cf(ev.entries)
 
     def test_fractions_of_both_signs(self):
@@ -218,8 +217,11 @@ class TestRunPath:
             self.check(oriented_even_cf(-r))
 
     def test_odd_integers(self):
+        # one step per entry is cubic in p over this range; p is the positive
+        # expansion [p], so the direct formula is the reference here
         for p in range(3, 5002, 2):
-            self.check(oriented_even_cf(p))
+            self.check(oriented_even_cf(p),
+                       lambda ev: jones_direct(PositiveCF((p,))))
 
     def test_random_fractions_with_long_runs(self):
         for ev in run_fractions(40, 17):
@@ -228,12 +230,12 @@ class TestRunPath:
 
     def test_jones_walks_no_entry_list(self, monkeypatch):
         """The CLI's jones path reads the runs: the per-entry helpers that
-        the list path uses are never called."""
+        ``jones`` imports are never called."""
         want = run(Request("jones", "100001"))
 
         def walk(*args):
             raise AssertionError("an entry-by-entry walk")
-        for name in ("type_sequence", "tau", "numerator_rec", "eval_cf"):
+        for name in ("type_sequence", "numerator_rec"):
             monkeypatch.setattr(jones, name, walk)
         assert run(Request("jones", "100001")) == want
         assert run(Request("jones", "-100001"))["checks"] == {

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge import cfrac, cli, verify
+from twobridge import cfrac, cli, jones, verify
 from twobridge.cfrac import EvenCF, PositiveCF, positive_cf
 from twobridge.errors import CrossCheckMismatch
 from twobridge.laurent import DigitRun, Packed
@@ -96,6 +96,35 @@ def test_sweeps_check_the_run_step(monkeypatch, sweep):
     monkeypatch.setattr(cfrac, "_read_run", namespace["_read_run"])
     with pytest.raises(CrossCheckMismatch):
         sweep(40)
+
+
+# two faults on the groups of an expansion, which every ``jones`` request
+# reads: a + group after a + group loses its (+, +) pair in the closed
+# degree formula, and the pair step of the value turns its sign
+GROUP_FAULTS = {
+    "degree_and_sign": (jones, "pairs += k - 1 + (last > 0)",
+                        "pairs += k - 1"),
+    "run_value": (cfrac, "den + j * (", "den - j * ("),
+}
+
+
+@pytest.mark.parametrize("name", GROUP_FAULTS)
+def test_engine_sweep_reads_the_groups(monkeypatch, name):
+    """The engine sweep reads each expansion's groups, as ``jones`` does, so
+    a fault in the degree formula over the groups or in the value read from
+    them is a mismatch."""
+    assert verify.run_verify(8, 32)
+    module, right, wrong = GROUP_FAULTS[name]
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(right) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(right, wrong), module.__file__, "exec"),
+         namespace)
+    for bound in (cfrac, jones, verify):
+        if hasattr(bound, name):
+            monkeypatch.setattr(bound, name, namespace[name])
+    with pytest.raises(CrossCheckMismatch):
+        verify.run_verify(8, 32)
 
 
 def test_laws_pass_without_a_fault():
