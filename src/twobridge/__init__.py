@@ -10,20 +10,19 @@ snake-graph machinery they rest on.
 
 from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf,
                     even_cf_for_link, even_division, euler_minding,
-                    numerator_rec, positive_cf, sign_sequence, tau,
-                    type_sequence)
+                    numerator_rec, oriented_even_cf, positive_cf,
+                    sign_sequence, tau, type_sequence)
 from .errors import (BothOdd, BudgetExceeded, CrossCheckMismatch,
                      HypothesisViolated, MixedGrid, NoEvenQuotient,
                      OutOfRange, ParseError, SlotOverflow, TwoBridgeError,
                      WrongOrientation, ZeroPolynomial, ZeroTail)
 from .jones import (JonesResult, boundary_coefficients, degree_and_sign,
                     f_recursive, jones_direct, jones_recursive, jones_via_f,
-                    mirror, oriented_even_cf, specialized_f_even,
-                    specialized_f_positive, volume_bounds)
+                    mirror, specialized_f_even, specialized_f_positive,
+                    volume_bounds)
 from .laurent import HLPoly, q_integer, q_power, specialize_y
 from .snake import (Matching, SnakeGraph, count_matchings,
                     enumerate_matchings, f_polynomial, isomorphic,
-                    render_ascii, snake_from_even, snake_from_positive,
-                    tile_count_even)
+                    render_ascii, snake_from_even, snake_from_positive)
 
 __version__ = "0.1.0"

@@ -106,8 +106,17 @@ class EvenCF:
     def m(self):
         return len(self.entries)
 
+    @property
+    def d(self):
+        """Tile count of the associated snake graph: |b_1| + ... + |b_m| - 1
+        less the number of sign changes in b_1, ..., b_m."""
+        bs = self.entries
+        return sum(map(abs, bs)) - 1 - sum([x * y < 0
+                                            for x, y in zip(bs, bs[1:])])
+
     def value(self) -> Rat:
-        return eval_cf(self.entries)
+        """The value, read from the groups by :func:`run_value`."""
+        return Fraction(*run_value(self))
 
     @cached_property
     def runs(self) -> tuple:
@@ -303,6 +312,24 @@ def even_cf_for_link(r: Rat) -> EvenCF:
     if (p * q) % 2 == 0:
         return even_cf(r)
     return even_cf(Fraction(p, p - q))
+
+
+def oriented_even_cf(r: Rat) -> EvenCF:
+    """Even continued fraction matching the orientation of the link of r.
+
+    For p*q even this is the even expansion of p/q itself.  For p, q both
+    odd the link carries the *negated* even expansion of p/(p - q); the
+    positive-value expansion describes the mirror image (visible already
+    for the trefoil).  A negative r is
+    the mirror image of |r|, so it carries the negated expansion of |r|.
+    Negated, an expansion is that of -p/q, so the reader runs on (-p, q).
+    """
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    if abs(p) <= q:
+        raise OutOfRange(f"need |r| > 1, got {r}")
+    return _valid(EvenCF, _even_entries(-p, abs(p) - q) if p & q & 1
+                  else _even_entries(p, q))
 
 
 def numerator_rec(entries):

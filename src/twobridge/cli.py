@@ -29,19 +29,19 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import verify as verify_mod
-from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
-                    sign_sequence, type_sequence)
+from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link,
+                    oriented_even_cf, positive_cf, sign_sequence,
+                    type_sequence)
 from .errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
                      ParseError, TwoBridgeError)
 from .jones import (JonesResult, boundary_coefficients, cross_check,
                     jones_direct, jones_recursive, jones_via_f, mirror,
-                    oriented_even_cf, specialized_f_even,
-                    specialized_f_positive, volume_bounds)
+                    specialized_f_even, specialized_f_positive,
+                    volume_bounds)
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
 from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles, check_work,
                     count_matchings, f_polynomial, height_subsets,
-                    render_ascii, snake_from_even, snake_from_positive,
-                    tile_count_even)
+                    render_ascii, snake_from_even, snake_from_positive)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
 
@@ -191,7 +191,7 @@ def run(req: Request) -> dict:
         raise OutOfRange(f"need a rational >= 1, got {r}")
     ev = obj if isinstance(obj, EvenCF) else None
     pos = obj if isinstance(obj, PositiveCF) else positive_cf(abs(r))
-    d = pos.d if ev is None else tile_count_even(ev)
+    d = (pos if ev is None else ev).d
     if req.command != "volume":  # whose work does not grow with the tiles
         check_tiles(d)
     if req.command == "jones" or (req.command == "fpoly" and not req.full):

@@ -21,12 +21,9 @@ the closed forms and ``f_recursive`` included, so results compare with
 ``==`` as integers and a polynomial is read only where it is printed.
 
 Orientation conventions.  An even continued fraction determines the link
-*and* its orientation, so the even entries are the authoritative input.  A
-rational p/q > 1 with p*q even maps to its unique even expansion.  When p
-and q are both odd only the partner p/(p - q) has an even expansion, and the
-link of the positive continued fraction is the one carrying the *negated*
-even entries (value -p/(p-q)); using the positive-value expansion instead
-would mirror the link (visible already for the trefoil).
+*and* its orientation, so the even entries are the authoritative input;
+:func:`cfrac.oriented_even_cf` gives the expansion that carries the link of
+a rational.
 """
 
 from __future__ import annotations
@@ -35,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cfrac import (EvenCF, PositiveCF, Rat, _even_entries, _valid, _value,
-                    numerator_rec, positive_cf, run_value, type_sequence)
-from .errors import (CrossCheckMismatch, HypothesisViolated, OutOfRange,
-                     SlotOverflow, WrongOrientation, ZeroPolynomial)
+from .cfrac import (EvenCF, PositiveCF, _value, numerator_rec,
+                    oriented_even_cf, positive_cf, run_value, type_sequence)
+from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
+                     WrongOrientation, ZeroPolynomial)
 from .laurent import DigitRun, Packed, _exp_str, continuant_packed
 
 #: smallest hyperbolic volume bound per twist region, and the volume of a
@@ -228,7 +225,7 @@ def specialized_f_even(cf: EvenCF) -> Packed:
     for positive value: the reflection identity F[a] = q^(d+1)
     bar(F[1, a_1 - 1, a_2, ...]), both sides with the same d.
     """
-    r = abs(Fraction(*run_value(cf)))
+    r = abs(cf.value())
     if cf.entries[0] > 0:
         r = Fraction(r.numerator, r.numerator - r.denominator)
     pos = positive_cf(r)
@@ -286,23 +283,6 @@ def _placed(cf: EvenCF, F: Packed, engine: str) -> JonesResult:
 def jones_via_f(cf: EvenCF) -> JonesResult:
     """Normalization-times-generating-function engine."""
     return _placed(cf, specialized_f_even(cf), "fpoly")
-
-
-def oriented_even_cf(r: Rat) -> EvenCF:
-    """Even continued fraction matching the orientation of the link of r.
-
-    For p*q even this is the even expansion of p/q itself.  For p, q both
-    odd the link carries the *negated* even expansion of p/(p - q); the
-    positive-value expansion describes the mirror image.  A negative r is
-    the mirror image of |r|, so it carries the negated expansion of |r|.
-    Negated, an expansion is that of -p/q, so the reader runs on (-p, q).
-    """
-    r = Fraction(r)
-    p, q = r.numerator, r.denominator
-    if abs(p) <= q:
-        raise OutOfRange(f"need |r| > 1, got {r}")
-    return _valid(EvenCF, _even_entries(-p, abs(p) - q) if p & q & 1
-                  else _even_entries(p, q))
 
 
 def jones_direct(cf: PositiveCF) -> JonesResult:

@@ -39,8 +39,8 @@ from .errors import BudgetExceeded, CrossCheckMismatch
 RIGHT = "R"
 UP = "U"
 _SIGNS = frozenset((1, -1))
-# default bound on a matching listing, matchings times tiles, and on a
-# drawing, in characters
+# bound on a matching listing, matchings times tiles, and on a drawing, in
+# characters; every check reads it when it runs
 LISTING_BUDGET = 64 * 10 ** 6
 # largest snake graph, in tiles, whose value the CLI expands or computes on
 TILE_BUDGET = 1 << 20
@@ -165,17 +165,10 @@ def snake_from_even(cf: EvenCF) -> SnakeGraph:
             signs.append(-t)
     signs += [t] * (abs(bs[-1]) - 2)
     d = len(signs) + 1
-    if d != tile_count_even(cf):
+    if d != cf.d:
         raise CrossCheckMismatch(f"gluing gives {d} tiles for {list(bs)}",
-                                 engines=("gluing", "tile_count_even"), value=bs)
+                                 engines=("gluing", "EvenCF.d"), value=bs)
     return SnakeGraph(d, signs, first)
-
-
-def tile_count_even(cf: EvenCF) -> int:
-    """sum |b_i| - 1 - (number of sign changes in b_1, ..., b_m)."""
-    bs = cf.entries
-    changes = sum([x * y < 0 for x, y in zip(bs, bs[1:])])
-    return sum(map(abs, bs)) - 1 - changes
 
 
 def isomorphic(g: SnakeGraph, h: SnakeGraph) -> bool:
@@ -222,12 +215,12 @@ def count_matchings(g: SnakeGraph) -> int:
     return 2 * free + covered
 
 
-def check_budget(matchings: int, tiles: int, budget: int = LISTING_BUDGET):
+def check_budget(matchings: int, tiles: int):
     """Raise :class:`BudgetExceeded` when listing ``matchings`` heights of
-    ``tiles`` tiles each is beyond ``budget``."""
-    if matchings * tiles > budget:
+    ``tiles`` tiles each is beyond :data:`LISTING_BUDGET`."""
+    if matchings * tiles > LISTING_BUDGET:
         raise BudgetExceeded(f"{matchings} matchings x {tiles} tiles exceed "
-                             f"budget {budget}")
+                             f"budget {LISTING_BUDGET}")
 
 
 def check_tiles(tiles: int):
@@ -248,7 +241,7 @@ def check_work(entries: int, tiles: int, p: int):
                              f"bits exceed budget {WORK_BUDGET}")
 
 
-def _heights(g: SnakeGraph, budget):
+def _heights(g: SnakeGraph):
     """The height masks of all perfect matchings, one per matching.
 
     The heights are the order ideals of the fence on the tiles: tile t+1
@@ -258,11 +251,11 @@ def _heights(g: SnakeGraph, budget):
     ideals with it when it lies above, and must join those and may join the
     others when it lies below.  The transfer count certifies completeness.
     Raises :class:`BudgetExceeded` before building anything when the
-    listing, matchings times tiles, is beyond ``budget``.  Needs d >= 1;
-    both callers answer d = 0 themselves.
+    listing, matchings times tiles, is beyond :data:`LISTING_BUDGET`.
+    Needs d >= 1; both callers answer d = 0 themselves.
     """
     total = count_matchings(g)
-    check_budget(total, g.d, budget)
+    check_budget(total, g.d)
     without, with_ = [0], [1]
     for tile, sign in enumerate(g.edge_signs, 1):
         if sign == g.first_sign:  # above: needs the tile before
@@ -329,17 +322,17 @@ def _flip_data(g: SnakeGraph):
     return edges, pairs, sum(lower[0::2]) + sum(upper[1::2])
 
 
-def enumerate_matchings(g: SnakeGraph, budget: int = LISTING_BUDGET):
+def enumerate_matchings(g: SnakeGraph):
     """All perfect matchings with their heights, minimal matching first.
 
     A matching is the minimal one with the flip ``ns ^ ew`` of each tile in
     its height applied.  Raises :class:`BudgetExceeded` when the matching
-    count times the tile count is beyond ``budget``.
+    count times the tile count is beyond :data:`LISTING_BUDGET`.
     """
     if g.d == 0:
         edge = frozenset(((0, 0), (0, 1)))
         return [Matching(edges=frozenset((edge,)), height=frozenset())]
-    heights = _heights(g, budget)
+    heights = _heights(g)
     edges, pairs, start = _flip_data(g)
     flips = [ns ^ ew for ns, ew in pairs]
     out = []
@@ -354,7 +347,7 @@ def enumerate_matchings(g: SnakeGraph, budget: int = LISTING_BUDGET):
     return out
 
 
-def f_polynomial(g: SnakeGraph, budget: int = LISTING_BUDGET) -> frozenset:
+def f_polynomial(g: SnakeGraph) -> frozenset:
     """The matching generating function, as its set of height bitsets.
 
     F is the sum of the height monomials y(P) over all perfect matchings P,
@@ -362,11 +355,11 @@ def f_polynomial(g: SnakeGraph, budget: int = LISTING_BUDGET) -> frozenset:
     coefficient is 1 and the set is F.  The minimal matching contributes
     the constant term 1 (height 0) and the maximal one the full product
     y_1 ... y_d.  Raises :class:`BudgetExceeded` when the matching count
-    times the tile count is beyond ``budget``.
+    times the tile count is beyond :data:`LISTING_BUDGET`.
     """
     if g.d == 0:
         return frozenset((0,))
-    return frozenset(_heights(g, budget))
+    return frozenset(_heights(g))
 
 
 def height_subsets(F) -> list:

@@ -9,10 +9,9 @@ from hypothesis import Phase, given, settings, strategies as st
 from twobridge.cfrac import (EvenCF, PositiveCF, _even_entries, _value,
                              eval_cf, even_cf, even_cf_for_link,
                              even_division, euler_minding, numerator_rec,
-                             positive_cf, run_value, sign_sequence, tau,
-                             type_sequence)
+                             oriented_even_cf, positive_cf, run_value,
+                             sign_sequence, tau, type_sequence)
 from twobridge.errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
-from twobridge.jones import oriented_even_cf
 from twobridge.laurent import HLPoly
 from twobridge.verify import coprime_fractions, even_lists
 
@@ -185,6 +184,29 @@ class TestEvenCF:
             EvenCF((2, 3))
         with pytest.raises(ValueError):
             EvenCF((2, 0, 2))
+
+    def test_value_from_the_groups(self):
+        for entries in even_lists(12):
+            assert EvenCF(entries).value() == eval_cf(entries), entries
+
+    def test_value_walks_no_entry_list(self, monkeypatch):
+        """An even expansion's value, and so ``convert``'s, is read from its
+        groups: the per-entry evaluation is never called."""
+        import twobridge.cfrac as cfrac
+        from twobridge.cli import Request, run
+
+        def walk(*args):
+            raise AssertionError("an entry-by-entry walk")
+        for name in ("_value", "eval_cf"):
+            monkeypatch.setattr(cfrac, name, walk)
+        for p in (1000001, -1000001):
+            r = Fraction(p, 1000000)
+            assert oriented_even_cf(r).value() == r
+        report = run(Request("convert", "1000001/1000000"))
+        assert len(report["even_cf"]) == 1000000
+        assert report["even_cf_value"] == report["value"] == {
+            "num": 1000001, "den": 1000000}
+        assert report["substituted"] is False
 
 
 def division_loop(p, q):

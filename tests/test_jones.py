@@ -10,14 +10,15 @@ import pytest
 
 from twobridge import jones
 from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
-                             numerator_rec, run_value, tau, type_sequence)
+                             numerator_rec, oriented_even_cf, run_value, tau,
+                             type_sequence)
 from twobridge.cli import Request, run
 from twobridge.errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
 from twobridge.jones import (JonesResult, boundary_coefficients,
                              degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f, mirror,
-                             oriented_even_cf, specialized_f_even,
-                             specialized_f_positive, volume_bounds)
+                             specialized_f_even, specialized_f_positive,
+                             volume_bounds)
 from twobridge.laurent import HLPoly, Packed, continuant_packed, q_integer
 from twobridge.verify import coprime_fractions, even_lists
 

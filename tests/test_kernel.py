@@ -16,10 +16,11 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from twobridge.cfrac import PositiveCF, eval_cf, numerator_rec
+from twobridge.cfrac import (PositiveCF, eval_cf, numerator_rec,
+                             oriented_even_cf)
 from twobridge.errors import MixedGrid, SlotOverflow
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
-                             jones_recursive, jones_via_f, oriented_even_cf,
+                             jones_recursive, jones_via_f,
                              specialized_f_positive)
 from twobridge.laurent import (_DOUBLING_LIMIT, HLPoly, Packed, _q_product,
                                _slot_width, continuant_packed, q_integer,

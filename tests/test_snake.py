@@ -17,10 +17,10 @@ from twobridge.errors import BudgetExceeded, CrossCheckMismatch
 from twobridge.laurent import specialize_y
 from twobridge.jones import specialized_f_even, specialized_f_positive
 from twobridge.snake import (RIGHT, UP, SnakeGraph, _flip_data, _heights,
-                             check_canvas, count_matchings, enumerate_matchings,
-                             f_polynomial, height_subsets, isomorphic,
-                             render_ascii, snake_from_even,
-                             snake_from_positive, tile_count_even)
+                             check_budget, check_canvas, count_matchings,
+                             enumerate_matchings, f_polynomial, height_subsets,
+                             isomorphic, render_ascii, snake_from_even,
+                             snake_from_positive)
 from twobridge.verify import even_lists, positive_lists
 
 from reference import lift
@@ -97,7 +97,7 @@ def count_by_steps(g):
 def fence_ideals(g):
     """The fence build's heights as a set, after checking it lists each
     once."""
-    heights = _heights(g, 10 ** 6)
+    heights = _heights(g)
     assert len(set(heights)) == len(heights) == count_matchings(g)
     return set(heights)
 
@@ -270,14 +270,14 @@ class TestSignWordOnly:
 
 class TestTileCount:
     def test_examples(self):
-        assert tile_count_even(EvenCF((2, 2, -2, 4))) == 7
-        assert tile_count_even(EvenCF((2,))) == 1
-        assert tile_count_even(EvenCF((2, -2, 2, -2))) == 4
+        assert EvenCF((2, 2, -2, 4)).d == 7
+        assert EvenCF((2,)).d == 1
+        assert EvenCF((2, -2, 2, -2)).d == 4
 
     def test_matches_construction(self):
         for entries in [(2, 4, 2), (-2, -4, 6), (4, 4, -2, 2), (6, -2)]:
             cf = EvenCF(entries)
-            assert snake_from_even(cf).d == tile_count_even(cf)
+            assert snake_from_even(cf).d == cf.d
 
 
 class TestIsomorphism:
@@ -385,15 +385,28 @@ class TestEnumeration:
             covered = [v for e in m.edges for v in e]
             assert sorted(covered) == sorted(vertices)
 
-    def test_budget(self):
-        # the budget bounds the listing: 27 matchings x 7 tiles = 189
+    def test_budget(self, monkeypatch, capsys):
+        # the budget bounds the listing: 27 matchings x 7 tiles = 189; each
+        # check reads snake.LISTING_BUDGET when it runs, the CLI's included
+        import twobridge.snake as snake
+        from twobridge.cli import main
         g = snake_from_positive(positive_cf(Fraction(27, 10)))
+        monkeypatch.setattr(snake, "LISTING_BUDGET", 188)
         with pytest.raises(BudgetExceeded):
-            enumerate_matchings(g, budget=188)
-        assert len(enumerate_matchings(g, budget=189)) == 27
+            check_budget(27, 7)
         with pytest.raises(BudgetExceeded):
-            f_polynomial(g, budget=188)
-        assert len(f_polynomial(g, budget=189)) == 27
+            enumerate_matchings(g)
+        with pytest.raises(BudgetExceeded):
+            f_polynomial(g)
+        assert main(["fpoly", "--full", "27/10"]) == 2
+        assert capsys.readouterr().err == (
+            "error [fpoly]: 27 matchings x 7 tiles exceed budget 188\n")
+        monkeypatch.setattr(snake, "LISTING_BUDGET", 189)
+        check_budget(27, 7)
+        assert len(enumerate_matchings(g)) == 27
+        assert len(f_polynomial(g)) == 27
+        assert main(["fpoly", "--full", "27/10"]) == 0
+        assert capsys.readouterr().out.count(" + ") == 26
 
     def test_oversized_listing_fails_fast(self):
         # [100000] has only 100000 matchings, but of 99999 tiles each
@@ -540,7 +553,7 @@ class TestFPolynomial:
             cf = PositiveCF(entries)
             other = PositiveCF((1, entries[0] - 1) + entries[1:])
             F = f_polynomial(snake_from_positive(cf))
-            heights = _heights(snake_from_positive(other), 10 ** 6)
+            heights = _heights(snake_from_positive(other))
             full = (1 << cf.d) - 1
             assert F == {full ^ h for h in heights}, entries
 
