@@ -14,13 +14,15 @@ comma list.  An entry list valid as both a positive and an even continued
 fraction reads as positive unless ``--even`` is given.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error, 3 engine
-cross-check mismatch.
+cross-check mismatch, 141 (128 + SIGPIPE) when the reader of the output has
+gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -198,7 +200,7 @@ def run(req: Request) -> dict:
         # the closed forms step once per entry of a positive cf, which is
         # about twice as long as an even list of alternating signs
         check_work(pos.n if ev is None else max(pos.n, ev.m), d, r.numerator)
-    if r < 0 and ev is None and req.command in ("snake", "fpoly"):
+    if r < 0 and ev is None and req.command in ("convert", "snake", "fpoly"):
         raise OutOfRange(f"need a rational >= 1, got {r}")
     report = {"command": req.command, "input": req.input}
 
@@ -438,8 +440,6 @@ def main(argv=None) -> int:
         with _all_digits():
             out = emit(report, args.format)
         del report  # not held while the output is encoded and written
-        print(out)
-        return 0
     except ParseError as exc:
         print(f"error{where}: {exc}", file=sys.stderr)
         return 1
@@ -449,6 +449,14 @@ def main(argv=None) -> int:
     except TwoBridgeError as exc:
         print(f"error{where}: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(out)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the exit flush then writes what is left nowhere, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return 0
 
 
 if __name__ == "__main__":

@@ -45,9 +45,6 @@ V3 = 1.0149
 
 #: leading steps to (x_(-1), x_0) = (-t^(-1/2) - t^(1/2), 1)
 _UNKNOTS = (((-1, 1), (-1, -1, 1)), ((1, 0), (1, 0, 0)))
-#: shortest run of equal +-2 entries taken as one run step; runs of 2 to 4
-#: cost the same either way on the benchmark's ``long_cf`` inputs
-_RUN = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +145,10 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
     * sign +: V_m = t^(+|b_m|) V_(m-2) - t^(+1/2) [|b_m|]_qbar V_(m-1)
 
     with the conventions V(empty) = 1 (unknot) and V at index -1 equal to
-    the two-unknot value -t^(-1/2) - t^(1/2).  A run of ``_RUN`` or more
-    entries of one type with |b| = 2, such as the p - 1 entries of an odd
-    integer p, is one run step of :func:`continuant_packed`.  The groups
-    are ``cf.runs``, and the slot bound is the numerator of
-    :func:`run_value`.
+    the two-unknot value -t^(-1/2) - t^(1/2).  A run of two or more entries
+    of one type with |b| = 2, such as the p - 1 entries of an odd integer
+    p, is one run step of :func:`continuant_packed`.  The groups are
+    ``cf.runs``, and the slot bound is the numerator of :func:`run_value`.
     """
     steps = list(_UNKNOTS)
     # v = t |b|: mu is t^v, and nu is -t^(-1/2) [|b|]_q on a - type and
@@ -161,7 +157,7 @@ def jones_recursive(cf: EvenCF) -> JonesResult:
         nu = (-1, -1, -v) if v < 0 else (1, 2 * v - 1, v)
         if k == 1:  # most groups: skip the list that a repeat would build
             steps.append(((1, 2 * v), nu))
-        elif k >= _RUN and v in (2, -2):
+        elif v in (2, -2):
             steps.append((nu[0], nu[1], k))  # mu = t^v = t^(u - 1)
         else:
             steps += [((1, 2 * v), nu)] * k

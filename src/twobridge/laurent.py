@@ -228,8 +228,9 @@ def continuant_packed(steps, bound) -> "Packed":
     substitution*).  A term whose exponents share one grid is stored as a
     pair (n, h) and a sign c apart: the polynomial is c * t^(h/2) * N(t) and
     n = N(2^s), so a factor's sign goes into the add or subtract that joins
-    the two products and never negates n.  Monomials, mu among them, only
-    move h; nu's [b]_q is the one product of a step (:func:`_q_product`).
+    the two products (:func:`_join`, in every step) and never negates n.
+    Monomials, mu among them, only move h; nu's [b]_q is the one product of
+    a step (:func:`_q_product`).
 
     A run step (c, u, k) is k >= 1 steps (else ``ValueError``) with
     nu = c t^(u/2) [2]_q and mu = t^(u-1).  x^2 = nu x + mu has the roots
@@ -266,28 +267,12 @@ def continuant_packed(steps, bound) -> "Packed":
                 _join(pn, ph, pc, n1, h1 + uk, ck * c1, s))
             continue
         (ca, ua), (cb, ub, bb) = step
-        na, ha = n2, h2 + ua
         nb, hb = n1, h1 + ub
         if bb != 1:
-            nb = _q_product(nb, bb, s) if bb else 0
-            hb -= 2 * (bb - 1)
-        ca *= c2
-        cb *= c1
+            nb, hb = _q_product(nb, bb, s), hb - 2 * (bb - 1)
+        joined = _join(n2, h2 + ua, ca * c2, nb, hb, cb * c1, s)
         n2, h2, c2 = n1, h1, c1
-        # :func:`_join`, inline: a call per step measured 1-2 % on the
-        # benchmark's long_cf and sweep workloads
-        if not na:
-            n1, h1, c1 = nb, hb, cb
-        elif not nb:
-            n1, h1, c1 = na, ha, ca
-        elif (ha - hb) & 1:
-            raise MixedGrid("recurrence terms lie on different grids")
-        elif ha > hb:
-            na <<= s * ((ha - hb) >> 1)
-            n1, h1, c1 = (na + nb if ca == cb else na - nb), hb, ca
-        else:
-            nb <<= s * ((hb - ha) >> 1)
-            n1, h1, c1 = (na + nb if ca == cb else na - nb), ha, ca
+        n1, h1, c1 = joined
     return Packed(n1 if c1 > 0 else -n1, h1, s, bound)
 
 

@@ -801,6 +801,12 @@ class TestNegativeInputs:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error [{argv[0]}]: {message}\n"
 
+    @pytest.mark.parametrize("command", ["convert", "snake", "fpoly"])
+    def test_one_refusal_for_a_negative_fraction(self, capsys, command):
+        assert main([command, "--", "-27/10"]) == 2
+        assert capsys.readouterr().err == (
+            f"error [{command}]: need a rational >= 1, got -27/10\n")
+
     def test_text_format_spelling(self, capsys):
         want = _main_output(["--format", "text", "snake", "--", "-27/10"],
                             capsys)
@@ -1136,3 +1142,20 @@ def test_python_m_runs_the_cli(module):
                          env=env, capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout, out.stderr) == (want["exit"],
                                                         want["stdout"], "")
+
+
+@pytest.mark.parametrize("argv", [["jones", "100001", "--format", "json"],
+                                  ["jones", "27/10"]])
+def test_closed_stdout_exits_141(argv):
+    """Output to a pipe whose reader has gone, several MB or a short line,
+    exits 128 + SIGPIPE with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "twobridge", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)),
+                             timeout=120)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, b"")
