@@ -10,8 +10,8 @@ snake-graph machinery they rest on.
 
 from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf,
                     even_cf_for_link, even_division, euler_minding,
-                    numerator_rec, oriented_even_cf, positive_cf,
-                    sign_sequence, tau, type_sequence)
+                    numerator_rec, positive_cf, sign_sequence, tau,
+                    type_sequence)
 from .errors import (BothOdd, BudgetExceeded, CrossCheckMismatch,
                      HypothesisViolated, MixedGrid, NoEvenQuotient,
                      OutOfRange, ParseError, SlotOverflow, TwoBridgeError,

@@ -8,7 +8,8 @@ A continued fraction ``[c1, c2, ..., ck]`` stands for the nested expression
 * *even* continued fractions: every entry a nonzero even integer, signs
   allowed.  A reduced fraction p/q admits one exactly when p*q is even, and
   then the expansion is unique; its entry signs carry the orientation data
-  of the associated link.
+  of the associated link.  :func:`even_cf_for_link` gives the expansion
+  that carries the link of any p/q, p*q odd too.
 
 Rationals are plain :class:`fractions.Fraction` values (arbitrary precision,
 always reduced, positive denominator), aliased as :data:`Rat`.
@@ -301,28 +302,14 @@ def run_value(cf: EvenCF) -> tuple:
 
 
 def even_cf_for_link(r: Rat) -> EvenCF:
-    """Even continued fraction describing the link of r = p/q > 1.
-
-    Uses p/q itself when p*q is even; otherwise exactly one of q, p-q is
-    even and the isotopic partner p/(p-q) is expanded instead.
-    """
-    p, q = r.numerator, r.denominator
-    if p <= q:
-        raise OutOfRange(f"need p > q >= 1, got {Fraction(p, q)}")
-    if (p * q) % 2 == 0:
-        return even_cf(r)
-    return even_cf(Fraction(p, p - q))
-
-
-def oriented_even_cf(r: Rat) -> EvenCF:
     """Even continued fraction matching the orientation of the link of r.
 
     For p*q even this is the even expansion of p/q itself.  For p, q both
     odd the link carries the *negated* even expansion of p/(p - q); the
     positive-value expansion describes the mirror image (visible already
-    for the trefoil).  A negative r is
-    the mirror image of |r|, so it carries the negated expansion of |r|.
-    Negated, an expansion is that of -p/q, so the reader runs on (-p, q).
+    for the trefoil).  A negative r is the mirror image of |r|, so it
+    carries the negated expansion of |r|.  Negated, an expansion is that of
+    -p/q, so the reader runs on (-p, q).
     """
     r = Fraction(r)
     p, q = r.numerator, r.denominator

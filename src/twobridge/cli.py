@@ -31,9 +31,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import verify as verify_mod
-from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link,
-                    oriented_even_cf, positive_cf, sign_sequence,
-                    type_sequence)
+from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
+                    sign_sequence, type_sequence)
 from .errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
                      ParseError, TwoBridgeError)
 from .jones import (JonesResult, boundary_coefficients, cross_check,
@@ -254,7 +253,7 @@ def run(req: Request) -> dict:
     if req.command == "jones":
         engines = ((["recursive", "direct", "fpoly"]) if req.engine == "all"
                    else [req.engine])
-        ev = ev or oriented_even_cf(r)
+        ev = ev or even_cf_for_link(r)
         # Euclid's quotients, which a positive entry list need not be
         canonical = positive_cf(abs(r)) if pos is obj else pos
         res = cross_check([_jones_engine(name, r, pos, ev)

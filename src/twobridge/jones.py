@@ -22,7 +22,7 @@ the closed forms and ``f_recursive`` included, so results compare with
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input;
-:func:`cfrac.oriented_even_cf` gives the expansion that carries the link of
+:func:`cfrac.even_cf_for_link` gives the expansion that carries the link of
 a rational.
 """
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cfrac import (EvenCF, PositiveCF, _value, numerator_rec,
-                    oriented_even_cf, positive_cf, run_value, type_sequence)
+from .cfrac import (EvenCF, PositiveCF, _value, even_cf_for_link,
+                    numerator_rec, positive_cf, run_value, type_sequence)
 from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
                      WrongOrientation, ZeroPolynomial)
 from .laurent import DigitRun, Packed, _exp_str, continuant_packed
@@ -289,7 +289,7 @@ def jones_direct(cf: PositiveCF) -> JonesResult:
     :func:`degree_and_sign` on the orientation-consistent even expansion of
     the value.
     """
-    ev = oriented_even_cf(cf.value())
+    ev = even_cf_for_link(cf.value())
     return _placed(ev, specialized_f_positive(cf), "direct")
 
 

@@ -9,8 +9,8 @@ from hypothesis import Phase, given, settings, strategies as st
 from twobridge.cfrac import (EvenCF, PositiveCF, _even_entries, _value,
                              eval_cf, even_cf, even_cf_for_link,
                              even_division, euler_minding, numerator_rec,
-                             oriented_even_cf, positive_cf, run_value,
-                             sign_sequence, tau, type_sequence)
+                             positive_cf, run_value, sign_sequence, tau,
+                             type_sequence)
 from twobridge.errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
 from twobridge.laurent import HLPoly
 from twobridge.verify import coprime_fractions, even_lists
@@ -201,7 +201,7 @@ class TestEvenCF:
             monkeypatch.setattr(cfrac, name, walk)
         for p in (1000001, -1000001):
             r = Fraction(p, 1000000)
-            assert oriented_even_cf(r).value() == r
+            assert even_cf_for_link(r).value() == r
         report = run(Request("convert", "1000001/1000000"))
         assert len(report["even_cf"]) == 1000000
         assert report["even_cf_value"] == report["value"] == {
@@ -330,7 +330,7 @@ class TestRunReader:
         same_as_division_loop(-p if negate else p, q)
 
     def test_a_run_is_one_group(self):
-        cf = oriented_even_cf(Fraction(1000001, 1000000))
+        cf = even_cf_for_link(Fraction(1000001, 1000000))
         assert cf.runs == groups_of(cf) == ((2, 1000000),)
         assert cf.m == 1000000
         assert cf.entries[:3] == (2, -2, 2) and cf.entries[-1] == -2
@@ -380,13 +380,15 @@ class TestEvenCFForLink:
     def test_even_product_uses_value_itself(self):
         assert even_cf_for_link(Fraction(27, 10)).entries == (2, 2, -2, 4)
 
-    def test_both_odd_uses_partner(self):
-        assert even_cf_for_link(Fraction(3, 1)).entries == (2, -2)
+    def test_both_odd_uses_negated_partner(self):
+        assert even_cf_for_link(Fraction(3, 1)).entries == (-2, 2)
 
     def test_partner_value(self):
         got = even_cf_for_link(Fraction(5, 3))
-        assert got == even_cf(Fraction(5, 2))
-        assert eval_cf(got.entries) == Fraction(5, 2)
+        assert got == even_cf(Fraction(-5, 2))
+        assert eval_cf(got.entries) == Fraction(-5, 2)
+        # a negative r is the mirror image: the expansion of |r| negated
+        assert even_cf_for_link(Fraction(-5, 3)) == got.mirrored()
 
 
 class TestNumeratorRec:
@@ -534,8 +536,8 @@ def _plain_expansion_error(fn, r):
             return BothOdd, f"{r} has odd numerator and denominator"
         if abs(r) <= 1:
             return OutOfRange, f"need |r| > 1, got {r}"
-    elif not p > q >= 1:
-        return OutOfRange, f"need p > q >= 1, got {r}"
+    elif abs(r) <= 1:
+        return OutOfRange, f"need |r| > 1, got {r}"
     return None
 
 
@@ -565,4 +567,7 @@ class TestConstructorsMatchPlainPredicates:
             assert (type(exc), str(exc)) == want
         else:
             assert want is None
-            assert eval_cf(got.entries) == r or fn is even_cf_for_link
+            if fn is even_cf_for_link and r.numerator * r.denominator % 2:
+                # the negated expansion of the partner p/(|p| - q)
+                r = Fraction(-r.numerator, abs(r.numerator) - r.denominator)
+            assert eval_cf(got.entries) == r

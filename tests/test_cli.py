@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -104,9 +105,9 @@ class TestRun:
 
     def test_convert_substitution_notice(self):
         report = run(Request("convert", "3/1"))
-        assert report["even_cf"] == [2, -2]
+        assert report["even_cf"] == [-2, 2]
         assert report["substituted"]
-        assert report["even_cf_value"] == {"num": 3, "den": 2}
+        assert report["even_cf_value"] == {"num": -3, "den": 2}
         assert "substituted" in emit(report, "text")
 
     def test_convert_mirror_orientation_input(self):
@@ -549,11 +550,11 @@ class TestUsageErrorsAreTyped:
         assert issubclass(ParseError, TwoBridgeError)
 
 
-# every step that grows with the tile count: the even expansions, the graph
+# every step that grows with the tile count: the even expansion, the graph
 # builds and the engines
-WORK = ("oriented_even_cf", "even_cf_for_link", "snake_from_positive",
-        "snake_from_even", "specialized_f_even", "specialized_f_positive",
-        "jones_recursive", "jones_direct", "jones_via_f")
+WORK = ("even_cf_for_link", "snake_from_positive", "snake_from_even",
+        "specialized_f_even", "specialized_f_positive", "jones_recursive",
+        "jones_direct", "jones_via_f")
 
 
 class TestTileBudget:
@@ -796,7 +797,8 @@ class TestNegativeInputs:
         (["convert", "--", "-1/2"], "need a rational >= 1, got -1/2"),
         (["volume", "--", "-1/3"], "need a rational >= 1, got -1/3"),
         (["jones", "--", "-1"], "need |r| > 1, got -1"),
-        (["jones", "1"], "need |r| > 1, got 1")])
+        (["jones", "1"], "need |r| > 1, got 1"),
+        (["convert", "1"], "need |r| > 1, got 1")])
     def test_refusal_names_the_signed_value(self, capsys, argv, message):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error [{argv[0]}]: {message}\n"
@@ -831,6 +833,28 @@ class TestNegativeInputs:
     def test_options_still_parse(self, capsys):
         assert main(["jones", "-2,2", "--bogus"]) == 1
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_convert_names_the_link_that_jones_computes(capsys):
+    """``jones --even`` on the even cf that ``convert p/q`` prints answers
+    as ``jones p/q`` does, for every reduced p/q > 1 with p <= 60: the
+    expansion carries the link and its orientation, not its mirror."""
+    fractions = [(p, q) for p in range(2, 61) for q in range(1, p)
+                 if gcd(p, q) == 1]
+    assert len(fractions) == 1101
+    wrong = []
+    for p, q in fractions:
+        code, out, _ = _main_output(
+            ["convert", f"{p}/{q}", "--format", "json"], capsys)
+        assert code == 0, (p, q)
+        entries = ",".join(map(str, json.loads(out)["even_cf"]))
+        by_list = _main_output(["jones", "--even", "--", f"[{entries}]"],
+                               capsys)
+        want = _main_output(["jones", f"{p}/{q}"], capsys)
+        assert by_list[0] == want[0] == 0, (p, q)
+        if by_list[1].splitlines()[0] != want[1].splitlines()[0]:
+            wrong.append(f"{p}/{q}")
+    assert wrong == []
 
 
 def fault_direct(monkeypatch, extra):

@@ -1,6 +1,6 @@
 """``cfrac`` is the one module that knows an even continued fraction.
 
-Its orientation rule ``oriented_even_cf`` and its tile count ``EvenCF.d``
+Its orientation rule ``even_cf_for_link`` and its tile count ``EvenCF.d``
 are defined there alone, and the other modules reach its private helpers
 only where a law must not build a ``Fraction``: ``jones`` evaluates a
 positive expansion through ``_value``, and ``verify`` checks the reader
@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twobridge"
-HOME = {"oriented_even_cf", "tile_count_even"}
+HOME = {"even_cf_for_link", "tile_count_even"}
 PRIVATE_ALLOWED = {"jones.py": {"_value"},
                    "verify.py": {"_even_entries", "_value"}}
 
@@ -48,7 +48,7 @@ def test_only_cfrac_defines_the_even_expansion_facts():
                if name != "cfrac.py"}
     assert {name: found for name, found in outside.items() if found} == {}
     cfrac = trees["cfrac.py"]
-    assert "oriented_even_cf" in definitions(cfrac)
+    assert "even_cf_for_link" in definitions(cfrac)
     assert "tile_count_even" not in definitions(cfrac)
     even = next(node for node in cfrac.body
                 if isinstance(node, ast.ClassDef) and node.name == "EvenCF")

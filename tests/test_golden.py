@@ -16,7 +16,10 @@ every command.  A negative even continued fraction is a mirror image
 everywhere; a negative fraction such as -27/10 is refused by ``snake``,
 ``fpoly`` and ``convert``, read by ``volume`` as its absolute value, and by
 ``jones`` as the mirror image of its absolute value (the ``NEGATIVE_JONES``
-records were added after the others, with no other record changed).
+records were added after the others, with no other record changed).  The
+four ``convert 7/3`` and ``convert 3/1`` records were re-recorded when
+``convert`` took the oriented even expansion that ``jones`` reads, which for
+p and q both odd negates the expansion of the partner p/(p - q).
 
 Regenerate the file (only for an intended output change) with
 

@@ -32,7 +32,7 @@ from math import gcd
 import pytest
 
 from twobridge import laurent
-from twobridge.cfrac import oriented_even_cf, positive_cf
+from twobridge.cfrac import even_cf_for_link, positive_cf
 from twobridge.cli import _jones_engine
 from twobridge.errors import SlotOverflow
 
@@ -57,7 +57,7 @@ DRAWS = {bits: draws(bits, random.Random(bits)) for bits in BITS}
 
 def results(r):
     """The Jones polynomial of r from each engine, as the CLI computes it."""
-    pos, ev = positive_cf(abs(r)), oriented_even_cf(r)
+    pos, ev = positive_cf(abs(r)), even_cf_for_link(r)
     return [_jones_engine(name, r, pos, ev) for name in ENGINES]
 
 

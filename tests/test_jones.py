@@ -10,7 +10,7 @@ import pytest
 
 from twobridge import jones
 from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
-                             numerator_rec, oriented_even_cf, run_value, tau,
+                             even_cf_for_link, numerator_rec, run_value, tau,
                              type_sequence)
 from twobridge.cli import Request, run
 from twobridge.errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
@@ -154,7 +154,7 @@ def run_fractions(count, seed):
     while len(found) < count:
         a = [rng.choice([1, 2, 3, rng.randint(20, 60)])
              for _ in range(rng.randint(2, 6))]
-        cf = oriented_even_cf(eval_cf(a))
+        cf = even_cf_for_link(eval_cf(a))
         if max(runs(cf)[:-1], default=0) > 20:
             found.append(cf)
     return found
@@ -175,7 +175,7 @@ class TestRunSteps:
     def test_odd_integers(self):
         # an odd integer p is one run of p - 1 entries
         ps = [*range(3, 302, 2), 1001, 2001, 5001]
-        cfs = [oriented_even_cf(p) for p in ps]
+        cfs = [even_cf_for_link(p) for p in ps]
         assert [runs(cf) for cf in cfs] == [[p - 1] for p in ps]
         self.check(cfs)
 
@@ -185,7 +185,7 @@ class TestRunSteps:
     def test_one_step_per_run(self, monkeypatch):
         """100,000 entries of one type take at most two kernel steps after
         the two leading steps."""
-        cf = oriented_even_cf(100001)
+        cf = even_cf_for_link(100001)
         assert runs(cf) == [100000]
         seen = []
         real = jones.continuant_packed
@@ -214,14 +214,14 @@ class TestRunPath:
 
     def test_fractions_of_both_signs(self):
         for r in coprime_fractions(200):
-            self.check(oriented_even_cf(r))
-            self.check(oriented_even_cf(-r))
+            self.check(even_cf_for_link(r))
+            self.check(even_cf_for_link(-r))
 
     def test_odd_integers(self):
         # one step per entry is cubic in p over this range; p is the positive
         # expansion [p], so the direct formula is the reference here
         for p in range(3, 5002, 2):
-            self.check(oriented_even_cf(p),
+            self.check(even_cf_for_link(p),
                        lambda ev: jones_direct(PositiveCF((p,))))
 
     def test_random_fractions_with_long_runs(self):
@@ -465,7 +465,7 @@ class TestDirect:
     def test_odd_fraction_keeps_link_orientation(self):
         # 3/1 has no even expansion; the partner 3/2 describes the mirror,
         # so the oriented expansion is the negated one and V is the trefoil.
-        assert oriented_even_cf(Fraction(3, 1)).entries == (-2, 2)
+        assert even_cf_for_link(Fraction(3, 1)).entries == (-2, 2)
         assert lift(jones_direct(PositiveCF((3,)))).to_text() == TREFOIL
         assert (lift(jones_direct(PositiveCF((5,)))).to_text()
                 == "t^(-2) + t^(-4) - t^(-5) + t^(-6) - t^(-7)")
@@ -476,12 +476,11 @@ class TestDirect:
             assert jones_direct(cf).normalized == specialized_f_positive(cf)
 
     def test_agrees_with_recursion_on_link_fractions(self):
-        from twobridge.cfrac import even_cf_for_link
         from twobridge.verify import positive_lists
         for entries in positive_lists(14, max_entry=9):
             cf = PositiveCF(entries)
             r = cf.value()
-            if r == 1 or (r.numerator * r.denominator) % 2:
+            if r == 1:
                 continue
             direct = jones_direct(cf)
             recursive = jones_recursive(even_cf_for_link(r))

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from twobridge.cfrac import (PositiveCF, eval_cf, numerator_rec,
-                             oriented_even_cf)
+from twobridge.cfrac import (PositiveCF, eval_cf, even_cf_for_link,
+                             numerator_rec)
 from twobridge.errors import MixedGrid, SlotOverflow
 from twobridge.jones import (degree_and_sign, f_recursive, jones_direct,
                              jones_recursive, jones_via_f,
@@ -110,7 +110,7 @@ def reference_f(cf: PositiveCF) -> HLPoly:
 def check_engines(entries, want_f):
     """Every kernel engine on the link of ``entries`` against ``want_f``."""
     cf = PositiveCF(entries)
-    ev = oriented_even_cf(eval_cf(entries))
+    ev = even_cf_for_link(eval_cf(entries))
     j, delta = degree_and_sign(ev)
     want = HLPoly.monomial(delta, int(2 * j)) * want_f
     assert lift(specialized_f_positive(cf)) == want_f
