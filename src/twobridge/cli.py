@@ -10,8 +10,10 @@ Commands:
 * ``volume``   - hyperbolic volume bounds.
 
 Input is a fraction ``p/q``, a bracketed list ``[c1,c2,...]``, or a bare
-comma list.  An entry list valid as both a positive and an even continued
-fraction reads as positive unless ``--even`` is given.
+comma list, of which only the signed value is kept, so every spelling of
+one value prints the same; a negative one is a mirror image.  An entry list
+valid as both a positive and an even continued fraction reads as positive
+unless ``--even`` is given.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error, 3 engine
 cross-check mismatch, 141 (128 + SIGPIPE) when the reader of the output has
@@ -42,7 +44,7 @@ from .jones import (JonesResult, boundary_coefficients, cross_check,
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
 from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles, check_work,
                     count_matchings, f_polynomial, height_subsets,
-                    render_ascii, snake_from_even, snake_from_positive)
+                    render_ascii, snake_from_positive)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
 
@@ -155,15 +157,15 @@ def _rat_payload(r: Rat):
 
 
 def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
-                  ev: EvenCF) -> JonesResult:
-    """One engine, given the input's value r, a positive cf of |r| and the
-    orientation-carrying even cf.  A negative value is the mirror of |r|:
-    the closed-form engines run on |r| and mirror their result, while the
+                  even: EvenCF) -> JonesResult:
+    """One engine, given the value r, Euclid's quotients of |r| and the
+    oriented even cf of r.  A negative value is the mirror of |r|: the
+    closed-form engines run on |r| and mirror their result, while the
     recursion runs on the negated entries, as a check of that rule."""
     if engine == "recursive":
-        return jones_recursive(ev)
+        return jones_recursive(even)
     if engine == "fpoly":
-        res = jones_via_f(ev if r > 0 else ev.mirrored())
+        res = jones_via_f(even if r > 0 else even.mirrored())
     elif engine == "direct":
         res = jones_direct(pos)
     else:
@@ -185,28 +187,24 @@ def run(req: Request) -> dict:
                 "checks": counts, "failures": 0}
 
     obj = parse_input(req.input, req.hint)
-    # the signed value, the given even list, and a positive cf of |value|:
-    # the given list, or Euclid's quotients
+    # the request is the signed value, however it was spelled: Euclid's
+    # quotients of |value| and the oriented even expansion derive from it
     r = obj if isinstance(obj, Fraction) else obj.value()
     if abs(r) < 1:  # only a fraction can be; the message keeps its sign
         raise OutOfRange(f"need a rational >= 1, got {r}")
-    ev = obj if isinstance(obj, EvenCF) else None
-    pos = obj if isinstance(obj, PositiveCF) else positive_cf(abs(r))
-    d = (pos if ev is None else ev).d
+    pos = positive_cf(abs(r))
     if req.command != "volume":  # whose work does not grow with the tiles
-        check_tiles(d)
+        check_tiles(pos.d)
     if req.command == "jones" or (req.command == "fpoly" and not req.full):
-        # the closed forms step once per entry of a positive cf, which is
-        # about twice as long as an even list of alternating signs
-        check_work(pos.n if ev is None else max(pos.n, ev.m), d, r.numerator)
-    if r < 0 and ev is None and req.command in ("convert", "snake", "fpoly"):
-        raise OutOfRange(f"need a rational >= 1, got {r}")
+        # every engine steps at most once per Euclid quotient, fpoly once
+        # more, whatever spelling was given
+        check_work(pos.n, pos.d, r.numerator)
     report = {"command": req.command, "input": req.input}
 
     if req.command == "convert":
         report["value"] = _rat_payload(r)
         report["positive_cf"] = list(pos.entries)
-        ev = ev or even_cf_for_link(r)
+        ev = even_cf_for_link(r)
         ev_value = ev.value()
         report["even_cf"] = list(ev.entries)
         report["even_cf_value"] = _rat_payload(ev_value)
@@ -218,7 +216,7 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "snake":
-        g = snake_from_positive(pos) if ev is None else snake_from_even(ev)
+        g = snake_from_positive(pos)
         report["value"] = _rat_payload(abs(r))
         report["tile_count"] = g.d
         report["step_word"] = g.step_word()
@@ -231,9 +229,8 @@ def run(req: Request) -> dict:
             # the listing is p heights of d tiles, known before the graph is;
             # its refusal prints p, which can be long
             with _all_digits():
-                check_budget(abs(r.numerator), d)
-            g = snake_from_positive(pos) if ev is None else snake_from_even(ev)
-            subsets = height_subsets(f_polynomial(g))
+                check_budget(abs(r.numerator), pos.d)
+            subsets = height_subsets(f_polynomial(snake_from_positive(pos)))
             report["full"] = True
             report["terms"] = [[tiles, 1] for tiles in subsets]
             # every coefficient is 1: y1*y3 for [1, 3], 1 for no tiles
@@ -241,8 +238,8 @@ def run(req: Request) -> dict:
                                          if tiles else "1"
                                          for tiles in subsets])
             return report
-        F = (specialized_f_positive(pos) if ev is None
-             else specialized_f_even(ev))
+        F = (specialized_f_positive(pos) if r > 0
+             else specialized_f_even(even_cf_for_link(r)))
         report["full"] = False
         report["coefficients"], text = _poly_payload(
             *F.read().exps_and_coeffs())
@@ -253,14 +250,13 @@ def run(req: Request) -> dict:
     if req.command == "jones":
         engines = ((["recursive", "direct", "fpoly"]) if req.engine == "all"
                    else [req.engine])
-        ev = ev or even_cf_for_link(r)
-        # Euclid's quotients, which a positive entry list need not be
-        canonical = positive_cf(abs(r)) if pos is obj else pos
+        ev = even_cf_for_link(r)
         res = cross_check([_jones_engine(name, r, pos, ev)
                            for name in engines],
-                          list(ev.entries) if ev is obj else req.input)
+                          list(obj.entries) if isinstance(obj, EvenCF)
+                          else req.input)
         report["value"] = _rat_payload(abs(r))
-        report["positive_cf"] = list(canonical.entries)
+        report["positive_cf"] = list(pos.entries)
         report["even_cf"] = list(ev.entries)
         report["degree"] = _exp_str(int(2 * res.degree))
         report["leading_sign"] = res.leading_sign
@@ -409,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("text", "json", "latex"))
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--even", action="store_true",
-                       help="read an ambiguous entry list as an even cf")
+                       help="evaluate an entry list as an even cf")
     group.add_argument("--positive", action="store_true",
-                       help="read an ambiguous entry list as a positive cf")
+                       help="evaluate an entry list as a positive cf")
     parser.add_argument("--max-sum", type=int, default=10,
                         help="sweep bound for the verify command")
     parser.add_argument("--full", action="store_true",

@@ -471,8 +471,7 @@ class TestMainExitCodes:
 
         def no_graph(*args):
             raise AssertionError("graph built before the budget check")
-        for name in ("snake_from_positive", "snake_from_even"):
-            monkeypatch.setattr(cli, name, no_graph)
+        monkeypatch.setattr(cli, "snake_from_positive", no_graph)
         assert main(["fpoly", "1000000", "--full"]) == 2
         assert ("error [fpoly]: 1000000 matchings x 999999 tiles "
                 "exceed budget 64000000" in capsys.readouterr().err)
@@ -490,8 +489,7 @@ class TestMainExitCodes:
         def no_graph(*args):
             raise AssertionError("graph built before the budget check")
         with monkeypatch.context() as patched:
-            for name in ("snake_from_positive", "snake_from_even"):
-                patched.setattr(cli, name, no_graph)
+            patched.setattr(cli, "snake_from_positive", no_graph)
             assert main(["snake", "1000000000"]) == 2
         assert ("error [snake]: the snake graph has 999999999 tiles, beyond "
                 "budget 1048576" in capsys.readouterr().err)
@@ -552,9 +550,9 @@ class TestUsageErrorsAreTyped:
 
 # every step that grows with the tile count: the even expansion, the graph
 # builds and the engines
-WORK = ("even_cf_for_link", "snake_from_positive", "snake_from_even",
-        "specialized_f_even", "specialized_f_positive", "jones_recursive",
-        "jones_direct", "jones_via_f")
+WORK = ("even_cf_for_link", "snake_from_positive", "specialized_f_even",
+        "specialized_f_positive", "jones_recursive", "jones_direct",
+        "jones_via_f")
 
 
 class TestTileBudget:
@@ -633,7 +631,8 @@ class TestWorkBudget:
 
     @pytest.mark.parametrize("command", ["jones", "fpoly"])
     @pytest.mark.parametrize("entry, count, estimate", [
-        ("1", 8000, "8000 entries x 8001 slots x 5556 bits"),
+        # a list of ones counts as its Euclid list, [1]*7998 + [2]
+        ("1", 8000, "7999 entries x 8001 slots x 5556 bits"),
         ("1000", 1000, "1000 entries x 1000001 slots x 9968 bits")])
     def test_refused_before_any_work(self, capsys, monkeypatch, command,
                                      entry, count, estimate):
@@ -676,11 +675,12 @@ class TestWorkBudget:
         check_work(1, WORK_BUDGET // 4 - 2, 3)  # 1 x 250,000,000 x 4
         with pytest.raises(BudgetExceeded):
             check_work(1, WORK_BUDGET // 4 - 1, 3)
-        # 1128 ones are 999,706,920 and still answer; 1129 are refused
+        # 1128 ones, Euclid's [1]*1126 + [2], are 998,820,655 and still
+        # answer; 1129 are refused
         assert main(["jones", "--", ",".join(["1"] * 1128)]) == 0
         assert main(["jones", "--", ",".join(["1"] * 1129)]) == 2
         assert capsys.readouterr().err.endswith(
-            "1129 entries x 1130 slots x 786 bits exceed budget "
+            "1128 entries x 1130 slots x 786 bits exceed budget "
             "1000000000\n")
 
         class Checked(Exception):
@@ -804,16 +804,20 @@ class TestNegativeInputs:
         assert capsys.readouterr().err == f"error [{argv[0]}]: {message}\n"
 
     @pytest.mark.parametrize("command", ["convert", "snake", "fpoly"])
-    def test_one_refusal_for_a_negative_fraction(self, capsys, command):
-        assert main([command, "--", "-27/10"]) == 2
-        assert capsys.readouterr().err == (
-            f"error [{command}]: need a rational >= 1, got -27/10\n")
+    def test_a_negative_fraction_answers_as_its_even_list(self, capsys,
+                                                          command):
+        # -27/10 = [-2,-2,2,-4]: one value, one answer
+        want = _main_output([command, "--even", "--", "[-2,-2,2,-4]"], capsys)
+        assert want[0] == 0
+        assert _main_output([command, "--", "-27/10"], capsys) == want
 
     def test_text_format_spelling(self, capsys):
         want = _main_output(["--format", "text", "snake", "--", "-27/10"],
                             capsys)
         assert _main_output(["snake", "-27/10"], capsys) == want
-        assert want[0] == 2 and "need a rational >= 1" in want[2]
+        assert want == _main_output(["snake", "--even", "--", "-2,-2,2,-4"],
+                                    capsys)
+        assert want[0] == 0 and want[2] == ""
 
     def test_jones_reads_a_negative_fraction_as_its_mirror(self):
         # -p/q is the mirror image of p/q: the bar involution, and the link

@@ -12,14 +12,16 @@ on fractions (knots, links, both-odd values), positive and even continued
 fractions (including negative even ones, which take the mirror paths), long
 and wide inputs, plus ``fpoly``, ``convert``, ``snake``, ``volume``, a small
 ``verify`` sweep and a few failing commands.  Negative inputs go through
-every command.  A negative even continued fraction is a mirror image
-everywhere; a negative fraction such as -27/10 is refused by ``snake``,
-``fpoly`` and ``convert``, read by ``volume`` as its absolute value, and by
-``jones`` as the mirror image of its absolute value (the ``NEGATIVE_JONES``
-records were added after the others, with no other record changed).  The
-four ``convert 7/3`` and ``convert 3/1`` records were re-recorded when
-``convert`` took the oriented even expansion that ``jones`` reads, which for
-p and q both odd negates the expansion of the partner p/(p - q).
+every command.  A request is its signed value, however it is spelled: a
+negative fraction such as -27/10 prints what its even list [-2,-2,2,-4]
+prints (the ``NEGATIVE_JONES`` records were added after the others, with no
+other record changed).  The four ``convert 7/3`` and ``convert 3/1`` records
+were re-recorded when ``convert`` took the oriented even expansion that
+``jones`` reads, which for p and q both odd negates the expansion of the
+partner p/(p - q).  The seven ``-27/10`` records of ``convert``, ``snake``
+and ``fpoly``, once refusals, and the two ``convert [3,1,1]`` records, once
+the long form, were re-recorded when ``run`` kept only the value and read
+Euclid's quotients from it.
 
 Regenerate the file (only for an intended output change) with
 
