@@ -10,10 +10,10 @@ Commands:
 * ``volume``   - hyperbolic volume bounds.
 
 Input is a fraction ``p/q``, a bracketed list ``[c1,c2,...]``, or a bare
-comma list, of which only the signed value is kept, so every spelling of
-one value prints the same; a negative one is a mirror image.  An entry list
-valid as both a positive and an even continued fraction reads as positive
-unless ``--even`` is given.
+comma list, of which the parser keeps only the signed value, so every
+spelling of one value prints the same, a mismatch report included; a
+negative one is a mirror image.  ``--even`` and ``--positive`` only refuse
+an entry list that is not of their kind.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error, 3 engine
 cross-check mismatch, 141 (128 + SIGPIPE) when the reader of the output has
@@ -33,8 +33,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import verify as verify_mod
-from .cfrac import (EvenCF, PositiveCF, Rat, even_cf_for_link, positive_cf,
-                    sign_sequence, type_sequence)
+from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf_for_link,
+                    positive_cf, sign_sequence, type_sequence)
 from .errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
                      ParseError, TwoBridgeError)
 from .jones import (JonesResult, boundary_coefficients, cross_check,
@@ -59,12 +59,12 @@ class Request:
     full: bool = False
 
 
-def parse_input(s: str, hint: str = None):
-    """Parse ``p/q``, ``[c1,...]`` or ``c1,...`` into Rat/PositiveCF/EvenCF.
+def parse_input(s: str, hint: str = None) -> Rat:
+    """The signed value of ``p/q``, ``[c1,...]`` or ``c1,...``.
 
-    Entry lists: all entries even and nonzero makes an EvenCF, all entries
-    >= 1 a PositiveCF; lists valid as both follow ``hint`` ("even" or
-    "positive") and read as positive without one.
+    An entry list must be all even and nonzero or all >= 1, or of the kind
+    ``hint`` ("even" or "positive") names.  Both kinds read as
+    c1 + 1/(c2 + ...), so a list valid as both has one value.
     """
     s = s.strip()
     if not s:
@@ -73,8 +73,11 @@ def parse_input(s: str, hint: str = None):
         try:
             num, den = s.split("/")
             return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad fraction {s!r}: {exc}", 0) from None
+        except ZeroDivisionError:
+            raise ParseError(f"bad fraction {s!r}: zero denominator",
+                             0) from None
     body = s
     if s.startswith("["):
         if not s.endswith("]"):
@@ -99,19 +102,15 @@ def parse_input(s: str, hint: str = None):
         pos += len(chunk) + 1
     can_even = all(e and e % 2 == 0 for e in entries)
     can_pos = all(e >= 1 for e in entries)
-    if hint == "even":
-        if not can_even:
-            raise ParseError(f"{entries} is not an even continued fraction", offset)
-        return EvenCF(tuple(entries))
-    if hint == "positive" or (can_pos and hint is None):
-        if not can_pos:
-            raise ParseError(f"{entries} is not a positive continued fraction",
-                             offset)
-        return PositiveCF(tuple(entries))
-    if can_even:
-        return EvenCF(tuple(entries))
-    raise ParseError(f"{entries} is neither a positive nor an even "
-                     "continued fraction", offset)
+    if hint == "even" and not can_even:
+        raise ParseError(f"{entries} is not an even continued fraction", offset)
+    if hint == "positive" and not can_pos:
+        raise ParseError(f"{entries} is not a positive continued fraction",
+                         offset)
+    if not (can_even or can_pos):
+        raise ParseError(f"{entries} is neither a positive nor an even "
+                         "continued fraction", offset)
+    return eval_cf(entries)
 
 
 @contextmanager
@@ -186,10 +185,9 @@ def run(req: Request) -> dict:
         return {"command": "verify", "max_sum": req.max_sum,
                 "checks": counts, "failures": 0}
 
-    obj = parse_input(req.input, req.hint)
     # the request is the signed value, however it was spelled: Euclid's
     # quotients of |value| and the oriented even expansion derive from it
-    r = obj if isinstance(obj, Fraction) else obj.value()
+    r = parse_input(req.input, req.hint)
     if abs(r) < 1:  # only a fraction can be; the message keeps its sign
         raise OutOfRange(f"need a rational >= 1, got {r}")
     pos = positive_cf(abs(r))
@@ -252,9 +250,7 @@ def run(req: Request) -> dict:
                    else [req.engine])
         ev = even_cf_for_link(r)
         res = cross_check([_jones_engine(name, r, pos, ev)
-                           for name in engines],
-                          list(obj.entries) if isinstance(obj, EvenCF)
-                          else req.input)
+                           for name in engines], r)
         report["value"] = _rat_payload(abs(r))
         report["positive_cf"] = list(pos.entries)
         report["even_cf"] = list(ev.entries)
@@ -405,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("text", "json", "latex"))
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--even", action="store_true",
-                       help="evaluate an entry list as an even cf")
+                       help="refuse an entry list that is not an even cf")
     group.add_argument("--positive", action="store_true",
-                       help="evaluate an entry list as a positive cf")
+                       help="refuse an entry list that is not a positive cf")
     parser.add_argument("--max-sum", type=int, default=10,
                         help="sweep bound for the verify command")
     parser.add_argument("--full", action="store_true",

@@ -93,7 +93,7 @@ def cross_check(results, value) -> JonesResult:
     report never fails on the faulty side.  Then come the highest exponent
     at which the first result and the first to disagree with it differ,
     with both coefficients, and a command that repeats the check; ``value``
-    is the CLI input, or an even CF's entry list.
+    is the CLI's signed value, or verify's entry list.
     """
     first, *others = results
     differing = [r for r in others if r.packed != first.packed]
@@ -114,8 +114,7 @@ def cross_check(results, value) -> JonesResult:
                      f"{a.get(u, 0)}, {other.engine} {b.get(u, 0)}")
     except SlotOverflow:
         pass
-    even = " --even" if isinstance(value, list) else ""
-    parts.append(f"reproduce with: twobridge jones{even} --engine all -- "
+    parts.append("reproduce with: twobridge jones --engine all -- "
                  f"\"{str(value).replace(' ', '')}\"")
     raise CrossCheckMismatch(
         f"engines disagree on {value}: " + "; ".join(parts),

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge.cfrac import EvenCF, PositiveCF
+from twobridge.cfrac import EvenCF, PositiveCF, even_cf, positive_cf
 from twobridge.cli import (Request, _all_digits, _json, _poly_payload,
                            build_parser, emit, main, parse_input, run)
 from twobridge.errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
@@ -29,19 +29,19 @@ class TestParseInput:
         assert parse_input("7") == Fraction(7)
 
     def test_even_forced_by_content(self):
-        assert parse_input("[2,2,-2,4]") == EvenCF((2, 2, -2, 4))
+        assert parse_input("[2,2,-2,4]") == Fraction(27, 10)
 
     def test_positive_forced_by_content(self):
-        assert parse_input("[2,1,2,3]") == PositiveCF((2, 1, 2, 3))
-        assert parse_input("2,1,2,3") == PositiveCF((2, 1, 2, 3))
+        assert parse_input("[2,1,2,3]") == Fraction(27, 10)
+        assert parse_input("2,1,2,3") == Fraction(27, 10)
 
     def test_hint_resolution(self):
-        assert parse_input("[2,4]", hint="even") == EvenCF((2, 4))
-        assert parse_input("[2,4]", hint="positive") == PositiveCF((2, 4))
+        assert parse_input("[2,4]", hint="even") == Fraction(9, 4)
+        assert parse_input("[2,4]", hint="positive") == Fraction(9, 4)
 
     def test_ambiguous_without_hint(self):
-        # a list valid as both reads as positive, the CLI's default
-        assert parse_input("[2,4]") == PositiveCF((2, 4))
+        # a list valid as both has one value, whichever kind it is read as
+        assert parse_input("[2,4]") == Fraction(9, 4)
 
     def test_hint_must_fit(self):
         with pytest.raises(ParseError):
@@ -55,8 +55,10 @@ class TestParseInput:
         assert exc.value.position == 3
         with pytest.raises(ParseError):
             parse_input("[2,3,-2]")  # neither positive nor even
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_input("27/0")
+        assert str(exc.value) == ("bad fraction '27/0': zero denominator "
+                                  "(at position 0)")
         with pytest.raises(ParseError):
             parse_input("")
 
@@ -65,6 +67,23 @@ class TestParseInput:
         with pytest.raises(ParseError) as exc:
             parse_input(text)
         assert str(exc.value) == "empty entry list (at position 1)"
+
+    def test_every_spelling_parses_to_its_value(self):
+        """A fraction, its Euclid list and its even list parse to one
+        Fraction, the signed value, under every hint they fit."""
+        listed = lambda entries: "[" + ",".join(map(str, entries)) + "]"
+        for r in coprime_fractions(40):
+            p, q = r.numerator, r.denominator
+            euclid = listed(positive_cf(r).entries)
+            spellings = [(f"{p}/{q}", None, r), (f"-{p}/{q}", None, -r),
+                         (euclid, None, r), (euclid, "positive", r)]
+            if p * q % 2 == 0:
+                ev = even_cf(r).entries
+                spellings += [(listed(ev), "even", r),
+                              (listed(-e for e in ev), "even", -r)]
+            for s, hint, want in spellings:
+                got = parse_input(s, hint)
+                assert type(got) is Fraction and got == want, (s, hint)
 
 
 class TestRun:

@@ -3,13 +3,15 @@
 A fraction, its Euclid list, the long form of that list and its even list
 name one 2-bridge link (the snake graphs of the even and of the positive
 continued fraction of one value are isomorphic; Lee and Schiffler,
-arXiv:1710.08063).  So ``cli.run`` keeps only the value, and its work
-estimate counts Euclid's quotients: the tests below pin both.
+arXiv:1710.08063).  So ``cli.parse_input`` keeps only the value, a
+mismatch report names it, and the work estimate counts Euclid's quotients:
+the tests below pin all three.
 """
 
 import contextlib
 import io
 import random
+import shlex
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +21,8 @@ import twobridge.cli as cli
 import twobridge.jones as jones
 from twobridge.cfrac import even_cf, even_cf_for_link, positive_cf
 from twobridge.verify import coprime_fractions
+
+from test_cli import fault_direct
 
 COMMANDS = (["convert"], ["snake"], ["fpoly"], ["fpoly", "--full"],
             ["jones"], ["volume"])
@@ -82,6 +86,23 @@ def test_a_long_even_list_is_counted_as_its_value():
     even = _answer(["jones", "--even", "--", ",".join(["2,-2"] * 4500)])
     assert even[0] == 0
     assert even == _answer(["jones", "9001/9000"])
+
+
+@pytest.mark.parametrize("spellings", [
+    [["27/10"], ["[2,1,2,3]"], ["2,1,2,3"], ["--positive", "[2,1,2,2,1]"],
+     ["--even", "[2,2,-2,4]"]],
+    [["--", "-27/10"], ["--even", "--", "[-2,-2,2,-4]"]]])
+def test_a_mismatch_report_is_the_same_for_every_spelling(monkeypatch,
+                                                          spellings):
+    """A mismatch report names the value, and its reproducer meets the
+    same fault with the same report."""
+    fault_direct(monkeypatch, lambda p: 1)
+    answers = {_answer(["jones", *argv]) for argv in spellings}
+    assert len(answers) == 1, answers
+    ((code, out, err),) = answers
+    assert (code, out) == (3, "")
+    command = err.rstrip("\n").rpartition("reproduce with: ")[2]
+    assert _answer(shlex.split(command)[1:]) == (3, "", err)
 
 
 @pytest.mark.parametrize("command", ["convert", "fpoly", "jones"])

@@ -225,8 +225,10 @@ def test_mismatch_names_first_difference_and_reproducer(monkeypatch, capsys):
     with pytest.raises(CrossCheckMismatch) as info:
         verify.check_engines(EvenCF((2, -4)))
     diff = "first difference at t^(2): recursive -1, fpoly 1"
-    command = 'twobridge jones --even --engine all -- "[2,-4]"'
+    command = 'twobridge jones --engine all -- "[2,-4]"'
     assert str(info.value).endswith(f"; {diff}; reproduce with: {command}")
     assert cli.main(shlex.split(command)[1:]) == 3
     err = capsys.readouterr().err
-    assert f"; {diff}; reproduce with: {command}\n" in err
+    # the CLI names the value of the list, 7/4
+    assert err.endswith(f"; {diff}; reproduce with: twobridge jones "
+                        f'--engine all -- "7/4"\n')
