@@ -5,7 +5,11 @@ Commands:
 * ``convert``  - positive and even expansions, sign/type data, knot or link;
 * ``snake``    - ASCII snake graph, tile count, matching count;
 * ``fpoly``    - specialized (default) or full matching generating function;
-* ``jones``    - Jones polynomial from a chosen engine, or all of them;
+* ``jones``    - Jones polynomial from the ``direct`` engine, or another,
+  or all three cross-checked, and in each case two checks that share no
+  derivation with the engines: the classical laws at roots of unity and a
+  Kauffman-bracket fingerprint (:func:`verify.law_failures`,
+  :func:`verify.bracket_holds`);
 * ``verify``   - exhaustive cross-check sweeps up to a bound;
 * ``volume``   - hyperbolic volume bounds.
 
@@ -16,8 +20,8 @@ negative one is a mirror image.  ``--even`` and ``--positive`` only refuse
 an entry list that is not of their kind.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error, 3 engine
-cross-check mismatch, 141 (128 + SIGPIPE) when the reader of the output has
-gone.
+cross-check mismatch or failed check, 141 (128 + SIGPIPE) when the reader
+of the output has gone.
 """
 
 from __future__ import annotations
@@ -47,13 +51,14 @@ from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles, check_work,
                     render_ascii, snake_from_positive)
 
 COMMANDS = ("convert", "snake", "fpoly", "jones", "verify", "volume")
+ENGINES = ("recursive", "direct", "fpoly")
 
 
 @dataclass(frozen=True)
 class Request:
     command: str
     input: str
-    engine: str = "all"
+    engine: str = "direct"
     hint: str = None
     max_sum: int = 10
     full: bool = False
@@ -172,6 +177,33 @@ def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
     return res if r > 0 else mirror(res)
 
 
+def _checked(results, r: Rat, pos: PositiveCF, ev: EvenCF,
+             engine: str) -> JonesResult:
+    """The result once the engines agree (:func:`cross_check`) and it passes
+    the laws and the bracket check.  A failed check raises
+    :class:`CrossCheckMismatch` naming the checks, the engines and r, after
+    the engines that did not run are run too: where they disagree, the
+    report is that of :func:`cross_check`, with the failed checks last.
+    Either report ends in a command for the ``--engine`` choice ``engine``.
+    """
+    res = cross_check(results, r)
+    broken = verify_mod.law_failures(res.packed, abs(r.numerator))
+    failed = [f"laws ({', '.join(broken)})"] if broken else []
+    if not verify_mod.bracket_holds(res.packed, ev.entries):
+        failed.append("bracket")
+    if not failed:
+        return res
+    what = (f"{' and '.join(failed)} check{'s' * (len(failed) - 1)} failed "
+            f"for {', '.join(x.engine for x in results)} on {r}")
+    done = {x.engine: x for x in results}
+    cross_check([done.get(name) or _jones_engine(name, r, pos, ev)
+                 for name in ENGINES], r, what, engine)
+    raise CrossCheckMismatch(
+        f"{what}, on which all engines agree; reproduce with: twobridge "
+        f"jones --engine {engine} -- \"{r}\"", (*ENGINES, "laws", "bracket"),
+        r)
+
+
 def run(req: Request) -> dict:
     """Execute a request; returns a report dict ready for :func:`emit`."""
     if req.command == "verify":
@@ -246,11 +278,10 @@ def run(req: Request) -> dict:
         return report
 
     if req.command == "jones":
-        engines = ((["recursive", "direct", "fpoly"]) if req.engine == "all"
-                   else [req.engine])
+        engines = ENGINES if req.engine == "all" else (req.engine,)
         ev = even_cf_for_link(r)
-        res = cross_check([_jones_engine(name, r, pos, ev)
-                           for name in engines], r)
+        res = _checked([_jones_engine(name, r, pos, ev) for name in engines],
+                       r, pos, ev, req.engine)
         report["value"] = _rat_payload(abs(r))
         report["positive_cf"] = list(pos.entries)
         report["even_cf"] = list(ev.entries)
@@ -260,7 +291,7 @@ def run(req: Request) -> dict:
         report["coefficients"], text = _poly_payload(
             *res.run.exps_and_coeffs())
         report["engine"] = req.engine
-        report["checks"] = {name: "ok" for name in engines}
+        report["checks"] = dict.fromkeys((*engines, "laws", "bracket"), "ok")
         report["text"] = text
         report["latex"] = _Plain(latex_from_text(text))
         return report
@@ -395,8 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", nargs="?", default="",
                         help="fraction p/q, bracketed list [c1,c2,...], or "
                              "bare comma list")
-    parser.add_argument("--engine", default="all",
-                        choices=("recursive", "direct", "fpoly", "all"))
+    parser.add_argument("--engine", default="direct",
+                        choices=(*ENGINES, "all"),
+                        help="jones: the engine; all cross-checks the three "
+                             "(default: direct)")
     parser.add_argument("--format", default="text",
                         choices=("text", "json", "latex"))
     group = parser.add_mutually_exclusive_group()

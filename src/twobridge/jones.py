@@ -84,7 +84,7 @@ class JonesResult:
         return self.packed.times(self.leading_sign, -run.h - run.width())
 
 
-def cross_check(results, value) -> JonesResult:
+def cross_check(results, value, note="", engine="all") -> JonesResult:
     """The first of ``results`` once all agree as packed integers.
 
     Otherwise :class:`CrossCheckMismatch` names every engine and reads
@@ -92,8 +92,9 @@ def cross_check(results, value) -> JonesResult:
     whose read raises :class:`SlotOverflow` reads as overflowing, so the
     report never fails on the faulty side.  Then come the highest exponent
     at which the first result and the first to disagree with it differ,
-    with both coefficients, and a command that repeats the check; ``value``
-    is the CLI's signed value, or verify's entry list.
+    with both coefficients, ``note`` if any, and a command that repeats the
+    check with ``--engine <engine>``; ``value`` is the CLI's signed value,
+    or verify's entry list.
     """
     first, *others = results
     differing = [r for r in others if r.packed != first.packed]
@@ -114,7 +115,8 @@ def cross_check(results, value) -> JonesResult:
                      f"{a.get(u, 0)}, {other.engine} {b.get(u, 0)}")
     except SlotOverflow:
         pass
-    parts.append("reproduce with: twobridge jones --engine all -- "
+    parts += [note] if note else []
+    parts.append(f"reproduce with: twobridge jones --engine {engine} -- "
                  f"\"{str(value).replace(' ', '')}\"")
     raise CrossCheckMismatch(
         f"engines disagree on {value}: " + "; ".join(parts),

@@ -1,15 +1,20 @@
-"""Exhaustive cross-check sweeps over bounded families of inputs.
+"""Exhaustive cross-check sweeps over bounded families of inputs, and two
+checks of one result that share no derivation with the engines.
 
-These drive the `verify` CLI command and the heavier parts of the test
+The sweeps drive the `verify` CLI command and the heavier parts of the test
 suite.  Each sweep raises :class:`CrossCheckMismatch` at the first
 disagreement, so a clean run is a positive statement about every input in
-range.
+range.  :func:`law_failures` and :func:`bracket_holds` read a packed result
+in linear time; every ``jones`` request runs both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
 from math import gcd
+from operator import neg
 
 from .cfrac import (EvenCF, PositiveCF, _even_entries, _value, even_cf,
                     euler_minding, numerator_rec, positive_cf)
@@ -176,6 +181,127 @@ def _fraction_laws(r):
     want = (tq, tr) if pos.entries[0] % 2 == 0 else (-tq, tq - tr)
     if bs[1:] != _even_entries(*want):
         raise failed("tail law", ("even_cf(r) tail", "even_cf(q/r')"))
+
+
+def _remainder(n, m, step=1):
+    """n % m, folded first while n is long: n = hi 2^K + lo is hi (2^K mod m)
+    + lo modulo m, with K a multiple of ``step`` near half of n's bits, so
+    the long operand meets only shifts and a product by a short factor."""
+    while n.bit_length() > 2 * step + 128:
+        K = step * (n.bit_length() // (2 * step))
+        n = (n >> K) * pow(2, K, m) + (n & ((1 << K) - 1))
+    return n % m
+
+
+def root_values(packed):
+    """N at t = 1, -1, i and w = e^(i pi/3), the last two as (a, b) for
+    a + b i and a + b w, of V = t^(h/2) N(t) packed as n = N(2^s).
+
+    With T = 2^s, n modulo T - 1, T + 1, T^2 + 1 and T^2 - T + 1 is N at a
+    root of that modulus.  Every coefficient sum is below T/4, so the
+    balanced remainder is the value, a + bT for the last two: no digit read.
+    All four moduli divide T^12 - 1, so n is first reduced modulo that.
+    """
+    s = packed.s
+    T = 1 << s
+    n = _remainder(packed.n, T ** 12 - 1, 12 * s)
+    out = []
+    for m in (T - 1, T + 1, T * T + 1, T * T - T + 1):
+        x = n % m
+        out.append(x - m if 2 * x > m else x)
+    for i in (2, 3):
+        b = (out[i] + (T >> 1)) >> s
+        out[i] = out[i] - (b << s), b
+    return tuple(out)
+
+
+def law_failures(packed, p) -> list:
+    """The classical laws that the packed V of a link of determinant p
+    breaks, read from :func:`root_values` (Lickorish-Millett 1986;
+    Murakami 1986):
+
+    * V(1) = (-2)^(c-1), with c = 1 component for odd p, else 2;
+    * |V(-1)| = p;
+    * for a knot, V(i) = i^(h/2) N(i) is +1 when p = +-1 (mod 8), else -1;
+    * |V(w)|^2 = a^2 + ab + b^2 is 3 when 3 divides p, else 1.
+    """
+    one, minus, (a, b), (x, y) = root_values(packed)
+    failed = []
+    if one != (1 if p & 1 else -2):
+        failed.append("V(1)")
+    if abs(minus) != p:
+        failed.append("|V(-1)|")
+    if p & 1:
+        for _ in range(packed.h // 2 % 4):
+            a, b = -b, a
+        if packed.h & 1 or (a, b) != (1 if p % 8 in (1, 7) else -1, 0):
+            failed.append("V(i)")
+    if x * x + x * y + y * y != (1 if p % 3 else 3):
+        failed.append("|V(w)|")
+    return failed
+
+
+#: 2^61 - 2373, a safe prime = 3 (mod 8), so 2 generates (Z/l)* and the
+#: powers of A = 2^(s/4) do not repeat early; modulo 2^61 - 1, where 2 has
+#: order 61, exponents would fold modulo 61
+BRACKET_PRIME = (1 << 61) - 2373
+
+
+@lru_cache(maxsize=64)
+def _point(s):
+    """A = 2^(s/4), 1/A and delta = -A^2 - A^(-2), modulo the prime."""
+    a = pow(2, s >> 2, BRACKET_PRIME)
+    ai = pow(a, -1, BRACKET_PRIME)
+    return a, ai, -(a * a + ai * ai) % BRACKET_PRIME
+
+
+def _twist(v, a, ai):
+    """(A^v, (-A^(-3))^v, A^(v-2) [v]_q), q = -A^(-4), for v > 0; with 1/A
+    for A and |v| for v when v < 0."""
+    L = BRACKET_PRIME
+    x, u = (a, v) if v > 0 else (ai, -v)
+    q = -pow(x, -4, L)
+    return (pow(x, u, L), pow(-pow(x, -3, L), u, L),
+            pow(x, u - 2, L) * (1 - pow(q, u, L)) * pow(1 - q, -1, L) % L)
+
+
+def bracket_holds(packed, entries) -> bool:
+    """Whether the packed V agrees at t = 2^s, modulo ``BRACKET_PRIME``, with
+    the Kauffman bracket of the diagram of the even expansion ``entries``
+    (Kauffman 1987, *State models and the Jones polynomial*).
+
+    The signed entries c_i = (-1)^(i+1) b_i, in groups (v, k) of equal
+    neighbours, build a rational tangle from the right: from (f, g) = (0, 1),
+    each entry swaps f and g, then twists v, taking (f, g) to
+    (A^v f, (-A^(-3))^v g + A^(v-2) [v]_q f) as :func:`_twist` gives them.
+    A group of k >= 8 is one power of that step's 2x2 matrix.  The closure
+    has bracket <D> = delta f + g and writhe w = -(c_1 + ... + c_m), and
+    V(t) = (-A^3)^(-w) <D> at t = A^4; at A = 2^(s/4), V(2^s) = n A^(2h).
+    """
+    L = BRACKET_PRIME
+    a, ai, delta = _point(packed.s)
+    signed = list(entries)
+    signed[1::2] = map(neg, signed[1::2])
+    groups = [(v, len(list(run))) for v, run in groupby(signed)]
+    f, g, steps = 0, 1, {}
+    for v, k in reversed(groups):
+        if v not in steps:
+            steps[v] = _twist(v, a, ai)
+        al, be, ga = steps[v]
+        if k < 8:
+            for _ in range(k):
+                f, g = al * g % L, (be * f + ga * g) % L
+            continue
+        m = 0, al, be, ga  # the step matrix, squared on the bits of k
+        while k:
+            if k & 1:
+                f, g = (m[0] * f + m[1] * g) % L, (m[2] * f + m[3] * g) % L
+            m = ((m[0] * m[0] + m[1] * m[2]) % L, m[1] * (m[0] + m[3]) % L,
+                 m[2] * (m[0] + m[3]) % L, (m[1] * m[2] + m[3] * m[3]) % L)
+            k >>= 1
+    writhe = -sum(v * k for v, k in groups)
+    return (pow(-a * a * a, -writhe, L) * (delta * f + g) - _remainder(
+        packed.n, L) * pow(a, 2 * packed.h, L)) % L == 0
 
 
 def run_verify(max_sum, max_p):

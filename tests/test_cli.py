@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge.cfrac import EvenCF, PositiveCF, even_cf, positive_cf
-from twobridge.cli import (Request, _all_digits, _json, _poly_payload,
-                           build_parser, emit, main, parse_input, run)
+from twobridge.cfrac import (EvenCF, PositiveCF, even_cf, even_cf_for_link,
+                             positive_cf)
+from twobridge.cli import (ENGINES, Request, _all_digits, _json,
+                           _poly_payload, build_parser, emit, main,
+                           parse_input, run)
 from twobridge.errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
                               ParseError, TwoBridgeError)
 from twobridge.laurent import HLPoly, Packed
@@ -94,7 +96,8 @@ class TestRun:
     def test_jones_all_engines_agree(self):
         report = run(Request("jones", "27/10", engine="all"))
         assert report["checks"] == {"recursive": "ok", "direct": "ok",
-                                    "fpoly": "ok"}
+                                    "fpoly": "ok", "laws": "ok",
+                                    "bracket": "ok"}
         assert report["degree"] == "1"
         assert report["leading_sign"] == 1
         assert report["width"] == "8"
@@ -105,7 +108,7 @@ class TestRun:
                                  hint="positive"))
             assert report["text"] == "t^(-1) + t^(-3) - t^(-4)", engine
 
-    def test_ambiguous_list_runs_as_positive(self):
+    def test_a_list_of_both_kinds_has_one_value(self):
         for command in ("jones", "snake", "fpoly", "convert", "volume"):
             assert run(Request(command, "[4,6]")) == run(
                 Request(command, "[4,6]", hint="positive")), command
@@ -438,10 +441,10 @@ class TestMainExitCodes:
         assert main(["jones", "27/10", "--engine", "all"]) == 0
         capsys.readouterr()
 
-    def test_default_positive_for_ambiguous(self, capsys):
+    def test_a_list_of_both_kinds_draws_one_graph(self, capsys):
         assert main(["snake", "[2,4]"]) == 0
         out = capsys.readouterr().out
-        assert "tiles: 5" in out  # positive reading: d = 2 + 4 - 1
+        assert "tiles: 5" in out  # the value 9/4 = [2,4]: d = 2 + 4 - 1
 
     def test_even_flag(self, capsys):
         assert main(["snake", "[2,4]", "--even"]) == 0
@@ -1010,16 +1013,24 @@ class TestEnginesApart:
 
     def test_a_shared_formula_fault_splits_direct_from_fpoly(
             self, capsys, monkeypatch):
+        """The two engines give two results, and the checks of a request
+        refuse each wrong one: the recursion has no first step."""
         import twobridge.jones as jones
+        from twobridge.cli import _jones_engine
         monkeypatch.setattr(jones, "_first_step", faulty_first_step)
         same = []
         for r in signed_fractions(40):
-            printed = []
-            for engine in ("direct", "fpoly"):
-                assert main(["jones", str(r), "--engine", engine]) == 0
-                printed.append(capsys.readouterr().out.splitlines()[0])
-            if printed[0] == printed[1]:
+            pos, ev = positive_cf(abs(r)), even_cf_for_link(r)
+            right, direct, fpoly = (_jones_engine(engine, r, pos, ev)
+                                    for engine in ENGINES)
+            if direct.packed == fpoly.packed:
                 same.append(r)
+            for res in (direct, fpoly):
+                wrong = res.packed != right.packed
+                code = main(["jones", str(r), "--engine", res.engine])
+                assert code == 3 * wrong, (r, res.engine)
+                assert (f" failed for {res.engine} on {r};" in
+                        capsys.readouterr().err) == wrong
         assert same == []
 
 
@@ -1183,7 +1194,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.mark.parametrize("module", ["twobridge", "twobridge.cli"])
 def test_python_m_runs_the_cli(module):
     golden = {tuple(c["argv"]): c for c in json.loads(GOLDEN.read_text())}
-    want = golden[("jones", "27/10", "--engine", "all", "--format", "text")]
+    want = golden[("jones", "27/10", "--engine", "direct", "--format", "text")]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-m", module, "jones", "27/10"],
                          env=env, capture_output=True, text=True, timeout=60)

@@ -21,7 +21,12 @@ were re-recorded when ``convert`` took the oriented even expansion that
 partner p/(p - q).  The seven ``-27/10`` records of ``convert``, ``snake``
 and ``fpoly``, once refusals, and the two ``convert [3,1,1]`` records, once
 the long form, were re-recorded when ``run`` kept only the value and read
-Euclid's quotients from it.
+Euclid's quotients from it.  When ``direct`` became the default engine of
+``jones`` and every request added the laws and bracket checks to its
+``checks`` block, the 72 ``jones`` JSON records of ``JONES_INPUTS``, the two
+JSON and two text ``NEGATIVE_JONES`` records, which name the default
+engine, and the two ``jones`` records of ``JSON_CASES`` were re-recorded,
+with no other record changed.
 
 Regenerate the file (only for an intended output change) with
 
@@ -48,7 +53,7 @@ JONES_INPUTS = (
     ["[2,2,-2,4]"],               # even cf, positive value
     ["[-2,2]"],                   # even cf, negative value (mirror path)
     ["[-4,2,-2]"],                # negative even cf of a link
-    ["[2]"],                      # ambiguous, read as positive
+    ["[2]"],                      # valid as both kinds: the value 2
     ["[2]", "--even"],            # Hopf link from its even cf
     ["[2,4]", "--even"],
     ["[1,2,3,1,1,4,2,1,1,1,5,2,3,1,2,2,1,3,1,1,2,6]"],  # long positive cf
@@ -60,7 +65,7 @@ JONES_INPUTS = (
     ["[38,-24,2]"],
 )
 # negative fractions: the mirror images of 27/10 (p*q even) and of 7/3
-# (p and q odd), all three engines cross-checked
+# (p and q odd), with the default engine
 NEGATIVE_JONES = (["-27/10"], ["-7/3"])
 ENGINES = ("all", "recursive", "direct", "fpoly")
 FORMATS = ("text", "json", "latex")

@@ -232,15 +232,16 @@ class TestRunPath:
     def test_jones_walks_no_entry_list(self, monkeypatch):
         """The CLI's jones path reads the runs: the per-entry helpers that
         ``jones`` imports are never called."""
-        want = run(Request("jones", "100001"))
+        want = run(Request("jones", "100001", engine="all"))
 
         def walk(*args):
             raise AssertionError("an entry-by-entry walk")
         for name in ("type_sequence", "numerator_rec"):
             monkeypatch.setattr(jones, name, walk)
-        assert run(Request("jones", "100001")) == want
-        assert run(Request("jones", "-100001"))["checks"] == {
-            "recursive": "ok", "direct": "ok", "fpoly": "ok"}
+        assert run(Request("jones", "100001", engine="all")) == want
+        assert run(Request("jones", "-100001", engine="all"))["checks"] == {
+            "recursive": "ok", "direct": "ok", "fpoly": "ok", "laws": "ok",
+            "bracket": "ok"}
 
 
 class TestDegreeAndSign:
