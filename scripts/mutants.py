@@ -18,8 +18,9 @@ that holds this script.  Example:
     python3 scripts/mutants.py
 
 Exit status: 0 when every anchor occurs once and no mutant gives a silent
-answer under the default engine; 1 otherwise (a missing or repeated anchor
-stops the run before any mutant runs); 2 when a run fails.
+answer, under the default engine or under ``--engine all``; 1 otherwise (a
+missing or repeated anchor stops the run before any mutant runs); 2 when a
+run fails.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def main() -> int:
         width = max(len(f"{file}: {new}") for file, _, new in MUTANTS)
         print(f"{'mutant':{width}}  default: caught silent   all: caught "
               "silent")
-        silent_default = 0
+        silent = [0] * len(MODES)
         for edit in MUTANTS:
             got = answers(edit)
             counts = []
@@ -145,15 +146,16 @@ def main() -> int:
                 counts += [sum(1 for (code, _), _ in pairs if code),
                            sum(1 for (code, out), (_, want) in pairs
                                if not code and out != want)]
-            silent_default += counts[1]
+            silent = [total + n for total, n in zip(silent, counts[1::2])]
             print(f"{edit[0] + ': ' + edit[2]:{width}}  {counts[0]:>15,} "
                   f"{counts[1]:>6,}  {counts[2]:>11,} {counts[3]:>6,}")
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"a run failed: {exc}")
         return 2
     print(f"{len(MUTANTS)} mutants on {len(right) // len(MODES):,} inputs; "
-          f"{silent_default} silent answers under the default engine")
-    return 1 if silent_default else 0
+          f"{silent[0]} silent answers under the default engine, {silent[1]} "
+          "under --engine all")
+    return 1 if any(silent) else 0
 
 
 if __name__ == "__main__":

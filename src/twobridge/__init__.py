@@ -9,9 +9,8 @@ snake-graph machinery they rest on.
 """
 
 from .cfrac import (EvenCF, PositiveCF, Rat, eval_cf, even_cf,
-                    even_cf_for_link, even_division, euler_minding,
-                    numerator_rec, positive_cf, sign_sequence, tau,
-                    type_sequence)
+                    even_cf_for_link, euler_minding, numerator_rec,
+                    positive_cf, sign_sequence, type_sequence)
 from .errors import (BothOdd, BudgetExceeded, CrossCheckMismatch,
                      HypothesisViolated, MixedGrid, NoEvenQuotient,
                      OutOfRange, ParseError, SlotOverflow, TwoBridgeError,

@@ -187,27 +187,6 @@ def positive_cf(r: Rat) -> PositiveCF:
     return _valid(PositiveCF, tuple(entries))
 
 
-def even_division(p: int, q: int):
-    """Split p = b*q + s with b even and nonzero and -|q| <= s < |q|.
-
-    The half-open window of length 2|q| pins (b, s) uniquely; for
-    p > q > 0 this is the classical even division step.  Raises
-    :class:`NoEvenQuotient` when the unique candidate is b = 0 (possible
-    only when |p| < |q|, which the expansion recursions never produce).
-    """
-    if q == 0:
-        raise ZeroDivisionError("even division by zero")
-    n = abs(q)
-    b = (p + n) // (2 * n) * (2 if q > 0 else -2)
-    s = p - b * q
-    if not -n <= s < n:  # pragma: no cover - window arithmetic
-        raise CrossCheckMismatch(
-            f"even division window broken for ({p}, {q})")
-    if b == 0:
-        raise NoEvenQuotient(f"no nonzero even quotient for ({p}, {q})")
-    return b, s
-
-
 def even_cf(r: Rat) -> EvenCF:
     """The unique even continued fraction of r = p/q, |r| > 1, p*q even.
 
@@ -242,9 +221,10 @@ def _even_entries(p: int, q: int) -> tuple:
     """The entries of the even continued fraction of p/q, for q >= 1.
 
     A run of +-2 entries is one :func:`_read_run` step.  Any other entry is
-    the :func:`even_division` step written out, p = b*q + s with b even and
-    nonzero and -|q| <= s < |q|, after which p/q becomes q/s.  Raises as
-    :func:`even_cf` and :func:`even_division` do.
+    one even division step, p = b*q + s with b even and nonzero and
+    -|q| <= s < |q|, a window that pins (b, s), after which p/q becomes q/s.
+    Raises as :func:`even_cf` does, and :class:`NoEvenQuotient` when the
+    step's quotient is 0.
     """
     if p & q & 1:
         raise BothOdd(f"{Fraction(p, q)} has odd numerator and denominator")
@@ -373,7 +353,3 @@ def type_sequence(cf: EvenCF) -> tuple:
     types[1::2] = [-t for t in types[1::2]]
     return tuple(types)
 
-
-def tau(types) -> int:
-    """Number of (+, +) pairs of consecutive entries, counted overlapping."""
-    return sum(1 for a, b in zip(types, types[1:]) if a == 1 and b == 1)

@@ -43,7 +43,7 @@ from .errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
                      ParseError, TwoBridgeError)
 from .jones import (JonesResult, boundary_coefficients, cross_check,
                     jones_direct, jones_recursive, jones_via_f, mirror,
-                    specialized_f_even, specialized_f_positive,
+                    reproducer, specialized_f_even, specialized_f_positive,
                     volume_bounds)
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
 from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles, check_work,
@@ -199,9 +199,8 @@ def _checked(results, r: Rat, pos: PositiveCF, ev: EvenCF,
     cross_check([done.get(name) or _jones_engine(name, r, pos, ev)
                  for name in ENGINES], r, what, engine)
     raise CrossCheckMismatch(
-        f"{what}, on which all engines agree; reproduce with: twobridge "
-        f"jones --engine {engine} -- \"{r}\"", (*ENGINES, "laws", "bracket"),
-        r)
+        f"{what}, on which all engines agree; {reproducer(engine, r)}",
+        (*ENGINES, "laws", "bracket"), r)
 
 
 def run(req: Request) -> dict:
@@ -355,6 +354,13 @@ def _json(obj, indent: str = "") -> str:
     return json.dumps(obj)
 
 
+def _check_latex(command: str, full: bool):
+    """Refuse the LaTeX form of a report that has none: only ``jones`` and
+    ``fpoly`` without ``--full`` print one polynomial."""
+    if command != "jones" and (command != "fpoly" or full):
+        raise ParseError(f"no latex form for {command!r} output")
+
+
 def emit(report: dict, fmt: str) -> str:
     """Render a report as text, json, or latex (deterministic per input).
 
@@ -363,8 +369,7 @@ def emit(report: dict, fmt: str) -> str:
     if fmt == "json":
         return _json(report)
     if fmt == "latex":
-        if "latex" not in report:
-            raise ParseError(f"no latex form for {report['command']!r} output")
+        _check_latex(report["command"], report.get("full"))
         return report["latex"]
     command = report["command"]
     lines = []
@@ -456,6 +461,8 @@ def main(argv=None) -> int:
                 raise ParseError("command 'verify' takes no input")
         elif not args.input:
             raise ParseError(f"command {args.command!r} needs an input")
+        if args.format == "latex":  # refused before any work
+            _check_latex(args.command, args.full)
         hint = "even" if args.even else ("positive" if args.positive else None)
         req = Request(command=args.command, input=args.input,
                       engine=args.engine, hint=hint,

@@ -84,6 +84,13 @@ class JonesResult:
         return self.packed.times(self.leading_sign, -run.h - run.width())
 
 
+def reproducer(engine, value) -> str:
+    """The end of a mismatch report: the command that repeats the check of
+    ``value`` with ``--engine <engine>``."""
+    return (f"reproduce with: twobridge jones --engine {engine} -- "
+            f"\"{str(value).replace(' ', '')}\"")
+
+
 def cross_check(results, value, note="", engine="all") -> JonesResult:
     """The first of ``results`` once all agree as packed integers.
 
@@ -116,8 +123,7 @@ def cross_check(results, value, note="", engine="all") -> JonesResult:
     except SlotOverflow:
         pass
     parts += [note] if note else []
-    parts.append(f"reproduce with: twobridge jones --engine {engine} -- "
-                 f"\"{str(value).replace(' ', '')}\"")
+    parts.append(reproducer(engine, value))
     raise CrossCheckMismatch(
         f"engines disagree on {value}: " + "; ".join(parts),
         engines=[res.engine for res in results], value=value)

@@ -11,10 +11,9 @@ in linear time; every ``jones`` request runs both.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import groupby
+from itertools import cycle, groupby
 from math import gcd
-from operator import neg
+from operator import countOf, mul
 
 from .cfrac import (EvenCF, PositiveCF, _even_entries, _value, even_cf,
                     euler_minding, numerator_rec, positive_cf)
@@ -247,21 +246,13 @@ def law_failures(packed, p) -> list:
 BRACKET_PRIME = (1 << 61) - 2373
 
 
-@lru_cache(maxsize=64)
-def _point(s):
-    """A = 2^(s/4), 1/A and delta = -A^2 - A^(-2), modulo the prime."""
-    a = pow(2, s >> 2, BRACKET_PRIME)
-    ai = pow(a, -1, BRACKET_PRIME)
-    return a, ai, -(a * a + ai * ai) % BRACKET_PRIME
-
-
 def _twist(v, a, ai):
-    """(A^v, (-A^(-3))^v, A^(v-2) [v]_q), q = -A^(-4), for v > 0; with 1/A
-    for A and |v| for v when v < 0."""
+    """The step matrix [[0, A^v], [(-A^(-3))^v, A^(v-2) [v]_q]], row by row,
+    q = -A^(-4), for v > 0; with 1/A for A and |v| for v when v < 0."""
     L = BRACKET_PRIME
     x, u = (a, v) if v > 0 else (ai, -v)
     q = -pow(x, -4, L)
-    return (pow(x, u, L), pow(-pow(x, -3, L), u, L),
+    return (0, pow(x, u, L), pow(-pow(x, -3, L), u, L),
             pow(x, u - 2, L) * (1 - pow(q, u, L)) * pow(1 - q, -1, L) % L)
 
 
@@ -270,37 +261,34 @@ def bracket_holds(packed, entries) -> bool:
     the Kauffman bracket of the diagram of the even expansion ``entries``
     (Kauffman 1987, *State models and the Jones polynomial*).
 
-    The signed entries c_i = (-1)^(i+1) b_i, in groups (v, k) of equal
-    neighbours, build a rational tangle from the right: from (f, g) = (0, 1),
-    each entry swaps f and g, then twists v, taking (f, g) to
-    (A^v f, (-A^(-3))^v g + A^(v-2) [v]_q f) as :func:`_twist` gives them.
-    A group of k >= 8 is one power of that step's 2x2 matrix.  The closure
-    has bracket <D> = delta f + g and writhe w = -(c_1 + ... + c_m), and
-    V(t) = (-A^3)^(-w) <D> at t = A^4; at A = 2^(s/4), V(2^s) = n A^(2h).
+    The signed entries c_i = (-1)^(i+1) b_i, read lazily in groups (v, k) of
+    equal neighbours, build a rational tangle from the right: from
+    (f, g) = (0, 1), each entry swaps f and g, then twists v, taking (f, g)
+    to (A^v f, (-A^(-3))^v g + A^(v-2) [v]_q f) by the matrix of
+    :func:`_twist`.  Every group is one power of that matrix on the bits of
+    k.  The closure has bracket <D> = delta f + g, so the groups act left to
+    right on the row (delta, 1), and <D> is its last entry.  With writhe
+    w = -(c_1 + ... + c_m), V(t) = (-A^3)^(-w) <D> at t = A^4; at
+    A = 2^(s/4), V(2^s) = n A^(2h).
     """
     L = BRACKET_PRIME
-    a, ai, delta = _point(packed.s)
-    signed = list(entries)
-    signed[1::2] = map(neg, signed[1::2])
-    groups = [(v, len(list(run))) for v, run in groupby(signed)]
-    f, g, steps = 0, 1, {}
-    for v, k in reversed(groups):
+    a = pow(2, packed.s >> 2, L)
+    ai = pow(a, -1, L)
+    x, y, writhe, steps = -(a * a + ai * ai) % L, 1, 0, {}
+    for v, run in groupby(map(mul, entries, cycle((1, -1)))):
+        k = countOf(run, v)
+        writhe -= v * k
         if v not in steps:
             steps[v] = _twist(v, a, ai)
-        al, be, ga = steps[v]
-        if k < 8:
-            for _ in range(k):
-                f, g = al * g % L, (be * f + ga * g) % L
-            continue
-        m = 0, al, be, ga  # the step matrix, squared on the bits of k
+        m0, m1, m2, m3 = steps[v]
         while k:
             if k & 1:
-                f, g = (m[0] * f + m[1] * g) % L, (m[2] * f + m[3] * g) % L
-            m = ((m[0] * m[0] + m[1] * m[2]) % L, m[1] * (m[0] + m[3]) % L,
-                 m[2] * (m[0] + m[3]) % L, (m[1] * m[2] + m[3] * m[3]) % L)
+                x, y = (x * m0 + y * m2) % L, (x * m1 + y * m3) % L
             k >>= 1
-    writhe = -sum(v * k for v, k in groups)
-    return (pow(-a * a * a, -writhe, L) * (delta * f + g) - _remainder(
+            if k:
+                m0, m1, m2, m3 = ((m0 * m0 + m1 * m2) % L, m1 * (m0 + m3) % L,
+                                  m2 * (m0 + m3) % L, (m1 * m2 + m3 * m3) % L)
+    return (pow(-a * a * a, -writhe, L) * y - _remainder(
         packed.n, L) * pow(a, 2 * packed.h, L)) % L == 0
 
 

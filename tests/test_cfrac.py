@@ -8,12 +8,13 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from twobridge.cfrac import (EvenCF, PositiveCF, _even_entries, _value,
                              eval_cf, even_cf, even_cf_for_link,
-                             even_division, euler_minding, numerator_rec,
-                             positive_cf, run_value, sign_sequence, tau,
-                             type_sequence)
+                             euler_minding, numerator_rec, positive_cf,
+                             run_value, sign_sequence, type_sequence)
 from twobridge.errors import BothOdd, NoEvenQuotient, OutOfRange, ZeroTail
 from twobridge.laurent import HLPoly
 from twobridge.verify import coprime_fractions, even_lists
+
+from reference import even_division, tau
 
 
 class TestEvalCF:

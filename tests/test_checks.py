@@ -9,6 +9,7 @@ monomial.  A fault injected into an engine must make the request exit 3,
 with the failed check named on stderr.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 
@@ -130,8 +131,8 @@ def test_bracket_holds_on_random_results(bits):
 
 
 def test_a_long_group_is_one_matrix_power():
-    """A group of k >= 8 equal signed entries, stepped by squaring, agrees
-    with the engines on runs of 8, 9 and 10^4 entries, and on wide
+    """A group of k equal signed entries, one matrix power on the bits of k,
+    agrees with the engines on runs of 8, 9 and 10^4 entries, and on wide
     entries."""
     for entries in ((2, -2) * 4, (2, -2) * 4 + (2,), (-2, 2) * 5000,
                     (4, -4) * 6 + (6,), (-40, 6, -2, 30)):
@@ -139,6 +140,20 @@ def test_a_long_group_is_one_matrix_power():
         res = jones.jones_recursive(cf)
         assert bracket_holds(res.packed, entries), entries
         assert not bracket_holds(res.packed.times(1, 2), entries), entries
+
+
+def test_the_groups_are_read_without_a_copy():
+    """The groups of a run of 10^6 entries are counted as they are read: no
+    list as long as the run is built."""
+    small = jones.jones_recursive(EvenCF((2, -2))).packed
+    entries = (2, -2) * 500_000
+    tracemalloc.start()
+    try:
+        bracket_holds(small, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def shifted(fn):

@@ -566,6 +566,19 @@ class TestUsageErrorsAreTyped:
         assert capsys.readouterr().err == (
             "error [convert]: no latex form for 'convert' output\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-sum", "16"], ["fpoly", "4181", "--full"],
+        ["convert", "27/10"], ["snake", "27/10"], ["volume", "27/10"]])
+    def test_latex_refused_before_run(self, monkeypatch, capsys, argv):
+        import twobridge.cli as cli
+
+        def no_run(req):
+            raise AssertionError(f"run called on {req}")
+        monkeypatch.setattr(cli, "run", no_run)
+        assert main([*argv, "--format", "latex"]) == 1
+        assert capsys.readouterr().err == (
+            f"error [{argv[0]}]: no latex form for {argv[0]!r} output\n")
+
     def test_parse_error_is_a_twobridge_error(self):
         assert issubclass(ParseError, TwoBridgeError)
 

@@ -10,7 +10,7 @@ import pytest
 
 from twobridge import jones
 from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
-                             even_cf_for_link, numerator_rec, run_value, tau,
+                             even_cf_for_link, numerator_rec, run_value,
                              type_sequence)
 from twobridge.cli import Request, run
 from twobridge.errors import HypothesisViolated, WrongOrientation, ZeroPolynomial
@@ -22,7 +22,7 @@ from twobridge.jones import (JonesResult, boundary_coefficients,
 from twobridge.laurent import HLPoly, Packed, continuant_packed, q_integer
 from twobridge.verify import coprime_fractions, even_lists
 
-from reference import lift
+from reference import lift, tau
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # 1 + 2t on 8-bit slots: its leading coefficient is 2, not a unit
