@@ -8,7 +8,10 @@ runs through ``cli.main`` in one process per mutant, as
 ``jones -- <value>`` (the default engine) and as
 ``jones --engine all -- <value>``.  An answer is *caught* when the request
 exits nonzero, and *silent* when it exits 0 with output unlike that of the
-unmutated package.  The inputs are every reduced p/q with 3 <= p <= 60 in
+unmutated package.  The *verify* column says whether
+``verify.run_verify(12, 200)``, the sweeps of ``twobridge verify``, raises
+in the mutated copy; it is for information and does not change the exit
+status.  The inputs are every reduced p/q with 3 <= p <= 60 in
 both signs (2,200), and 40 seeded random +-p/q below each of 2^16, 2^24,
 2^40, 2^64 and 2^96: 2,400 in all.
 
@@ -85,10 +88,11 @@ def inputs():
 
 def worker(root):
     """Print, for each input and mode, the exit code and a digest of stdout
-    of the package under ``root``; an exception escaping ``main`` reads as
-    exit code -1."""
+    of the package under ``root``, an exception escaping ``main`` read as
+    exit code -1; then whether ``run_verify(12, 200)`` raises."""
     sys.path.insert(0, root)
     from twobridge.cli import main
+    from twobridge.verify import run_verify
     answers = []
     for r in inputs():
         for mode in MODES:
@@ -101,11 +105,17 @@ def worker(root):
                     code = -1
             answers.append((code, hashlib.sha256(
                 out.getvalue().encode()).hexdigest()[:16]))
-    print(json.dumps(answers))
+    try:
+        run_verify(12, 200)
+        raised = False
+    except Exception:
+        raised = True
+    print(json.dumps([answers, raised]))
 
 
 def answers(edit=None):
-    """The worker's answers on a copy of the package with ``edit`` made."""
+    """The worker's answers on a copy of the package with ``edit`` made,
+    and whether its sweeps raise."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "twobridge"
         shutil.copytree(PACKAGE, copy,
@@ -130,16 +140,18 @@ def main() -> int:
     if missing:
         return 1
     try:
-        right = answers()
-        if any(code for code, _ in right):
-            print("the unmutated package refuses an input")
+        right, raised = answers()
+        if raised or any(code for code, _ in right):
+            print("the unmutated package refuses an input or fails verify")
             return 2
         width = max(len(f"{file}: {new}") for file, _, new in MUTANTS)
         print(f"{'mutant':{width}}  default: caught silent   all: caught "
-              "silent")
+              "silent  verify")
         silent = [0] * len(MODES)
+        raising = 0
         for edit in MUTANTS:
-            got = answers(edit)
+            got, raised = answers(edit)
+            raising += raised
             counts = []
             for mode in range(len(MODES)):
                 pairs = list(zip(got, right))[mode::len(MODES)]
@@ -148,13 +160,14 @@ def main() -> int:
                                if not code and out != want)]
             silent = [total + n for total, n in zip(silent, counts[1::2])]
             print(f"{edit[0] + ': ' + edit[2]:{width}}  {counts[0]:>15,} "
-                  f"{counts[1]:>6,}  {counts[2]:>11,} {counts[3]:>6,}")
+                  f"{counts[1]:>6,}  {counts[2]:>11,} {counts[3]:>6,}  "
+                  f"{'raises' if raised else 'passes'}")
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"a run failed: {exc}")
         return 2
     print(f"{len(MUTANTS)} mutants on {len(right) // len(MODES):,} inputs; "
           f"{silent[0]} silent answers under the default engine, {silent[1]} "
-          "under --engine all")
+          f"under --engine all; verify raises for {raising}")
     return 1 if any(silent) else 0
 
 

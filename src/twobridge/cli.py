@@ -6,10 +6,10 @@ Commands:
 * ``snake``    - ASCII snake graph, tile count, matching count;
 * ``fpoly``    - specialized (default) or full matching generating function;
 * ``jones``    - Jones polynomial from the ``direct`` engine, or another,
-  or all three cross-checked, and in each case two checks that share no
-  derivation with the engines: the classical laws at roots of unity and a
-  Kauffman-bracket fingerprint (:func:`verify.law_failures`,
-  :func:`verify.bracket_holds`);
+  or all three cross-checked, and in each case two checks: the classical
+  laws at roots of unity, which share no derivation with the engines, and
+  the Kauffman bracket as ``jones_recursive``'s recursion at one point
+  modulo a prime (:func:`verify.law_failures`, :func:`verify.bracket_holds`);
 * ``verify``   - exhaustive cross-check sweeps up to a bound;
 * ``volume``   - hyperbolic volume bounds.
 

@@ -1,11 +1,14 @@
 """Exhaustive cross-check sweeps over bounded families of inputs, and two
-checks of one result that share no derivation with the engines.
+checks of one result.
 
 The sweeps drive the `verify` CLI command and the heavier parts of the test
 suite.  Each sweep raises :class:`CrossCheckMismatch` at the first
 disagreement, so a clean run is a positive statement about every input in
-range.  :func:`law_failures` and :func:`bracket_holds` read a packed result
-in linear time; every ``jones`` request runs both.
+range.  :func:`law_failures` reads laws that share no derivation with the
+engines; :func:`bracket_holds` is ``jones_recursive``'s recursion at one
+point modulo a prime, in its own code and arithmetic but of a shared
+derivation.  Both read a packed result in linear time; every ``jones``
+request runs both.
 """
 
 from __future__ import annotations
@@ -185,10 +188,14 @@ def _fraction_laws(r):
 def _remainder(n, m, step=1):
     """n % m, folded first while n is long: n = hi 2^K + lo is hi (2^K mod m)
     + lo modulo m, with K a multiple of ``step`` near half of n's bits, so
-    the long operand meets only shifts and a product by a short factor."""
+    the long operand meets only shifts and a product by a short factor.
+    It folds while 2^K mod m has under K - 1 bits, so each fold shortens n."""
     while n.bit_length() > 2 * step + 128:
         K = step * (n.bit_length() // (2 * step))
-        n = (n >> K) * pow(2, K, m) + (n & ((1 << K) - 1))
+        f = pow(2, K, m)
+        if f.bit_length() >= K - 1:
+            break
+        n = (n >> K) * f + (n & ((1 << K) - 1))
     return n % m
 
 
@@ -240,20 +247,10 @@ def law_failures(packed, p) -> list:
     return failed
 
 
-#: 2^61 - 2373, a safe prime = 3 (mod 8), so 2 generates (Z/l)* and the
-#: powers of A = 2^(s/4) do not repeat early; modulo 2^61 - 1, where 2 has
-#: order 61, exponents would fold modulo 61
+#: 2^61 - 2373, a safe prime = 3 (mod 8): 2 generates (Z/l)*, so
+#: t^(1/2) = 2^(s/2) has order (l - 1)/2 for every s; modulo 2^61 - 1,
+#: where 2 has order 61, exponents would fold modulo 61
 BRACKET_PRIME = (1 << 61) - 2373
-
-
-def _twist(v, a, ai):
-    """The step matrix [[0, A^v], [(-A^(-3))^v, A^(v-2) [v]_q]], row by row,
-    q = -A^(-4), for v > 0; with 1/A for A and |v| for v when v < 0."""
-    L = BRACKET_PRIME
-    x, u = (a, v) if v > 0 else (ai, -v)
-    q = -pow(x, -4, L)
-    return (0, pow(x, u, L), pow(-pow(x, -3, L), u, L),
-            pow(x, u - 2, L) * (1 - pow(q, u, L)) * pow(1 - q, -1, L) % L)
 
 
 def bracket_holds(packed, entries) -> bool:
@@ -262,24 +259,25 @@ def bracket_holds(packed, entries) -> bool:
     (Kauffman 1987, *State models and the Jones polynomial*).
 
     The signed entries c_i = (-1)^(i+1) b_i, read lazily in groups (v, k) of
-    equal neighbours, build a rational tangle from the right: from
-    (f, g) = (0, 1), each entry swaps f and g, then twists v, taking (f, g)
-    to (A^v f, (-A^(-3))^v g + A^(v-2) [v]_q f) by the matrix of
-    :func:`_twist`.  Every group is one power of that matrix on the bits of
-    k.  The closure has bracket <D> = delta f + g, so the groups act left to
-    right on the row (delta, 1), and <D> is its last entry.  With writhe
-    w = -(c_1 + ... + c_m), V(t) = (-A^3)^(-w) <D> at t = A^4; at
-    A = 2^(s/4), V(2^s) = n A^(2h).
+    equal neighbours, build a rational tangle from the right.  The state
+    model's step for an entry v, scaled by its writhe factor (-A^3)^v, is
+    [[0, t^v], [1, c (t^v - 1)]] at t = A^4, c = t^(1/2) / (t + 1), for
+    either sign of an even v: the recursion V_j = t^v V_(j-2) +
+    c (t^v - 1) V_(j-1) of ``jones_recursive``.  Each group is one power of
+    it on the bits of k, acting left to right on the row (delta, 1) =
+    (-1/c, 1), and the last entry is V(2^s) = n 2^(s h/2).
     """
     L = BRACKET_PRIME
-    a = pow(2, packed.s >> 2, L)
-    ai = pow(a, -1, L)
-    x, y, writhe, steps = -(a * a + ai * ai) % L, 1, 0, {}
+    z = pow(2, packed.s >> 1, L)  # t^(1/2)
+    t = z * z % L
+    ti = pow(t, -1, L)
+    c = z * pow(t + 1, -1, L) % L
+    x, y, steps = -(t + 1) * z * ti % L, 1, {}
     for v, run in groupby(map(mul, entries, cycle((1, -1)))):
         k = countOf(run, v)
-        writhe -= v * k
         if v not in steps:
-            steps[v] = _twist(v, a, ai)
+            tv = pow(t if v > 0 else ti, abs(v), L)
+            steps[v] = 0, tv, 1, c * (tv - 1) % L
         m0, m1, m2, m3 = steps[v]
         while k:
             if k & 1:
@@ -288,8 +286,8 @@ def bracket_holds(packed, entries) -> bool:
             if k:
                 m0, m1, m2, m3 = ((m0 * m0 + m1 * m2) % L, m1 * (m0 + m3) % L,
                                   m2 * (m0 + m3) % L, (m1 * m2 + m3 * m3) % L)
-    return (pow(-a * a * a, -writhe, L) * y - _remainder(
-        packed.n, L) * pow(a, 2 * packed.h, L)) % L == 0
+    return (y - _remainder(packed.n, L) * pow(2, packed.s * packed.h >> 1, L)
+            ) % L == 0
 
 
 def run_verify(max_sum, max_p):

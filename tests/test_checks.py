@@ -5,10 +5,13 @@ integer, and the Kauffman-bracket fingerprint modulo 2^61 - 2373.
 The laws' four values must equal the digit-bucket values that
 ``tests/test_invariants.py`` reads from each digit run, and the bracket
 must hold on every engine's result and fail on results off by a unit or a
-monomial.  A fault injected into an engine must make the request exit 3,
+monomial, as Kauffman's unscaled state model in ``tests/reference.py``
+does.  A fault injected into an engine must make the request exit 3,
 with the failed check named on stderr.
 """
 
+import random
+import signal
 import tracemalloc
 from fractions import Fraction
 from itertools import groupby
@@ -21,12 +24,13 @@ from twobridge.cfrac import EvenCF, even_cf_for_link, positive_cf
 from twobridge.cli import ENGINES, _jones_engine
 from twobridge.jones import JonesResult
 from twobridge.laurent import Packed
-from twobridge.verify import (BRACKET_PRIME, bracket_holds, law_failures,
-                              root_values)
+from twobridge.verify import (BRACKET_PRIME, _remainder, bracket_holds,
+                              law_failures, root_values)
 
 from test_invariants import DRAWS, buckets, mod_phi12, results, z_poly
 from test_cli import signed_fractions
 from test_one_value import _answer
+from reference import state_model_holds, twist
 
 
 def is_prime(n):
@@ -128,6 +132,69 @@ def test_bracket_holds_on_random_results(bits):
         for res in results(r):
             assert bracket_holds(res.packed, ev.entries), (r, res.engine)
             assert not bracket_holds(res.packed.times(1, 2), ev.entries)
+
+
+def test_the_bracket_is_the_state_model():
+    """The skein step gives the verdict of Kauffman's state model, with its
+    writhe summed apart, on every engine result and on each faulted form of
+    it: off by one unit, by the sign, by t^(1/2) or by t."""
+    def cases():
+        for res, _, ev in each_result():
+            yield res.packed, ev.entries
+        for rs in DRAWS.values():
+            for r in rs:
+                ev = even_cf_for_link(r)
+                for res in results(r):
+                    yield res.packed, ev.entries
+    checked = 0
+    for packed, entries in cases():
+        for form in (packed, Packed(packed.n + 1, packed.h, packed.s,
+                                    packed.bound),
+                     packed.times(-1, 0), packed.times(1, 1),
+                     packed.times(1, 2)):
+            assert bracket_holds(form, entries) == state_model_holds(
+                form, entries), entries
+        checked += 1
+    assert checked == 3 * (2 * 1101 + sum(map(len, DRAWS.values())))
+
+
+@pytest.mark.parametrize("s", (8, 16, 32, 64, 72))
+def test_the_scaled_state_step_is_the_skein_step(s):
+    """(-A^3)^v times the state model's step matrix is
+    [[0, t^v], [1, c (t^v - 1)]], c = t^(1/2) / (t + 1), for either sign of
+    an even v, at A = 2^(s/4) modulo the prime."""
+    ell = BRACKET_PRIME
+    a = pow(2, s // 4, ell)
+    ai = pow(a, -1, ell)
+    t = pow(a, 4, ell)
+    c = a * a * pow(t + 1, -1, ell) % ell
+    for u in range(2, 251, 2):
+        for v in (u, -u):
+            tv = pow(t, v, ell)
+            scale = pow(-a * a * a, v, ell)
+            assert [scale * m % ell for m in twist(v, a, ai)] == [
+                0, tv, 1, c * (tv - 1) % ell], (s, v)
+
+
+def test_remainder_is_n_mod_m_for_any_modulus():
+    """``_remainder(n, m, step)`` is n % m, and returns, for moduli of 2 to
+    600 bits, also those much longer than ``step``: a fold is made only
+    where it shortens n."""
+    def hang(signum, frame):
+        raise TimeoutError("_remainder did not return")
+    rnd = random.Random(36)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        assert _remainder(3 ** 500, 2 ** 129 + 1) == 3 ** 500 % (2 ** 129 + 1)
+        for bits in range(2, 601):
+            m = rnd.getrandbits(bits - 1) | 1 << (bits - 1)
+            for n in (3 ** 500, -7 ** 900, rnd.getrandbits(5000)):
+                for step in (1, 8, 12 * 8, 12 * 32, 12 * 64):
+                    assert _remainder(n, m, step) == n % m, (n, m, step)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_long_group_is_one_matrix_power():
