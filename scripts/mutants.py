@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """A catalogue of one-edit faults (mutants) of ``src/twobridge``, and the
-count of wrong ``jones`` answers that each one gets past the checks.
+count of wrong ``jones`` and ``fpoly`` answers that each one gets past the
+checks.
 
 Each mutant is a (file, old text, new text) edit of a copy of the package;
 the old text, its anchor, must occur exactly once in its file.  Every input
 runs through ``cli.main`` in one process per mutant, as
-``jones -- <value>`` (the default engine) and as
-``jones --engine all -- <value>``.  An answer is *caught* when the request
-exits nonzero, and *silent* when it exits 0 with output unlike that of the
-unmutated package.  The *verify* column says whether
-``verify.run_verify(12, 200)``, the sweeps of ``twobridge verify``, raises
-in the mutated copy; it is for information and does not change the exit
-status.  The inputs are every reduced p/q with 3 <= p <= 60 in
-both signs (2,200), and 40 seeded random +-p/q below each of 2^16, 2^24,
-2^40, 2^64 and 2^96: 2,400 in all.
+``jones -- <value>`` (the default engine), as
+``jones --engine all -- <value>`` and as ``fpoly -- <value>``.  An answer
+is *caught* when the request exits nonzero, and *silent* when it exits 0
+with output unlike that of the unmutated package.  The *verify* column
+says whether ``verify.run_verify(12, 200)``, the sweeps of ``twobridge
+verify``, raises in the mutated copy; it is for information and does not
+change the exit status.  The inputs are every reduced p/q with
+3 <= p <= 60 in both signs (2,200), and 40 seeded random +-p/q below each
+of 2^16, 2^24, 2^40, 2^64 and 2^96: 2,400 in all.
 
 Standard library only; the package is copied from ``src/`` of the checkout
 that holds this script.  Example:
@@ -21,9 +22,9 @@ that holds this script.  Example:
     python3 scripts/mutants.py
 
 Exit status: 0 when every anchor occurs once and no mutant gives a silent
-answer, under the default engine or under ``--engine all``; 1 otherwise (a
-missing or repeated anchor stops the run before any mutant runs); 2 when a
-run fails.
+answer, under the default engine, under ``--engine all`` or from
+``fpoly``; 1 otherwise (a missing or repeated anchor stops the run before
+any mutant runs); 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from math import gcd
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twobridge"
-TIMEOUT = 900  # seconds for the 4,800 requests of one mutant
+TIMEOUT = 900  # seconds for the 7,200 requests of one mutant
 
 MUTANTS = (
     ("jones.py", "_q(2, b1 - 1)", "_q(1, b1 - 1)"),
@@ -68,7 +69,8 @@ MUTANTS = (
      "values[0::2] = map(neg, values[0::2])"),
 )
 
-MODES = ((), ("--engine", "all"))  # the default engine, then all three
+# jones with the default engine, then with all three, then fpoly
+MODES = (("jones",), ("jones", "--engine", "all"), ("fpoly",))
 
 
 def inputs():
@@ -100,7 +102,7 @@ def worker(root):
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(io.StringIO()):
                 try:
-                    code = main(["jones", *mode, "--", str(r)])
+                    code = main([*mode, "--", str(r)])
                 except Exception:  # a crash is a loud answer
                     code = -1
             answers.append((code, hashlib.sha256(
@@ -146,7 +148,7 @@ def main() -> int:
             return 2
         width = max(len(f"{file}: {new}") for file, _, new in MUTANTS)
         print(f"{'mutant':{width}}  default: caught silent   all: caught "
-              "silent  verify")
+              "silent   fpoly: caught silent  verify")
         silent = [0] * len(MODES)
         raising = 0
         for edit in MUTANTS:
@@ -161,13 +163,15 @@ def main() -> int:
             silent = [total + n for total, n in zip(silent, counts[1::2])]
             print(f"{edit[0] + ': ' + edit[2]:{width}}  {counts[0]:>15,} "
                   f"{counts[1]:>6,}  {counts[2]:>11,} {counts[3]:>6,}  "
+                  f"{counts[4]:>13,} {counts[5]:>6,}  "
                   f"{'raises' if raised else 'passes'}")
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"a run failed: {exc}")
         return 2
     print(f"{len(MUTANTS)} mutants on {len(right) // len(MODES):,} inputs; "
           f"{silent[0]} silent answers under the default engine, {silent[1]} "
-          f"under --engine all; verify raises for {raising}")
+          f"under --engine all, {silent[2]} from fpoly; verify raises for "
+          f"{raising}")
     return 1 if any(silent) else 0
 
 

@@ -30,6 +30,18 @@ from .errors import (BothOdd, CrossCheckMismatch, NoEvenQuotient, OutOfRange,
 Rat = Fraction
 
 
+def _ints(entries) -> tuple:
+    """``entries`` as a tuple of ints.  An entry that is not integral, such
+    as 2.5, which ``int`` would truncate, raises ``ValueError`` naming it;
+    integral floats and bools are read as the ints they equal."""
+    entries = tuple(entries)
+    ints = tuple(map(int, entries))
+    if ints != entries:
+        bad = next(a for a, b in zip(entries, ints) if a != b)
+        raise ValueError(f"entry {bad!r} is not an integer")
+    return ints
+
+
 def _valid(cls, entries: tuple):
     """A ``cls`` on ``entries``, a tuple of ints valid by construction,
     without re-running the validating ``__post_init__``."""
@@ -45,7 +57,7 @@ class PositiveCF:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(map(int, self.entries))
+        entries = _ints(self.entries)
         if not entries:
             raise ValueError("positive continued fraction needs >= 1 entry")
         if min(entries) < 1:
@@ -95,7 +107,7 @@ class EvenCF:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(map(int, self.entries))
+        entries = _ints(self.entries)
         if not entries:
             raise ValueError("even continued fraction needs >= 1 entry")
         # the entries are all even exactly when their gcd is
@@ -135,15 +147,15 @@ class EvenCF:
 def eval_cf(entries) -> Rat:
     """Evaluate [c_1, ..., c_k] exactly, as ``Fraction(*_value(entries))``.
 
-    The entries are read as ints.  The pair from :func:`_value` is already
-    reduced with a positive denominator, but ``Fraction`` normalizes it once
-    more.
+    The entries are read as ints, and one that is not integral raises
+    ``ValueError``.  The pair from :func:`_value` is already reduced with a
+    positive denominator, but ``Fraction`` normalizes it once more.
 
     Raises :class:`ZeroTail` if the last entry is zero or some proper suffix
     evaluates to zero (the nesting would divide by it).  Valid
     PositiveCF/EvenCF entry lists never trigger this.
     """
-    return Fraction(*_value(list(map(int, entries))))
+    return Fraction(*_value(_ints(entries)))
 
 
 def _value(entries) -> tuple:

@@ -3,13 +3,16 @@
 Commands:
 
 * ``convert``  - positive and even expansions, sign/type data, knot or link;
-* ``snake``    - ASCII snake graph, tile count, matching count;
-* ``fpoly``    - specialized (default) or full matching generating function;
+* ``snake``    - ASCII snake graph, tile count, matching count (checked: p);
+* ``fpoly``    - the specialized matching generating function, as the checked
+  ``jones`` result over its leading term, or with ``--full`` the full one,
+  its terms counted against p;
 * ``jones``    - Jones polynomial from the ``direct`` engine, or another,
   or all three cross-checked, and in each case two checks: the classical
   laws at roots of unity, which share no derivation with the engines, and
   the Kauffman bracket as ``jones_recursive``'s recursion at one point
   modulo a prime (:func:`verify.law_failures`, :func:`verify.bracket_holds`);
+  ``--engine`` chooses for jones and fpoly alike;
 * ``verify``   - exhaustive cross-check sweeps up to a bound;
 * ``volume``   - hyperbolic volume bounds.
 
@@ -43,8 +46,7 @@ from .errors import (BudgetExceeded, CrossCheckMismatch, OutOfRange,
                      ParseError, TwoBridgeError)
 from .jones import (JonesResult, boundary_coefficients, cross_check,
                     jones_direct, jones_recursive, jones_via_f, mirror,
-                    reproducer, specialized_f_even, specialized_f_positive,
-                    volume_bounds)
+                    reproducer, volume_bounds)
 from .laurent import _exp_str, _interleave, latex_from_text, text_from_terms
 from .snake import (MAX_SUM_BUDGET, check_budget, check_tiles, check_work,
                     count_matchings, f_polynomial, height_subsets,
@@ -203,6 +205,16 @@ def _checked(results, r: Rat, pos: PositiveCF, ev: EvenCF,
         (*ENGINES, "laws", "bracket"), r)
 
 
+def _check_matchings(count: int, r: Rat):
+    """Raise :class:`CrossCheckMismatch` unless ``count``, the perfect
+    matchings of the snake graph of |r|, is |p| for r = +-p/q."""
+    p = abs(r.numerator)
+    if count != p:
+        with _all_digits():
+            raise CrossCheckMismatch(f"{count} matchings vs numerator {p} "
+                                     f"on {r}", ("matchings", "numerator"), r)
+
+
 def run(req: Request) -> dict:
     """Execute a request; returns a report dict ready for :func:`emit`."""
     if req.command == "verify":
@@ -250,37 +262,37 @@ def run(req: Request) -> dict:
         report["tile_count"] = g.d
         report["step_word"] = g.step_word()
         report["matching_count"] = count_matchings(g)
+        _check_matchings(report["matching_count"], r)
         report["ascii"] = render_ascii(g)
         return report
 
-    if req.command == "fpoly":
-        if req.full:
-            # the listing is p heights of d tiles, known before the graph is;
-            # its refusal prints p, which can be long
-            with _all_digits():
-                check_budget(abs(r.numerator), pos.d)
-            subsets = height_subsets(f_polynomial(snake_from_positive(pos)))
-            report["full"] = True
-            report["terms"] = [[tiles, 1] for tiles in subsets]
-            # every coefficient is 1: y1*y3 for [1, 3], 1 for no tiles
-            report["text"] = " + ".join(["y" + "*y".join(map(str, tiles))
-                                         if tiles else "1"
-                                         for tiles in subsets])
-            return report
-        F = (specialized_f_positive(pos) if r > 0
-             else specialized_f_even(even_cf_for_link(r)))
-        report["full"] = False
-        report["coefficients"], text = _poly_payload(
-            *F.read().exps_and_coeffs())
-        report["text"] = text
-        report["latex"] = _Plain(latex_from_text(text))
+    if req.command == "fpoly" and req.full:
+        # the listing is p heights of d tiles, known before the graph is;
+        # its refusal prints p, which can be long
+        with _all_digits():
+            check_budget(abs(r.numerator), pos.d)
+        subsets = height_subsets(f_polynomial(snake_from_positive(pos)))
+        _check_matchings(len(subsets), r)
+        report["full"] = True
+        report["terms"] = [[tiles, 1] for tiles in subsets]
+        # every coefficient is 1: y1*y3 for [1, 3], 1 for no tiles
+        report["text"] = " + ".join(["y" + "*y".join(map(str, tiles))
+                                     if tiles else "1" for tiles in subsets])
         return report
 
-    if req.command == "jones":
+    if req.command in ("jones", "fpoly"):
         engines = ENGINES if req.engine == "all" else (req.engine,)
         ev = even_cf_for_link(r)
         res = _checked([_jones_engine(name, r, pos, ev) for name in engines],
                        r, pos, ev, req.engine)
+        if req.command == "fpoly":
+            # the specialized F is V divided by its leading term
+            report["full"] = False
+            report["coefficients"], text = _poly_payload(
+                *res.normalized.read().exps_and_coeffs())
+            report["text"] = text
+            report["latex"] = _Plain(latex_from_text(text))
+            return report
         report["value"] = _rat_payload(abs(r))
         report["positive_cf"] = list(pos.entries)
         report["even_cf"] = list(ev.entries)
@@ -433,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "bare comma list")
     parser.add_argument("--engine", default="direct",
                         choices=(*ENGINES, "all"),
-                        help="jones: the engine; all cross-checks the three "
-                             "(default: direct)")
+                        help="jones and fpoly: the engine; all cross-checks "
+                             "the three (default: direct)")
     parser.add_argument("--format", default="text",
                         choices=("text", "json", "latex"))
     group = parser.add_mutually_exclusive_group()

@@ -9,6 +9,11 @@ that the package writes out where it needs them: the even expansion's
 reader takes the division step inline, and ``degree_and_sign`` counts the
 (+, +) pairs from the groups.
 
+:func:`specialized_f` is the specialized generating function F by a route
+of its own, the closed forms of F with no Jones polynomial in between;
+``fpoly`` prints the checked ``jones`` result over its leading term, which
+the theorem says is the same polynomial.
+
 :func:`state_model_holds` is Kauffman's state model of the bracket on the
 diagram of an even expansion, each step matrix built by :func:`twist` and
 the writhe summed apart; ``verify.bracket_holds`` evaluates the skein step
@@ -18,8 +23,10 @@ that it reduces to, with the writhe scaled into each step.
 from itertools import cycle, groupby
 from operator import countOf, mul
 
+from twobridge.cfrac import even_cf_for_link, positive_cf
 from twobridge.errors import CrossCheckMismatch, NoEvenQuotient
-from twobridge.jones import JonesResult
+from twobridge.jones import (JonesResult, specialized_f_even,
+                             specialized_f_positive)
 from twobridge.laurent import HLPoly, Packed
 from twobridge.verify import BRACKET_PRIME, _remainder
 
@@ -61,6 +68,14 @@ def even_division(p: int, q: int):
 def tau(types) -> int:
     """Number of (+, +) pairs of consecutive entries, counted overlapping."""
     return sum(1 for a, b in zip(types, types[1:]) if a == 1 and b == 1)
+
+
+def specialized_f(r):
+    """F of the signed value r, packed: the positive-cf formula on Euclid's
+    quotients for r > 0, and the reflection identity on the oriented even
+    expansion for r < 0."""
+    return (specialized_f_positive(positive_cf(r)) if r > 0
+            else specialized_f_even(even_cf_for_link(r)))
 
 
 def twist(v, a, ai):

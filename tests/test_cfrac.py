@@ -30,6 +30,13 @@ class TestEvalCF:
     def test_zero_value_without_division_is_fine(self):
         assert eval_cf([1, -1]) == 0
 
+    def test_a_non_integral_entry_is_refused(self):
+        # int() would truncate 2.5 to 2 and give 7/3
+        for entries in ([2.5, 3], [2, -2.5], [Fraction(5, 2)]):
+            with pytest.raises(ValueError, match="is not an integer"):
+                eval_cf(entries)
+        assert eval_cf([2.0, True]) == 3
+
     def test_zero_tail(self):
         for entries in ([2, 1, -1], [2, 0], [], [3, 0, 1, -1]):
             with pytest.raises(ZeroTail):
@@ -511,9 +518,9 @@ class TestExpansionResults:
 
 
 # entries that probe the validators: zero, odd and negative odd values,
-# evens of both signs, True and integral floats
+# evens of both signs, True, integral floats and non-integral ones
 PROBE_ENTRIES = st.sampled_from([0, 1, 3, -1, -3, 2, -2, 4, -6, True, False,
-                                 1.0, 2.0, -2.0, 3.0, 0.0])
+                                 1.0, 2.0, -2.0, 3.0, 0.0, 2.5, -2.5])
 
 
 def _outcome(make, arg):
@@ -546,14 +553,16 @@ class TestConstructorsMatchPlainPredicates:
     @given(st.lists(PROBE_ENTRIES, max_size=6).map(tuple))
     def test_positive_cf_class(self, entries):
         ints = tuple(int(a) for a in entries)
-        ok = bool(ints) and all(a >= 1 for a in ints)
+        ok = (all(int(a) == a for a in entries) and bool(ints)
+              and all(a >= 1 for a in ints))
         assert _outcome(PositiveCF, entries) == (
             (ints, None) if ok else (None, ValueError))
 
     @given(st.lists(PROBE_ENTRIES, max_size=6).map(tuple))
     def test_even_cf_class(self, entries):
         ints = tuple(int(b) for b in entries)
-        ok = bool(ints) and all(b != 0 and b % 2 == 0 for b in ints)
+        ok = (all(int(b) == b for b in entries) and bool(ints)
+              and all(b != 0 and b % 2 == 0 for b in ints))
         assert _outcome(EvenCF, entries) == (
             (ints, None) if ok else (None, ValueError))
 

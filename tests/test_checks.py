@@ -1,6 +1,7 @@
-"""The two checks that every ``jones`` request runs on its result: the
-classical laws at roots of unity, read from four remainders of the packed
-integer, and the Kauffman-bracket fingerprint modulo 2^61 - 2373.
+"""The two checks that every ``jones`` and ``fpoly`` request runs on its
+result: the classical laws at roots of unity, read from four remainders of
+the packed integer, and the Kauffman-bracket fingerprint modulo
+2^61 - 2373.
 
 The laws' four values must equal the digit-bucket values that
 ``tests/test_invariants.py`` reads from each digit run, and the bracket
@@ -237,7 +238,8 @@ def shifted(fn):
 
 # (engine, module, name, fault, value, failed checks): a result moved by a
 # monomial keeps every law on a link; a start value off by 2 t^(1/2) does
-# not
+# not.  Each fault runs under ``jones`` and under ``fpoly``, which prints
+# the checked result over its leading term
 ENGINE_FAULTS = [
     ("direct", jones, "specialized_f_positive", shifted, "10/3",
      "bracket check"),
@@ -256,13 +258,16 @@ ENGINE_FAULTS = [
 def test_an_engine_fault_exits_3_naming_the_check(monkeypatch, engine, module,
                                                   name, fault, value, failed):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    code, out, err = _answer(["jones", value, "--engine", engine])
-    assert (code, out) == (3, "")
     r = Fraction(value)
-    assert err.startswith("cross-check mismatch [jones]: engines disagree "
-                          f"on {r}: recursive: ")
-    assert err.endswith(f"; {failed} failed for {engine} on {r}; reproduce "
-                        f"with: twobridge jones --engine {engine} -- \"{r}\"\n")
+    for command in ("jones", "fpoly"):
+        code, out, err = _answer([command, value, "--engine", engine])
+        assert (code, out) == (3, ""), command
+        assert err.startswith(f"cross-check mismatch [{command}]: engines "
+                              f"disagree on {r}: recursive: ")
+        # the reproducer repeats the failing check, which jones names
+        assert err.endswith(f"; {failed} failed for {engine} on {r}; "
+                            "reproduce with: twobridge jones --engine "
+                            f"{engine} -- \"{r}\"\n")
 
 
 def test_a_unit_fault_breaks_every_law(monkeypatch):

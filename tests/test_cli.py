@@ -370,9 +370,8 @@ class TestJsonEmitter:
 
 def jones_and_fpoly_requests():
     """Every engine's ``jones`` request and the specialized ``fpoly`` one on
-    coprime p/q <= 60 of both signs, the golden inputs and three wide lists;
-    ``fpoly`` of a negative fraction or integer is refused, so it is left
-    out."""
+    coprime p/q <= 60 of both signs, the golden inputs and three wide
+    lists."""
     from test_golden import FPOLY_INPUTS, JONES_INPUTS
     wide = ("[250,250,250,250]", "[97,58]", "[-40,6,-2,30]")
     inputs = [(str(r), None) for r in coprime_fractions(60)]
@@ -383,8 +382,7 @@ def jones_and_fpoly_requests():
     for text, hint in inputs:
         for engine in ("all", "recursive", "direct", "fpoly"):
             yield Request("jones", text, engine=engine, hint=hint)
-        if text[0] != "-":
-            yield Request("fpoly", text, hint=hint)
+        yield Request("fpoly", text, hint=hint)
 
 
 class TestTypedPayload:
@@ -428,7 +426,8 @@ class TestTypedPayload:
                     "_Plain(text_from_terms(exps, coeffs)))")
         assert sorted(uses) == sorted(("cli.py", use) for use in (
             returned, returned, latex, latex, "kind is _Plain",
-            "kind is _Terms", coefficients.format("F.read().exps_and_coeffs()"),
+            "kind is _Terms",
+            coefficients.format("res.normalized.read().exps_and_coeffs()"),
             coefficients.format("res.run.exps_and_coeffs()")))
 
 
@@ -585,9 +584,8 @@ class TestUsageErrorsAreTyped:
 
 # every step that grows with the tile count: the even expansion, the graph
 # builds and the engines
-WORK = ("even_cf_for_link", "snake_from_positive", "specialized_f_even",
-        "specialized_f_positive", "jones_recursive", "jones_direct",
-        "jones_via_f")
+WORK = ("even_cf_for_link", "snake_from_positive", "jones_recursive",
+        "jones_direct", "jones_via_f")
 
 
 class TestTileBudget:
@@ -1045,6 +1043,50 @@ class TestEnginesApart:
                 assert (f" failed for {res.engine} on {r};" in
                         capsys.readouterr().err) == wrong
         assert same == []
+
+
+class TestFpolyIsTheCheckedJonesResult:
+    """``fpoly`` prints the checked ``jones`` result over its leading term,
+    F = V / (its leading term) by the paper's theorem, so it prints what F's
+    own closed forms give, under every ``--engine`` choice, and a wrong
+    count of matchings exits 3."""
+
+    def test_it_prints_the_reference_route(self, capsys):
+        from reference import specialized_f
+        from test_mutants import mutants
+        values = [*signed_fractions(60), *mutants.inputs()[2200:]]
+        assert len(values) == 2 * 1101 + 200
+        for r in values:
+            want = f"{specialized_f(r).read()}\n"
+            for engine in ("direct", "recursive", "fpoly", "all"):
+                assert main(["fpoly", "--engine", engine, "--", str(r)]) == 0
+                assert capsys.readouterr().out == want, (r, engine)
+
+    def test_snake_checks_its_matching_count(self, capsys, monkeypatch):
+        import twobridge.cli as cli
+        real = cli.count_matchings
+        monkeypatch.setattr(cli, "count_matchings", lambda g: real(g) + 1)
+        assert main(["snake", "--", "-27/10"]) == 3
+        assert capsys.readouterr() == ("", (
+            "cross-check mismatch [snake]: 28 matchings vs numerator 27 on "
+            "-27/10\n"))
+        with pytest.raises(CrossCheckMismatch) as exc:
+            run(Request("snake", "27/10"))
+        assert exc.value.engines == ("matchings", "numerator")
+        assert exc.value.value == Fraction(27, 10)
+
+    def test_the_full_listing_checks_its_length(self, capsys, monkeypatch):
+        import twobridge.cli as cli
+        real = cli.height_subsets
+        monkeypatch.setattr(cli, "height_subsets", lambda F: real(F)[1:])
+        assert main(["fpoly", "--full", "27/10"]) == 3
+        assert capsys.readouterr() == ("", (
+            "cross-check mismatch [fpoly]: 26 matchings vs numerator 27 on "
+            "27/10\n"))
+        with pytest.raises(CrossCheckMismatch) as exc:
+            run(Request("fpoly", "-27/10", full=True))
+        assert exc.value.engines == ("matchings", "numerator")
+        assert exc.value.value == Fraction(-27, 10)
 
 
 OVERFLOWING_DIRECT = (

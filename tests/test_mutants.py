@@ -22,6 +22,12 @@ def test_every_anchor_occurs_once():
         assert (mutants.PACKAGE / file).read_text().count(old) == 1, old
 
 
+def test_the_modes():
+    # jones under the default engine and under all three, and fpoly
+    assert mutants.MODES == (("jones",), ("jones", "--engine", "all"),
+                             ("fpoly",))
+
+
 def test_the_inputs():
     values = mutants.inputs()
     assert len(values) == len(set(values)) == 2400
