@@ -53,7 +53,7 @@ COMMANDS = ("convert", "snake", "fpoly", "jones", "volume", "verify")
 OPTIONS = ((), ("--even",), ("--positive",), ("--full",),
            *(("--engine", e) for e in ("recursive", "direct", "fpoly", "all")),
            *(("--format", f) for f in ("text", "json", "latex")))
-# below 1, small, and above the sweep budget
+# below 2, small, and above the sweep budget
 MAX_SUMS = (-1, 0, 1, 2, 17, 10 ** 9)
 LONG_SHARE = 0.05  # of the jones and fpoly argvs
 # repeats of a long list's entry: answered ones near the work budget, and

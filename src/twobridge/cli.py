@@ -152,10 +152,11 @@ class _Plain(str):
 
 
 def _poly_payload(exps, coeffs):
-    """(coefficient pairs, text) of a polynomial from its exponent strings
-    and coefficients, highest exponent first."""
+    """(coefficient pairs, text, LaTeX) of a polynomial from its exponent
+    strings and coefficients, highest exponent first."""
     with _all_digits():
-        return _Terms(exps, coeffs), _Plain(text_from_terms(exps, coeffs))
+        text = text_from_terms(exps, coeffs)
+    return _Terms(exps, coeffs), _Plain(text), _Plain(latex_from_text(text))
 
 
 def _rat_payload(r: Rat):
@@ -218,8 +219,8 @@ def _check_matchings(count: int, r: Rat):
 def run(req: Request) -> dict:
     """Execute a request; returns a report dict ready for :func:`emit`."""
     if req.command == "verify":
-        if req.max_sum < 1:
-            raise OutOfRange(f"--max-sum must be at least 1, got {req.max_sum}")
+        if req.max_sum < 2:  # the smallest even list, [+-2], has sum 2
+            raise OutOfRange(f"--max-sum must be at least 2, got {req.max_sum}")
         if req.max_sum > MAX_SUM_BUDGET:
             raise BudgetExceeded(f"--max-sum {req.max_sum} is beyond budget "
                                  f"{MAX_SUM_BUDGET}")
@@ -285,13 +286,12 @@ def run(req: Request) -> dict:
         ev = even_cf_for_link(r)
         res = _checked([_jones_engine(name, r, pos, ev) for name in engines],
                        r, pos, ev, req.engine)
+        # fpoly prints the specialized F, which is V over its leading term
+        poly = res.normalized if req.command == "fpoly" else res.run
+        pairs, text, latex = _poly_payload(*poly.exps_and_coeffs())
         if req.command == "fpoly":
-            # the specialized F is V divided by its leading term
-            report["full"] = False
-            report["coefficients"], text = _poly_payload(
-                *res.normalized.read().exps_and_coeffs())
-            report["text"] = text
-            report["latex"] = _Plain(latex_from_text(text))
+            report.update(full=False, coefficients=pairs, text=text,
+                          latex=latex)
             return report
         report["value"] = _rat_payload(abs(r))
         report["positive_cf"] = list(pos.entries)
@@ -299,12 +299,11 @@ def run(req: Request) -> dict:
         report["degree"] = _exp_str(int(2 * res.degree))
         report["leading_sign"] = res.leading_sign
         report["width"] = _exp_str(res.run.width())
-        report["coefficients"], text = _poly_payload(
-            *res.run.exps_and_coeffs())
+        report["coefficients"] = pairs
         report["engine"] = req.engine
         report["checks"] = dict.fromkeys((*engines, "laws", "bracket"), "ok")
         report["text"] = text
-        report["latex"] = _Plain(latex_from_text(text))
+        report["latex"] = latex
         return report
 
     if req.command == "volume":
@@ -443,10 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", nargs="?", default="",
                         help="fraction p/q, bracketed list [c1,c2,...], or "
                              "bare comma list")
-    parser.add_argument("--engine", default="direct",
+    parser.add_argument("--engine", default=Request.engine,
                         choices=(*ENGINES, "all"),
                         help="jones and fpoly: the engine; all cross-checks "
-                             "the three (default: direct)")
+                             "the three (default: %(default)s)")
     parser.add_argument("--format", default="text",
                         choices=("text", "json", "latex"))
     group = parser.add_mutually_exclusive_group()
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refuse an entry list that is not an even cf")
     group.add_argument("--positive", action="store_true",
                        help="refuse an entry list that is not a positive cf")
-    parser.add_argument("--max-sum", type=int, default=10,
+    parser.add_argument("--max-sum", type=int, default=Request.max_sum,
                         help="sweep bound for the verify command")
     parser.add_argument("--full", action="store_true",
                         help="fpoly: emit the full tile-variable polynomial")

@@ -17,8 +17,9 @@ the verify sweeps alike.  The skein recursion, the direct formula's
 numerator and the two-term recursion ``f_recursive`` are each one call of
 the kernel :func:`laurent.continuant_packed`; they differ only in their step
 factors.  Every route keeps its result packed (:class:`laurent.Packed`),
-the closed forms and ``f_recursive`` included, so results compare with
-``==`` as integers and a polynomial is read only where it is printed.
+so results compare with ``==`` as integers, ``f_recursive`` once placed at
+the checked degree and sign, and a polynomial is read once, where it is
+printed: ``JonesResult.normalized`` is that read over its leading term.
 
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input;
@@ -52,10 +53,10 @@ class JonesResult:
     """A Jones polynomial, held packed, and the engine that made it.
 
     ``run``, the one read of the digits of ``packed``, is made on first use;
-    it prints as the polynomial; ``degree`` and ``leading_sign`` read it.
-    ``normalized`` is ``packed`` divided by its leading term, packed: it has
-    constant term 1 and degree 0.  Results compare and hash by identity;
-    two polynomials compare as ``a.packed == b.packed``.
+    it prints as the polynomial; ``degree`` and ``leading_sign`` read it,
+    and ``normalized`` is it over its leading term: the same digits times
+    the leading sign, from t^(-width/2) to constant term 1.  Results compare
+    and hash by identity; two polynomials compare as ``a.packed == b.packed``.
     """
 
     packed: Packed
@@ -79,9 +80,10 @@ class JonesResult:
         return c
 
     @cached_property
-    def normalized(self) -> Packed:
-        run = self.run
-        return self.packed.times(self.leading_sign, -run.h - run.width())
+    def normalized(self) -> DigitRun:
+        run, c = self.run, self.leading_sign
+        return DigitRun(-run.width(), [-x for x in run.digits] if c < 0
+                        else run.digits)
 
 
 def reproducer(engine, value) -> str:

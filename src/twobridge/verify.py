@@ -64,22 +64,22 @@ def coprime_fractions(max_p):
 def check_engines(cf: EvenCF):
     """Run every applicable engine on one even CF; return the shared value.
 
-    The shared value's leading term must be ``degree_and_sign(cf)``, and for
-    b_1 > 0 its normalized polynomial the two-term recursion and the
-    specialized matching listing."""
+    It must lead with ``degree_and_sign(cf)``, and for b_1 > 0 equal the
+    two-term recursion placed there and, normalized, the matching listing."""
     ref = cross_check([jones_recursive(cf), jones_via_f(cf)],
                       list(cf.entries))
-    if (ref.degree, ref.leading_sign) != degree_and_sign(cf):
+    j, delta = degree_and_sign(cf)
+    if (ref.degree, ref.leading_sign) != (j, delta):
         raise CrossCheckMismatch(
             f"closed-form degree and sign disagree on {list(cf.entries)}",
             engines=("recursive", "degree_and_sign"), value=cf.entries)
     if cf.entries[0] > 0:
-        if f_recursive(cf) != ref.normalized:
+        if f_recursive(cf).times(delta, int(2 * j)) != ref.packed:
             raise CrossCheckMismatch(
                 f"two-term recursion disagrees on {list(cf.entries)}",
                 engines=("recursive", "f_recursive"), value=cf.entries)
         g = snake_from_even(cf)
-        if specialize_y(f_polynomial(g), g.d) != ref.normalized.read():
+        if specialize_y(f_polynomial(g), g.d) != ref.normalized:
             raise CrossCheckMismatch(
                 f"matching enumeration disagrees on {list(cf.entries)}",
                 engines=("recursive", "matchings"), value=cf.entries)

@@ -225,18 +225,20 @@ class TestPolyPayload:
     @given(packed_runs())
     def test_digit_runs(self, packed_terms):
         packed, terms = packed_terms
-        pairs, text = _poly_payload(*packed.read().exps_and_coeffs())
+        pairs, text, latex = _poly_payload(*packed.read().exps_and_coeffs())
         assert list(map(list, pairs)) == parent_poly_payload(terms)
         assert text == HLPoly(dict(terms)).to_text()
+        assert latex == HLPoly(dict(terms)).to_latex()
         report = {"coefficients": pairs, "text": text}
         assert _json(report) == json.dumps(report, indent=2)
 
     @given(gapped_terms())
     def test_gapped_and_mixed_polynomials(self, terms):
         poly = HLPoly(dict(terms))
-        pairs, text = _poly_payload(*poly.exps_and_coeffs())
+        pairs, text, latex = _poly_payload(*poly.exps_and_coeffs())
         assert list(map(list, pairs)) == parent_poly_payload(terms)
         assert text == poly.to_text()
+        assert latex == poly.to_latex()
 
 
 class TestJsonFormat:
@@ -398,15 +400,15 @@ class TestTypedPayload:
 
     def test_zero_polynomial_and_constant(self):
         for exps, coeffs in (([], []), (["0"], [1]), (["-7/2"], [-10 ** 40])):
-            pairs, text = _poly_payload(exps, coeffs)
-            report = {"coefficients": pairs, "text": text, "latex": text}
+            pairs, text, latex = _poly_payload(exps, coeffs)
+            report = {"coefficients": pairs, "text": text, "latex": latex}
             assert _json(report) == json.dumps(report, indent=2)
 
     def test_typed_values_are_built_only_from_exps_and_coeffs(self):
         # every mention of the typed classes and of _poly_payload in the
         # package, outside the class statements, by the statement or the
         # comparison that holds it: run feeds _poly_payload exps_and_coeffs
-        # output and wraps its LaTeX rewrite, and _json tests the types
+        # output once, for jones and fpoly alike, and _json tests the types
         names = {"_Terms", "_Plain", "_poly_payload"}
         uses = []
         for path in sorted((SRC / "twobridge").glob("*.py")):
@@ -420,15 +422,13 @@ class TestTypedPayload:
                         while not isinstance(node, (ast.stmt, ast.Compare)):
                             node = parents[node]
                         uses.append((path.name, ast.unparse(node)))
-        coefficients = "report['coefficients'], text = _poly_payload(*{})"
-        latex = "report['latex'] = _Plain(latex_from_text(text))"
-        returned = ("return (_Terms(exps, coeffs), "
-                    "_Plain(text_from_terms(exps, coeffs)))")
+        payload = ("pairs, text, latex = "
+                   "_poly_payload(*poly.exps_and_coeffs())")
+        returned = ("return (_Terms(exps, coeffs), _Plain(text), "
+                    "_Plain(latex_from_text(text)))")
         assert sorted(uses) == sorted(("cli.py", use) for use in (
-            returned, returned, latex, latex, "kind is _Plain",
-            "kind is _Terms",
-            coefficients.format("res.normalized.read().exps_and_coeffs()"),
-            coefficients.format("res.run.exps_and_coeffs()")))
+            returned, returned, returned, "kind is _Plain", "kind is _Terms",
+            payload))
 
 
 class TestMainExitCodes:
@@ -1089,6 +1089,41 @@ class TestFpolyIsTheCheckedJonesResult:
         assert exc.value.value == Fraction(-27, 10)
 
 
+class TestOneReadPerResult:
+    """A checked result's digits are read once: ``normalized`` is a view of
+    that read, and ``check_engines`` compares the two-term recursion with
+    the result as packed integers."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import twobridge.laurent as laurent
+        real, calls = laurent._read_digits, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(laurent, "_read_digits", counted)
+        return calls
+
+    @pytest.mark.parametrize("value, sign", [("27/10", 1), ("2", -1)])
+    def test_fpoly(self, reads, value, sign):
+        assert run(Request("jones", value))["leading_sign"] == sign
+        reads.clear()
+        assert run(Request("fpoly", value))["coefficients"][0] == ("0", 1)
+        assert len(reads) == 1
+
+    def test_jones_with_every_engine(self, reads):
+        run(Request("jones", "27/10", engine="all"))
+        assert len(reads) == 1
+
+    def test_check_engines(self, reads):
+        from twobridge.verify import check_engines, engine_sweep
+        check_engines(EvenCF((2, 2, -2, 4)))
+        assert len(reads) == 1
+        reads.clear()
+        assert engine_sweep(8) == len(reads) > 0
+
+
 OVERFLOWING_DIRECT = (
     "import dataclasses\n"
     "from twobridge import cli\n"
@@ -1137,7 +1172,7 @@ def test_formula_fault_exits_3_under_optimize():
 
 
 class TestVerifyBound:
-    @pytest.mark.parametrize("max_sum", [0, -3])
+    @pytest.mark.parametrize("max_sum", [1, 0, -3])
     def test_nonpositive_bound_fails_before_any_sweep(self, capsys, monkeypatch,
                                                       max_sum):
         import twobridge.cli as cli_mod
@@ -1152,7 +1187,7 @@ class TestVerifyBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error [verify]: --max-sum must be at least "
-                                f"1, got {max_sum}\n")
+                                f"2, got {max_sum}\n")
 
 
     def test_bound_above_the_budget_fails_before_any_sweep(
@@ -1233,9 +1268,10 @@ class TestLongResults:
 
     def test_poly_payload(self):
         big = 10 ** 5000 + 1
-        pairs, text = _poly_payload(["1", "0"], [big, -1])
+        pairs, text, latex = _poly_payload(["1", "0"], [big, -1])
         assert list(pairs) == [("1", big), ("0", -1)]
         assert text.endswith("*t^(1) - 1") and len(text) > 5000
+        assert latex.endswith("t-1") and len(latex) > 5000
 
     def test_input_keeps_the_limit(self, capsys):
         assert main(["jones", "1" * 5000]) == 1
