@@ -171,10 +171,11 @@ def _jones_engine(engine: str, r: Rat, pos: PositiveCF,
     recursion runs on the negated entries, as a check of that rule."""
     if engine == "recursive":
         return jones_recursive(even)
+    ev = even if r > 0 else even.mirrored()
     if engine == "fpoly":
-        res = jones_via_f(even if r > 0 else even.mirrored())
+        res = jones_via_f(ev)
     elif engine == "direct":
-        res = jones_direct(pos)
+        res = jones_direct(pos, ev)
     else:
         raise ParseError(f"unknown engine {engine!r}")
     return res if r > 0 else mirror(res)

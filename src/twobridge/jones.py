@@ -24,7 +24,7 @@ printed: ``JonesResult.normalized`` is that read over its leading term.
 Orientation conventions.  An even continued fraction determines the link
 *and* its orientation, so the even entries are the authoritative input;
 :func:`cfrac.even_cf_for_link` gives the expansion that carries the link of
-a rational.
+a rational, and every engine places its result by the expansion it is given.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cfrac import (EvenCF, PositiveCF, _value, even_cf_for_link,
-                    numerator_rec, positive_cf, run_value, type_sequence)
+from .cfrac import (EvenCF, PositiveCF, _value, numerator_rec, positive_cf,
+                    run_value, type_sequence)
 from .errors import (CrossCheckMismatch, HypothesisViolated, SlotOverflow,
                      WrongOrientation, ZeroPolynomial)
 from .laurent import DigitRun, Packed, _exp_str, continuant_packed
@@ -290,15 +290,14 @@ def jones_via_f(cf: EvenCF) -> JonesResult:
     return _placed(cf, specialized_f_even(cf), "fpoly")
 
 
-def jones_direct(cf: PositiveCF) -> JonesResult:
+def jones_direct(cf: PositiveCF, ev: EvenCF) -> JonesResult:
     """Closed-formula engine on a positive continued fraction.
 
     The normalized polynomial is the continued-fraction numerator of
     :func:`specialized_f_positive`; degree and leading sign come from
-    :func:`degree_and_sign` on the orientation-consistent even expansion of
-    the value.
+    :func:`degree_and_sign` on ``ev``, the oriented even expansion of the
+    same value.
     """
-    ev = even_cf_for_link(cf.value())
     return _placed(ev, specialized_f_positive(cf), "direct")
 
 

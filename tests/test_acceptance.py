@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import pytest
 
-from twobridge.cfrac import EvenCF, PositiveCF, eval_cf, even_cf, positive_cf
+from twobridge.cfrac import (EvenCF, PositiveCF, eval_cf, even_cf,
+                             even_cf_for_link, positive_cf)
 from twobridge.errors import (CrossCheckMismatch, HypothesisViolated,
                               TwoBridgeError)
 from twobridge.jones import (boundary_coefficients, degree_and_sign,
@@ -63,13 +64,14 @@ def criterion_1():
         ev = EvenCF(ev_entries)
         assert lift(jones_recursive(ev)).to_text() == text, ev_entries
         assert lift(jones_via_f(ev)).to_text() == text, ev_entries
-        assert (lift(jones_direct(PositiveCF(pos_entries))).to_text()
-                == text), pos_entries
+        pos = PositiveCF(pos_entries)
+        assert (lift(jones_direct(pos, even_cf_for_link(pos.value())))
+                .to_text() == text), pos_entries
     # mirror partners, pinned explicitly
     for engine in (jones_recursive, jones_via_f):
         assert (lift(engine(EvenCF((-2,)))).to_text()
                 == "-t^(-1/2) - t^(-5/2)")
-    v4 = jones_direct(PositiveCF((4,)))
+    v4 = jones_direct(PositiveCF((4,)), even_cf_for_link(4))
     for engine_poly in (lift(jones_recursive(EvenCF((-4,)))),
                         lift(jones_via_f(EvenCF((-4,)))),
                         lift(mirror(v4))):
@@ -162,7 +164,7 @@ def criterion_7():
         cf = PositiveCF(entries)
         v0, v1, v2, vl2, vl1, vl = boundary_coefficients(cf)
         # normalized: v_i is the digit i places below the top
-        digits = jones_direct(cf).run.digits
+        digits = jones_direct(cf, even_cf_for_link(cf.value())).run.digits
         ell = sum(entries)
         assert len(digits) == ell + 1, entries
         got = [abs(digits[-1 - i]) for i in (0, 1, 2, ell - 2, ell - 1, ell)]

@@ -395,8 +395,12 @@ class TestEvenCFForLink:
         got = even_cf_for_link(Fraction(5, 3))
         assert got == even_cf(Fraction(-5, 2))
         assert eval_cf(got.entries) == Fraction(-5, 2)
-        # a negative r is the mirror image: the expansion of |r| negated
-        assert even_cf_for_link(Fraction(-5, 3)) == got.mirrored()
+        # a negative r is the mirror image: the expansion of |r| negated,
+        # which the closed-form engines are given for every negative value
+        values = list(coprime_fractions(200))
+        for r in values:
+            assert even_cf_for_link(-r) == even_cf_for_link(r).mirrored(), r
+        assert {r.numerator * r.denominator % 2 for r in values} == {0, 1}
 
 
 class TestNumeratorRec:

@@ -831,7 +831,8 @@ class TestNegativeInputs:
         (["volume", "--", "-1/3"], "need a rational >= 1, got -1/3"),
         (["jones", "--", "-1"], "need |r| > 1, got -1"),
         (["jones", "1"], "need |r| > 1, got 1"),
-        (["convert", "1"], "need |r| > 1, got 1")])
+        (["convert", "1"], "need |r| > 1, got 1"),
+        (["fpoly", "1"], "need |r| > 1, got 1")])
     def test_refusal_names_the_signed_value(self, capsys, argv, message):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error [{argv[0]}]: {message}\n"
@@ -899,8 +900,8 @@ def fault_direct(monkeypatch, extra):
     import twobridge.cli as cli
     real = cli.jones_direct
 
-    def faulty(cf):
-        res = real(cf)
+    def faulty(*args):
+        res = real(*args)
         p = res.packed
         return dataclasses.replace(
             res, packed=Packed(p.n + extra(p), p.h, p.s, p.bound))
@@ -1129,8 +1130,8 @@ OVERFLOWING_DIRECT = (
     "from twobridge import cli\n"
     "from twobridge.laurent import Packed\n"
     "real = cli.jones_direct\n"
-    "def faulty(cf):\n"
-    "    res = real(cf)\n"
+    "def faulty(*args):\n"
+    "    res = real(*args)\n"
     "    p = res.packed\n"
     "    return dataclasses.replace(res, packed=Packed(\n"
     "        p.n + (1 << (p.s - 1)), p.h, p.s, p.bound))\n"

@@ -196,7 +196,7 @@ class TestRunSteps:
         monkeypatch.setattr(jones, "continuant_packed", counted)
         res = jones_recursive(cf)
         assert len(seen) == 1 and seen[0] <= 2
-        assert res.packed == jones_direct(PositiveCF((100001,))).packed
+        assert res.packed == jones_direct(PositiveCF((100001,)), cf).packed
 
 
 class TestRunPath:
@@ -222,7 +222,7 @@ class TestRunPath:
         # expansion [p], so the direct formula is the reference here
         for p in range(3, 5002, 2):
             self.check(even_cf_for_link(p),
-                       lambda ev: jones_direct(PositiveCF((p,))))
+                       lambda ev: jones_direct(PositiveCF((p,)), ev))
 
     def test_random_fractions_with_long_runs(self):
         for ev in run_fractions(40, 17):
@@ -447,16 +447,23 @@ class TestViaF:
             assert lift(jones_via_f(EvenCF(entries))).to_text() == text
 
 
+def direct(entries) -> JonesResult:
+    """``jones_direct`` on the positive expansion ``entries``, placed by
+    the oriented even expansion of its value."""
+    cf = PositiveCF(entries)
+    return jones_direct(cf, even_cf_for_link(cf.value()))
+
+
 class TestDirect:
     def test_figure_eight(self):
-        assert lift(jones_direct(PositiveCF((2, 2)))).to_text() == FIGURE8
+        assert lift(direct((2, 2))).to_text() == FIGURE8
 
     def test_four_crossing_link(self):
-        assert (lift(jones_direct(PositiveCF((4,)))).to_text()
+        assert (lift(direct((4,))).to_text()
                 == "-t^(9/2) - t^(5/2) + t^(3/2) - t^(1/2)")
 
     def test_twenty_crossing_link(self):
-        res = jones_direct(PositiveCF((2, 3, 4, 5, 6)))
+        res = direct((2, 3, 4, 5, 6))
         coeffs = [1, -3, 7, -15, 27, -44, 63, -83, 101, -111, 113, -106,
                   92, -73, 54, -36, 22, -12, 6, -2, 1]
         exps, got = lift(res.normalized).exps_and_coeffs()
@@ -467,14 +474,14 @@ class TestDirect:
         # 3/1 has no even expansion; the partner 3/2 describes the mirror,
         # so the oriented expansion is the negated one and V is the trefoil.
         assert even_cf_for_link(Fraction(3, 1)).entries == (-2, 2)
-        assert lift(jones_direct(PositiveCF((3,)))).to_text() == TREFOIL
-        assert (lift(jones_direct(PositiveCF((5,)))).to_text()
+        assert lift(direct((3,))).to_text() == TREFOIL
+        assert (lift(direct((5,))).to_text()
                 == "t^(-2) + t^(-4) - t^(-5) + t^(-6) - t^(-7)")
 
     def test_normalized_is_generating_function(self):
         for entries in [(2, 2), (3,), (2, 1, 2, 3), (3, 2, 4)]:
             cf = PositiveCF(entries)
-            assert (jones_direct(cf).normalized
+            assert (direct(entries).normalized
                     == specialized_f_positive(cf).read())
 
     def test_agrees_with_recursion_on_link_fractions(self):
@@ -484,16 +491,16 @@ class TestDirect:
             r = cf.value()
             if r == 1:
                 continue
-            direct = jones_direct(cf)
-            recursive = jones_recursive(even_cf_for_link(r))
-            assert lift(direct) == lift(recursive), entries
-            assert (direct.normalized
+            ev = even_cf_for_link(r)
+            res = jones_direct(cf, ev)
+            assert lift(res) == lift(jones_recursive(ev)), entries
+            assert (res.normalized
                     == specialized_f_positive(cf).read()), entries
 
 
 class TestMirror:
     def test_four_crossings(self):
-        v4 = jones_direct(PositiveCF((4,)))
+        v4 = direct((4,))
         assert lift(mirror(v4)) == lift(jones_recursive(EvenCF((-4,))))
 
     def test_involution(self):
@@ -502,7 +509,7 @@ class TestMirror:
 
     def test_reads_no_digits(self, monkeypatch):
         import twobridge.laurent as laurent
-        res = jones_direct(PositiveCF((2, 1, 2, 3)))
+        res = direct((2, 1, 2, 3))
         calls = []
         real = laurent._read_digits
 

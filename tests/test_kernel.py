@@ -114,7 +114,7 @@ def check_engines(entries, want_f):
     j, delta = degree_and_sign(ev)
     want = HLPoly.monomial(delta, int(2 * j)) * want_f
     assert lift(specialized_f_positive(cf)) == want_f
-    assert lift(jones_direct(cf)) == want
+    assert lift(jones_direct(cf, ev)) == want
     assert lift(jones_recursive(ev)) == want
     assert lift(jones_via_f(ev)) == want
     if ev.entries[0] > 0:

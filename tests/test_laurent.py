@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twobridge.cfrac import EvenCF, PositiveCF
+from twobridge.cfrac import EvenCF, PositiveCF, even_cf_for_link
 from twobridge.errors import ZeroPolynomial
 from twobridge.jones import jones_direct, jones_recursive, mirror
 from twobridge.laurent import (DigitRun, HLPoly, Packed, _exp_str,
@@ -262,7 +262,8 @@ class TestInspection:
         # the Jones polynomial of a two-bridge link alternates, and so does
         # its mirror image: (-1)^i digits[i] has one sign, zero digits aside
         for entries in ((2,), (3,), (2, 2), (4,), (2, 3, 4), (1, 1, 5)):
-            res = jones_direct(PositiveCF(entries))
+            cf = PositiveCF(entries)
+            res = jones_direct(cf, even_cf_for_link(cf.value()))
             for run in (res.run, mirror(res).run):
                 first = run.digits[0]
                 assert all(c * first * (-1) ** i >= 0
@@ -368,8 +369,10 @@ class TestTextGrammar:
         # the Hopf link, -t^(5/2) - t^(1/2)
         (lambda: jones_recursive(EvenCF((2,))), True),
         # the second exponent of T(2, 2^20 + 1) is skipped
-        (lambda: jones_direct(PositiveCF((1048577,))), True),
-        (lambda: jones_direct(PositiveCF((97, 58))), False)],
+        (lambda: jones_direct(PositiveCF((1048577,)),
+                              even_cf_for_link(1048577)), True),
+        (lambda: jones_direct(PositiveCF((97, 58)),
+                              even_cf_for_link(Fraction(5627, 58))), False)],
         ids=["[2]-even", "1048577", "[97,58]"])
     def test_digit_run_terms_of_results(self, result, zero_slot):
         run = result().run

@@ -17,6 +17,7 @@ from math import gcd
 
 import pytest
 
+import twobridge.cfrac as cfrac
 import twobridge.cli as cli
 import twobridge.jones as jones
 from twobridge.cfrac import even_cf, even_cf_for_link, positive_cf
@@ -103,6 +104,25 @@ def test_a_mismatch_report_is_the_same_for_every_spelling(monkeypatch,
     assert (code, out) == (3, "")
     command = err.rstrip("\n").rpartition("reproduce with: ")[2]
     assert _answer(shlex.split(command)[1:]) == (3, "", err)
+
+
+@pytest.mark.parametrize("value", ["27/10", "-27/10", "7/3", "-7/3"])
+@pytest.mark.parametrize("command, engine", [
+    *(("jones", engine) for engine in ("direct", "recursive", "fpoly", "all")),
+    ("fpoly", "direct")])
+def test_a_request_expands_its_value_once(monkeypatch, command, engine,
+                                          value):
+    """The CLI orients a request once, for p*q even and for p and q both
+    odd, and every engine places its result by that expansion."""
+    calls = []
+    real = cfrac._even_entries
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+    monkeypatch.setattr(cfrac, "_even_entries", counted)
+    cli.run(cli.Request(command, value, engine=engine))
+    assert len(calls) == 1, calls
 
 
 @pytest.mark.parametrize("command", ["convert", "fpoly", "jones"])

@@ -10,4 +10,4 @@ def test_library_examples():
     result = doctest.testfile(str(README), module_relative=False,
                               optionflags=doctest.REPORT_NDIFF)
     # every example is attempted, so the check cannot pass on an empty file
-    assert (result.failed, result.attempted) == (0, 12)
+    assert (result.failed, result.attempted) == (0, 13)
